@@ -71,8 +71,8 @@ class ExperimentConfig:
         for f in fields(self):
             if getattr(self, f.name) is _REQUIRED:
                 bad(f.name, "mandatory key is missing")
-        if self.nx < 3 or self.ny < 3:
-            bad("nx" if self.nx < 3 else "ny", "grid needs at least 3 points")
+        if self.nx < 4 or self.ny < 4:
+            bad("nx" if self.nx < 4 else "ny", "grid needs at least 4 points")
         if self.dt <= 0:
             bad("dt", "must be > 0")
         if self.n_steps < 1:
@@ -104,6 +104,9 @@ class ExperimentConfig:
                 f"pick from {FORMULATIONS}")
         if self.n_outer < 1:
             bad("n_outer", "must be >= 1")
+        if self.formulation == "dd4dvar" and self.n_outer > 1:
+            bad("n_outer", "dd4dvar runs one outer loop (it does not "
+                "relinearize); set n_outer = 1")
         if self.n_inner < 1:
             bad("n_inner", "must be >= 1")
         if self.solver_tol <= 0:

@@ -1,16 +1,31 @@
 """Background and observation error covariances.
 
-The background covariance over one scalar field is a dense Gaussian kernel
-on the grid nodes,
+The background covariance over one scalar field is a Gaussian kernel on the
+grid nodes,
 
-    B_ij = sigma^2 exp(-|r_i - r_j|^2 / (2 L^2)) + eps * delta_ij,
+    B_ij = sigma^2 exp(-|r_i - r_j|^2 / (2 L^2)) + eps * delta_ij.
 
-factorized once by Cholesky.  Everything downstream (inverse applies, square
-roots for preconditioning, principal-submatrix restrictions for the
-domain-decomposed solver) is served from that factor.  Multi-field states
-use the same spatial block per field with no cross-field correlation, so a
-state covariance is block diagonal with identical blocks and only one
-factorization is ever stored.
+On the regular grid the kernel separates by axis, so with node index
+i*ny + j (the order of Grid.node_coords)
+
+    B = sigma^2 Kx (x) Ky + eps I,
+
+with Kx (nx x nx) and Ky (ny x ny) the 1-D Gaussian kernels of the axes.
+Both come with their eigenpairs Kx = Ux Lx Ux', Ky = Uy Ly Uy', and the
+nugget is diagonal in the joint eigenbasis, so every operation works on an
+(..., nx, ny) view V of a field and costs a few small matrix products:
+
+    B V        = sigma^2 Kx V Ky + eps V
+    B^-1 V     = Ux [(Ux' V Uy) / s] Uy'
+    B^1/2 V    = Ux [(Ux' V Uy) * sqrt(s)] Uy'    (symmetric root)
+
+with s_ij = sigma^2 lx_i ly_j + eps.  A rectangular sub-grid (a product of
+row and column sets) restricts to the exact principal block
+sigma^2 Kx[I,I] (x) Ky[J,J] + eps I, which is all the domain-decomposed
+solver asks for; no dense nx*ny x nx*ny matrix is ever formed outside the
+test-only `matrix` property (Saatci 2011; Gilboa, Saatci & Cunningham,
+IEEE TPAMI 2015).  Multi-field states use the same spatial block per field
+with no cross-field correlation.
 
 The nugget eps defaults to 1e-3 * sigma^2.  A Gaussian kernel on a regular
 grid is notoriously ill conditioned once L spans a few spacings; with the
@@ -18,9 +33,12 @@ default the condition number stays near 1e3/eps_rel, which keeps the
 inverse round trip (apply_inv after apply) at 1e-10 relative, the accuracy
 the rest of the code assumes from B.
 
-Control-vector covariances are block diagonal over the control segments
-(initial state, one forcing block per assimilation window, one boundary
-block per window), with the window blocks sharing a factorization.
+The boundary ring of the prescribed-boundary model is not a product set,
+so its covariance stays a dense Gaussian kernel over the ring points,
+factorized by Cholesky.  Control-vector covariances are block diagonal
+over the control segments (initial state, one forcing block per
+assimilation window, one boundary block per window), with the window
+blocks sharing one covariance object.
 """
 
 import numpy as np
@@ -31,6 +49,7 @@ from .grid import boundary_ring_indices
 
 __all__ = [
     "GaussianCovariance",
+    "KroneckerCovariance",
     "CovarianceB",
     "CovarianceR",
     "ControlCovariance",
@@ -42,28 +61,46 @@ __all__ = [
 DEFAULT_NUGGET_FACTOR = 1e-3
 
 
+def _checked_nugget(sigma, length, nugget):
+    """Validate the kernel parameters; the nugget, defaulted."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if length <= 0:
+        raise ValueError(f"length must be positive, got {length}")
+    if nugget is None:
+        nugget = DEFAULT_NUGGET_FACTOR * sigma**2
+    if nugget < 1e-10:
+        raise ValueError(f"nugget must be >= 1e-10, got {nugget}")
+    return float(nugget)
+
+
+def _check_index_set(idx, n):
+    idx = np.asarray(idx, dtype=int)
+    if idx.ndim != 1:
+        raise ValueError("index set must be 1-D")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError("index out of range for restriction")
+    return idx
+
+
 class GaussianCovariance:
-    """Dense SPD covariance over an explicit point set, Cholesky-backed."""
+    """Dense SPD covariance over an explicit point set, Cholesky-backed.
+
+    The applies take one vector (n,) or a stack of them (..., n).
+    """
 
     def __init__(self, points, sigma, length, nugget=None):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError("points must be (n, ndim)")
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        if length <= 0:
-            raise ValueError(f"length must be positive, got {length}")
-        if nugget is None:
-            nugget = DEFAULT_NUGGET_FACTOR * sigma**2
-        if nugget < 1e-10:
-            raise ValueError(f"nugget must be >= 1e-10, got {nugget}")
+        nugget = _checked_nugget(sigma, length, nugget)
         d2 = scipy.spatial.distance.cdist(points, points, "sqeuclidean")
         matrix = sigma**2 * np.exp(-d2 / (2.0 * length**2))
         matrix[np.diag_indices_from(matrix)] += nugget
         self.points = points
         self.sigma = float(sigma)
         self.length = float(length)
-        self.nugget = float(nugget)
+        self.nugget = nugget
         self._init_from_matrix(matrix)
 
     def _init_from_matrix(self, matrix):
@@ -82,30 +119,28 @@ class GaussianCovariance:
 
     def _check(self, v):
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
+        if v.ndim < 1 or v.shape[-1] != self.n:
             raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
         return v
 
+    # the matrix is symmetric, so v @ M applies M to every row of v
+
     def apply(self, v):
-        return self.matrix @ self._check(v)
+        return self._check(v) @ self.matrix
 
     def apply_inv(self, v):
-        return scipy.linalg.cho_solve((self.factor, True), self._check(v))
+        return scipy.linalg.cho_solve((self.factor, True), self._check(v).T).T
 
     def apply_sqrt(self, w):
         """Map a unit-variance draw w to a B-distributed vector, L @ w."""
-        return self.factor @ self._check(w)
+        return self._check(w) @ self.factor.T
 
     def apply_sqrt_t(self, v):
-        return self.factor.T @ self._check(v)
+        return self._check(v) @ self.factor
 
     def restrict(self, idx):
         """Principal submatrix over index set idx, refactorized."""
-        idx = np.asarray(idx, dtype=int)
-        if idx.ndim != 1:
-            raise ValueError("index set must be 1-D")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ValueError("index out of range for restriction")
+        idx = _check_index_set(idx, self.n)
         sub = object.__new__(GaussianCovariance)
         sub.points = self.points[idx]
         sub.sigma = self.sigma
@@ -115,8 +150,92 @@ class GaussianCovariance:
         return sub
 
 
+def _kernel_1d(x, length):
+    d = x[:, None] - x[None, :]
+    return np.exp(-d**2 / (2.0 * length**2))
+
+
+class KroneckerCovariance:
+    """Gaussian covariance over a regular grid, sigma^2 Kx (x) Ky + eps I.
+
+    x and y are the node coordinates along the two axes; node (i, j) has
+    flat index i*ny + j.  The applies take one field (n,) or a stack of
+    fields (..., n) and work on its (..., nx, ny) view.
+    """
+
+    def __init__(self, x, y, sigma, length, nugget=None):
+        self.nugget = _checked_nugget(sigma, length, nugget)
+        self.sigma = float(sigma)
+        self.length = float(length)
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        if self.x.ndim != 1 or self.y.ndim != 1:
+            raise ValueError("axis coordinates must be 1-D")
+        self.nx, self.ny = self.x.size, self.y.size
+        self.n = self.nx * self.ny
+        self.kx = _kernel_1d(self.x, length)
+        self.ky = _kernel_1d(self.y, length)
+        lx, self.ux = np.linalg.eigh(self.kx)
+        ly, self.uy = np.linalg.eigh(self.ky)
+        # the Gaussian kernel is positive semidefinite: eigenvalues below
+        # zero are rounding, and clipping them keeps s >= eps
+        self.spectrum = (self.sigma**2 * np.outer(np.maximum(lx, 0.0),
+                                                  np.maximum(ly, 0.0))
+                         + self.nugget)
+        self._inv_spectrum = 1.0 / self.spectrum
+        self._sqrt_spectrum = np.sqrt(self.spectrum)
+
+    @property
+    def matrix(self):
+        """The dense matrix, built on demand; for tests and oracles only."""
+        m = self.sigma**2 * np.kron(self.kx, self.ky)
+        m[np.diag_indices_from(m)] += self.nugget
+        return m
+
+    def _grid(self, v):
+        v = np.asarray(v, dtype=float)
+        if v.ndim < 1 or v.shape[-1] != self.n:
+            raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
+        return v.reshape(v.shape[:-1] + (self.nx, self.ny))
+
+    def _eig_scale(self, v, scale):
+        g = self._grid(v)
+        w = self.ux.T @ g @ self.uy
+        w *= scale
+        return (self.ux @ w @ self.uy.T).reshape(g.shape[:-2] + (self.n,))
+
+    def apply(self, v):
+        g = self._grid(v)
+        out = self.sigma**2 * (self.kx @ g @ self.ky) + self.nugget * g
+        return out.reshape(g.shape[:-2] + (self.n,))
+
+    def apply_inv(self, v):
+        return self._eig_scale(v, self._inv_spectrum)
+
+    def apply_sqrt(self, w):
+        """Map a unit-variance draw w to a B-distributed vector, B^1/2 w."""
+        return self._eig_scale(w, self._sqrt_spectrum)
+
+    apply_sqrt_t = apply_sqrt
+
+    def restrict(self, idx):
+        """Principal block over a rectangular sub-grid.
+
+        idx must be the row-major flat indices of a product of row and
+        column sets; the block is sigma^2 Kx[I,I] (x) Ky[J,J] + eps I.
+        """
+        idx = _check_index_set(idx, self.n)
+        rows = np.unique(idx // self.ny)
+        cols = np.unique(idx % self.ny)
+        if not np.array_equal(idx, (rows[:, None] * self.ny + cols).ravel()):
+            raise ValueError("restriction of a Kronecker covariance needs "
+                             "a rectangular sub-grid in row-major order")
+        return KroneckerCovariance(self.x[rows], self.y[cols], self.sigma,
+                                   self.length, self.nugget)
+
+
 class CovarianceB:
-    """State covariance: one Gaussian block repeated over n_fields."""
+    """State covariance: one spatial block repeated over n_fields."""
 
     def __init__(self, block, n_fields):
         if n_fields < 1:
@@ -139,17 +258,16 @@ class CovarianceB:
         return v.reshape(self.n_fields, self.block.n)
 
     def apply(self, v):
-        return (self._fields(v) @ self.block.matrix).ravel()
+        return self.block.apply(self._fields(v)).ravel()
 
     def apply_inv(self, v):
-        w = self._fields(v)
-        return scipy.linalg.cho_solve((self.block.factor, True), w.T).T.ravel()
+        return self.block.apply_inv(self._fields(v)).ravel()
 
     def apply_sqrt(self, w):
-        return (self._fields(w) @ self.block.factor.T).ravel()
+        return self.block.apply_sqrt(self._fields(w)).ravel()
 
     def apply_sqrt_t(self, v):
-        return (self._fields(v) @ self.block.factor).ravel()
+        return self.block.apply_sqrt_t(self._fields(v)).ravel()
 
     def restrict(self, idx):
         """Restrict to a node index set, applied identically per field."""
@@ -158,7 +276,9 @@ class CovarianceB:
 
 def build_b(grid, n_fields, sigma, length, nugget=None):
     """Background covariance over the grid nodes, block diagonal by field."""
-    block = GaussianCovariance(grid.node_coords(), sigma, length, nugget)
+    block = KroneckerCovariance(np.arange(grid.nx) * grid.dx,
+                                np.arange(grid.ny) * grid.dy,
+                                sigma, length, nugget)
     return CovarianceB(block, n_fields)
 
 
@@ -173,8 +293,8 @@ def build_control_covariance(grid, windows, n_fields, has_boundary,
                              sigma_b=None, length_b=None, nugget=None):
     """Block covariance over the control segments.
 
-    All forcing windows share one factorized block, likewise the boundary
-    windows, so the cost of construction does not grow with n_t.
+    All forcing windows share one block, likewise the boundary windows, so
+    the cost of construction does not grow with n_t.
     """
     bx = build_b(grid, n_fields, sigma_x, length_x, nugget)
     bf = build_b(grid, n_fields, sigma_f, length_f, nugget)

@@ -113,6 +113,49 @@ class Trajectory:
         return self.states[l]
 
 
+class _Shifts:
+    """Index tuples along one of the two grid axes (-2 or -1) of an array
+    of any rank, for the periodic stencils."""
+
+    def __init__(self, axis: int):
+        rest = (slice(None),) * (-1 - axis)
+
+        def at(a, b):
+            return (Ellipsis, slice(a, b)) + rest
+
+        self.up, self.down, self.mid = at(2, None), at(None, -2), at(1, -1)
+        self.head, self.tail = at(None, -1), at(1, None)
+        self.first, self.second = at(None, 1), at(1, 2)
+        self.penult, self.last = at(-2, -1), at(-1, None)
+
+
+_SHIFTS = {-2: _Shifts(-2), -1: _Shifts(-1)}
+
+
+def _central(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / h along axis, periodic wrap."""
+    s = _SHIFTS[axis]
+    out = np.empty_like(f)
+    np.subtract(f[s.up], f[s.down], out=out[s.mid])
+    np.subtract(f[s.second], f[s.last], out=out[s.first])
+    np.subtract(f[s.first], f[s.penult], out=out[s.last])
+    out /= h
+    return out
+
+
+def _second(f: np.ndarray, two_f: np.ndarray, axis: int,
+            h2: float) -> np.ndarray:
+    """(f[i+1] - 2 f[i] + f[i-1]) / h2 along axis, periodic wrap."""
+    s = _SHIFTS[axis]
+    out = np.empty_like(f)
+    np.subtract(f[s.tail], two_f[s.head], out=out[s.head])
+    np.subtract(f[s.first], two_f[s.last], out=out[s.last])
+    out[s.tail] += f[s.head]
+    out[s.first] += f[s.last]
+    out /= h2
+    return out
+
+
 class SurrogateModel:
     """Nonlinear / tangent-linear / adjoint stepping on one grid."""
 
@@ -163,16 +206,22 @@ class SurrogateModel:
 
     # -- stencil primitives (periodic wrap; boundary handled by caller) --
 
+    # Periodic differences by slicing into one output array.  The operations
+    # and their order are those of (roll(f, -1) - roll(f, 1)) / h and
+    # (roll(f, -1) - 2 f + roll(f, 1)) / h^2, so the results equal those
+    # formulas bit for bit.
+
     def _ddx(self, f: np.ndarray) -> np.ndarray:
-        return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * self.grid.dx)
+        return _central(f, -2, 2.0 * self.grid.dx)
 
     def _ddy(self, f: np.ndarray) -> np.ndarray:
-        return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * self.grid.dy)
+        return _central(f, -1, 2.0 * self.grid.dy)
 
     def _lap(self, f: np.ndarray) -> np.ndarray:
-        gx = (np.roll(f, -1, axis=-2) - 2.0 * f + np.roll(f, 1, axis=-2)) / self.grid.dx**2
-        gy = (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / self.grid.dy**2
-        return gx + gy
+        two_f = 2.0 * f
+        out = _second(f, two_f, -2, self.grid.dx**2)
+        out += _second(f, two_f, -1, self.grid.dy**2)
+        return out
 
     def _advection_nl(self, x: np.ndarray) -> np.ndarray:
         c = self.config

@@ -348,15 +348,11 @@ class LocalProblem:
         corrections overshoot).
         """
         cov = self.full_cov[seg]
-        if seg == "b":
-            full = np.zeros((self.n_fields, cov.n))
-            full[:, self.ring_pos] = v.reshape(self.n_fields, -1)
-            out = cov.apply_inv(full.ravel()).reshape(self.n_fields, -1)
-            return out[:, self.ring_pos].ravel()
-        full = np.zeros((self.n_fields, cov.n))
-        full[:, self.owned_node_idx] = v.reshape(self.n_fields, -1)
+        idx = self.ring_pos if seg == "b" else self.owned_node_idx
+        full = np.zeros((self.n_fields, cov.block.n))
+        full[:, idx] = v.reshape(self.n_fields, -1)
         out = cov.apply_inv(full.ravel()).reshape(self.n_fields, -1)
-        return out[:, self.owned_node_idx].ravel()
+        return out[:, idx].ravel()
 
     # -- local control packing ------------------------------------------
 

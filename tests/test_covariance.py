@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.spatial
 
 from ddvar.covariance import (
     ControlCovariance,
-    CovarianceB,
     CovarianceR,
     GaussianCovariance,
     build_b,
@@ -32,11 +32,16 @@ def test_vanishing_length_gives_diagonal(grid66):
 
 
 def test_symmetry_and_factor_reassembly(grid66):
+    rng = np.random.default_rng(9)
     b = build_b(grid66, 1, sigma=1.0, length=2.0).block
     assert np.max(np.abs(b.matrix - b.matrix.T)) <= 1e-14
-    np.testing.assert_allclose(b.factor @ b.factor.T, b.matrix,
+    w = rng.standard_normal(b.n)
+    np.testing.assert_allclose(b.apply_sqrt(b.apply_sqrt_t(w)), b.apply(w),
                                rtol=0, atol=1e-12)
-    assert np.all(np.diag(b.factor) > 0)
+    dense = GaussianCovariance(grid66.node_coords(), sigma=1.0, length=2.0)
+    np.testing.assert_allclose(dense.factor @ dense.factor.T, dense.matrix,
+                               rtol=0, atol=1e-12)
+    assert np.all(np.diag(dense.factor) > 0)
 
 
 def test_apply_round_trip_and_sqrt(grid66):
@@ -61,13 +66,17 @@ def test_apply_matches_dense_matvec(grid66):
                                rtol=1e-9, atol=1e-10)
 
 
+def rect(rows, cols, ny):
+    """Row-major flat node indices of the sub-grid rows x cols."""
+    return (np.asarray(rows)[:, None] * ny + np.asarray(cols)).ravel()
+
+
 def test_restrict_principal_submatrix(grid66):
-    rng = np.random.default_rng(12)
     b = build_b(grid66, 1, sigma=1.2, length=2.5).block
-    idx = rng.choice(36, size=10, replace=False)
-    sub = b.restrict(idx)
-    np.testing.assert_array_equal(sub.matrix, b.matrix[np.ix_(idx, idx)])
-    assert np.all(np.diag(sub.factor) > 0)
+    for idx in (rect([1, 2, 3], [2, 3, 4, 5], 6), rect([0, 2, 5], [1, 4], 6)):
+        sub = b.restrict(idx)
+        np.testing.assert_array_equal(sub.matrix, b.matrix[np.ix_(idx, idx)])
+        assert np.all(sub.spectrum > 0)
     full = b.restrict(np.arange(36))
     np.testing.assert_array_equal(full.matrix, b.matrix)
     single = b.restrict(np.array([7]))
@@ -77,11 +86,47 @@ def test_restrict_principal_submatrix(grid66):
 
 def test_restrict_field_blocked(grid66):
     b = build_b(grid66, 2, sigma=1.0, length=2.0)
-    idx = np.array([0, 5, 17])
+    idx = rect([1, 2], [3, 4], 6)
     sub = b.restrict(idx)
-    assert sub.n == 6
+    assert sub.n == 8
     np.testing.assert_array_equal(sub.block.matrix,
                                   b.block.matrix[np.ix_(idx, idx)])
+
+
+def test_restrict_rejects_non_rectangular_index_sets(grid66):
+    b = build_b(grid66, 2, sigma=1.0, length=2.0)
+    for idx in ([0, 5, 17],                      # scattered nodes
+                [7, 8, 13],                      # an L-shape
+                rect([1, 2], [3, 4], 6)[::-1],   # a rectangle out of order
+                [8, 8, 9]):                      # a repeated node
+        with pytest.raises(ValueError, match="rectangular"):
+            b.restrict(idx)
+    with pytest.raises(ValueError, match="out of range"):
+        b.restrict([35, 36])
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 6), (7, 5), (10, 8)])
+def test_kronecker_matches_dense_kernel(nx, ny):
+    """The factored block against the kernel built from all node pairs."""
+    rng = np.random.default_rng(nx * ny)
+    grid = Grid(nx=nx, ny=ny, dt=0.1, n_steps=1, dx=0.8, dy=1.1)
+    sigma, length = 0.7, 1.5
+    b = build_b(grid, 1, sigma=sigma, length=length).block
+    pts = grid.node_coords()
+    d2 = scipy.spatial.distance.cdist(pts, pts, "sqeuclidean")
+    dense = sigma**2 * np.exp(-d2 / (2.0 * length**2)) \
+        + b.nugget * np.eye(nx * ny)
+
+    def rel(a, ref):
+        return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+    v = rng.standard_normal((3, nx * ny))
+    assert rel(b.apply(v), v @ dense) <= 1e-13
+    assert rel(b.apply_inv(v), np.linalg.solve(dense, v.T).T) <= 1e-12
+    idx = rect(range(1, nx - 1), range(2, ny), ny)
+    sub = dense[np.ix_(idx, idx)]
+    w = rng.standard_normal(idx.size)
+    assert rel(b.restrict(idx).apply_inv(w), np.linalg.solve(sub, w)) <= 1e-12
 
 
 def test_dimension_and_parameter_rejection(grid66):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,27 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
     code = main(["run", "--config", str(p)])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["nx", "ny"])
+def test_cli_grid_below_four_points_is_usage_error(tmp_path, capsys, field):
+    # Grid needs 4 points per axis; the config must say so, not the run
+    p = tmp_path / "small.cfg"
+    p.write_text(re.sub(rf"^{field} = \d+$", f"{field} = 3",
+                        emit_config(small_cfg()), flags=re.M))
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"config field {field}" in capsys.readouterr().err
+
+
+def test_cli_dd_with_outer_loops_is_usage_error(tmp_path, capsys):
+    # the DD never relinearizes, so a second outer loop would be ignored
+    p = write_cfg(tmp_path, small_cfg(n_outer=2))
+    code = main(["run", "--config", str(p), "--formulation", "dd4dvar",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "config field n_outer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bad_formulation_flag_is_usage_error(tmp_path, capsys):

@@ -29,6 +29,22 @@ def test_stability_guard_rejects_bad_dt():
         SurrogateModel(grid, ModelConfig(viscosity=0.05, advect=(0.8, 0.0)))
 
 
+@pytest.mark.parametrize("shape", [(12, 10), (2, 12, 10)])
+def test_stencils_equal_roll_formulas(shape):
+    """The slice stencils reproduce the np.roll formulas bit for bit."""
+    grid = Grid(nx=12, ny=10, dx=0.7, dy=1.3, dt=0.1, n_steps=1)
+    model = SurrogateModel(grid, ModelConfig(kind="burgers", viscosity=0.1))
+    f = np.random.default_rng(3).standard_normal(shape)
+    dx, dy = grid.dx, grid.dy
+    ddx = (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * dx)
+    ddy = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dy)
+    lap = ((np.roll(f, -1, axis=-2) - 2.0 * f + np.roll(f, 1, axis=-2)) / dx**2
+           + (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / dy**2)
+    assert np.array_equal(model._ddx(f), ddx)
+    assert np.array_equal(model._ddy(f), ddy)
+    assert np.array_equal(model._lap(f), lap)
+
+
 def test_state_vector_flatten_round_trip():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((2, 5, 4))

@@ -413,6 +413,20 @@ def test_dd_matches_global_analysis_2x2():
     assert all(h[k + 1] <= h[k] for k in range(1, len(h) - 1))
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n_t", [1, 2])
+def test_burgers_dd_matches_global_analysis(n_t):
+    """Two-field model, 2x2 tiles: the DD reaches the global analysis."""
+    prob, tiles, solver = dd_setup(kind="burgers", n_t=n_t, omega=0.9,
+                                   tau_dd=1e-10, n_bar=50)
+    assert prob.model.n_fields == 2
+    res = solver.solve()
+    assert res.converged
+    ref = prob.primal_analysis(tol=1e-12)
+    gap = np.linalg.norm(res.delta_z - ref.x) / np.linalg.norm(ref.x)
+    assert gap <= 1e-6
+
+
 def test_dd_trace_rows_schema_and_determinism():
     prob, tiles, solver = dd_setup(omega=0.9, n_bar=6)
     res1 = solver.solve()
