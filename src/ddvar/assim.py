@@ -18,8 +18,15 @@ The incremental outer loop relinearizes about the accumulated increment,
 recomputes innovations, and minimizes again.  The primal route solves for
 the correction dz with the background term shifted by the accumulated
 increment; dual routes solve for the total increment against the shifted
-innovation d + G z_accum.  Both evaluate the same total cost, so history
+innovation d + G z_accum.  Both report the same total cost, so history
 rows are comparable across solver choices.
+
+History rows (outer, inner, J, Jb, Jo) come from the Krylov recurrences,
+not from extra sweeps: the dual routes record (Jb, Jo) per iterate, and
+the primal route adds the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1
+z_accum to pcg's quadratic for J and takes Jb from one B^-1 apply per
+stored iterate (Jo = J - Jb).  An outer loop therefore costs one TL and
+one AD sweep per inner iteration plus at most two of each.
 """
 
 from dataclasses import dataclass
@@ -310,7 +317,6 @@ class AssimilationProblem:
                     f"{outer}") from exc
             gop = self.operator_about(traj)
             d = innovations(traj, self.obs)
-            d_tilde = d + gop.apply(z_bar)
             if solver == "is4dvar":
                 shift = None if not z_bar.any() else -self.b_cov.apply_inv(z_bar)
                 rep = primal_analysis(gop, self.b_cov, self.r_cov, d,
@@ -318,19 +324,26 @@ class AssimilationProblem:
                                       reorthogonalize=reorthogonalize,
                                       require_convergence=False,
                                       rhs_extra=shift)
-                totals = [z_bar + it for it in rep.iterates]
+                # J(z_bar + x) = q(x) + 1/2 d^T R^-1 d + 1/2 z_bar^T B^-1 z_bar
+                j0 = 0.5 * np.vdot(d, self.r_cov.apply_inv(d))
+                if shift is not None:
+                    j0 -= 0.5 * np.vdot(z_bar, shift)
+                rows = []
+                for x, q in zip(rep.iterates, rep.costs):
+                    z = z_bar + x
+                    jb = 0.5 * np.vdot(z, self.b_cov.apply_inv(z))
+                    rows.append((jb, q + j0 - jb))
                 z_new = z_bar + rep.x
             else:
+                d_tilde = d + gop.apply(z_bar) if z_bar.any() else d
                 rep = dual_analysis(gop, self.b_cov, self.r_cov, d_tilde,
                                     solver=solver, tol=tol, maxit=n_inner,
                                     reorthogonalize=reorthogonalize,
                                     require_convergence=False)
-                bg_t = lambda w: self.b_cov.apply(gop.apply_t(w))
-                totals = [bg_t(it) for it in rep.iterates]
+                rows = rep.costs
                 z_new = rep.x_control
-            for m, z_m in enumerate(totals):
-                cb = cost(z_m, d_tilde, self.b_cov, self.r_cov, gop)
-                history.append((outer, m, cb.J, cb.Jb, cb.Jo))
+            for m, (jb, jo) in enumerate(rows):
+                history.append((outer, m, jb + jo, jb, jo))
             reports.append(rep)
             z_bar = z_new
         final_traj = self.run_with_increment(z_bar)

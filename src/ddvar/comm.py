@@ -6,10 +6,13 @@ receiver, tag), so delivery order is fully determined by program order.
 "split" groups ranks working on the same tile across windows, and
 "create_inter" groups the tiles of one window; both partition the world.
 
-Because every rank runs in program order, a wait() on an empty queue can
-never be satisfied later: it is reported as a deadlock immediately, naming
-the channel.  The world keeps a message log (step, sender, receiver, tag,
-bytes) for the optional messages.csv diagnostic.
+Tags are any hashable values; the solver uses tuples such as
+("obs", sweep, source tile) or (("halo", sweep, level, channel), side),
+so no two message families can collide.  Because every rank runs in
+program order, a wait() on an empty queue can never be satisfied later:
+it is reported as a deadlock immediately, naming the channel.  The world
+keeps a message log (step, sender, receiver, tag, bytes) for the optional
+messages.csv diagnostic.
 
 Senders' array payloads are copied at enqueue time, so a receiver always
 sees the values as they were when sent, bit-exactly.
@@ -29,7 +32,6 @@ __all__ = [
     "create_inter",
     "halo_exchange",
     "split",
-    "world_comm",
 ]
 
 
@@ -74,7 +76,12 @@ class World:
         q = self._queues.get(key)
         if not q:
             return None
-        return q.popleft()
+        payload = q.popleft()
+        if not q:
+            # tags name the sweep, so keeping drained queues would hold
+            # one empty deque per message sent
+            del self._queues[key]
+        return payload
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class _RecvHandle:
     comm: "Communicator"
     src: int
     dst: int
-    tag: int
+    tag: object
 
 
 @dataclass(frozen=True)
@@ -121,13 +128,13 @@ class Communicator:
             payload = payload.copy()
         else:
             nbytes = len(repr(payload).encode())
-        self.world._enqueue((self._id, src, dst, int(tag)), payload, nbytes)
+        self.world._enqueue((self._id, src, dst, tag), payload, nbytes)
         return _SendHandle()
 
     def irecv(self, dst, src, tag):
         self._check_member(src, "sending")
         self._check_member(dst, "receiving")
-        return _RecvHandle(self, src, dst, int(tag))
+        return _RecvHandle(self, src, dst, tag)
 
     def wait(self, handle):
         if isinstance(handle, _SendHandle):
@@ -143,10 +150,6 @@ class Communicator:
 
     def recv(self, dst, src, tag):
         return self.wait(self.irecv(dst, src, tag))
-
-
-def world_comm(world):
-    return Communicator(world, range(world.n_ranks), "world")
 
 
 def split(world, tile):
@@ -165,11 +168,12 @@ def create_inter(world, window):
     return Communicator(world, members, "inter")
 
 
-def halo_exchange(comm, layout, fields, window=0, tag_base=0):
+def halo_exchange(comm, layout, fields, window=0, tag="halo"):
     """Fill every tile's halo strips from the owning neighbors, in place.
 
     fields maps tile id -> array of shape (..., box_nx, box_ny).  Only halo
-    strips are written; owned interiors are never touched.  Exchange order
+    strips are written; owned interiors are never touched.  Each strip
+    travels with the tag (tag, side).  Exchange order
     is fixed (side order, then tile id), so the message log is
     deterministic.
     """
@@ -178,8 +182,9 @@ def halo_exchange(comm, layout, fields, window=0, tag_base=0):
         if want != tile.box_shape:
             raise ValueError(f"tile {tid}: field shape {want} does not match "
                              f"box {tile.box_shape}")
-    for s, side in enumerate(SIDES):
-        tag = tag_base + s
+    # one tag object per side, shared by every message and log row
+    tags = {side: (tag, side) for side in SIDES}
+    for side in SIDES:
         for tile in layout.tiles:
             nb = tile.neighbors.get(side)
             if nb is None:
@@ -190,14 +195,13 @@ def halo_exchange(comm, layout, fields, window=0, tag_base=0):
             loc_j = slice(gsl_j.start - neighbor.bj0, gsl_j.stop - neighbor.bj0)
             strip = fields[nb][..., loc_i, loc_j]
             comm.isend(comm.world.rank_of(nb, window),
-                       comm.world.rank_of(tile.id, window), tag, strip)
-    for s, side in enumerate(SIDES):
-        tag = tag_base + s
+                       comm.world.rank_of(tile.id, window), tags[side], strip)
+    for side in SIDES:
         for tile in layout.tiles:
             nb = tile.neighbors.get(side)
             if nb is None:
                 continue
             strip = comm.recv(comm.world.rank_of(tile.id, window),
-                              comm.world.rank_of(nb, window), tag)
+                              comm.world.rank_of(nb, window), tags[side])
             sl_i, sl_j = tile.halo_slices_local(side)
             fields[tile.id][..., sl_i, sl_j] = strip

@@ -120,7 +120,7 @@ def _run_dd(problem, cfg):
                       alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
                       omega=cfg.omega)
     res = dd_outer_loop(problem, tiles, dd_cfg)
-    cb = problem.cost(res.delta_z)
+    cb = res.cost
     history = [(1, res.n_iterations, cb.J, cb.Jb, cb.Jo)]
     # per-sweep trace: halo mismatch plus the summed local costs
     local_j = {}

@@ -174,18 +174,6 @@ class TileLayout:
     def tile_at(self, ti: int, tj: int) -> Tile:
         return self.tiles[tj * self.ntile_i + ti]
 
-    def owner_of_point(self, x: float, y: float, grid: Grid) -> int:
-        for t in self.tiles:
-            if t.contains_point(x, y, grid):
-                return t.id
-        raise ValueError(f"point ({x}, {y}) lies outside the domain")
-
-    def owner_of_node(self, i: int, j: int) -> int:
-        for t in self.tiles:
-            if t.i0 <= i < t.i1 and t.j0 <= j < t.j1:
-                return t.id
-        raise ValueError(f"node ({i}, {j}) outside grid")
-
 
 def _split_blocks(n: int, parts: int) -> list[tuple[int, int]]:
     """Split range(n) into `parts` near-equal blocks, remainder to low indices."""
@@ -302,10 +290,6 @@ class TimeWindows:
         if level == 0:
             return 0
         return self.window_of_step(level)
-
-    def steps_in(self, k: int) -> range:
-        """Global step numbers (1-based) advanced inside window k."""
-        return range(self.starts[k] + 1, self.end(k) + 1)
 
 
 def build_time_windows(n_steps: int, n_t: int) -> TimeWindows:

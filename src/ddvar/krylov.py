@@ -15,10 +15,14 @@ initial value, so iteration-count comparisons between them are meaningful.
 pcg's norm is sqrt(r^T M r); rpcg's is sqrt(rho^T G B G^T rho), which is
 algebraically the same number as the primal B-preconditioned norm, so rpcg
 and B-preconditioned pcg stop at the same iteration in exact arithmetic.
-Plain Euclidean residual norms are recorded alongside.
 
-Per-iteration quadratic costs come free from recurrences (A x is updated
-with the same axpys as x), never from extra operator applications.
+Costs: report.costs has one entry per stored iterate, taken from the
+recurrences (A x is updated with the same axpys as x), never from extra
+operator applications.  pcg and minres record the quadratic
+1/2 x^T A x - b^T x unless given another cost callable.  The dual routes
+(dual_cg_rhalf, minres_dual, rpcg) record rows (Jb, Jo) of the primal cost
+J(B G^T w) = Jb + Jo at the observation-space iterate w, with
+Jb = 1/2 w^T H w and Jo = 1/2 (H w - d)^T R^-1 (H w - d), H = G B G^T.
 
 rpcg derivation sketch: with x_k = B G^T chi_k, r_k = G^T rho_k and
 p_k = B G^T pi_k, the B-preconditioned CG update collapses onto
@@ -32,7 +36,7 @@ observation-space vectors with H = G B G^T,
 
 so one H application per iteration (on R^-1 q) sustains the whole
 iteration, and H chi follows by the same recurrence as chi, giving the
-cost history for free.
+cost rows for free.
 """
 
 from dataclasses import dataclass
@@ -103,7 +107,6 @@ class SolveReport:
     x: np.ndarray
     iterates: list
     residual_norms: np.ndarray
-    euclidean_norms: np.ndarray
     costs: np.ndarray
     iterations: int
     converged: bool
@@ -111,7 +114,6 @@ class SolveReport:
 
     def __post_init__(self):
         self.residual_norms = np.asarray(self.residual_norms, dtype=float)
-        self.euclidean_norms = np.asarray(self.euclidean_norms, dtype=float)
         self.costs = np.asarray(self.costs, dtype=float)
         if len(self.iterates) != self.iterations + 1:
             raise ValueError("iterate history length must be iterations+1")
@@ -149,11 +151,10 @@ def pcg(a, b, precond=None, tol=1e-10, maxit=None, reorthogonalize=False,
         raise SolverBreakdownError("indefinite preconditioner", 0)
     pre0 = np.sqrt(rz)
     pre_norms = [pre0]
-    eu_norms = [np.linalg.norm(r)]
     costs = [cost(x, ax)]
     iterates = [x.copy()]
     if pre0 == 0.0:
-        return SolveReport(name, x, iterates, pre_norms, eu_norms, costs, 0, True)
+        return SolveReport(name, x, iterates, pre_norms, costs, 0, True)
 
     p = z.copy()
     basis = []
@@ -179,7 +180,6 @@ def pcg(a, b, precond=None, tol=1e-10, maxit=None, reorthogonalize=False,
             raise SolverBreakdownError("indefinite preconditioner", k)
         pre = np.sqrt(rz_new)
         pre_norms.append(pre)
-        eu_norms.append(np.linalg.norm(r))
         costs.append(cost(x, ax))
         iterates.append(x.copy())
         if pre <= tol * pre0:
@@ -188,15 +188,20 @@ def pcg(a, b, precond=None, tol=1e-10, maxit=None, reorthogonalize=False,
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new
-    return SolveReport(name, x, iterates, pre_norms, eu_norms, costs, k, converged)
+    return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
+
+
+def _jb_jo(r_cov, d, w, hw):
+    """(Jb, Jo) of the primal cost at B G^T w, given H w."""
+    misfit = hw - d
+    return (0.5 * np.vdot(w, hw),
+            0.5 * np.vdot(misfit, r_cov.apply_inv(misfit)))
 
 
 def _dual_cost(r_cov, d):
-    """Primal-space J evaluated from the dual iterate, via Hw = Aw - Rw."""
+    """(Jb, Jo) from the dual iterate, via Hw = Aw - Rw."""
     def jval(w, aw):
-        hw = aw - r_cov.apply(w)
-        misfit = hw - d
-        return 0.5 * np.vdot(w, hw) + 0.5 * np.vdot(misfit, r_cov.apply_inv(misfit))
+        return _jb_jo(r_cov, d, w, aw - r_cov.apply(w))
     return jval
 
 
@@ -204,8 +209,8 @@ def dual_cg_rhalf(dual_op, d, r_cov, tol=1e-10, maxit=None,
                   reorthogonalize=False, bg_t=None):
     """CG on (GBG^T + R) w = d with R^{-1} preconditioning.
 
-    Costs record the primal J(B G^T w_k).  bg_t, when given, maps the
-    final w to control space (B G^T w) and fills report.x_control.
+    Costs record the primal (Jb, Jo) at B G^T w_k.  bg_t, when given, maps
+    the final w to control space (B G^T w) and fills report.x_control.
     """
     n = np.asarray(d).size
     precond = LinearOperator((n, n), r_cov.apply_inv)
@@ -241,11 +246,10 @@ def minres(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="minres"):
         raise SolverBreakdownError("indefinite preconditioner", 0)
     beta1 = np.sqrt(beta1)
     pre_norms = [beta1]
-    eu_norms = [np.linalg.norm(b)]
     costs = [cost(x, ax)]
     iterates = [x.copy()]
     if beta1 == 0.0:
-        return SolveReport(name, x, iterates, pre_norms, eu_norms, costs, 0, True)
+        return SolveReport(name, x, iterates, pre_norms, costs, 0, True)
 
     oldb = 0.0
     beta = beta1
@@ -296,13 +300,12 @@ def minres(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="minres"):
         x = x + phi * w
         ax = ax + phi * aw
         pre_norms.append(abs(phibar))
-        eu_norms.append(np.linalg.norm(b - ax))
         costs.append(cost(x, ax))
         iterates.append(x.copy())
         if abs(phibar) <= tol * beta1:
             converged = True
             break
-    return SolveReport(name, x, iterates, pre_norms, eu_norms, costs, itn, converged)
+    return SolveReport(name, x, iterates, pre_norms, costs, itn, converged)
 
 
 def minres_dual(dual_op, d, r_cov, tol=1e-10, maxit=None, bg_t=None):
@@ -332,28 +335,19 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
     def h_apply(v):
         return g_op.apply(b_cov.apply(g_op.apply_t(v)))
 
-    rinv_d = r_cov.apply_inv(d)
-    jconst = 0.5 * np.vdot(d, rinv_d)
-
-    def jval(chi, h_chi):
-        rinv_h = r_cov.apply_inv(h_chi)
-        return (0.5 * (np.vdot(chi, h_chi) + np.vdot(h_chi, rinv_h))
-                - np.vdot(d, rinv_h) + jconst)
-
     chi = np.zeros(n)
     h_chi = np.zeros(n)
-    rho = rinv_d.copy()
+    rho = r_cov.apply_inv(d)
     z = h_apply(rho)
     rz = np.vdot(rho, z)
     if rz < 0:
         raise SolverBreakdownError("indefinite G B G^T", 0)
     pre0 = np.sqrt(rz)
     pre_norms = [pre0]
-    eu_norms = [np.linalg.norm(g_op.apply_t(rho))]
-    costs = [jval(chi, h_chi)]
+    costs = [_jb_jo(r_cov, d, chi, h_chi)]
     iterates = [chi.copy()]
     if pre0 == 0.0:
-        return SolveReport("rpcg", chi, iterates, pre_norms, eu_norms, costs,
+        return SolveReport("rpcg", chi, iterates, pre_norms, costs,
                            0, True, x_control=np.zeros(g_op.shape[1]))
 
     pi = rho.copy()
@@ -370,8 +364,7 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
         alpha = rz / curv
         chi += alpha * pi
         h_chi += alpha * q
-        rho_prev = rho.copy()
-        z_prev = z.copy()
+        rho_prev, z_prev = rho, z
         rho = rho - alpha * (pi + rinv_q)
         z = z - alpha * (q + s)
         if reorthogonalize:
@@ -385,8 +378,7 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
             raise SolverBreakdownError("indefinite G B G^T", k)
         pre = np.sqrt(rz_new)
         pre_norms.append(pre)
-        eu_norms.append(np.linalg.norm(g_op.apply_t(rho)))
-        costs.append(jval(chi, h_chi))
+        costs.append(_jb_jo(r_cov, d, chi, h_chi))
         iterates.append(chi.copy())
         if pre <= tol * pre0:
             converged = True
@@ -396,5 +388,5 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
         q = z + beta * q
         rz = rz_new
     x_control = b_cov.apply(g_op.apply_t(chi))
-    return SolveReport("rpcg", chi, iterates, pre_norms, eu_norms, costs,
+    return SolveReport("rpcg", chi, iterates, pre_norms, costs,
                        k, converged, x_control=x_control)

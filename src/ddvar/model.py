@@ -72,34 +72,6 @@ class ModelConfig:
 
 
 @dataclass
-class StateVector:
-    """Named 2D fields stacked in one (n_fields, nx, ny) array."""
-
-    names: tuple
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 3 or self.data.shape[0] != len(self.names):
-            raise ValueError("state data must have shape (n_fields, nx, ny)")
-
-    @property
-    def n_p(self) -> int:
-        return self.data.size
-
-    def flatten(self) -> np.ndarray:
-        return self.data.ravel().copy()
-
-    @classmethod
-    def unflatten(cls, names: tuple, shape: tuple, vec: np.ndarray) -> "StateVector":
-        nf = len(names)
-        return cls(names=names, data=np.asarray(vec, dtype=float).reshape((nf,) + shape))
-
-    def field(self, name: str) -> np.ndarray:
-        return self.data[self.names.index(name)]
-
-
-@dataclass
 class Trajectory:
     """States at time levels 0..n_steps: array (n_steps+1, n_fields, nx, ny)."""
 
@@ -108,9 +80,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
-
-    def level(self, l: int) -> np.ndarray:
-        return self.states[l]
 
 
 class _Shifts:
@@ -200,9 +169,6 @@ class SurrogateModel:
 
     def zero_state(self) -> np.ndarray:
         return np.zeros(self.state_shape)
-
-    def zero_ring(self) -> np.ndarray:
-        return np.zeros((self.n_fields, self.n_ring))
 
     # -- stencil primitives (periodic wrap; boundary handled by caller) --
 
@@ -333,25 +299,3 @@ class SurrogateModel:
             b = boundary[l - 1] if boundary is not None else None
             states[l] = self.step_nl(states[l - 1], f=f, b=b)
         return Trajectory(states=states)
-
-    def window_operator(self, traj: Trajectory, windows, k: int):
-        """State-space tangent/adjoint propagators across window k.
-
-        Returns (apply_tl, apply_ad), each mapping a state array to a
-        state array; apply_ad is the exact transpose of apply_tl.
-        """
-        steps = list(windows.steps_in(k))
-
-        def apply_tl(dx: np.ndarray) -> np.ndarray:
-            out = dx
-            for l in steps:
-                out = self.step_tl(traj.level(l - 1), out)
-            return out
-
-        def apply_ad(p: np.ndarray) -> np.ndarray:
-            out = p
-            for l in reversed(steps):
-                out, _, _ = self.step_ad(traj.level(l - 1), out)
-            return out
-
-        return apply_tl, apply_ad

@@ -3,7 +3,10 @@
 An observation is a point sample of the first model field at a time level
 and an (x, y) location inside the domain.  Sampling is bilinear in space
 and exact in time (observation times must coincide with model levels), so
-the operator G is linear with an exact 4-point-scatter transpose.
+the operator G is linear with an exact 4-point-scatter transpose.  One
+sampler and one scatter serve the whole grid and the subdomain boxes: a
+Stencil fixes the observations, the box of nodes and its first level, and
+drops stencil nodes that fall outside the box.
 
 Platforms tag observations for grouped impact reports.  Three layouts are
 generated for twin experiments: "gridded" scatters points over the domain
@@ -18,15 +21,15 @@ File format: one record per line, whitespace separated,
 written with repr() so that read(write(set)) is bit-exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "ObservationSet",
     "PlatformSpec",
-    "apply_g",
-    "apply_g_adjoint",
+    "Stencil",
     "innovations",
     "read_observations",
     "synthesize",
@@ -65,6 +68,23 @@ class PlatformSpec:
             raise ValueError("noise sigma must be >= 0")
 
 
+@dataclass(frozen=True)
+class Stencil:
+    """Bilinear stencils of some observations on a box of grid nodes.
+
+    nodes (4, m) holds flat indices into the box's (n_levels, nx, ny)
+    field-0 array, weights (4, m) the bilinear weights, zero for stencil
+    nodes outside the box (whose index is then 0).
+    """
+    nodes: np.ndarray
+    weights: np.ndarray
+    shape: tuple
+
+
+_CORNER_I = np.array([0, 1, 0, 1])[:, None]
+_CORNER_J = np.array([0, 0, 1, 1])[:, None]
+
+
 class ObservationSet:
     """Immutable set of point observations with cached bilinear weights."""
 
@@ -101,45 +121,54 @@ class ObservationSet:
         ty = y / grid.dy - self.j0
         self.weights = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty),
                                  (1 - tx) * ty, tx * ty])
-        self.by_time = {}
-        for l in np.unique(self.levels):
-            self.by_time[int(l)] = np.nonzero(self.levels == l)[0]
 
     @property
     def n_obs(self):
         return self.levels.size
 
-    def stencil_nodes(self, k):
-        """Node (i, j) pairs of the 4-point stencil for observation k."""
-        i0, j0 = self.i0[k], self.j0[k]
-        return ((i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1))
+    @cached_property
+    def _all(self):
+        """The whole set on the whole grid, built on first use."""
+        return self.stencil()
 
-    def sample(self, traj):
-        """Bilinear samples of field 0 of a trajectory, in set order."""
+    def stencil(self, idx=None, origin=(0, 0), shape=None, level0=0):
+        """Stencil of observations idx (all by default) on a box of nodes.
+
+        The box starts at grid node origin, has shape nodes (the whole grid
+        by default), and its level 0 is time level level0.
+        """
+        idx = (np.arange(self.n_obs) if idx is None
+               else np.asarray(idx, dtype=int))
+        nx, ny = (self.grid.nx, self.grid.ny) if shape is None else shape
+        i = self.i0[idx] - origin[0] + _CORNER_I
+        j = self.j0[idx] - origin[1] + _CORNER_J
+        inside = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+        lev = self.levels[idx] - level0
+        nodes = np.where(inside, (lev * nx + i) * ny + j, 0)
+        weights = np.where(inside, self.weights[:, idx], 0.0)
+        return Stencil(nodes=nodes, weights=weights, shape=(nx, ny))
+
+    def sample(self, traj, stencil=None):
+        """Bilinear samples of field 0 of a trajectory, in stencil order
+        (set order by default)."""
+        st = self._all if stencil is None else stencil
         states = getattr(traj, "states", traj)
-        out = np.empty(self.n_obs)
-        w = self.weights
-        for l, idx in self.by_time.items():
-            s = states[l][0]
-            i0, j0 = self.i0[idx], self.j0[idx]
-            out[idx] = (w[0, idx] * s[i0, j0] + w[1, idx] * s[i0 + 1, j0]
-                        + w[2, idx] * s[i0, j0 + 1] + w[3, idx] * s[i0 + 1, j0 + 1])
-        return out
+        v = np.stack([s[0] for s in states]).ravel()[st.nodes]
+        w = st.weights
+        return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3]
 
-    def scatter(self, w, n_levels, n_fields):
+    def scatter(self, w, n_levels, n_fields, stencil=None):
         """Transpose of sample: spread w back onto a zero trajectory array."""
+        st = self._all if stencil is None else stencil
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.n_obs,):
-            raise ValueError(f"expected {self.n_obs} weights, got shape {w.shape}")
-        out = np.zeros((n_levels, n_fields, self.grid.nx, self.grid.ny))
-        ww = self.weights
-        for l, idx in self.by_time.items():
-            tgt = out[l, 0]
-            i0, j0 = self.i0[idx], self.j0[idx]
-            np.add.at(tgt, (i0, j0), ww[0, idx] * w[idx])
-            np.add.at(tgt, (i0 + 1, j0), ww[1, idx] * w[idx])
-            np.add.at(tgt, (i0, j0 + 1), ww[2, idx] * w[idx])
-            np.add.at(tgt, (i0 + 1, j0 + 1), ww[3, idx] * w[idx])
+        if w.shape != (st.nodes.shape[1],):
+            raise ValueError(f"expected {st.nodes.shape[1]} weights, "
+                             f"got shape {w.shape}")
+        nx, ny = st.shape
+        out = np.zeros((n_levels, n_fields, nx, ny))
+        out[:, 0] = np.bincount(
+            st.nodes.ravel(), weights=(st.weights * w).ravel(),
+            minlength=n_levels * nx * ny).reshape(n_levels, nx, ny)
         return out
 
     def subset(self, idx):
@@ -148,14 +177,6 @@ class ObservationSet:
         return ObservationSet(self.grid, self.levels[idx], self.x[idx],
                               self.y[idx], [self.platforms[k] for k in idx],
                               self.values[idx], self.variances[idx])
-
-
-def apply_g(traj, obs):
-    return obs.sample(traj)
-
-
-def apply_g_adjoint(w, obs, n_levels, n_fields):
-    return obs.scatter(w, n_levels, n_fields)
 
 
 def innovations(background_traj, obs):

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assim import CostBreakdown
 from .comm import World, create_inter, halo_exchange, split
 from .control import ControlVector
 from .grid import SIDES, Grid, boundary_ring_indices, restrict
@@ -65,12 +66,6 @@ __all__ = [
     "overlap_operator",
     "theta_correction",
 ]
-
-_TAG_TIME_TL = 1
-_TAG_TIME_AD = 2
-_TAG_OBS = 30
-_TAG_HALO = 100
-
 
 @dataclass(frozen=True)
 class DDConfig:
@@ -301,20 +296,26 @@ class LocalProblem:
             [k for k in range(obs.n_obs)
              if windows.window_of_level(int(obs.levels[k])) == window],
             dtype=int)
-        mine = [int(k) for k in self.window_obs_idx
-                if tile.contains_point(obs.x[k], obs.y[k], grid)]
-        self.own_obs_idx = np.asarray(mine, dtype=int)
-        pos = {int(k): i for i, k in enumerate(self.window_obs_idx)}
-        self.own_obs_pos = np.asarray([pos[k] for k in mine], dtype=int)
+        w_idx = self.window_obs_idx
+        mine = np.array([tile.contains_point(obs.x[k], obs.y[k], grid)
+                         for k in w_idx], dtype=bool)
+        self.own_obs_idx = w_idx[mine]
+        self.own_obs_pos = np.nonzero(mine)[0]
         # observations whose stencil lies inside the box: their R^-1 weight
         # curves the local quadratic even when a neighbor owns them, so the
         # local solve must carry them too
-        touch = [int(k) for k in self.window_obs_idx
-                 if int(obs.i0[k]) >= tile.bi0 and int(obs.i0[k]) + 1 < tile.bi1
-                 and int(obs.j0[k]) >= tile.bj0
-                 and int(obs.j0[k]) + 1 < tile.bj1]
-        self.q_obs_idx = np.asarray(touch, dtype=int)
-        self.q_obs_pos = np.asarray([pos[k] for k in touch], dtype=int)
+        i0, j0 = obs.i0[w_idx], obs.j0[w_idx]
+        self.q_obs_idx = w_idx[(i0 >= tile.bi0) & (i0 + 1 < tile.bi1)
+                               & (j0 >= tile.bj0) & (j0 + 1 < tile.bj1)]
+        # bilinear stencils on the box: every window observation (the
+        # adjoint seeds, nodes outside the box dropped), the owned ones
+        # (misfits) and the ones the local quadratic carries
+        box = ((tile.bi0, tile.bj0), tile.box_shape, self.levels[0])
+        self.window_stencil = obs.stencil(self.window_obs_idx, *box)
+        self.own_stencil = obs.stencil(self.own_obs_idx, *box)
+        self.q_stencil = obs.stencil(self.q_obs_idx, *box)
+        self.own_var = obs.variances[self.own_obs_idx]
+        self.q_var = obs.variances[self.q_obs_idx]
 
         # control segments of the local solve: x0 (window 0) and f live on
         # the whole box so that the restricted-covariance prior matches the
@@ -371,12 +372,6 @@ class LocalProblem:
         if self.layout_ctl.has_boundary:
             out["b"] = s[ofs:].reshape(self.n_fields, self.ring_pos.size)
         return out
-
-    def owned_to_box(self, owned):
-        box = np.zeros((self.n_fields,) + self.tile.box_shape)
-        oi, oj = self.owned_local
-        box[:, oi, oj] = owned
-        return box
 
     def project_live(self, field):
         """Zero box cells the correction propagator keeps at zero.
@@ -597,10 +592,9 @@ def local_cost(p, local_ctl, trace, d):
     (J, Jb, Jo, O) with J = alpha*Jb + Jo + O, where Jb and Jo keep the
     1/2 convention and O is the overlap penalty (no 1/2) summed over
     levels and strips.  With beta = 0 and a single block this is exactly
-    the global cost.
+    the global cost.  Runs one residual-form TL sweep; the solver takes
+    the same terms from the sweeps it already runs.
     """
-    jb = _owned_jb(p, local_ctl)
-
     if p.has_x0:
         dx0 = local_ctl["x0"]
     elif trace.start_box is not None:
@@ -610,12 +604,20 @@ def local_cost(p, local_ctl, trace, d):
     states, own_strips = local_tl_step(p, dx0, local_ctl["f"],
                                        local_ctl.get("b"), p.lin_states,
                                        trace=trace)
-    jo = 0.0
-    for k in p.own_obs_idx:
-        k = int(k)
-        misfit = _sample_box(p, states, k) - d[k]
-        jo += 0.5 * misfit**2 / p.obs.variances[k]
+    return _local_terms(p, local_ctl, own_strips, trace,
+                        _own_misfit(p, states, d))
 
+
+def _own_misfit(p, states, d):
+    """Sampled minus observed for the block's own observations."""
+    return p.obs.sample(states, p.own_stencil) - d[p.own_obs_idx]
+
+
+def _local_terms(p, local_ctl, own_strips, trace, misfit):
+    """(J, Jb, Jo, O) of the local functional from one residual-form TL
+    sweep's own strips and own-observation misfits."""
+    jb = _owned_jb(p, local_ctl)
+    jo = 0.5 * float(np.vdot(misfit, misfit / p.own_var))
     o_val = 0.0
     if p.beta != 0.0:
         for l in range(p.n_levels):
@@ -624,8 +626,7 @@ def local_cost(p, local_ctl, trace, d):
                                           trace.tl_halo[side][l],
                                           p.strip_cov[side], p.beta)
                 o_val += val
-    j = p.alpha * jb + jo + o_val
-    return j, jb, jo, o_val
+    return p.alpha * jb + jo + o_val, jb, jo, o_val
 
 
 def _owned_jb(p, local_ctl):
@@ -642,44 +643,6 @@ def _owned_jb(p, local_ctl):
         w = local_ctl["b"].ravel()
         jb += 0.5 * float(np.vdot(w, p.owned_prec_apply("b", w)))
     return jb
-
-
-def _sample_box(p, states, k):
-    """Bilinear sample of observation k from the box-level states."""
-    lvl = int(p.obs.levels[k]) - p.levels[0]
-    i0 = int(p.obs.i0[k]) - p.tile.bi0
-    j0 = int(p.obs.j0[k]) - p.tile.bj0
-    w = p.obs.weights[:, k]
-    s = states[lvl][0]
-    return (w[0] * s[i0, j0] + w[1] * s[i0 + 1, j0]
-            + w[2] * s[i0, j0 + 1] + w[3] * s[i0 + 1, j0 + 1])
-
-
-def _scatter_obs(p, res_window):
-    """Per-level adjoint seeds from R^-1-weighted residuals.
-
-    Scatters every window observation onto the stencil nodes that fall
-    inside the box; the owned-component restriction of the final sweep
-    keeps the assembled gradient an exact partition.
-    """
-    forcings = [None] * p.n_levels
-    for pos in range(p.window_obs_idx.size):
-        k = int(p.window_obs_idx[pos])
-        r = res_window[pos]
-        if r == 0.0:
-            continue
-        lvl = int(p.obs.levels[k]) - p.levels[0]
-        gi0, gj0 = int(p.obs.i0[k]), int(p.obs.j0[k])
-        w = p.obs.weights[:, k]
-        for c, (gi, gj) in enumerate(((gi0, gj0), (gi0 + 1, gj0),
-                                      (gi0, gj0 + 1), (gi0 + 1, gj0 + 1))):
-            if not (p.tile.bi0 <= gi < p.tile.bi1
-                    and p.tile.bj0 <= gj < p.tile.bj1):
-                continue
-            if forcings[lvl] is None:
-                forcings[lvl] = p.zero_box()
-            forcings[lvl][0, gi - p.tile.bi0, gj - p.tile.bj0] += w[c] * r
-    return forcings
 
 
 def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
@@ -724,7 +687,11 @@ class DDResult:
     mismatch_history: list
     trace_rows: list
     world: World
-    final_cost: float = None
+    cost: CostBreakdown = None
+
+    @property
+    def final_cost(self):
+        return self.cost.J
 
 
 class DDSolver:
@@ -823,24 +790,18 @@ class DDSolver:
             dx0 = parts["x0"] if p.has_x0 else p.zero_box()
             states, _ = local_tl_step(p, dx0, parts["f"],
                                       parts.get("b"), p.lin_states)
-            res = np.zeros(p.window_obs_idx.size)
-            for k, pos in zip(p.q_obs_idx, p.q_obs_pos):
-                k = int(k)
-                res[pos] = _sample_box(p, states, k) / p.obs.variances[k]
-            forcings = _scatter_obs(p, res)
-            if p.beta != 0.0 and p.strips:
+            forcings = p.obs.scatter(
+                p.obs.sample(states, p.q_stencil) / p.q_var,
+                p.n_levels, p.n_fields, p.q_stencil)
+            if p.beta != 0.0:
                 for l in range(p.n_levels):
-                    add = forcings[l]
                     for side, sl in p.strips.items():
                         vals = states[l][:, sl[0], sl[1]]
-                        if not np.any(vals):
-                            continue
-                        g = 2.0 * p.beta * p.strip_cov[side].apply_inv(
-                            vals.ravel())
-                        if add is None:
-                            add = p.zero_box()
-                        add[:, sl[0], sl[1]] += g.reshape(vals.shape)
-                    forcings[l] = add
+                        if np.any(vals):
+                            g = 2.0 * p.beta * p.strip_cov[side].apply_inv(
+                                vals.ravel())
+                            forcings[l][:, sl[0], sl[1]] += \
+                                g.reshape(vals.shape)
             p_start, df_star, db_star, _ = local_ad_step(
                 p, forcings, p.lin_states)
             if p.has_x0:
@@ -884,19 +845,16 @@ class DDSolver:
         dx0 = ctl["x0"] if p.has_x0 else trace.start_box
         states, own_strips = local_tl_step(
             p, dx0, ctl["f"], ctl.get("b"), p.lin_states, trace=trace)
+        misfit = _own_misfit(p, states, self.d)
         res = trace.obs_res.copy()
-        jo = 0.0
-        for k, pos in zip(p.own_obs_idx, p.own_obs_pos):
-            k = int(k)
-            misfit = _sample_box(p, states, k) - self.d[k]
-            res[pos] = misfit / p.obs.variances[k]
-            jo += 0.5 * misfit**2 / p.obs.variances[k]
-        forcings = _scatter_obs(p, res)
+        res[p.own_obs_pos] = misfit / p.own_var
+        forcings = p.obs.scatter(res, p.n_levels, p.n_fields,
+                                 p.window_stencil)
         p_start, df_star, db_star, ad_states = local_ad_step(
             p, forcings, p.lin_states, trace=trace,
             terminal=trace.ad_terminal)
         return {"ctl": ctl, "states": states, "own_strips": own_strips,
-                "res": res, "jo": jo, "p_start": p_start,
+                "res": res, "misfit": misfit, "p_start": p_start,
                 "df_star": df_star, "db_star": db_star,
                 "ad_states": ad_states}
 
@@ -942,18 +900,10 @@ class DDSolver:
                           tol=self.config.inner_tol,
                           maxit=self.config.n_inner, name="dd_local")
                 corrections[key] = rep.x
-                jb = _owned_jb(p, sw["ctl"])
-                o_val = 0.0
-                if p.beta != 0.0:
-                    for l in range(p.n_levels):
-                        for side in p.strips:
-                            val, _ = overlap_operator(
-                                sw["own_strips"][l][side],
-                                trace.tl_halo[side][l],
-                                p.strip_cov[side], p.beta)
-                            o_val += val
+                j_local = _local_terms(p, sw["ctl"], sw["own_strips"],
+                                       trace, sw["misfit"])[0]
                 block_rows[key] = [n, key[0], key[1], rep.iterations,
-                                   p.alpha * jb + sw["jo"] + o_val]
+                                   j_local]
             v = ControlVector(problem.layout, z)
             w = self.config.omega
             for key in order:
@@ -982,10 +932,10 @@ class DDSolver:
                 converged = True
                 break
         traj = problem.run_with_increment(z)
-        cb = problem.cost(z, d=self.d)
         return DDResult(delta_z=z, trajectory=traj, converged=converged,
                         n_iterations=n_done, mismatch_history=history,
-                        trace_rows=rows, world=self.world, final_cost=cb.J)
+                        trace_rows=rows, world=self.world,
+                        cost=problem.cost(z, d=self.d))
 
     def _exchange(self, sweeps, traces, n):
         """Ship traces through the communicators; per-block mismatch."""
@@ -1000,28 +950,31 @@ class DDSolver:
             if delta > mismatch[key]:
                 mismatch[key] = delta
 
-        base = 1000000 * n
+        # one tag object per message family, shared by every message and
+        # log row of this exchange
+        tl_tag, ad_tag = ("time_tl", n), ("time_ad", n)
+        obs_tag = [("obs", n, src) for src in range(n_tiles)]
         # time chaining through the intra communicators
         for tid in range(n_tiles):
             comm = self.intra[tid]
             for k in range(n_t - 1):
                 comm.isend(self.world.rank_of(tid, k),
                            self.world.rank_of(tid, k + 1),
-                           base + _TAG_TIME_TL, sweeps[(tid, k)][0][-1])
+                           tl_tag, sweeps[(tid, k)][0][-1])
             for k in range(1, n_t):
                 comm.isend(self.world.rank_of(tid, k),
                            self.world.rank_of(tid, k - 1),
-                           base + _TAG_TIME_AD, sweeps[(tid, k)][1][0])
+                           ad_tag, sweeps[(tid, k)][1][0])
             for k in range(1, n_t):
                 got = comm.recv(self.world.rank_of(tid, k),
                                 self.world.rank_of(tid, k - 1),
-                                base + _TAG_TIME_TL)
+                                tl_tag)
                 bump((tid, k), traces[(tid, k)].start_box, got)
                 traces[(tid, k)].start_box = got
             for k in range(n_t - 1):
                 got = comm.recv(self.world.rank_of(tid, k),
                                 self.world.rank_of(tid, k + 1),
-                                base + _TAG_TIME_AD)
+                                ad_tag)
                 bump((tid, k), traces[(tid, k)].ad_terminal, got)
                 traces[(tid, k)].ad_terminal = got
         # spatial halos: one exchange per window level and sweep direction
@@ -1034,8 +987,7 @@ class DDSolver:
                         fields = {tid: sweeps[(tid, k)][pick][l].copy()
                                   for tid in range(n_tiles)}
                         halo_exchange(comm, self.layout, fields, window=k,
-                                      tag_base=base + _TAG_HALO
-                                      + 10 * (2 * l + (chan == "ad")))
+                                      tag=("halo", n, l, chan))
                         for tid in range(n_tiles):
                             p = self.blocks[(tid, k)]
                             tr = traces[(tid, k)]
@@ -1051,7 +1003,7 @@ class DDSolver:
                             continue
                         comm.isend(self.world.rank_of(src, k),
                                    self.world.rank_of(dst, k),
-                                   base + _TAG_OBS + src,
+                                   obs_tag[src],
                                    sweeps[(src, k)][2])
                 for dst in range(n_tiles):
                     merged = sweeps[(dst, k)][2].copy()
@@ -1060,7 +1012,7 @@ class DDSolver:
                             continue
                         got = comm.recv(self.world.rank_of(dst, k),
                                         self.world.rank_of(src, k),
-                                        base + _TAG_OBS + src)
+                                        obs_tag[src])
                         psrc = self.blocks[(src, k)]
                         merged[psrc.own_obs_pos] = got[psrc.own_obs_pos]
                     traces[(dst, k)].obs_res = merged

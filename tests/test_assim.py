@@ -1,9 +1,12 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from ddvar.assim import (
     AnalysisNotConverged,
     CostBreakdown,
+    TangentObsOperator,
     cost,
     dual_analysis,
     gradient,
@@ -11,8 +14,11 @@ from ddvar.assim import (
     kalman_gain_apply,
     primal_analysis,
 )
+from ddvar.config import parse_config
 from ddvar.covariance import CovarianceR
+from ddvar.experiment import build_problem
 from ddvar.krylov import LinearOperator
+from ddvar.observations import ObservationSet, innovations
 from util import make_problem
 
 
@@ -86,6 +92,30 @@ def test_g_operator_adjoint_identity(kind, boundary):
         lhs = np.vdot(gop.apply(v), w)
         rhs = np.vdot(v, gop.apply_t(w))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+def test_tangent_obs_operator_window_adjoint_on_every_node(kind):
+    """Composed two-window TL/AD pair, observed at every node and level, so
+    the identity covers the whole field-0 state space, not a few points."""
+    p = make_problem(kind=kind, boundary="prescribed", seed=5)
+    grid = p.model.grid
+    i, j, lev = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny),
+                            np.arange(1, grid.n_steps + 1), indexing="ij")
+    n = lev.size
+    obs = ObservationSet(grid, lev.ravel(), grid.dx * i.ravel(),
+                         grid.dy * j.ravel(), ["gridded"] * n, np.zeros(n),
+                         np.ones(n))
+    top = TangentObsOperator(p.model, p.background_traj, p.windows, obs,
+                             p.layout)
+    assert p.windows.n_t == 2
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        dz = rng.standard_normal(p.layout.n_z)
+        w = rng.standard_normal(n)
+        lhs = np.vdot(top.forward(dz), w)
+        rhs = np.vdot(dz, top.adjoint(w))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
 @pytest.mark.parametrize("kind", ["linear", "burgers"])
@@ -196,6 +226,96 @@ def test_outer_loop_history_and_monotonicity():
         assert jb >= 0 and jo >= 0
     # final cost no larger than the background cost
     assert res.final_cost <= res.history[0][2]
+
+
+def shipped_problem(name):
+    text = (resources.files("ddvar") / "configs" / f"{name}.cfg").read_text()
+    cfg = parse_config(text)
+    return build_problem(cfg), cfg
+
+
+# (TL sweeps, AD sweeps, inner iterations per outer loop).  Each inner
+# iteration costs one TL and one AD sweep; the rest is the primal
+# right-hand side (one AD), the dual shifted innovation d + G z_bar (one TL,
+# outer loops after the first) and the dual B G^T w (one AD), plus rpcg's
+# initial H application (one TL, one AD).
+SWEEPS = {
+    ("case2", "is4dvar"): (43, 44, [43]),
+    ("case2", "rbl4dvar"): (46, 47, [46]),
+    ("case2", "minres"): (45, 46, [45]),
+    ("case2", "rpcg"): (48, 49, [47]),
+    ("case4", "is4dvar"): (92, 94, [43, 49]),
+    ("case4", "rbl4dvar"): (92, 93, [46, 45]),
+    ("case4", "minres"): (91, 92, [45, 45]),
+    ("case4", "rpcg"): (97, 98, [47, 47]),
+}
+
+
+@pytest.mark.parametrize("case,solver", sorted(SWEEPS))
+def test_outer_loop_sweep_counts(case, solver, monkeypatch):
+    """Exact TL/AD sweep counts: one of each per iteration, plus at most
+    two of each per outer loop."""
+    calls = {"tl": 0, "ad": 0}
+    forward, adjoint = TangentObsOperator.forward, TangentObsOperator.adjoint
+
+    def counted_forward(self, dz):
+        calls["tl"] += 1
+        return forward(self, dz)
+
+    def counted_adjoint(self, w):
+        calls["ad"] += 1
+        return adjoint(self, w)
+
+    p, cfg = shipped_problem(case)
+    monkeypatch.setattr(TangentObsOperator, "forward", counted_forward)
+    monkeypatch.setattr(TangentObsOperator, "adjoint", counted_adjoint)
+    res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner, solver=solver,
+                                   tol=cfg.solver_tol)
+    its = [rep.iterations for rep in res.reports]
+    assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, solver)]
+    assert calls["tl"] <= sum(its) + 2 * len(its)
+    assert calls["ad"] <= sum(its) + 2 * len(its)
+
+
+def recomputed_history(p, res, solver):
+    """History rows from a fresh cost() of every stored iterate."""
+    z_bar = np.zeros(p.layout.n_z)
+    rows = []
+    for outer, rep in enumerate(res.reports, start=1):
+        traj = p.run_with_increment(z_bar)
+        gop = p.operator_about(traj)
+        d_tilde = innovations(traj, p.obs) + gop.apply(z_bar)
+        if solver == "is4dvar":
+            totals = [z_bar + it for it in rep.iterates]
+            z_bar = z_bar + rep.x
+        else:
+            totals = [p.b_cov.apply(gop.apply_t(it)) for it in rep.iterates]
+            z_bar = rep.x_control
+        for m, z in enumerate(totals):
+            cb = cost(z, d_tilde, p.b_cov, p.r_cov, gop)
+            rows.append((outer, m, cb.J, cb.Jb, cb.Jo))
+    return rows
+
+
+@pytest.mark.parametrize("solver", ["is4dvar", "rbl4dvar", "minres", "rpcg"])
+@pytest.mark.parametrize("case", ["case4", "burgers"])
+def test_outer_loop_history_matches_recomputed_cost(case, solver):
+    """Recurrence-carried history rows equal an independent cost() of
+    every stored iterate to 1e-10 max(1, |J|)."""
+    if case == "burgers":
+        p = make_problem(kind="burgers", seed=14)
+        res = p.incremental_outer_loop(n_outer=2, n_inner=25, solver=solver)
+    else:
+        p, cfg = shipped_problem(case)
+        res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner,
+                                       solver=solver, tol=cfg.solver_tol)
+    ref = recomputed_history(p, res, solver)
+    assert len(res.history) == len(ref)
+    for row, want in zip(res.history, ref):
+        assert row[:2] == want[:2]
+        scale = 1e-10 * max(1.0, abs(want[2]))
+        for got, exp in zip(row[2:], want[2:]):
+            assert abs(got - exp) <= scale, (row, want)
 
 
 @pytest.mark.parametrize("solver", ["rbl4dvar", "minres", "rpcg"])

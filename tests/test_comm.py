@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from ddvar.comm import (
     create_inter,
     halo_exchange,
     split,
-    world_comm,
 )
 from ddvar.grid import SIDES, Grid, build_tiles, restrict
 
@@ -59,6 +60,7 @@ def test_send_recv_round_trip_and_fifo():
     comm.isend(0, 1, 5, np.array([2.0]))
     assert comm.recv(1, 0, 5)[0] == 1.0
     assert comm.recv(1, 0, 5)[0] == 2.0
+    assert w._queues == {}  # drained channels hold no memory
 
 
 def test_sent_payload_is_snapshot():
@@ -75,6 +77,21 @@ def test_deadlock_names_channel():
     comm = split(w, 0)  # members (0, 2)
     with pytest.raises(DeadlockError, match=r"2->0 tag 3"):
         comm.recv(0, 2, 3)
+
+
+def test_tuple_tags_keep_families_apart_and_name_deadlocks():
+    w = World(2, 1)
+    comm = create_inter(w, 0)
+    comm.isend(0, 1, ("obs", 1, 0), np.array([1.0]))
+    comm.isend(0, 1, (("halo", 1, 0, "tl"), "west"), np.array([2.0]))
+    assert comm.recv(1, 0, (("halo", 1, 0, "tl"), "west"))[0] == 2.0
+    assert comm.recv(1, 0, ("obs", 1, 0))[0] == 1.0
+    assert [row[3] for row in w.log] == \
+        [("obs", 1, 0), (("halo", 1, 0, "tl"), "west")]
+    comm.isend(0, 1, ("obs", 2, 0), np.array([3.0]))
+    with pytest.raises(DeadlockError,
+                       match=re.escape("0->1 tag ('obs', 2, 1)")):
+        comm.recv(1, 0, ("obs", 2, 1))
 
 
 def test_membership_enforced():
@@ -154,7 +171,9 @@ def test_exchange_log_deterministic():
     for _ in range(2):
         grid, layout, g, fields = halo_fixture(seed=3)
         w = World(layout.n_tiles, 1)
-        halo_exchange(create_inter(w, 0), layout, fields, tag_base=40)
+        halo_exchange(create_inter(w, 0), layout, fields,
+                      tag=("halo", 40))
         logs.append(list(w.log))
     assert logs[0] == logs[1]
     assert len(logs[0]) > 0
+    assert {row[3][0] for row in logs[0]} == {("halo", 40)}

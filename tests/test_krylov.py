@@ -105,9 +105,14 @@ def test_dual_cg_scalar_case():
     assert rep.iterations == 1 and rep.converged
     np.testing.assert_allclose(rep.x, [1.0], rtol=1e-14)
     np.testing.assert_allclose(rep.x_control, [2.0], rtol=1e-14)
-    # J at w=0 is 0.5 d^T R^-1 d; at the solution 1.5
-    assert rep.costs[0] == pytest.approx(4.5, rel=1e-14)
-    assert rep.costs[-1] == pytest.approx(1.5, rel=1e-13)
+    # (Jb, Jo) rows: J at w=0 is 0.5 d^T R^-1 d; at the solution
+    # Jb = 0.5 w H w = 1 and Jo = 0.5 (H w - d)^2 = 0.5
+    assert rep.costs.shape == (2, 2)
+    assert rep.costs[0, 0] == 0.0
+    assert rep.costs[0, 1] == pytest.approx(4.5, rel=1e-14)
+    assert rep.costs[-1, 0] == pytest.approx(1.0, rel=1e-13)
+    assert rep.costs[-1, 1] == pytest.approx(0.5, rel=1e-13)
+    assert rep.costs[-1].sum() == pytest.approx(1.5, rel=1e-13)
 
 
 def test_dual_cg_matches_primal_direct():
@@ -156,7 +161,7 @@ def test_rpcg_scalar_case():
     rep = rpcg(g, bc, rc, np.array([3.0]))
     assert rep.iterations == 1 and rep.converged
     np.testing.assert_allclose(rep.x_control, [2.0], rtol=1e-14)
-    assert rep.costs[-1] == pytest.approx(1.5, rel=1e-13)
+    assert rep.costs[-1].sum() == pytest.approx(1.5, rel=1e-13)
 
 
 def test_rpcg_tracks_primal_bpcg_exactly():
@@ -171,7 +176,7 @@ def test_rpcg_tracks_primal_bpcg_exactly():
     jconst = 0.5 * np.vdot(d, d / rvar)
     jp = rep_p.costs + jconst
     scale = np.maximum(np.abs(jp), 1e-12)
-    assert np.max(np.abs(jp - rep_r.costs) / scale) <= 1e-8
+    assert np.max(np.abs(jp - rep_r.costs.sum(axis=1)) / scale) <= 1e-8
     # the preconditioned residual norms agree until both hit rounding floor
     np.testing.assert_allclose(rep_r.residual_norms[:-1],
                                rep_p.residual_norms[:-1], rtol=1e-6)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ddvar.grid import Grid, build_time_windows
-from ddvar.model import ModelConfig, ModelDivergedError, StateVector, SurrogateModel
+from ddvar.grid import Grid
+from ddvar.model import ModelConfig, ModelDivergedError, SurrogateModel
 
 
 def make_model(kind="linear", boundary="prescribed", nx=12, ny=10, dt=0.2,
@@ -43,15 +43,6 @@ def test_stencils_equal_roll_formulas(shape):
     assert np.array_equal(model._ddx(f), ddx)
     assert np.array_equal(model._ddy(f), ddy)
     assert np.array_equal(model._lap(f), lap)
-
-
-def test_state_vector_flatten_round_trip():
-    rng = np.random.default_rng(0)
-    data = rng.standard_normal((2, 5, 4))
-    s = StateVector(names=("u", "v"), data=data)
-    assert s.n_p == 40
-    t = StateVector.unflatten(("u", "v"), (5, 4), s.flatten())
-    np.testing.assert_array_equal(s.data, t.data)
 
 
 def test_diverged_state_raises():
@@ -127,28 +118,12 @@ def test_single_step_adjoint_identity(kind, boundary):
         assert dot_gap(lhs, rhs) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["linear", "burgers"])
-def test_window_operator_adjoint_identity(kind):
-    model = make_model(kind=kind, boundary="prescribed", n_steps=6)
-    windows = build_time_windows(6, 2)
-    rng = np.random.default_rng(5)
-    x0 = random_state(model, rng, scale=0.4)
-    traj = model.run_nl(x0)
-    for k in range(windows.n_t):
-        apply_tl, apply_ad = model.window_operator(traj, windows, k)
-        d = random_state(model, rng)
-        p = random_state(model, rng)
-        lhs = np.vdot(apply_tl(d), p)
-        rhs = np.vdot(d, apply_ad(p))
-        assert dot_gap(lhs, rhs) <= 1e-12
-
-
 def test_run_nl_zero_steps_returns_initial_state_only():
     model = make_model()
     x0 = np.ones(model.state_shape)
     traj = model.run_nl(x0, n_steps=0)
     assert traj.n_steps == 0
-    np.testing.assert_array_equal(traj.level(0), x0)
+    np.testing.assert_array_equal(traj.states[0], x0)
 
 
 def test_pure_diffusion_tl_matrix_is_symmetric_and_ad_is_transpose():

@@ -6,8 +6,6 @@ from ddvar.model import ModelConfig, SurrogateModel
 from ddvar.observations import (
     ObservationSet,
     PlatformSpec,
-    apply_g,
-    apply_g_adjoint,
     innovations,
     read_observations,
     synthesize,
@@ -36,13 +34,13 @@ def simple_set(grid, levels, x, y, values=None):
 def test_constant_field_samples_to_one(grid):
     obs = simple_set(grid, [0, 2, 4], [0.3, 4.7, 8.99], [0.1, 3.5, 6.9])
     traj = [np.ones((1, grid.nx, grid.ny)) for _ in range(5)]
-    np.testing.assert_allclose(apply_g(traj, obs), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(obs.sample(traj), 1.0, rtol=1e-15)
 
 
 def test_on_node_sample_is_exact(grid):
     traj = make_traj(grid, seed=1)
     obs = simple_set(grid, [2], [4.0], [5.0])
-    got = apply_g(traj, obs)
+    got = obs.sample(traj)
     assert got[0] == traj[2][0, 4, 5]
 
 
@@ -50,10 +48,10 @@ def test_mid_cell_sample_averages(grid):
     f = np.fromfunction(lambda i, j: i, (grid.nx, grid.ny))
     traj = [f[None] for _ in range(5)]
     obs = simple_set(grid, [1], [3.5], [2.0])
-    assert apply_g(traj, obs)[0] == pytest.approx(3.5, abs=1e-14)
+    assert obs.sample(traj)[0] == pytest.approx(3.5, abs=1e-14)
     # domain corner at the far edge still lands inside the last cell
     obs = simple_set(grid, [1], [9.0], [7.0])
-    assert apply_g(traj, obs)[0] == pytest.approx(9.0, abs=1e-14)
+    assert obs.sample(traj)[0] == pytest.approx(9.0, abs=1e-14)
 
 
 def test_adjoint_transpose_identity(grid):
@@ -63,18 +61,54 @@ def test_adjoint_transpose_identity(grid):
                      rng.uniform(0, 9, n), rng.uniform(0, 7, n))
     traj = make_traj(grid, seed=3)
     w = rng.standard_normal(n)
-    lhs = np.vdot(apply_g(traj, obs), w)
-    scat = apply_g_adjoint(w, obs, 5, 1)
+    lhs = np.vdot(obs.sample(traj), w)
+    scat = obs.scatter(w, 5, 1)
     rhs = sum(np.vdot(traj[l], scat[l]) for l in range(5))
     assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
-    assert np.all(apply_g_adjoint(np.zeros(n), obs, 5, 1) == 0.0)
+    assert np.all(obs.scatter(np.zeros(n), 5, 1) == 0.0)
 
 
 def test_single_node_scatter_is_unit(grid):
     obs = simple_set(grid, [3], [2.0], [6.0])
-    scat = apply_g_adjoint(np.array([1.0]), obs, 5, 1)
+    scat = obs.scatter(np.array([1.0]), 5, 1)
     assert scat[3, 0, 2, 6] == 1.0
     assert scat.sum() == 1.0
+
+
+def test_box_stencil_matches_global_sampler(grid):
+    """A subset on a box reads and spreads what the global operator does,
+    dropping the stencil nodes that fall outside the box."""
+    rng = np.random.default_rng(6)
+    n = 40
+    obs = simple_set(grid, rng.integers(0, 5, n),
+                     rng.uniform(0, 9, n), rng.uniform(0, 7, n))
+    traj = make_traj(grid, seed=7)
+    w = rng.standard_normal(n)
+    origin, shape, level0 = (3, 2), (5, 4), 1
+    box = (slice(3, 8), slice(2, 6))
+    sub = np.nonzero(obs.levels >= level0)[0]
+    st = obs.stencil(sub, origin, shape, level0)
+    box_traj = [s[:, box[0], box[1]] for s in traj[level0:]]
+
+    # observations whose whole stencil lies in the box sample exactly
+    full = ((obs.i0[sub] >= 3) & (obs.i0[sub] + 1 < 8)
+            & (obs.j0[sub] >= 2) & (obs.j0[sub] + 1 < 6))
+    assert full.any() and not full.all()
+    got = obs.sample(box_traj, st)
+    np.testing.assert_array_equal(got[full], obs.sample(traj)[sub][full])
+
+    # the box scatter is the restriction of the global scatter of the subset
+    wsub = np.zeros(n)
+    wsub[sub] = w[sub]
+    ref = obs.scatter(wsub, 5, 1)[level0:, :, box[0], box[1]]
+    scat = obs.scatter(w[sub], 5 - level0, 1, st)
+    np.testing.assert_allclose(scat, ref, rtol=0, atol=1e-15)
+    # and its exact transpose
+    lhs = np.vdot(got, w[sub])
+    rhs = sum(np.vdot(b, c) for b, c in zip(box_traj, scat))
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
+    with pytest.raises(ValueError, match="weights"):
+        obs.scatter(w, 4, 1, st)
 
 
 def test_innovations_of_self_sample_vanish(grid):
@@ -83,7 +117,7 @@ def test_innovations_of_self_sample_vanish(grid):
     n = 12
     obs = simple_set(grid, rng.integers(0, 5, n),
                      rng.uniform(0, 9, n), rng.uniform(0, 7, n))
-    obs.values[:] = apply_g(traj, obs)
+    obs.values[:] = obs.sample(traj)
     np.testing.assert_array_equal(innovations(traj, obs), 0.0)
     obs.values[:] += 1.0
     np.testing.assert_allclose(innovations(traj, obs), 1.0, rtol=1e-15)
