@@ -53,14 +53,14 @@ def c1_adjoint():
     rng = np.random.default_rng(3)
     for prob in setups:
         model = prob.model
-        x0 = prob.x_b
+        lin = model.linearize(prob.x_b)
         # single steps about a reference state
         for _ in range(25):
             dx = rng.standard_normal(model.state_shape)
             df = rng.standard_normal(model.state_shape)
             p = rng.standard_normal(model.state_shape)
-            tl = model.step_tl(x0, dx, df)
-            pr, df_star, _ = model.step_ad(x0, p)
+            tl = model.step_tl(lin, dx, df)
+            pr, df_star, _ = model.step_ad(lin, p)
             lhs = float(np.vdot(p, tl))
             rhs = float(np.vdot(pr, dx) + np.vdot(df_star, df))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))

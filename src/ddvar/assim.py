@@ -80,7 +80,8 @@ class TangentObsOperator:
     forward runs the tangent-linear sweep (adding the window's constant
     forcing and boundary increments at each step) and samples it at the
     observations; adjoint scatters observation weights onto the levels and
-    runs one backward sweep, accumulating the per-window segments.
+    runs one backward sweep, accumulating the per-window segments.  Both
+    use one step operator per level, built once from the trajectory.
     """
 
     def __init__(self, model, traj, windows, obs, layout):
@@ -91,6 +92,7 @@ class TangentObsOperator:
         self.layout = layout
         if len(self.traj) != windows.n_steps + 1:
             raise ValueError("trajectory does not cover the windows")
+        self.steps = [model.linearize(x) for x in self.traj[:-1]]
 
     @property
     def shape(self):
@@ -103,7 +105,7 @@ class TangentObsOperator:
         for step in range(1, self.windows.n_steps + 1):
             k = self.windows.window_of_step(step)
             db = v.b(k) if self.layout.has_boundary else None
-            dx = self.model.step_tl(self.traj[step - 1], dx, df=v.f(k), db=db)
+            dx = self.model.step_tl(self.steps[step - 1], dx, df=v.f(k), db=db)
             states.append(dx)
         return states
 
@@ -117,7 +119,8 @@ class TangentObsOperator:
         p = scat[n_steps].copy()
         for step in range(n_steps, 0, -1):
             k = self.windows.window_of_step(step)
-            p_prev, df_star, db_star = self.model.step_ad(self.traj[step - 1], p)
+            p_prev, df_star, db_star = self.model.step_ad(self.steps[step - 1],
+                                                           p)
             out.f(k)[:] += df_star
             if self.layout.has_boundary:
                 out.b(k)[:] += db_star

@@ -41,9 +41,10 @@ assimilation window, one boundary block per window), with the window
 blocks sharing one covariance object.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg
-import scipy.spatial
 
 from .grid import boundary_ring_indices
 
@@ -94,7 +95,11 @@ class GaussianCovariance:
         if points.ndim != 2:
             raise ValueError("points must be (n, ndim)")
         nugget = _checked_nugget(sigma, length, nugget)
-        d2 = scipy.spatial.distance.cdist(points, points, "sqeuclidean")
+        # squared distances summed per coordinate, in cdist's order
+        d2 = np.zeros((points.shape[0],) * 2)
+        for c in points.T:
+            diff = np.subtract.outer(c, c)
+            d2 += diff * diff
         matrix = sigma**2 * np.exp(-d2 / (2.0 * length**2))
         matrix[np.diag_indices_from(matrix)] += nugget
         self.points = points
@@ -130,6 +135,11 @@ class GaussianCovariance:
 
     def apply_inv(self, v):
         return scipy.linalg.cho_solve((self.factor, True), self._check(v).T).T
+
+    @cached_property
+    def precision(self):
+        """The dense inverse B^-1, computed on first use."""
+        return self.apply_inv(np.eye(self.n))
 
     def apply_sqrt(self, w):
         """Map a unit-variance draw w to a B-distributed vector, L @ w."""
@@ -217,6 +227,16 @@ class KroneckerCovariance:
         return self._eig_scale(w, self._sqrt_spectrum)
 
     apply_sqrt_t = apply_sqrt
+
+    def inv_quadratic(self, rows, cols, v):
+        """v' B^-1 v for fields that vanish outside the sub-grid rows x cols.
+
+        v has shape (..., |rows|, |cols|) and the leading axes are summed.
+        Equals the quadratic form of the principal block of B^-1 on the
+        sub-grid: sum (Ux[rows]' V Uy[cols])^2 / s, one half-transform.
+        """
+        t = self.ux[rows].T @ np.asarray(v, dtype=float) @ self.uy[cols]
+        return float(np.sum(t * t * self._inv_spectrum))
 
     def restrict(self, idx):
         """Principal block over a rectangular sub-grid.

@@ -2,12 +2,18 @@
 write the result CSVs and a manifest.
 
 All CSVs print floats through repr, so identical runs produce byte-identical
-files; timing.csv is the one machine-dependent exception.
+files; timing.csv is the one machine-dependent exception.  It holds one
+`block` row per simulated rank (the compute seconds of that rank's block:
+sweeps, local solves and local costs for the DD, the whole solve for the
+single-rank Krylov runs) and `setup`, `solve`, `impact` and `total` rows
+with rank -1.  manifest.json records whether the solve converged and its
+iteration counts per outer loop (DD: the number of sweeps).
 """
 
 import hashlib
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +27,7 @@ from .impact import (column_section, adjoint_sensitivity, observation_impact,
                      observation_sensitivity)
 from .model import ModelConfig, SurrogateModel
 from .observations import PlatformSpec, read_observations, synthesize
-from .schwarz import DDConfig, dd_outer_loop
+from .schwarz import DDConfig, DDSolver
 
 
 def build_problem(cfg):
@@ -88,18 +94,34 @@ def _sha256(path):
 class ExperimentResult:
     """Paths and headline numbers of one driver run."""
 
-    def __init__(self, out_dir, files, final_cost, history, n_ranks):
+    def __init__(self, out_dir, files, final_cost, history, n_ranks,
+                 converged):
         self.out_dir = Path(out_dir)
         self.files = files
         self.final_cost = final_cost
         self.history = history
         self.n_ranks = n_ranks
+        self.converged = converged
+
+
+@dataclass
+class _Solved:
+    """What a formulation's solve hands to the writers."""
+    history: list
+    trace: list
+    converged: bool
+    iterations: list          # per outer loop; DD: [sweeps]
+    block_seconds: list       # compute seconds per simulated rank
+    setup_s: float = 0.0      # solver set-up after build_problem
+    dd_rows: list = None
 
 
 def _run_krylov(problem, cfg):
+    t0 = time.perf_counter()
     res = problem.incremental_outer_loop(cfg.n_outer, cfg.n_inner,
                                          solver=cfg.formulation,
                                          tol=cfg.solver_tol)
+    solve_s = time.perf_counter() - t0
     history = res.history
     trace = []
     row = 0
@@ -109,17 +131,23 @@ def _run_krylov(problem, cfg):
             j_here = history[row][2]
             trace.append((cfg.formulation, m, float(norms[m]), j_here))
             row += 1
-    return res.delta_z, history, trace, None, 1
+    return _Solved(history=history, trace=trace,
+                   converged=all(rep.converged for rep in res.reports),
+                   iterations=[rep.iterations for rep in res.reports],
+                   block_seconds=[solve_s])
 
 
 def _run_dd(problem, cfg):
+    t0 = time.perf_counter()
     tiles = build_tiles(problem.model.grid, cfg.ntile_i, cfg.ntile_j,
                         cfg.halo)
     dd_cfg = DDConfig(n_bar=cfg.n_bar, tau_dd=cfg.tau_dd,
                       n_inner=cfg.n_inner, inner_tol=cfg.inner_tol,
                       alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
                       omega=cfg.omega)
-    res = dd_outer_loop(problem, tiles, dd_cfg)
+    solver = DDSolver(problem, tiles, dd_cfg)
+    setup_s = time.perf_counter() - t0
+    res = solver.solve()
     cb = res.cost
     history = [(1, res.n_iterations, cb.J, cb.Jb, cb.Jo)]
     # per-sweep trace: halo mismatch plus the summed local costs
@@ -129,20 +157,29 @@ def _run_dd(problem, cfg):
     trace = [(cfg.formulation, n, float(res.mismatch_history[n - 1]),
               local_j[n])
              for n in sorted(local_j)]
-    return res.delta_z, history, trace, res.trace_rows, res.world.n_ranks
+    seconds = [0.0] * res.world.n_ranks
+    for (tid, k), sec in res.block_seconds.items():
+        seconds[res.world.rank_of(tid, k)] = sec
+    return _Solved(history=history, trace=trace, converged=res.converged,
+                   iterations=[res.n_iterations], block_seconds=seconds,
+                   setup_s=setup_s, dd_rows=res.trace_rows)
 
 
 def run_experiment(cfg, out_dir=None):
     """Run the configured formulation and write the artifact files."""
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
+    t_built = clock()
 
     if cfg.formulation == "dd4dvar":
-        delta_z, history, trace, dd_rows, n_ranks = _run_dd(problem, cfg)
+        solved = _run_dd(problem, cfg)
     else:
-        delta_z, history, trace, dd_rows, n_ranks = _run_krylov(problem, cfg)
+        solved = _run_krylov(problem, cfg)
+    t_solved = clock()
+    history = solved.history
 
     files = {}
 
@@ -153,13 +190,15 @@ def run_experiment(cfg, out_dir=None):
 
     emit("cost_history.csv", "outer,inner,J,Jb,Jo",
          [(o, m, j, jb, jo) for o, m, j, jb, jo in history])
-    emit("solver_trace.csv", "solver,iteration,residual,J", trace)
-    if dd_rows is not None:
+    emit("solver_trace.csv", "solver,iteration,residual,J", solved.trace)
+    if solved.dd_rows is not None:
         emit("dd_trace.csv", "dd_iter,tile,window,inner_iters,J_local,"
              "halo_mismatch",
-             [(n, t, w, i, jl, hm) for n, t, w, i, jl, hm in dd_rows])
+             [(n, t, w, i, jl, hm) for n, t, w, i, jl, hm in solved.dd_rows])
 
+    impact_s = 0.0
     if cfg.impact:
+        t_impact = clock()
         grid = problem.model.grid
         col = cfg.impact_col if cfg.impact_col != -1 else grid.nx // 2
         n_avg = cfg.impact_n_avg if cfg.impact_n_avg != -1 else cfg.n_steps
@@ -176,15 +215,23 @@ def run_experiment(cfg, out_dir=None):
         emit("sensitivity.csv", "actual,linearized,gap",
              [(chk.actual, chk.linearized,
                abs(chk.actual - chk.linearized))])
+        impact_s = clock() - t_impact
 
-    elapsed = time.perf_counter() - t0
-    emit("timing.csv", "rank,seconds",
-         [(r, elapsed) for r in range(n_ranks)])
+    t_end = clock()
+    setup_s = t_built - t0 + solved.setup_s
+    emit("timing.csv", "phase,rank,seconds",
+         [("block", r, sec) for r, sec in enumerate(solved.block_seconds)]
+         + [("setup", -1, setup_s),
+            ("solve", -1, t_solved - t_built - solved.setup_s),
+            ("impact", -1, impact_s),
+            ("total", -1, t_end - t0)])
 
     config_text = emit_config(cfg)
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": cfg.seed,
+        "converged": solved.converged,
+        "iterations": solved.iterations,
         "files": {name: {"size": files[name].stat().st_size,
                          "sha256": _sha256(files[name])}
                   for name in sorted(files)},
@@ -194,5 +241,5 @@ def run_experiment(cfg, out_dir=None):
         fh.write("\n")
     files["manifest.json"] = out / "manifest.json"
 
-    final_cost = history[-1][2]
-    return ExperimentResult(out, files, final_cost, history, n_ranks)
+    return ExperimentResult(out, files, history[-1][2], history,
+                            len(solved.block_seconds), solved.converged)

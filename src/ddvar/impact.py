@@ -90,7 +90,8 @@ def adjoint_sensitivity(model, windows, layout, traj, functional):
     p = h.copy() if n_avg == n_steps else np.zeros_like(h)
     for step in range(n_steps, 0, -1):
         k = windows.window_of_step(step)
-        p, df_star, db_star = model.step_ad(states[step - 1], p)
+        p, df_star, db_star = model.step_ad(
+            model.linearize(states[step - 1]), p)
         out.f(k)[:] += df_star
         if layout.has_boundary:
             out.b(k)[:] += db_star

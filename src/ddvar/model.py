@@ -16,11 +16,21 @@ physical boundary ring is overwritten with supplied values; the interior
 update next to the ring reads the ring values of the previous level, so
 the overwrite acts as a Dirichlet condition one step delayed).
 
-The tangent-linear step is the exact Jacobian of the nonlinear step and
-the adjoint step its exact transpose, derived by hand from the stencil
-algebra: with uniform spacing and wrap-around stencils the centered
-difference operators are skew-symmetric and the Laplacian is symmetric,
-so each advection term transposes to closed form.  No automatic or
+The nonlinear step runs the stencils.  The tangent-linear and adjoint steps
+share one object per linearization state, a `StepOperator` from
+`linearize`: the five-point Jacobian of the stencil update assembled once
+as a sparse matrix M over the flattened state,
+
+    linear:   M = I + dt (-cx Dx - cy Dy + nu L)
+    burgers:  M = I + dt (-A(x) + nu L),
+              A(x) (du, dv) = (u Dx du + v Dy du + du ux + dv uy,
+                               u Dx dv + v Dy dv + du vx + dv vy),
+
+where Dx, Dy are the periodic centered differences, L the periodic
+Laplacian and ux, uy, vx, vy the centered differences of the state.  The
+tangent-linear step is M dx + dt df followed by the ring write, and the
+adjoint step applies the transpose of M to the ring-masked adjoint state,
+so the adjoint is exact by construction.  No automatic or
 finite-difference differentiation is involved anywhere.
 """
 
@@ -29,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from ddvar.grid import Grid, boundary_ring_indices
 
@@ -80,6 +91,18 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
+
+
+class StepOperator:
+    """One model step's linear map about a fixed state.
+
+    `matrix` is the CSR matrix M over the flattened state (field, i, j);
+    `matrix_t` holds its transpose for the adjoint step.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.matrix_t = matrix.T.tocsr()
 
 
 class _Shifts:
@@ -134,6 +157,7 @@ class SurrogateModel:
         self._check_stability()
         self.ring_ii, self.ring_jj = boundary_ring_indices(grid.nx, grid.ny)
         self.n_ring = self.ring_ii.size
+        self._linear_step = None
 
     # -- setup ---------------------------------------------------------
 
@@ -198,38 +222,6 @@ class SurrogateModel:
         adv_v = u * self._ddx(v) + v * self._ddy(v)
         return np.stack([adv_u, adv_v])
 
-    def _advection_tl(self, xlin: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        c = self.config
-        if c.kind == "linear":
-            return c.advect[0] * self._ddx(dx) + c.advect[1] * self._ddy(dx)
-        u, v = xlin[0], xlin[1]
-        du, dv = dx[0], dx[1]
-        out_u = du * self._ddx(u) + u * self._ddx(du) + dv * self._ddy(u) + v * self._ddy(du)
-        out_v = du * self._ddx(v) + u * self._ddx(dv) + dv * self._ddy(v) + v * self._ddy(dv)
-        return np.stack([out_u, out_v])
-
-    def _advection_ad(self, xlin: np.ndarray, p: np.ndarray) -> np.ndarray:
-        # Transpose of _advection_tl in the Euclidean inner product, using
-        # ddx^T = -ddx and ddy^T = -ddy for the wrap-around stencils.
-        c = self.config
-        if c.kind == "linear":
-            return -(c.advect[0] * self._ddx(p) + c.advect[1] * self._ddy(p))
-        u, v = xlin[0], xlin[1]
-        pu, pv = p[0], p[1]
-        q_u = (
-            self._ddx(u) * pu
-            - self._ddx(u * pu)
-            - self._ddy(v * pu)
-            + self._ddx(v) * pv
-        )
-        q_v = (
-            self._ddy(u) * pu
-            + self._ddy(v) * pv
-            - self._ddx(u * pv)
-            - self._ddy(v * pv)
-        )
-        return np.stack([q_u, q_v])
-
     # -- single steps --------------------------------------------------
 
     def step_nl(self, x: np.ndarray, f: np.ndarray | None = None,
@@ -249,23 +241,82 @@ class SurrogateModel:
             raise ModelDivergedError("nonlinear step produced non-finite values")
         return out
 
-    def step_tl(self, xlin: np.ndarray, dx: np.ndarray,
+    # -- linearization -------------------------------------------------
+
+    def linearize(self, state: np.ndarray) -> StepOperator:
+        """The step operator of step_tl/step_ad about `state`.
+
+        The linear model's operator does not depend on the state: it is
+        assembled on the first call and shared by every later one.
+        """
+        if self.config.kind == "linear":
+            if self._linear_step is None:
+                self._linear_step = StepOperator(self._assemble(None))
+            return self._linear_step
+        return StepOperator(self._assemble(state))
+
+    def _assemble(self, state: np.ndarray | None):
+        """CSR matrix of M = I + dt (-A + nu L) over the flattened state,
+        built from the periodic five-point index arrays (the conversion
+        sums entries that land on the same matrix position)."""
+        g, c = self.grid, self.config
+        nx, ny, dt = g.nx, g.ny, g.dt
+        n = nx * ny
+        node = np.arange(n).reshape(nx, ny)
+        neighbors = (np.roll(node, -1, 0), np.roll(node, 1, 0),
+                     np.roll(node, -1, 1), np.roll(node, 1, 1))
+        # a, b: advecting velocity; coupling[r][s]: coefficient of field s
+        # at the node itself in field r's row of A
+        if c.kind == "linear":
+            a, b = c.advect
+            coupling = [[0.0]]
+        else:
+            a, b = state[0], state[1]
+            grads = [(self._ddx(w), self._ddy(w)) for w in (a, b)]
+            coupling = [[grads[r][s] for s in range(2)] for r in range(2)]
+        kx = dt * c.viscosity / g.dx**2
+        ky = dt * c.viscosity / g.dy**2
+        ax = dt * a / (2.0 * g.dx)
+        by = dt * b / (2.0 * g.dy)
+        stencil = [kx - ax, kx + ax, ky - by, ky + by]
+        rows, cols, vals = [], [], []
+
+        def add(r_field, c_field, cells, values):
+            rows.append(node + r_field * n)
+            cols.append(cells + c_field * n)
+            vals.append(np.broadcast_to(values, (nx, ny)))
+
+        for r in range(self.n_fields):
+            add(r, r, node, 1.0 - 2.0 * (kx + ky) - dt * coupling[r][r])
+            for cells, values in zip(neighbors, stencil):
+                add(r, r, cells, values)
+            for s in range(self.n_fields):
+                if s != r:
+                    add(r, s, node, -dt * coupling[r][s])
+        size = self.n_fields * n
+        return scipy.sparse.csr_matrix(
+            (np.concatenate(vals, axis=None),
+             (np.concatenate(rows, axis=None),
+              np.concatenate(cols, axis=None))), shape=(size, size))
+
+    # -- single steps --------------------------------------------------
+
+    def step_tl(self, op: StepOperator, dx: np.ndarray,
                 df: np.ndarray | None = None,
                 db: np.ndarray | None = None) -> np.ndarray:
-        """Tangent-linear step at linearization state `xlin`."""
+        """Tangent-linear step with the step operator `op`."""
         g, c = self.grid, self.config
-        tend = -self._advection_tl(xlin, dx) + c.viscosity * self._lap(dx)
+        out = (op.matrix @ dx.ravel()).reshape(dx.shape)
         if df is not None:
-            tend = tend + df
-        out = dx + g.dt * tend
+            out += g.dt * df
         if c.boundary == "prescribed":
             out[:, self.ring_ii, self.ring_jj] = (
                 db if db is not None else 0.0
             )
         return out
 
-    def step_ad(self, xlin: np.ndarray, p: np.ndarray):
-        """Adjoint step: exact transpose of step_tl at `xlin`.
+    def step_ad(self, op: StepOperator, p: np.ndarray):
+        """Adjoint step: exact transpose of step_tl with `op`.
 
         Returns (p_prev, df_star, db_star): the adjoint state at the
         previous level and the adjoint forcing / boundary increments
@@ -279,7 +330,7 @@ class SurrogateModel:
         else:
             db_star = None
             q = p
-        p_prev = q + g.dt * (-self._advection_ad(xlin, q) + c.viscosity * self._lap(q))
+        p_prev = (op.matrix_t @ q.ravel()).reshape(q.shape)
         df_star = g.dt * q
         return p_prev, df_star, db_star
 

@@ -39,7 +39,9 @@ develop.  Its adjoint is an exact transpose, which keeps the local
 quadratic symmetric.
 """
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .comm import World, create_inter, halo_exchange, split
 from .control import ControlVector
 from .grid import SIDES, Grid, boundary_ring_indices, restrict
 from .krylov import LinearOperator, pcg
-from .model import ModelConfig, ModelDivergedError, SurrogateModel
+from .model import ModelDivergedError, SurrogateModel
 from .observations import innovations
 
 __all__ = [
@@ -153,8 +155,8 @@ def overlap_operator(own, neighbor, strip_cov, beta):
 class LocalProblem:
     """Everything one (tile, window) block needs for its sweeps and solve."""
 
-    def __init__(self, tile, window, model, grid, windows, layout_ctl,
-                 obs, weights):
+    def __init__(self, tile, window, model, box_model, grid, windows,
+                 layout_ctl, obs, weights):
         self.tile = tile
         self.window = window
         self.grid = grid
@@ -164,15 +166,9 @@ class LocalProblem:
         self.n_fields = model.n_fields
         self.prescribed = model.config.boundary == "prescribed"
         self.lin_states = None  # set once the linearization is known
+        self.box_model = box_model
 
         bnx, bny = tile.box_shape
-        box_grid = Grid(nx=bnx, ny=bny, dx=grid.dx, dy=grid.dy, dt=grid.dt,
-                        n_steps=1)
-        self.box_model = SurrogateModel(
-            box_grid, ModelConfig(kind=model.config.kind,
-                                  advect=model.config.advect,
-                                  viscosity=model.config.viscosity,
-                                  boundary="periodic"))
         self.n_levels = windows.sizes[window]
         self.levels = list(range(windows.starts[window],
                                  windows.end(window) + 1))
@@ -341,12 +337,11 @@ class LocalProblem:
         self.full_cov = {}
 
     def owned_prec_apply(self, seg, v):
-        """Owned principal block of the segment precision applied to v.
+        """Owned principal block of the segment precision applied to v, by
+        zero-padding into the whole segment and applying its full B^-1.
 
-        The local quadratic is the restriction of the global one, so its
-        curvature is the owned block of B^-1, not the inverse of the
-        restricted covariance (the latter is smaller and lets the block
-        corrections overshoot).
+        The reference for _owned_jb, which evaluates the same block
+        without the padding.
         """
         cov = self.full_cov[seg]
         idx = self.ring_pos if seg == "b" else self.owned_node_idx
@@ -354,6 +349,21 @@ class LocalProblem:
         full[:, idx] = v.reshape(self.n_fields, -1)
         out = cov.apply_inv(full.ravel()).reshape(self.n_fields, -1)
         return out[:, idx].ravel()
+
+    @cached_property
+    def ring_prec(self):
+        """Owned principal block of the ring precision, or None when the
+        block owns no ring cells."""
+        cov = self.full_cov.get("b")
+        if cov is None or not self.ring_pos.size:
+            return None
+        return cov.block.precision[np.ix_(self.ring_pos, self.ring_pos)]
+
+    @cached_property
+    def lin_ops(self):
+        """Box-model step operators about the linearization, one per step
+        of the window; assembled on the block's first sweep."""
+        return [self.box_model.linearize(x) for x in self.lin_states[:-1]]
 
     # -- local control packing ------------------------------------------
 
@@ -454,7 +464,7 @@ def _strip_diff_field(p, own, trace_halo, level):
     return d
 
 
-def local_tl_step(p, dx_start, df, db, lin_states, trace=None):
+def local_tl_step(p, dx_start, df, db, lin_ops, trace=None):
     """Tangent-linear sweep over the window on the box.
 
     Residual form (trace given): halo strips are overwritten from
@@ -464,6 +474,8 @@ def local_tl_step(p, dx_start, df, db, lin_states, trace=None):
     theta operators).  Correction form (trace None): halo data is zero,
     box-edge and physical-ring strip cells are zeroed every step, the
     remaining strip cells evolve freely; returns (states, None).
+    lin_ops[l] is the box-model step operator of the step from window
+    level l (LocalProblem.lin_ops).
     """
     correction = trace is None
     states = [np.array(dx_start, dtype=float)]
@@ -477,7 +489,7 @@ def local_tl_step(p, dx_start, df, db, lin_states, trace=None):
         own_strips = [own0]
         d_prev = _strip_diff_field(p, own0, trace.tl_halo, 0)
     for step in range(1, p.n_levels):
-        raw = p.box_model.step_tl(lin_states[step - 1], states[-1], df=df)
+        raw = p.box_model.step_tl(lin_ops[step - 1], states[-1], df=df)
         if p.prescribed:
             p._apply_ring(raw, db)
         if correction:
@@ -492,7 +504,7 @@ def local_tl_step(p, dx_start, df, db, lin_states, trace=None):
             own_strips.append(own)
             theta = None
             if p.gamma != 0.0 and d_prev is not None:
-                theta = p.box_model.step_tl(lin_states[step - 1], d_prev)
+                theta = p.box_model.step_tl(lin_ops[step - 1], d_prev)
             for side, sl in p.strips.items():
                 raw[:, sl[0], sl[1]] = trace.tl_halo[side][step]
                 if theta is not None:
@@ -504,7 +516,7 @@ def local_tl_step(p, dx_start, df, db, lin_states, trace=None):
     return states, own_strips
 
 
-def local_ad_step(p, forcings, lin_states, trace=None, terminal=None):
+def local_ad_step(p, forcings, lin_ops, trace=None, terminal=None):
     """Adjoint sweep over the window: transpose of local_tl_step.
 
     forcings[l] is the adjoint seed added at window level l (observation
@@ -546,7 +558,7 @@ def local_ad_step(p, forcings, lin_states, trace=None, terminal=None):
                     diff[:, sl[0], sl[1]] = np.where(
                         p.own_valid[side],
                         s_pre[side] - trace.ad_halo[side][step], 0.0)
-                feed, _, _ = p.box_model.step_ad(lin_states[step - 1], diff)
+                feed, _, _ = p.box_model.step_ad(lin_ops[step - 1], diff)
                 q_next = p.zero_box()
                 for side, sl in p.strips.items():
                     vals = feed[:, sl[0], sl[1]]
@@ -559,7 +571,7 @@ def local_ad_step(p, forcings, lin_states, trace=None, terminal=None):
         if p.prescribed:
             p._apply_ring(pad, None)
         raw_bar = pad if q is None else pad + p.gamma * q
-        prev, dfs, _ = p.box_model.step_ad(lin_states[step - 1], raw_bar)
+        prev, dfs, _ = p.box_model.step_ad(lin_ops[step - 1], raw_bar)
         if not correction and p.phys_lines and p.strips:
             # physical-edge outputs must not see the trace values sitting
             # on the opposite box edge through the periodic wrap
@@ -568,7 +580,7 @@ def local_ad_step(p, forcings, lin_states, trace=None, terminal=None):
             nb[:, -1, :] = 0.0
             nb[:, :, 0] = 0.0
             nb[:, :, -1] = 0.0
-            prev2, _, _ = p.box_model.step_ad(lin_states[step - 1], nb)
+            prev2, _, _ = p.box_model.step_ad(lin_ops[step - 1], nb)
             for li, lj in p.phys_lines:
                 prev[:, li, lj] = prev2[:, li, lj]
         df_star += dfs
@@ -602,7 +614,7 @@ def local_cost(p, local_ctl, trace, d):
     else:
         dx0 = p.zero_box()
     states, own_strips = local_tl_step(p, dx0, local_ctl["f"],
-                                       local_ctl.get("b"), p.lin_states,
+                                       local_ctl.get("b"), p.lin_ops,
                                        trace=trace)
     return _local_terms(p, local_ctl, own_strips, trace,
                         _own_misfit(p, states, d))
@@ -630,34 +642,51 @@ def _local_terms(p, local_ctl, own_strips, trace, misfit):
 
 
 def _owned_jb(p, local_ctl):
-    """alpha-free background term of the local functional (1/2 kept)."""
+    """alpha-free background term of the local functional (1/2 kept).
+
+    The local quadratic is the restriction of the global one, so its
+    background term is the owned principal block of B^-1 (not the inverse
+    of the restricted covariance): the Kronecker blocks evaluate it on the
+    owned rectangle, the boundary ring through its principal block.
+    """
     oi, oj = p.owned_local
+    gi, gj = p.tile.owned_slices
     jb = 0.0
     if p.has_x0:
-        v = local_ctl["x0"][:, oi, oj].ravel()
-        jb += 0.5 * float(np.vdot(v, p.owned_prec_apply("x0", v)))
-    v = local_ctl["f"][:, oi, oj].ravel()
-    jb += 0.5 * float(np.vdot(v, p.owned_prec_apply("f", v)))
-    if p.full_cov.get("b") is not None and "b" in local_ctl \
-            and p.ring_pos.size:
-        w = local_ctl["b"].ravel()
-        jb += 0.5 * float(np.vdot(w, p.owned_prec_apply("b", w)))
-    return jb
+        jb += p.full_cov["x0"].block.inv_quadratic(
+            gi, gj, local_ctl["x0"][:, oi, oj])
+    jb += p.full_cov["f"].block.inv_quadratic(gi, gj,
+                                              local_ctl["f"][:, oi, oj])
+    if p.ring_prec is not None and "b" in local_ctl:
+        w = local_ctl["b"]
+        jb += float(np.vdot(w, w @ p.ring_prec))
+    return 0.5 * jb
 
 
 def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
                          obs, b_cov, config):
-    """All (tile, window) blocks, with restricted covariances attached."""
+    """All (tile, window) blocks, with restricted covariances attached.
+
+    Blocks whose boxes have the same shape share one periodic box model,
+    and with it the linear model's step operator.
+    """
     weights = (config.alpha, config.beta, config.gamma)
     bx = b_cov.segment_cov("x0")
     bf = b_cov.segment_cov("f0")
     bb = b_cov.segment_cov("b0") if layout_ctl.has_boundary else None
+    box_models = {}
     blocks = {}
     per_tile = {}
     for k in range(windows.n_t):
         for tile in layout_tiles.tiles:
-            p = LocalProblem(tile, k, model, grid, windows, layout_ctl,
-                             obs, weights)
+            shape = tile.box_shape
+            if shape not in box_models:
+                box_grid = Grid(nx=shape[0], ny=shape[1], dx=grid.dx,
+                                dy=grid.dy, dt=grid.dt, n_steps=1)
+                box_models[shape] = SurrogateModel(
+                    box_grid, replace(model.config, boundary="periodic"))
+            p = LocalProblem(tile, k, model, box_models[shape], grid,
+                             windows, layout_ctl, obs, weights)
             if tile.id not in per_tile:
                 cb = (bb.restrict(p.ring_pos)
                       if bb is not None and p.ring_pos.size else None)
@@ -688,6 +717,9 @@ class DDResult:
     trace_rows: list
     world: World
     cost: CostBreakdown = None
+    # compute seconds each (tile, window) block spent in its sweeps,
+    # local solve and local cost
+    block_seconds: dict = field(default_factory=dict)
 
     @property
     def final_cost(self):
@@ -789,7 +821,7 @@ class DDSolver:
                     parts["b"].ravel())).reshape(parts["b"].shape)
             dx0 = parts["x0"] if p.has_x0 else p.zero_box()
             states, _ = local_tl_step(p, dx0, parts["f"],
-                                      parts.get("b"), p.lin_states)
+                                      parts.get("b"), p.lin_ops)
             forcings = p.obs.scatter(
                 p.obs.sample(states, p.q_stencil) / p.q_var,
                 p.n_levels, p.n_fields, p.q_stencil)
@@ -803,7 +835,7 @@ class DDSolver:
                             forcings[l][:, sl[0], sl[1]] += \
                                 g.reshape(vals.shape)
             p_start, df_star, db_star, _ = local_ad_step(
-                p, forcings, p.lin_states)
+                p, forcings, p.lin_ops)
             if p.has_x0:
                 outp["x0"][:] += p_start
             outp["f"][:] += df_star
@@ -844,14 +876,14 @@ class DDSolver:
         ctl = self._restrict_control(z, p)
         dx0 = ctl["x0"] if p.has_x0 else trace.start_box
         states, own_strips = local_tl_step(
-            p, dx0, ctl["f"], ctl.get("b"), p.lin_states, trace=trace)
+            p, dx0, ctl["f"], ctl.get("b"), p.lin_ops, trace=trace)
         misfit = _own_misfit(p, states, self.d)
         res = trace.obs_res.copy()
         res[p.own_obs_pos] = misfit / p.own_var
         forcings = p.obs.scatter(res, p.n_levels, p.n_fields,
                                  p.window_stencil)
         p_start, df_star, db_star, ad_states = local_ad_step(
-            p, forcings, p.lin_states, trace=trace,
+            p, forcings, p.lin_ops, trace=trace,
             terminal=trace.ad_terminal)
         return {"ctl": ctl, "states": states, "own_strips": own_strips,
                 "res": res, "misfit": misfit, "p_start": p_start,
@@ -867,6 +899,8 @@ class DDSolver:
         pres = {key: self._local_precond(p)
                 for key, p in self.blocks.items()}
         order = sorted(self.blocks)
+        clock = time.perf_counter
+        block_s = dict.fromkeys(order, 0.0)
         rows = []
         history = []
         converged = False
@@ -878,6 +912,7 @@ class DDSolver:
             corrections = {}
             block_rows = {}
             for key in order:
+                t0 = clock()
                 p = self.blocks[key]
                 trace = traces[key]
                 sw = self._block_sweeps(key, z, traces)
@@ -904,6 +939,7 @@ class DDSolver:
                                        trace, sw["misfit"])[0]
                 block_rows[key] = [n, key[0], key[1], rep.iterations,
                                    j_local]
+                block_s[key] += clock() - t0
             v = ControlVector(problem.layout, z)
             w = self.config.omega
             for key in order:
@@ -921,8 +957,10 @@ class DDSolver:
             # reflects this update
             sweeps = {}
             for key in order:
+                t0 = clock()
                 sw = self._block_sweeps(key, z, traces)
                 sweeps[key] = (sw["states"], sw["ad_states"], sw["res"])
+                block_s[key] += clock() - t0
             mismatch = self._exchange(sweeps, traces, n)
             for key in order:
                 rows.append(tuple(block_rows[key] + [mismatch[key]]))
@@ -935,7 +973,8 @@ class DDSolver:
         return DDResult(delta_z=z, trajectory=traj, converged=converged,
                         n_iterations=n_done, mismatch_history=history,
                         trace_rows=rows, world=self.world,
-                        cost=problem.cost(z, d=self.d))
+                        cost=problem.cost(z, d=self.d),
+                        block_seconds=block_s)
 
     def _exchange(self, sweeps, traces, n):
         """Ship traces through the communicators; per-block mismatch."""

@@ -240,11 +240,11 @@ def shipped_problem(name):
 # outer loops after the first) and the dual B G^T w (one AD), plus rpcg's
 # initial H application (one TL, one AD).
 SWEEPS = {
-    ("case2", "is4dvar"): (43, 44, [43]),
+    ("case2", "is4dvar"): (42, 43, [42]),
     ("case2", "rbl4dvar"): (46, 47, [46]),
     ("case2", "minres"): (45, 46, [45]),
     ("case2", "rpcg"): (48, 49, [47]),
-    ("case4", "is4dvar"): (92, 94, [43, 49]),
+    ("case4", "is4dvar"): (91, 93, [42, 49]),
     ("case4", "rbl4dvar"): (92, 93, [46, 45]),
     ("case4", "minres"): (91, 92, [45, 45]),
     ("case4", "rpcg"): (97, 98, [47, 47]),

@@ -171,3 +171,33 @@ def test_control_covariance_blocks(grid66):
     assert (sl.start, sl.stop) == (36, 72)
     with pytest.raises(KeyError):
         cc.segment_cov("b0")
+
+
+def test_ring_kernel_distances_equal_cdist():
+    """The dense kernel's squared distances are cdist's, bit for bit."""
+    from ddvar.covariance import ring_coords
+
+    pts = ring_coords(Grid(nx=40, ny=32, dx=0.7, dy=1.3))
+    cov = GaussianCovariance(pts, sigma=1.0, length=2.0, nugget=1e-3)
+    d2 = scipy.spatial.distance.cdist(pts, pts, "sqeuclidean")
+    want = np.exp(-d2 / (2.0 * 2.0**2))
+    want[np.diag_indices_from(want)] += 1e-3
+    assert np.array_equal(cov.matrix, want)
+
+
+def test_import_does_not_load_scipy_spatial():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ddvar
+
+    src = str(Path(ddvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, ddvar.experiment; "
+            "print('scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"

@@ -101,10 +101,65 @@ def test_dd_run_emits_trace_with_schema(tmp_path):
     assert len(rows) >= 2
     tiles = {int(r[1]) for r in rows}
     assert tiles == {0, 1}
-    # timing has one row per simulated rank
+    # timing: one block row per simulated rank, then the run's phases
     theader, trows = read_rows(res.files["timing.csv"])
-    assert theader == ["rank", "seconds"]
-    assert len(trows) == res.n_ranks == 2
+    assert theader == ["phase", "rank", "seconds"]
+    blocks = [r for r in trows if r[0] == "block"]
+    assert [int(r[1]) for r in blocks] == list(range(res.n_ranks))
+    assert res.n_ranks == 2
+    phases = {r[0]: float(r[2]) for r in trows if r[0] != "block"}
+    assert all(int(r[1]) == -1 for r in trows if r[0] != "block")
+    assert set(phases) == {"setup", "solve", "impact", "total"}
+    block_total = sum(float(r[2]) for r in blocks)
+    assert 0.0 < block_total <= phases["solve"]
+    assert phases["setup"] + phases["solve"] <= phases["total"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["converged"] is True
+    assert manifest["iterations"] == [len(rows) // 2]
+
+
+def test_krylov_timing_and_manifest_convergence(tmp_path):
+    res = run_experiment(small_cfg(n_inner=2), out_dir=tmp_path)
+    header, rows = read_rows(res.files["timing.csv"])
+    assert header == ["phase", "rank", "seconds"]
+    assert [r[:2] for r in rows] == [["block", "0"], ["setup", "-1"],
+                                     ["solve", "-1"], ["impact", "-1"],
+                                     ["total", "-1"]]
+    assert float(rows[3][2]) == 0.0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # a truncated inner loop is reported, not treated as a failure
+    assert manifest["converged"] is False
+    assert manifest["iterations"] == [2]
+    assert res.converged is False
+
+
+def _dd_cfg_file(tmp_path, **over):
+    from importlib import resources
+
+    text = (resources.files("ddvar") / "configs" / "dd.cfg").read_text()
+    for key, value in over.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    path = tmp_path / "dd.cfg"
+    path.write_text(text)
+    return path
+
+
+def test_cli_unconverged_dd_writes_outputs_and_exits_3(tmp_path, capsys):
+    p = _dd_cfg_file(tmp_path, n_bar=1, impact="false")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out)])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["converged"] is False
+    assert manifest["iterations"] == [1]
+    assert {"cost_history.csv", "dd_trace.csv", "timing.csv"} <= set(
+        manifest["files"])
+
+
+def test_cli_truncated_krylov_run_exits_0(tmp_path):
+    p = write_cfg(tmp_path, small_cfg(n_inner=2))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_impact_files_written_on_request(tmp_path):

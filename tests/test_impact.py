@@ -149,7 +149,8 @@ def test_adjoint_sensitivity_accumulated_equals_per_level_sum():
         p = h / n_avg
         for step in range(lev, 0, -1):
             k = prob.windows.window_of_step(step)
-            p, df, db = prob.model.step_ad(traj[step - 1], p)
+            p, df, db = prob.model.step_ad(
+                prob.model.linearize(traj[step - 1]), p)
             out.f(k)[:] += df
             if prob.layout.has_boundary:
                 out.b(k)[:] += db

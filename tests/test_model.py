@@ -53,9 +53,10 @@ def test_diverged_state_raises():
         model.step_nl(x)
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "prescribed"])
-def test_linear_model_tl_is_exact(boundary):
-    model = make_model(kind="linear", boundary=boundary)
+def _linear_tl_gap(boundary, nx=12, ny=10):
+    """Relative gap between the assembled TL step and the difference of
+    two stencil steps (exact for the linear model up to rounding)."""
+    model = make_model(kind="linear", boundary=boundary, nx=nx, ny=ny)
     rng = np.random.default_rng(1)
     x = random_state(model, rng)
     d = random_state(model, rng, scale=0.3)
@@ -64,9 +65,20 @@ def test_linear_model_tl_is_exact(boundary):
     kw = {} if boundary == "periodic" else {"b": b}
     y1 = model.step_nl(x + d, f=f, **kw)
     y0 = model.step_nl(x, f=f, **kw)
-    dy = model.step_tl(x, d)
-    err = np.linalg.norm(y1 - y0 - dy) / np.linalg.norm(dy)
-    assert err <= 1e-13
+    dy = model.step_tl(model.linearize(x), d)
+    return np.linalg.norm(y1 - y0 - dy) / np.linalg.norm(dy)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "prescribed"])
+def test_linear_model_tl_is_exact(boundary):
+    assert _linear_tl_gap(boundary) <= 1e-13
+
+
+@pytest.mark.parametrize("boundary,nx,ny", [("prescribed", 24, 12),
+                                            ("periodic", 4, 5)])
+def test_linear_model_tl_is_exact_on_box_shapes(boundary, nx, ny):
+    """A decomposition's tile box and the smallest periodic grid."""
+    assert _linear_tl_gap(boundary, nx, ny) <= 1e-13
 
 
 def test_linear_model_boundary_increment_exact():
@@ -77,7 +89,7 @@ def test_linear_model_boundary_increment_exact():
     db = 0.2 * rng.standard_normal((model.n_fields, model.n_ring))
     y1 = model.step_nl(x, b=b + db)
     y0 = model.step_nl(x, b=b)
-    dy = model.step_tl(x, model.zero_state(), db=db)
+    dy = model.step_tl(model.linearize(x), model.zero_state(), db=db)
     assert np.linalg.norm(y1 - y0 - dy) <= 1e-14 * max(1.0, np.linalg.norm(dy))
 
 
@@ -86,11 +98,12 @@ def test_burgers_taylor_remainder_is_quadratic():
     rng = np.random.default_rng(3)
     x = random_state(model, rng, scale=0.5)
     d = random_state(model, rng)
+    lin = model.linearize(x)
     ratios = []
     for eps in [1e-2, 1e-3, 1e-4, 1e-6]:
         y1 = model.step_nl(x + eps * d)
         y0 = model.step_nl(x)
-        rem = np.linalg.norm(y1 - y0 - eps * model.step_tl(x, d))
+        rem = np.linalg.norm(y1 - y0 - eps * model.step_tl(lin, d))
         ratios.append(rem / eps**2)
     # quadratic nonlinearity: remainder / eps^2 is a constant
     ratios = np.array(ratios)
@@ -109,8 +122,9 @@ def test_single_step_adjoint_identity(kind, boundary):
         db = rng.standard_normal((model.n_fields, model.n_ring))
         p = random_state(model, rng)
         kw = {} if boundary == "periodic" else {"db": db}
-        fwd = model.step_tl(xlin, d, df=df, **kw)
-        p_prev, df_star, db_star = model.step_ad(xlin, p)
+        lin = model.linearize(xlin)
+        fwd = model.step_tl(lin, d, df=df, **kw)
+        p_prev, df_star, db_star = model.step_ad(lin, p)
         lhs = np.vdot(fwd, p)
         rhs = np.vdot(d, p_prev) + np.vdot(df, df_star)
         if boundary == "prescribed":
@@ -132,13 +146,14 @@ def test_pure_diffusion_tl_matrix_is_symmetric_and_ad_is_transpose():
     model = SurrogateModel(grid, ModelConfig(
         kind="linear", advect=(0.0, 0.0), viscosity=0.2, boundary="periodic"))
     n = grid.n_points
+    lin = model.linearize(model.zero_state())
     tl = np.zeros((n, n))
     ad = np.zeros((n, n))
     for c in range(n):
         e = np.zeros((1, 5, 5))
         e.ravel()[c] = 1.0
-        tl[:, c] = model.step_tl(model.zero_state(), e).ravel()
-        p_prev, _, _ = model.step_ad(model.zero_state(), e)
+        tl[:, c] = model.step_tl(lin, e).ravel()
+        p_prev, _, _ = model.step_ad(lin, e)
         ad[:, c] = p_prev.ravel()
     np.testing.assert_allclose(tl, tl.T, atol=1e-14)
     np.testing.assert_allclose(ad, tl.T, atol=1e-14)
@@ -173,3 +188,37 @@ def test_burgers_step_matches_reference_loops():
     got = model.step_nl(x)
     want = _reference_burgers_step(x, grid.dt, grid.dx, grid.dy, 0.2)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_burgers_tl_matches_reference_loops_by_taylor():
+    """The assembled Burgers operator is the Jacobian of the plain-loop
+    reference step: the Taylor remainder shrinks like eps^2."""
+    grid = Grid(nx=6, ny=7, dx=0.9, dy=1.1, dt=0.15, n_steps=1)
+    nu = 0.2
+    model = SurrogateModel(grid, ModelConfig(
+        kind="burgers", advect=(0.5, 0.5), viscosity=nu, boundary="periodic"))
+    rng = np.random.default_rng(7)
+    x = 0.5 * rng.standard_normal(model.state_shape)
+    d = rng.standard_normal(model.state_shape)
+    tl = model.step_tl(model.linearize(x), d)
+
+    def ref(state):
+        return _reference_burgers_step(state, grid.dt, grid.dx, grid.dy, nu)
+
+    ratios = []
+    for eps in [1e-2, 1e-3, 1e-4]:
+        rem = np.linalg.norm(ref(x + eps * d) - ref(x) - eps * tl)
+        ratios.append(rem / eps**2)
+    ratios = np.array(ratios)
+    assert ratios[0] > 0.0
+    assert np.all(np.abs(ratios - ratios[0]) <= 1e-4 * ratios[0])
+
+
+def test_linear_step_operator_is_built_once_per_model():
+    model = make_model(kind="linear")
+    rng = np.random.default_rng(8)
+    first = model.linearize(random_state(model, rng))
+    assert model.linearize(random_state(model, rng)) is first
+    burgers = make_model(kind="burgers", advect=(0.6, 0.6))
+    x = random_state(burgers, rng, scale=0.5)
+    assert burgers.linearize(x) is not burgers.linearize(x)

@@ -6,6 +6,7 @@ from ddvar.grid import build_tiles
 from ddvar.krylov import pcg
 from ddvar.schwarz import (
     DDConfig,
+    _owned_jb,
     DDSolver,
     dd_outer_loop,
     local_ad_step,
@@ -70,7 +71,7 @@ def test_theta_against_dense_operator_on_6x6_tile():
     def op_action(h):
         field = p.zero_box()
         field[:, sl[0], sl[1]] = h
-        out = p.box_model.step_tl(p.lin_states[0], field)
+        out = p.box_model.step_tl(p.lin_ops[0], field)
         return out[:, sl[0], sl[1]]
 
     n = int(np.prod(shape))
@@ -213,10 +214,10 @@ def test_local_adjoint_identity_frozen_traces(mode):
             forcings = [rng.standard_normal((p.n_fields,) + p.tile.box_shape)
                         for _ in range(p.n_levels)]
             start = dx0 if p.has_x0 else p.zero_box()
-            states, _ = local_tl_step(p, start, df, db, p.lin_states,
+            states, _ = local_tl_step(p, start, df, db, p.lin_ops,
                                       trace=tr)
             p_start, df_star, db_star, _ = local_ad_step(
-                p, forcings, p.lin_states, trace=tr)
+                p, forcings, p.lin_ops, trace=tr)
             lhs = _pair_states(states, forcings)
             rhs = _pair_control(p, dx0, df, db, p_start, df_star, db_star)
             assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1e-30)
@@ -227,7 +228,7 @@ def test_local_ad_zero_input_zero_output():
     p = solver.blocks[(0, 0)]
     tr = solver._zero_trace(p)
     forcings = [None] * p.n_levels
-    p_start, df_star, db_star, _ = local_ad_step(p, forcings, p.lin_states,
+    p_start, df_star, db_star, _ = local_ad_step(p, forcings, p.lin_ops,
                                                  trace=tr)
     assert np.all(p_start == 0.0)
     assert np.all(df_star == 0.0)
@@ -280,6 +281,32 @@ def test_local_cost_zero_increment_zero_innovations():
     tr = solver._zero_trace(p)
     j, jb, jo, o_val = local_cost(p, ctl, tr, np.zeros(prob.obs.n_obs))
     assert j == 0.0 and jb == 0.0 and jo == 0.0 and o_val == 0.0
+
+
+def _padded_owned_jb(p, ctl):
+    """The owned background term through the zero-padded whole-segment
+    B^-1 (LocalProblem.owned_prec_apply)."""
+    oi, oj = p.owned_local
+    segs = [("f", ctl["f"][:, oi, oj])]
+    if p.has_x0:
+        segs.append(("x0", ctl["x0"][:, oi, oj]))
+    if p.ring_pos.size:
+        segs.append(("b", ctl["b"]))
+    return 0.5 * sum(float(np.vdot(v, p.owned_prec_apply(seg, v.ravel())))
+                     for seg, v in segs)
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+def test_owned_jb_matches_padded_precision(kind):
+    """The owned-rectangle and ring-block background term equals the
+    zero-padded whole-segment B^-1 quadratic form."""
+    prob, tiles, solver = dd_setup(kind=kind, ti=2, tj=2, n_t=2)
+    rng = np.random.default_rng(23)
+    z = rng.standard_normal(prob.layout.n_z)
+    for p in solver.blocks.values():
+        ctl = solver._restrict_control(z, p)
+        want = _padded_owned_jb(p, ctl)
+        assert _owned_jb(p, ctl) == pytest.approx(want, rel=1e-12)
 
 
 # -- observation bookkeeping ----------------------------------------------
@@ -441,6 +468,44 @@ def test_dd_trace_rows_schema_and_determinism():
         assert it >= 1 and inner >= 0
         assert j_local >= 0.0 and mism >= 0.0
         assert r1 == r2
+
+
+def test_blocks_with_equal_box_shapes_share_one_box_model():
+    prob, tiles, solver = dd_setup(ti=2, tj=2, n_t=2)
+    by_shape = {}
+    for p in solver.blocks.values():
+        assert p.box_model is by_shape.setdefault(p.tile.box_shape,
+                                                  p.box_model)
+    assert len({id(p.box_model) for p in solver.blocks.values()}) \
+        == len(by_shape) < len(solver.blocks)
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+def test_dd_solve_assembles_each_step_operator_once(kind, monkeypatch):
+    """Linear: one operator per box model.  Burgers: one per (block,
+    level), reused by every sweep and local solve."""
+    from ddvar.model import SurrogateModel
+
+    prob, tiles, solver = dd_setup(kind=kind, ti=2, tj=2, n_t=2, n_bar=2,
+                                   omega=0.9)
+    built = []
+    assemble = SurrogateModel._assemble
+
+    def counted(self, state):
+        built.append(self)
+        return assemble(self, state)
+
+    monkeypatch.setattr(SurrogateModel, "_assemble", counted)
+    solver.solve()
+    boxes = [m for m in built if m is not prob.model]
+    models = {id(p.box_model) for p in solver.blocks.values()}
+    if kind == "linear":
+        assert len(boxes) == len(models)
+    else:
+        assert len(boxes) == sum(p.n_levels - 1
+                                 for p in solver.blocks.values())
+    for p in solver.blocks.values():
+        assert len(p.lin_ops) == p.n_levels - 1
 
 
 def test_dd_not_converged_is_flagged_not_raised():
