@@ -30,6 +30,7 @@ one AD sweep per inner iteration plus at most two of each.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -275,8 +276,15 @@ class AssimilationProblem:
         return TangentObsOperator(self.model, traj, self.windows, self.obs,
                                   self.layout).as_linear_operator()
 
+    @cached_property
+    def background_tangent(self):
+        """The TangentObsOperator about the background trajectory, built on
+        first use and shared by every later caller."""
+        return TangentObsOperator(self.model, self.background_traj,
+                                  self.windows, self.obs, self.layout)
+
     def background_operator(self):
-        return self.operator_about(self.background_traj)
+        return self.background_tangent.as_linear_operator()
 
     def background_innovations(self):
         return innovations(self.background_traj, self.obs)
@@ -318,7 +326,9 @@ class AssimilationProblem:
                 raise RuntimeError(
                     f"model diverged while relinearizing outer iteration "
                     f"{outer}") from exc
-            gop = self.operator_about(traj)
+            # the first outer loop linearizes about the background
+            gop = (self.background_operator() if outer == 1
+                   else self.operator_about(traj))
             d = innovations(traj, self.obs)
             if solver == "is4dvar":
                 shift = None if not z_bar.any() else -self.b_cov.apply_inv(z_bar)

@@ -222,6 +222,12 @@ class KroneckerCovariance:
     def apply_inv(self, v):
         return self._eig_scale(v, self._inv_spectrum)
 
+    @cached_property
+    def precision(self):
+        """The dense inverse B^-1, computed on first use; for small
+        sub-grids such as the halo strips of a decomposition."""
+        return self.apply_inv(np.eye(self.n))
+
     def apply_sqrt(self, w):
         """Map a unit-variance draw w to a B-distributed vector, B^1/2 w."""
         return self._eig_scale(w, self._sqrt_spectrum)

@@ -23,7 +23,7 @@ from .config import emit_config
 from .control import ControlLayout, ControlVector
 from .covariance import CovarianceR, build_control_covariance
 from .grid import Grid, build_tiles, build_time_windows
-from .impact import (column_section, adjoint_sensitivity, observation_impact,
+from .impact import (column_section, observation_impact,
                      observation_sensitivity)
 from .model import ModelConfig, SurrogateModel
 from .observations import PlatformSpec, read_observations, synthesize
@@ -206,12 +206,10 @@ def run_experiment(cfg, out_dir=None):
                                     n_fields=problem.model.n_fields)
         rep = observation_impact(problem, functional)
         emit("impact.csv", "platform,count,NL,TL,IC,FC,BC", rep.rows())
-        s = adjoint_sensitivity(problem.model, problem.windows,
-                                problem.layout, problem.background_traj,
-                                functional)
         chk = observation_sensitivity(problem.background_operator(),
                                       problem.b_cov, problem.r_cov,
-                                      problem.background_innovations(), s)
+                                      problem.background_innovations(),
+                                      rep.sensitivity)
         emit("sensitivity.csv", "actual,linearized,gap",
              [(chk.actual, chk.linearized,
                abs(chk.actual - chk.linearized))])

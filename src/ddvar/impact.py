@@ -73,13 +73,14 @@ def evaluate_functional(traj, functional):
     return total / n_avg
 
 
-def adjoint_sensitivity(model, windows, layout, traj, functional):
-    """Control-space gradient of the functional along the tangent chain.
+def adjoint_sensitivity(tangent, functional):
+    """Control-space gradient of the functional along the tangent chain of
+    a TangentObsOperator (its model, windows, layout and step operators).
 
     One reverse sweep with the averaging weight injected at every level it
     touches; equals the sum of per-level adjoint sweeps.
     """
-    states = _states_of(traj)
+    model, windows, layout = tangent.model, tangent.windows, tangent.layout
     n_avg = functional.n_avg
     n_steps = windows.n_steps
     if n_avg > n_steps:
@@ -90,8 +91,7 @@ def adjoint_sensitivity(model, windows, layout, traj, functional):
     p = h.copy() if n_avg == n_steps else np.zeros_like(h)
     for step in range(n_steps, 0, -1):
         k = windows.window_of_step(step)
-        p, df_star, db_star = model.step_ad(
-            model.linearize(states[step - 1]), p)
+        p, df_star, db_star = model.step_ad(tangent.steps[step - 1], p)
         out.f(k)[:] += df_star
         if layout.has_boundary:
             out.b(k)[:] += db_star
@@ -120,7 +120,8 @@ class ImpactReport:
     per_obs[l] = d_l * g_l; total_tl is their sum.  density is the
     control-space impact density (analysis increment times sensitivity),
     and g_x / g_f / g_b are its segment-masked copies, so they reassemble
-    density exactly.  ic / fc / bc are the segment sums.
+    density exactly.  ic / fc / bc are the segment sums.  sensitivity is
+    the control-space sensitivity s of the functional.
     """
     n_obs: int
     per_obs: np.ndarray
@@ -136,6 +137,7 @@ class ImpactReport:
     ic: float
     fc: float
     bc: float
+    sensitivity: np.ndarray
     platform_rows: list = field(default_factory=list)
 
     def rows(self):
@@ -175,8 +177,7 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
     d = problem.background_innovations()
     g_op = problem.background_operator()
     layout = problem.layout
-    s = adjoint_sensitivity(problem.model, problem.windows, layout,
-                            problem.background_traj, functional)
+    s = adjoint_sensitivity(problem.background_tangent, functional)
     g = kalman_gain_adjoint_apply(g_op, problem.b_cov, problem.r_cov, s,
                                   tol=tol, maxit=maxit)
     per_obs = d * g
@@ -217,7 +218,8 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
     return ImpactReport(n_obs=problem.obs.n_obs, per_obs=per_obs, g_obs=g,
                         total_tl=total_tl, total_nl=i_a - i_b, i_a=i_a,
                         i_b=i_b, density=density, g_x=g_x, g_f=g_f, g_b=g_b,
-                        ic=ic, fc=fc, bc=bc, platform_rows=rows)
+                        ic=ic, fc=fc, bc=bc, sensitivity=s,
+                        platform_rows=rows)
 
 
 @dataclass

@@ -12,9 +12,17 @@ Each outer iterate, every block
      traces, innovation residuals scattered over the box) and restricts
      the result to its owned components, which together with the
      distributed B^-1 term gives the owned slice of the global gradient,
-  3. solves a local SPD quadratic in its owned components (restricted
-     covariances, truncated local propagator, per-level overlap penalty)
-     by preconditioned CG, and
+  3. solves a local SPD quadratic by preconditioned CG,
+
+         A_p s = alpha B_p^-1 s + X_p' W_p X_p s,
+
+     with B_p the covariances restricted to the box.  X_p is a sparse
+     matrix, assembled once on the block's first solve, that maps the
+     local control through the truncated (zero-inflow) local propagator
+     to the observation samples and halo-strip values; W_p weights the
+     samples by 1/R and each level's strip values by the overlap metric
+     2 beta C_strip^-1.  Every CG iteration is one matvec with X_p, one
+     with its transpose and the Kronecker prior, and no model sweep;
   4. adds its correction to the assembled increment; traces are then
      exchanged through the simulated communicator and the largest relative
      trace change decides convergence.
@@ -31,12 +39,16 @@ the neighbor trace plus the theta seam correction (the step operator
 applied to the difference between the locally evolved strip values and
 the trace), and box corners are zeroed.  The theta terms and their
 transposes are driven by differences that vanish at consistency, so they
-never move the fixed point.  The correction propagator used inside the
-local solve is stricter: strip cells on the box edge or the physical ring
-are zeroed every step (zero inflow), the remaining strip cells evolve
-freely, and the per-level overlap operator penalizes the values they
-develop.  Its adjoint is an exact transpose, which keeps the local
-quadratic symmetric.
+never move the fixed point.  The correction propagator inside X_p is
+stricter: strip cells on the box edge or the physical ring are zeroed
+every step (zero inflow), the remaining strip cells evolve freely, and
+the per-level overlap term penalizes the values they develop.  A_p is
+symmetric by construction.
+
+Box corners are never filled, so an observation whose bilinear stencil
+reaches a corner cell of its owner's box (a point in the cell at a
+four-tile junction) would be sampled wrongly at every iterate; DDSolver
+rejects such networks.
 """
 
 import time
@@ -44,6 +56,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .assim import CostBreakdown
 from .comm import World, create_inter, halo_exchange, split
@@ -57,6 +70,7 @@ __all__ = [
     "DDConfig",
     "DDResult",
     "DDSolver",
+    "GaussNewtonTerm",
     "LocalProblem",
     "NeighborTrace",
     "build_local_problems",
@@ -365,6 +379,12 @@ class LocalProblem:
         of the window; assembled on the block's first sweep."""
         return [self.box_model.linearize(x) for x in self.lin_states[:-1]]
 
+    @cached_property
+    def gauss_newton(self):
+        """The observation and overlap term X' W X of the local quadratic;
+        assembled on the block's first local solve."""
+        return GaussNewtonTerm(self)
+
     # -- local control packing ------------------------------------------
 
     def split_local(self, s):
@@ -384,11 +404,12 @@ class LocalProblem:
         return out
 
     def project_live(self, field):
-        """Zero box cells the correction propagator keeps at zero.
+        """Zero box cells outside the owned and meaningful strip cells.
 
-        Everything outside the owned cells and the meaningful strip cells
-        carries either wrapped stencil output or a neighbor's territory,
-        so gradient components there are dropped before the local solve.
+        Everything else carries either wrapped stencil output or a
+        neighbor's territory, so gradient components there are dropped
+        before the local solve, and the correction propagator starts from
+        the projected initial increment.
         """
         field[:, ~self.rho_keep] = 0.0
         return field
@@ -410,6 +431,111 @@ class LocalProblem:
     def _zero_corners(self, state):
         if self.corner_cells[0].size:
             state[:, self.corner_cells[0], self.corner_cells[1]] = 0.0
+
+
+class GaussNewtonTerm:
+    """X' W X of one block's local quadratic, assembled once.
+
+    X (CSR) maps the local control (x0, f, b) through the zero-inflow
+    correction propagator
+
+        x_0 = P x0,    x_l = D (M_l x_{l-1} + dt f) + R b
+
+    to the values the local weight reads: the q_stencil samples of every
+    window level, then one slab per strip side holding that side's strip
+    values at every level.  P is project_live, M_l the step operator onto
+    level l, D the 0/1 mask that zeroes owned ring cells, strip lines on
+    the box edge, ring cells in the halo and box corners, and R injects b
+    into the owned ring cells.  W is diag(1/q_var) on the samples and
+    2 beta C_side^-1 on each (level, field) row of a side's slab.
+    """
+
+    def __init__(self, p):
+        nf = p.n_fields
+        bnx, bny = p.tile.box_shape
+        nb = bnx * bny
+        n = nf * nb
+        ofs_f = n if p.has_x0 else 0
+        ofs_b = ofs_f + n
+        shape = (n, p.n_local)
+
+        keep = p.live_mask.copy()
+        keep[p.ring_ii, p.ring_jj] = False
+        keep[p.ring_halo_ii, p.ring_halo_jj] = False
+        for side, sl in p.strips.items():
+            keep[sl][p.outer_rel[side]] = False
+        mask = np.tile(keep.ravel(), nf).astype(float)
+        cells = np.arange(n)
+
+        # the constant part of every step, dt D f + R b
+        rows, cols = [cells], [ofs_f + cells]
+        vals = [p.box_model.grid.dt * mask]
+        if p.layout_ctl.has_boundary and p.ring_pos.size:
+            ring = p.ring_ii * bny + p.ring_jj
+            rows.append((np.arange(nf)[:, None] * nb + ring).ravel())
+            cols.append(ofs_b + np.arange(nf * ring.size))
+            vals.append(np.ones(nf * ring.size))
+        forcing = _csr(rows, cols, vals, shape)
+        if p.has_x0:
+            state = _csr([cells], [cells],
+                         [np.tile(p.rho_keep.ravel(), nf).astype(float)],
+                         shape)
+        else:
+            state = scipy.sparse.csr_matrix(shape)
+
+        # readout rows per level: samples first, then the strip slabs
+        readout = [([], [], []) for _ in range(p.n_levels)]
+        st = p.q_stencil
+        n_q = st.nodes.shape[1]
+        level, node = np.divmod(st.nodes, nb)
+        sample = np.broadcast_to(np.arange(n_q), st.nodes.shape)
+        for l, (r, c, v) in enumerate(readout):
+            on = (level == l) & (st.weights != 0.0)
+            r.append(sample[on])
+            c.append(node[on])
+            v.append(st.weights[on])
+        self.slabs = []
+        start = n_q
+        if p.beta != 0.0:
+            for side, (si, sj) in p.strips.items():
+                strip = (np.arange(si.start, si.stop)[:, None] * bny
+                         + np.arange(sj.start, sj.stop)).ravel()
+                picks = (np.arange(nf)[:, None] * nb + strip).ravel()
+                k = picks.size
+                for l, (r, c, v) in enumerate(readout):
+                    r.append(start + l * k + np.arange(k))
+                    c.append(picks)
+                    v.append(np.ones(k))
+                # the strip precision is shared by the tile's windows
+                stop = start + p.n_levels * k
+                self.slabs.append((start, stop,
+                                   p.strip_cov[side].block.precision))
+                start = stop
+
+        x = scipy.sparse.csr_matrix((start, p.n_local))
+        for l, (r, c, v) in enumerate(readout):
+            if l:
+                step = scipy.sparse.diags(mask) @ p.lin_ops[l - 1].matrix
+                state = step @ state + forcing
+            x = x + _csr(r, c, v, (start, n)) @ state
+        self.x = x
+        self.q_var = p.q_var
+        self.overlap_scale = 2.0 * p.beta
+
+    def apply(self, s):
+        y = self.x @ s
+        y[:self.q_var.size] /= self.q_var
+        for start, stop, prec in self.slabs:
+            rows = y[start:stop].reshape(-1, prec.shape[0])
+            y[start:stop] = self.overlap_scale * (rows @ prec).ravel()
+        # the transpose is a CSC view of X, as fast as a stored copy
+        return self.x.T @ y
+
+
+def _csr(rows, cols, vals, shape):
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape)
 
 
 def local_model_solve(p, initial_state, trace, forcing=None, boundary=None):
@@ -464,71 +590,55 @@ def _strip_diff_field(p, own, trace_halo, level):
     return d
 
 
-def local_tl_step(p, dx_start, df, db, lin_ops, trace=None):
-    """Tangent-linear sweep over the window on the box.
+def local_tl_step(p, dx_start, df, db, lin_ops, trace):
+    """Tangent-linear sweep of the block's residual over the window.
 
-    Residual form (trace given): halo strips are overwritten from
-    trace.tl_halo after every step and the theta seam correction is added;
-    returns (states, own_strips) where own_strips[l][side] holds the
-    locally evolved strip values (the "own" halo data of the overlap and
-    theta operators).  Correction form (trace None): halo data is zero,
-    box-edge and physical-ring strip cells are zeroed every step, the
-    remaining strip cells evolve freely; returns (states, None).
-    lin_ops[l] is the box-model step operator of the step from window
-    level l (LocalProblem.lin_ops).
+    Halo strips are overwritten from trace.tl_halo after every step and
+    the theta seam correction is added.  Returns (states, own_strips)
+    where own_strips[l][side] holds the locally evolved strip values (the
+    "own" halo data of the overlap and theta operators).  lin_ops[l] is
+    the box-model step operator of the step from window level l
+    (LocalProblem.lin_ops).  The local solve does not run sweeps: its
+    zero-inflow correction propagator is assembled once per block as a
+    sparse matrix (GaussNewtonTerm).
     """
-    correction = trace is None
     states = [np.array(dx_start, dtype=float)]
-    if correction:
-        p.project_live(states[0])
-    own_strips = None
-    d_prev = None
-    if not correction:
-        own0 = {side: _own_strip(p, side, states[0], trace.tl_halo[side][0])
-                for side in p.strips}
-        own_strips = [own0]
-        d_prev = _strip_diff_field(p, own0, trace.tl_halo, 0)
+    own0 = {side: _own_strip(p, side, states[0], trace.tl_halo[side][0])
+            for side in p.strips}
+    own_strips = [own0]
+    d_prev = _strip_diff_field(p, own0, trace.tl_halo, 0)
     for step in range(1, p.n_levels):
         raw = p.box_model.step_tl(lin_ops[step - 1], states[-1], df=df)
         if p.prescribed:
             p._apply_ring(raw, db)
-        if correction:
-            for side in p.strips:
-                o = p.outer_rel[side]
-                sl = p.strips[side]
-                raw[:, sl[0], sl[1]][:, o[0], o[1]] = 0.0
-            p._zero_ring_halo(raw)
-        else:
-            own = {side: _own_strip(p, side, raw, trace.tl_halo[side][step])
-                   for side in p.strips}
-            own_strips.append(own)
-            theta = None
-            if p.gamma != 0.0 and d_prev is not None:
-                theta = p.box_model.step_tl(lin_ops[step - 1], d_prev)
-            for side, sl in p.strips.items():
-                raw[:, sl[0], sl[1]] = trace.tl_halo[side][step]
-                if theta is not None:
-                    raw[:, sl[0], sl[1]] += p.gamma * np.where(
-                        p.own_valid[side], theta[:, sl[0], sl[1]], 0.0)
-            d_prev = _strip_diff_field(p, own, trace.tl_halo, step)
+        own = {side: _own_strip(p, side, raw, trace.tl_halo[side][step])
+               for side in p.strips}
+        own_strips.append(own)
+        theta = None
+        if p.gamma != 0.0 and d_prev is not None:
+            theta = p.box_model.step_tl(lin_ops[step - 1], d_prev)
+        for side, sl in p.strips.items():
+            raw[:, sl[0], sl[1]] = trace.tl_halo[side][step]
+            if theta is not None:
+                raw[:, sl[0], sl[1]] += p.gamma * np.where(
+                    p.own_valid[side], theta[:, sl[0], sl[1]], 0.0)
+        d_prev = _strip_diff_field(p, own, trace.tl_halo, step)
         p._zero_corners(raw)
         states.append(raw)
     return states, own_strips
 
 
-def local_ad_step(p, forcings, lin_ops, trace=None, terminal=None):
-    """Adjoint sweep over the window: transpose of local_tl_step.
+def local_ad_step(p, forcings, lin_ops, trace, terminal=None):
+    """Adjoint sweep of the block's residual: transpose of local_tl_step.
 
     forcings[l] is the adjoint seed added at window level l (observation
     scatter in the solver), terminal an extra seed at the last level.
-    Residual form (trace given): strip values are overwritten from
-    trace.ad_halo and the transposed theta channel is driven by the
-    difference to them.  Returns (p_start, df_star, db_star, stored) with
-    stored[l] the per-level adjoint states used for the trace exchange.
-    With zero traces this is the exact transpose of the matching
-    local_tl_step form, theta channels included.
+    Strip values are overwritten from trace.ad_halo and the transposed
+    theta channel is driven by the difference to them.  Returns
+    (p_start, df_star, db_star, stored) with stored[l] the per-level
+    adjoint states used for the trace exchange.  With zero traces this is
+    the exact transpose of local_tl_step, theta channels included.
     """
-    correction = trace is None
     pad = p.zero_box() if terminal is None else np.array(terminal, dtype=float)
     if forcings[p.n_levels - 1] is not None:
         pad = pad + forcings[p.n_levels - 1]
@@ -539,32 +649,24 @@ def local_ad_step(p, forcings, lin_ops, trace=None, terminal=None):
     stored = [None] * p.n_levels
     for step in range(p.n_levels - 1, 0, -1):
         stored[step] = pad.copy()
-        if correction:
-            for side in p.strips:
-                o = p.outer_rel[side]
-                sl = p.strips[side]
-                pad[:, sl[0], sl[1]][:, o[0], o[1]] = 0.0
-            p._zero_ring_halo(pad)
-            q_next = None
-        else:
-            s_pre = {side: pad[:, sl[0], sl[1]].copy()
-                     for side, sl in p.strips.items()}
+        s_pre = {side: pad[:, sl[0], sl[1]].copy()
+                 for side, sl in p.strips.items()}
+        for side, sl in p.strips.items():
+            pad[:, sl[0], sl[1]] = trace.ad_halo[side][step]
+        q_next = None
+        if p.gamma != 0.0 and p.strips:
+            diff = p.zero_box()
             for side, sl in p.strips.items():
-                pad[:, sl[0], sl[1]] = trace.ad_halo[side][step]
-            q_next = None
-            if p.gamma != 0.0 and p.strips:
-                diff = p.zero_box()
-                for side, sl in p.strips.items():
-                    diff[:, sl[0], sl[1]] = np.where(
-                        p.own_valid[side],
-                        s_pre[side] - trace.ad_halo[side][step], 0.0)
-                feed, _, _ = p.box_model.step_ad(lin_ops[step - 1], diff)
-                q_next = p.zero_box()
-                for side, sl in p.strips.items():
-                    vals = feed[:, sl[0], sl[1]]
-                    q_next[:, sl[0], sl[1]] = np.where(p.own_valid[side],
-                                                       vals, 0.0)
-            p._zero_ring_halo(pad)
+                diff[:, sl[0], sl[1]] = np.where(
+                    p.own_valid[side],
+                    s_pre[side] - trace.ad_halo[side][step], 0.0)
+            feed, _, _ = p.box_model.step_ad(lin_ops[step - 1], diff)
+            q_next = p.zero_box()
+            for side, sl in p.strips.items():
+                vals = feed[:, sl[0], sl[1]]
+                q_next[:, sl[0], sl[1]] = np.where(p.own_valid[side],
+                                                   vals, 0.0)
+        p._zero_ring_halo(pad)
         p._zero_corners(pad)
         if db_star is not None:
             db_star += pad[:, p.ring_ii, p.ring_jj]
@@ -572,7 +674,7 @@ def local_ad_step(p, forcings, lin_ops, trace=None, terminal=None):
             p._apply_ring(pad, None)
         raw_bar = pad if q is None else pad + p.gamma * q
         prev, dfs, _ = p.box_model.step_ad(lin_ops[step - 1], raw_bar)
-        if not correction and p.phys_lines and p.strips:
+        if p.phys_lines and p.strips:
             # physical-edge outputs must not see the trace values sitting
             # on the opposite box edge through the periodic wrap
             nb = raw_bar.copy()
@@ -590,8 +692,6 @@ def local_ad_step(p, forcings, lin_ops, trace=None, terminal=None):
         q = q_next
     if q is not None:
         pad = pad + p.gamma * q
-    if correction:
-        p.project_live(pad)
     stored[0] = pad.copy()
     return pad, df_star, db_star, stored
 
@@ -749,9 +849,44 @@ class DDSolver:
         self.blocks = build_local_problems(
             model, grid, self.windows, problem.layout, layout_tiles,
             problem.obs, problem.b_cov, config)
+        self._check_owned_stencils()
         self.d = innovations(problem.background_traj, problem.obs)
         self._link_background()
         self.scale = max(float(np.max(np.abs(problem.x_b))), 1e-8)
+
+    def _check_owned_stencils(self):
+        """Reject a network the iteration cannot assimilate exactly.
+
+        Each block samples its own observations on its box, and the box
+        corners are never filled from a neighbor.  An owned observation
+        with weight on a corner cell (or off the box) is therefore sampled
+        wrongly at every iterate, and the fixed point would not be the
+        global analysis.
+        """
+        obs = self.problem.obs
+        for (tid, _), p in sorted(self.blocks.items()):
+            st = p.own_stencil
+            weights = obs.weights[:, p.own_obs_idx]
+            cells = st.nodes % p.live_mask.size
+            bad = (weights != 0.0) & ((st.weights == 0.0)
+                                      | ~p.live_mask.ravel()[cells])
+            if not bad.any():
+                continue
+            pos = int(np.nonzero(bad.any(axis=0))[0][0])
+            n = int(p.own_obs_idx[pos])
+            nodes = [(int(obs.i0[n]) + di, int(obs.j0[n]) + dj)
+                     for c, (di, dj) in enumerate(((0, 0), (1, 0), (0, 1),
+                                                   (1, 1)))
+                     if weights[c, pos] != 0.0]
+            tiles = sorted({t.id for t in self.layout.tiles
+                            for i, j in nodes
+                            if t.i0 <= i < t.i1 and t.j0 <= j < t.j1})
+            raise ValueError(
+                f"observation {n} (x = {float(obs.x[n])!r}, "
+                f"y = {float(obs.y[n])!r}) has a bilinear stencil over "
+                f"tiles {tiles}; its owner, tile {tid}, cannot see all of "
+                f"its nodes (box corners are not exchanged), so the "
+                f"decomposed solve would not reach the global analysis")
 
     def _link_background(self):
         """Local background runs, checked against the global trajectory."""
@@ -799,16 +934,17 @@ class DDSolver:
         return ctl
 
     def _local_operator(self, p):
-        """SPD quadratic operator of the block's correction solve.
+        """SPD quadratic operator of the block's correction solve,
+        A_p s = alpha B_p^-1 s + X_p' W_p X_p s.
 
         The prior term uses the inverse of the covariance restricted to the
         box, which matches the principal block of the global precision up
         to correlation across the outer box edge; the observation and
-        overlap terms run through the zero-inflow correction propagator.
+        overlap terms are the block's assembled GaussNewtonTerm.
         """
 
         def apply(s):
-            out = np.zeros_like(s)
+            out = p.gauss_newton.apply(s)
             parts = p.split_local(s)
             outp = p.split_local(out)
             if p.has_x0:
@@ -819,28 +955,6 @@ class DDSolver:
             if "b" in parts and p.cov_b is not None:
                 outp["b"][:] += (p.alpha * p.cov_b.apply_inv(
                     parts["b"].ravel())).reshape(parts["b"].shape)
-            dx0 = parts["x0"] if p.has_x0 else p.zero_box()
-            states, _ = local_tl_step(p, dx0, parts["f"],
-                                      parts.get("b"), p.lin_ops)
-            forcings = p.obs.scatter(
-                p.obs.sample(states, p.q_stencil) / p.q_var,
-                p.n_levels, p.n_fields, p.q_stencil)
-            if p.beta != 0.0:
-                for l in range(p.n_levels):
-                    for side, sl in p.strips.items():
-                        vals = states[l][:, sl[0], sl[1]]
-                        if np.any(vals):
-                            g = 2.0 * p.beta * p.strip_cov[side].apply_inv(
-                                vals.ravel())
-                            forcings[l][:, sl[0], sl[1]] += \
-                                g.reshape(vals.shape)
-            p_start, df_star, db_star, _ = local_ad_step(
-                p, forcings, p.lin_ops)
-            if p.has_x0:
-                outp["x0"][:] += p_start
-            outp["f"][:] += df_star
-            if "b" in parts and db_star is not None:
-                outp["b"][:] += db_star
             return out
 
         return LinearOperator((p.n_local, p.n_local), apply)

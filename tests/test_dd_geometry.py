@@ -1,0 +1,244 @@
+"""Property tests of the space-time decomposition geometry.
+
+Random tile counts, halo widths, window splits and observing networks
+with points on tile seams and junctions: ownership must partition the
+observations, DDSolver must accept exactly the networks whose owned
+stencils sit on live box cells, and every block's assembled local
+operator must equal a plain-loop reference and be symmetric.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from ddvar.assim import AssimilationProblem
+from ddvar.covariance import CovarianceR
+from ddvar.grid import Grid, boundary_ring_indices, build_tiles
+from ddvar.observations import ObservationSet
+from ddvar.schwarz import DDConfig, DDSolver, build_local_problems
+from util import make_problem
+
+CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+@st.composite
+def decompositions(draw):
+    ti = draw(st.integers(1, 3))
+    tj = draw(st.integers(1, 3))
+    nx = draw(st.integers(max(4, 2 * ti), 12))
+    ny = draw(st.integers(max(4, 2 * tj), 12))
+    widest = min(3, nx // ti if ti > 1 else 3, ny // tj if tj > 1 else 3)
+    halo = draw(st.integers(1, widest))
+    n_steps = draw(st.integers(2, 4))
+    n_t = draw(st.integers(1, min(3, n_steps)))
+    kind = draw(st.sampled_from(["linear", "burgers"]))
+    tiles = build_tiles(Grid(nx=nx, ny=ny), ti, tj, halo).tiles
+    # every box carries its own box model, whose grid needs 4x4 nodes
+    assume(all(min(t.box_shape) >= 4 for t in tiles))
+    return dict(ti=ti, tj=tj, nx=nx, ny=ny, halo=halo, n_steps=n_steps,
+                n_t=n_t, kind=kind,
+                seams_x=sorted({t.i0 for t in tiles} - {0}) or [nx // 2],
+                seams_y=sorted({t.j0 for t in tiles} - {0}) or [ny // 2])
+
+
+@st.composite
+def networks(draw, geo):
+    """Points anywhere, on seams (between or on nodes) and in the cells
+    around four-tile junctions."""
+    nx, ny = geo["nx"], geo["ny"]
+    offsets = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5])
+
+    def coordinate(on_seam, seams, n):
+        if on_seam:
+            return draw(st.sampled_from(seams)) + draw(offsets)
+        return draw(st.floats(0.0, n - 1.0))
+
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        where = draw(st.sampled_from(["any", "seam_x", "seam_y",
+                                      "junction"]))
+        x = coordinate(where in ("seam_x", "junction"), geo["seams_x"], nx)
+        y = coordinate(where in ("seam_y", "junction"), geo["seams_y"], ny)
+        level = draw(st.integers(0, geo["n_steps"]))
+        pts.append((level, min(max(x, 0.0), nx - 1.0),
+                    min(max(y, 0.0), ny - 1.0)))
+    return pts
+
+
+def build_case(geo, pts):
+    base = make_problem(geo["kind"], "prescribed", nx=geo["nx"],
+                        ny=geo["ny"], n_steps=geo["n_steps"],
+                        n_t=geo["n_t"], seed=3, n_obs=4, length_x=0.5,
+                        length_f=0.5, length_b=0.5)
+    grid = base.model.grid
+    levels, xs, ys = zip(*pts)
+    obs = ObservationSet(grid, levels, xs, ys, ["p"] * len(pts),
+                         np.zeros(len(pts)), np.ones(len(pts)))
+    obs.values[:] = obs.sample(base.background_traj) + 0.1
+    prob = AssimilationProblem(base.model, base.windows, base.layout,
+                               base.b_cov, CovarianceR(obs.variances), obs,
+                               base.x_b)
+    tiles = build_tiles(grid, geo["ti"], geo["tj"], geo["halo"])
+    return prob, tiles
+
+
+def blind_observations(prob, tiles):
+    """Observations whose owner cannot see a node of their stencil: a
+    node with nonzero weight outside the owner's box, or inside it but
+    outside the owned range along both axes (a box corner)."""
+    obs, grid = prob.obs, prob.model.grid
+    blind = set()
+    for n in range(obs.n_obs):
+        t = next(t for t in tiles.tiles
+                 if t.contains_point(obs.x[n], obs.y[n], grid))
+        for (di, dj), w in zip(CORNERS, obs.weights[:, n]):
+            i, j = obs.i0[n] + di, obs.j0[n] + dj
+            in_box = t.bi0 <= i < t.bi1 and t.bj0 <= j < t.bj1
+            live = t.i0 <= i < t.i1 or t.j0 <= j < t.j1
+            if w != 0.0 and not (in_box and live):
+                blind.add(n)
+    return blind
+
+
+# -- plain-loop reference of the local solve's operator ---------------------
+
+
+def reference_cells(p, grid):
+    """Box cells whose step output the correction propagator keeps, and
+    the owned ring cells in b order, decided cell by cell from the tile."""
+    t = p.tile
+    bnx, bny = t.box_shape
+    keep = np.zeros(t.box_shape, dtype=bool)
+    for i in range(bnx):
+        for j in range(bny):
+            gi, gj = i + t.bi0, j + t.bj0
+            in_i = t.i0 <= gi < t.i1
+            in_j = t.j0 <= gj < t.j1
+            on_ring = gi in (0, grid.nx - 1) or gj in (0, grid.ny - 1)
+            on_edge = ((i in (0, bnx - 1) and not in_i)
+                       or (j in (0, bny - 1) and not in_j))
+            keep[i, j] = (in_i or in_j) and not on_ring and not on_edge
+    ring = []
+    for gi, gj in zip(*boundary_ring_indices(grid.nx, grid.ny)):
+        if t.i0 <= gi < t.i1 and t.j0 <= gj < t.j1:
+            ring.append((gi - t.bi0, gj - t.bj0))
+    return keep, tuple(np.array(ring, dtype=int).reshape(-1, 2).T)
+
+
+def reference_readout(p, s, keep, ring):
+    """Zero-inflow correction sweep of the local control s, read at the
+    observation samples and the strip values of every level."""
+    parts = p.split_local(s)
+    state = (p.project_live(parts["x0"].copy()) if p.has_x0
+             else p.zero_box())
+    states = [state]
+    for l in range(1, p.n_levels):
+        raw = p.box_model.step_tl(p.lin_ops[l - 1], states[-1],
+                                  df=parts["f"])
+        nxt = np.where(keep, raw, 0.0)
+        if ring[0].size:
+            nxt[:, ring[0], ring[1]] = parts["b"]
+        states.append(nxt)
+    rows = [p.obs.sample(states, p.q_stencil)]
+    for sl in p.strips.values():
+        rows += [states[l][:, sl[0], sl[1]].ravel()
+                 for l in range(p.n_levels)]
+    return np.concatenate(rows)
+
+
+def reference_weight(p, y):
+    n_q = p.q_var.size
+    out = [y[:n_q] / p.q_var]
+    pos = n_q
+    for side, sl in p.strips.items():
+        k = p.n_fields * (sl[0].stop - sl[0].start) * (sl[1].stop
+                                                        - sl[1].start)
+        for _ in range(p.n_levels):
+            out.append(2.0 * p.beta * p.strip_cov[side].apply_inv(
+                y[pos:pos + k]))
+            pos += k
+    return np.concatenate(out)
+
+
+def reference_prior(p, s):
+    out = np.zeros_like(s)
+    parts, outp = p.split_local(s), p.split_local(out)
+    covs = {"x0": p.cov_x, "f": p.cov_f, "b": p.cov_b}
+    for name, v in parts.items():
+        if covs[name] is not None:
+            outp[name][:] = p.alpha * covs[name].apply_inv(
+                v.ravel()).reshape(v.shape)
+    return out
+
+
+# -- properties -------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(data=st.data())
+def test_ownership_partitions_and_junctions_are_rejected(data):
+    geo = data.draw(decompositions())
+    pts = data.draw(networks(geo))
+    prob, tiles = build_case(geo, pts)
+    obs, grid = prob.obs, prob.model.grid
+
+    owners = []
+    for _, x, y in pts:
+        mine = [t for t in tiles.tiles if t.contains_point(x, y, grid)]
+        assert len(mine) == 1
+        owners.append(mine[0])
+    blocks = build_local_problems(prob.model, grid, prob.windows,
+                                  prob.layout, tiles, obs, prob.b_cov,
+                                  DDConfig())
+    owned = sorted(int(n) for p in blocks.values() for n in p.own_obs_idx)
+    assert owned == list(range(obs.n_obs))
+    for p in blocks.values():
+        for n in p.own_obs_idx:
+            assert owners[n].id == p.tile.id
+            assert prob.windows.window_of_level(int(obs.levels[n])) \
+                == p.window
+
+    blind = blind_observations(prob, tiles)
+    if not blind:
+        DDSolver(prob, tiles, DDConfig())
+        return
+    with pytest.raises(ValueError, match="bilinear stencil over tiles") as exc:
+        DDSolver(prob, tiles, DDConfig())
+    assert int(str(exc.value).split()[1]) in blind
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(data=st.data())
+def test_assembled_local_operator_matches_plain_loop_reference(data):
+    geo = data.draw(decompositions())
+    pts = data.draw(networks(geo))
+    prob, tiles = build_case(geo, pts)
+    blind = blind_observations(prob, tiles)
+    # keep the network the DD accepts
+    assume(len(blind) < len(pts))
+    if blind:
+        prob, tiles = build_case(geo, [pt for n, pt in enumerate(pts)
+                                       if n not in blind])
+    grid = prob.model.grid
+    solver = DDSolver(prob, tiles, DDConfig())
+    rng = np.random.default_rng(len(pts))
+    for key in sorted(solver.blocks):
+        p = solver.blocks[key]
+        keep, ring = reference_cells(p, grid)
+        cols = [reference_readout(p, e, keep, ring)
+                for e in np.eye(p.n_local)]
+        x_ref = np.array(cols).T
+        a_p = solver._local_operator(p)
+        u, v = rng.standard_normal((2, p.n_local))
+        want = reference_prior(p, v) + x_ref.T @ reference_weight(
+            p, x_ref @ v)
+        got = a_p.apply(v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        lhs = float(np.vdot(u, got))
+        rhs = float(np.vdot(a_p.apply(u), v))
+        assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))

@@ -157,6 +157,24 @@ def test_cli_unconverged_dd_writes_outputs_and_exits_3(tmp_path, capsys):
         manifest["files"])
 
 
+def test_cli_junction_observation_exits_2_without_outputs(tmp_path, capsys):
+    """The C5 network at config seed 1 puts observation 35 in the cell at
+    a four-tile junction; the DD rejects it instead of writing a wrong
+    analysis."""
+    from ddvar.acceptance import _c5_config
+
+    cfg = _c5_config(2)
+    cfg.seed = 1
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "run failed: observation 35" in err
+    assert "tiles [2, 3, 4, 5]" in err
+    assert not list(out.glob("*"))
+
+
 def test_cli_truncated_krylov_run_exits_0(tmp_path):
     p = write_cfg(tmp_path, small_cfg(n_inner=2))
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
@@ -171,6 +189,27 @@ def test_impact_files_written_on_request(tmp_path):
     header, rows = read_rows(res.files["sensitivity.csv"])
     assert header == ["actual", "linearized", "gap"]
     assert float(rows[0][2]) <= 1e-6
+
+
+def test_impact_run_assembles_each_background_step_once(tmp_path,
+                                                       monkeypatch):
+    """Outer loop, impact, gain and sensitivity share the problem's one
+    background operator: a 6-step burgers run assembles 6 step
+    operators."""
+    from ddvar.model import SurrogateModel
+
+    built = []
+    assemble = SurrogateModel._assemble
+
+    def counted(self, state):
+        built.append(self)
+        return assemble(self, state)
+
+    monkeypatch.setattr(SurrogateModel, "_assemble", counted)
+    cfg = small_cfg(nx=16, ny=12, n_steps=6, n_t=2, model="burgers",
+                    impact=True)
+    run_experiment(cfg, out_dir=tmp_path)
+    assert len(built) == 6
 
 
 def test_obs_file_round_trip(tmp_path):

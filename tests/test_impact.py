@@ -125,8 +125,7 @@ def test_adjoint_sensitivity_identity_step():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((1, 6, 5))
     F = TransportFunctional(h, n_avg=1)
-    s = adjoint_sensitivity(prob.model, prob.windows, prob.layout,
-                            prob.background_traj, F)
+    s = adjoint_sensitivity(prob.background_tangent, F)
     v = ControlVector(prob.layout, s)
     assert np.max(np.abs(v.x0 - h)) <= 1e-15
     assert np.max(np.abs(v.f(0) - prob.model.grid.dt * h)) <= 1e-15
@@ -140,7 +139,7 @@ def test_adjoint_sensitivity_accumulated_equals_per_level_sum():
     n_avg = 4
     F = TransportFunctional(h, n_avg=n_avg)
     traj = prob.background_traj
-    s = adjoint_sensitivity(prob.model, prob.windows, prob.layout, traj, F)
+    s = adjoint_sensitivity(prob.background_tangent, F)
 
     # oracle: one full reverse sweep per averaging level, then sum
     total = np.zeros(prob.layout.n_z)
@@ -166,8 +165,7 @@ def test_adjoint_sensitivity_is_transpose_of_tangent_average():
     rng = np.random.default_rng(13)
     h = rng.standard_normal((prob.model.n_fields, 10, 8))
     F = TransportFunctional(h, n_avg=5)
-    s = adjoint_sensitivity(prob.model, prob.windows, prob.layout,
-                            prob.background_traj, F)
+    s = adjoint_sensitivity(prob.background_tangent, F)
     top = TangentObsOperator(prob.model, prob.background_traj, prob.windows,
                              prob.obs, prob.layout)
     for trial in range(3):
@@ -184,8 +182,7 @@ def test_adjoint_sensitivity_rejects_horizon_past_window():
     h = np.ones((1, 8, 6))
     F = TransportFunctional(h, n_avg=4)
     with pytest.raises(ValueError, match="n_avg"):
-        adjoint_sensitivity(prob.model, prob.windows, prob.layout,
-                            prob.background_traj, F)
+        adjoint_sensitivity(prob.background_tangent, F)
 
 
 # -------------------------------------------------------- observation impact
@@ -320,8 +317,7 @@ def test_observation_sensitivity_scalar_oracle():
 def test_observation_sensitivity_linear_twin_agrees():
     prob = impact_problem(seed=21)
     F = column_section(prob.model.grid, col=6, n_avg=6)
-    s = adjoint_sensitivity(prob.model, prob.windows, prob.layout,
-                            prob.background_traj, F)
+    s = adjoint_sensitivity(prob.background_tangent, F)
     d = prob.background_innovations()
     chk = observation_sensitivity(prob.background_operator(), prob.b_cov,
                                   prob.r_cov, d, s, tol=1e-12)
@@ -332,8 +328,7 @@ def test_observation_sensitivity_linear_twin_agrees():
 def test_observation_sensitivity_custom_perturbation():
     prob = impact_problem(seed=22)
     F = column_section(prob.model.grid, col=2, n_avg=6)
-    s = adjoint_sensitivity(prob.model, prob.windows, prob.layout,
-                            prob.background_traj, F)
+    s = adjoint_sensitivity(prob.background_tangent, F)
     d = prob.background_innovations()
     rng = np.random.default_rng(3)
     dy = rng.standard_normal(d.size) * 0.1

@@ -199,13 +199,15 @@ def _pair_control(p, dx0, df, db, p_start, df_star, db_star):
     return tot
 
 
-@pytest.mark.parametrize("mode", ["correction", "residual"])
+# the correction propagator of the local solve is assembled, not swept;
+# tests/test_dd_geometry.py checks it against a plain-loop reference
+@pytest.mark.parametrize("mode", ["residual"])
 def test_local_adjoint_identity_frozen_traces(mode):
-    """<M u, w> == <u, M^T w> for both sweep forms, theta included."""
+    """<M u, w> == <u, M^T w> for the residual sweeps, theta included."""
     prob, tiles, solver = dd_setup(n_t=2)
     rng = np.random.default_rng(11)
     for key, p in solver.blocks.items():
-        tr = None if mode == "correction" else solver._zero_trace(p)
+        tr = solver._zero_trace(p)
         for _ in range(2):
             dx0 = rng.standard_normal((p.n_fields,) + p.tile.box_shape)
             df = rng.standard_normal((p.n_fields,) + p.tile.box_shape)
@@ -320,6 +322,29 @@ def test_observation_ownership_partitions_the_set():
         seen = sorted(int(k) for p in solver.blocks.values()
                       for k in p.own_obs_idx)
         assert seen == list(range(prob.obs.n_obs))
+
+
+def test_junction_observation_is_rejected():
+    """C5 at N_t = 2 with config seed 1: observation 35 sits in the cell
+    at the junction of tiles 2, 3, 4 and 5, and its owner's box holds the
+    diagonal node only as a never-filled corner cell."""
+    from ddvar.acceptance import _c5_config
+    from ddvar.experiment import build_problem
+
+    cfg = _c5_config(2)
+    cfg.seed = 1
+    prob = build_problem(cfg)
+    tiles = build_tiles(prob.model.grid, cfg.ntile_i, cfg.ntile_j, cfg.halo)
+    with pytest.raises(ValueError, match=r"observation 35 .* tiles "
+                                         r"\[2, 3, 4, 5\]; its owner, tile 2"):
+        DDSolver(prob, tiles, DDConfig())
+
+
+def test_dd_setup_networks_have_no_junction_observation():
+    """The networks the DD tests run on (seeds 0-11) are all accepted."""
+    for seed in range(12):
+        prob, tiles, solver = dd_setup(seed=seed)
+        assert len(solver.blocks) == 8
 
 
 def test_shared_endpoint_levels_go_to_earlier_window():
