@@ -4,10 +4,13 @@ write the result CSVs and a manifest.
 All CSVs print floats through repr, so identical runs produce byte-identical
 files; timing.csv is the one machine-dependent exception.  It holds one
 `block` row per simulated rank (the compute seconds of that rank's block:
-sweeps, local solves and local costs for the DD, the whole solve for the
+residual restriction and local solves for the DD, the whole solve for the
 single-rank Krylov runs) and `setup`, `solve`, `impact` and `total` rows
 with rank -1.  manifest.json records whether the solve converged and its
-iteration counts per outer loop (DD: the number of sweeps).
+iteration counts per outer loop (DD: the outer flexible-CG iterations).
+Decomposed runs also write dd_trace.csv (one row per outer iteration and
+block: local PCG iterations and the relative global residual) and
+messages.csv (the simulated communicator's message log).
 """
 
 import hashlib
@@ -110,10 +113,11 @@ class _Solved:
     history: list
     trace: list
     converged: bool
-    iterations: list          # per outer loop; DD: [sweeps]
+    iterations: list          # per outer loop; DD: [outer iterations]
     block_seconds: list       # compute seconds per simulated rank
     setup_s: float = 0.0      # solver set-up after build_problem
     dd_rows: list = None
+    messages: list = None     # the simulated world's message log
 
 
 def _run_krylov(problem, cfg):
@@ -150,19 +154,25 @@ def _run_dd(problem, cfg):
     res = solver.solve()
     cb = res.cost
     history = [(1, res.n_iterations, cb.J, cb.Jb, cb.Jo)]
-    # per-sweep trace: halo mismatch plus the summed local costs
-    local_j = {}
-    for n, tile, window, inner, j_local, mismatch in res.trace_rows:
-        local_j[n] = local_j.get(n, 0.0) + j_local
-    trace = [(cfg.formulation, n, float(res.mismatch_history[n - 1]),
-              local_j[n])
-             for n in sorted(local_j)]
+    # per outer iteration: relative global residual and recurrence J
+    trace = [(cfg.formulation, m, float(r), float(j))
+             for m, (r, j) in enumerate(zip(res.residuals, res.costs))]
     seconds = [0.0] * res.world.n_ranks
     for (tid, k), sec in res.block_seconds.items():
         seconds[res.world.rank_of(tid, k)] = sec
+    messages = [(step, src, dst, _tag_text(tag), nbytes)
+                for step, src, dst, tag, nbytes in res.world.log]
     return _Solved(history=history, trace=trace, converged=res.converged,
                    iterations=[res.n_iterations], block_seconds=seconds,
-                   setup_s=setup_s, dd_rows=res.trace_rows)
+                   setup_s=setup_s, dd_rows=res.trace_rows,
+                   messages=messages)
+
+
+def _tag_text(tag):
+    """A message tag as one CSV cell: nested tuples joined by '/'."""
+    if isinstance(tag, tuple):
+        return "/".join(_tag_text(t) for t in tag)
+    return str(tag)
 
 
 def run_experiment(cfg, out_dir=None):
@@ -192,9 +202,10 @@ def run_experiment(cfg, out_dir=None):
          [(o, m, j, jb, jo) for o, m, j, jb, jo in history])
     emit("solver_trace.csv", "solver,iteration,residual,J", solved.trace)
     if solved.dd_rows is not None:
-        emit("dd_trace.csv", "dd_iter,tile,window,inner_iters,J_local,"
-             "halo_mismatch",
-             [(n, t, w, i, jl, hm) for n, t, w, i, jl, hm in solved.dd_rows])
+        emit("dd_trace.csv", "dd_iter,tile,window,inner_iters,residual",
+             solved.dd_rows)
+        emit("messages.csv", "step,sender,receiver,tag,bytes",
+             solved.messages)
 
     impact_s = 0.0
     if cfg.impact:

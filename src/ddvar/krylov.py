@@ -1,8 +1,12 @@
 """Matrix-free Krylov solvers for the quadratic inner loop.
 
-Four solvers share one reporting contract:
+Five solvers share one reporting contract:
 
 * pcg             preconditioned conjugate gradient on an SPD system
+* fcg             flexible CG (Notay 2000) on an SPD system whose
+                  preconditioner may change from one iteration to the next
+                  (an inexact inner solve): every new direction is
+                  A-orthogonalized against all earlier ones
 * dual_cg_rhalf   CG on the observation-space system (GBG^T + R) w = d,
                   preconditioned by R^{-1} (the R^{-1/2}-scaled CG)
 * minres / minres_dual   Paige-Saunders MINRES, same preconditioning
@@ -10,15 +14,17 @@ Four solvers share one reporting contract:
                   B-preconditioned iteration carried entirely in
                   observation space
 
-All solvers stop on the preconditioned residual norm relative to its
-initial value, so iteration-count comparisons between them are meaningful.
+All solvers but fcg stop on the preconditioned residual norm relative to
+its initial value, so iteration-count comparisons between them are
+meaningful.  A changing preconditioner defines no fixed norm, so fcg stops
+on the Euclidean residual norm relative to its initial value.
 pcg's norm is sqrt(r^T M r); rpcg's is sqrt(rho^T G B G^T rho), which is
 algebraically the same number as the primal B-preconditioned norm, so rpcg
 and B-preconditioned pcg stop at the same iteration in exact arithmetic.
 
 Costs: report.costs has one entry per stored iterate, taken from the
 recurrences (A x is updated with the same axpys as x), never from extra
-operator applications.  pcg and minres record the quadratic
+operator applications.  pcg, fcg and minres record the quadratic
 1/2 x^T A x - b^T x unless given another cost callable.  The dual routes
 (dual_cg_rhalf, minres_dual, rpcg) record rows (Jb, Jo) of the primal cost
 J(B G^T w) = Jb + Jo at the observation-space iterate w, with
@@ -48,6 +54,7 @@ __all__ = [
     "SolveReport",
     "SolverBreakdownError",
     "dual_cg_rhalf",
+    "fcg",
     "minres",
     "minres_dual",
     "pcg",
@@ -189,6 +196,59 @@ def pcg(a, b, precond=None, tol=1e-10, maxit=None, reorthogonalize=False,
         p = z + beta * p
         rz = rz_new
     return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
+
+
+def fcg(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="fcg"):
+    """Flexible CG for SPD a with a variable preconditioner.
+
+    Each direction is the preconditioned residual A-orthogonalized against
+    every earlier direction (no truncation), so each step minimizes the
+    quadratic over all directions so far and the cost falls monotonically.
+    One a apply and one preconditioner apply per iteration; stops on
+    ||r_k|| <= tol ||r_0||.
+    """
+    a = _as_operator(a)
+    b = np.asarray(b, dtype=float)
+    n = b.size
+    maxit = _default_maxit(n, maxit)
+    apply_m = (lambda v: v.copy()) if precond is None else precond.apply
+    if cost is None:
+        cost = _quadratic(b)
+
+    x = np.zeros(n)
+    ax = np.zeros(n)
+    r = b.copy()
+    res0 = np.linalg.norm(r)
+    norms = [res0]
+    costs = [cost(x, ax)]
+    iterates = [x.copy()]
+    if res0 == 0.0:
+        return SolveReport(name, x, iterates, norms, costs, 0, True)
+
+    dirs = []
+    converged = False
+    k = 0
+    for k in range(1, maxit + 1):
+        p = apply_m(r)
+        for pj, apj, papj in dirs:
+            p -= (np.vdot(apj, p) / papj) * pj
+        ap = a.apply(p)
+        pap = np.vdot(p, ap)
+        if pap <= 0:
+            raise SolverBreakdownError("nonpositive curvature p^T A p", k)
+        alpha = np.vdot(p, r) / pap
+        x += alpha * p
+        ax += alpha * ap
+        r -= alpha * ap
+        dirs.append((p, ap, pap))
+        res = np.linalg.norm(r)
+        norms.append(res)
+        costs.append(cost(x, ax))
+        iterates.append(x.copy())
+        if res <= tol * res0:
+            converged = True
+            break
+    return SolveReport(name, x, iterates, norms, costs, k, converged)
 
 
 def _jb_jo(r_cov, d, w, hw):

@@ -1,18 +1,23 @@
 """Space-time domain-decomposed incremental assimilation.
 
-The control vector is partitioned into blocks (tile i, window k): window-0
-blocks own their tile's initial-state nodes, and every block owns its
-tile's forcing nodes and physical-boundary ring nodes for its window.
-Each outer iterate, every block
+DDSolver.solve minimizes the global quadratic by flexible CG (krylov.fcg)
+on the primal system
 
-  1. runs a local tangent-linear sweep of the current assembled increment
-     over its interior-plus-halo box, reading halo values and the
-     window-start state from frozen neighbor traces,
-  2. runs the matching local adjoint sweep (halo values from adjoint
-     traces, innovation residuals scattered over the box) and restricts
-     the result to its owned components, which together with the
-     distributed B^-1 term gives the owned slice of the global gradient,
-  3. solves a local SPD quadratic by preconditioned CG,
+    (B^-1 + G' R^-1 G) z = G' R^-1 d,
+
+one Hessian apply (one TL and one AD sweep of the problem's background
+TangentObsOperator) per iteration, and stops once the global residual has
+fallen to tau_dd times its initial norm.  The preconditioner is one
+restricted additive Schwarz (RAS) pass over the (tile i, window k) blocks.
+Window-0 blocks own their tile's initial-state nodes, and every block owns
+its tile's forcing nodes and physical-boundary ring nodes for its window.
+Each pass, every block
+
+  1. takes the global residual restricted to its box: owned cells
+     directly, halo strips through one halo_exchange per window on the
+     window's inter communicator (x0 and f stacked), then zeroes the cells
+     project_live drops; its owned ring cells carry the b residual,
+  2. solves its local SPD system by preconditioned CG,
 
          A_p s = alpha B_p^-1 s + X_p' W_p X_p s,
 
@@ -22,33 +27,23 @@ Each outer iterate, every block
      to the observation samples and halo-strip values; W_p weights the
      samples by 1/R and each level's strip values by the overlap metric
      2 beta C_strip^-1.  Every CG iteration is one matvec with X_p, one
-     with its transpose and the Kronecker prior, and no model sweep;
-  4. adds its correction to the assembled increment; traces are then
-     exchanged through the simulated communicator and the largest relative
-     trace change decides convergence.
+     with its transpose and the Kronecker prior, and no model sweep,
+  3. adds only the owned part of s to the preconditioned residual.
 
-Whenever the traces agree with the local sweeps (in particular at any
-stationary point of the iteration), each local sweep reproduces the
-restriction of the corresponding global sweep exactly, so the fixed point
-of the iteration is the global analysis.  The local quadratic and the
-seam corrections only shape the convergence rate.
+The outer iteration works on the exact global residual, so its solution is
+the global analysis whatever the local operators are; they only shape the
+convergence rate.  In particular an observation in the cell at a
+four-tile junction, whose diagonal node is a zeroed corner of its owner's
+box, is seen exactly by the Hessian and approximately by the local
+operators.
 
-Halo handling during a sweep: after the raw stencil step, owned physical-
-ring cells take their prescribed values, halo strips are overwritten from
-the neighbor trace plus the theta seam correction (the step operator
-applied to the difference between the locally evolved strip values and
-the trace), and box corners are zeroed.  The theta terms and their
-transposes are driven by differences that vanish at consistency, so they
-never move the fixed point.  The correction propagator inside X_p is
-stricter: strip cells on the box edge or the physical ring are zeroed
-every step (zero inflow), the remaining strip cells evolve freely, and
-the per-level overlap term penalizes the values they develop.  A_p is
-symmetric by construction.
-
-Box corners are never filled, so an observation whose bilinear stencil
-reaches a corner cell of its owner's box (a point in the cell at a
-four-tile junction) would be sampled wrongly at every iterate; DDSolver
-rejects such networks.
+The local sweeps (local_tl_step, local_ad_step) describe one block's part
+of the global sweeps with frozen neighbor traces: halo strips are
+overwritten from the trace after every step plus the theta seam correction
+(the step operator applied to the difference between the locally evolved
+strip values and the trace), and box corners are zeroed.  local_cost
+evaluates the block's local functional from such a sweep.  The solve runs
+none of them.
 """
 
 import time
@@ -58,11 +53,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .assim import CostBreakdown
-from .comm import World, create_inter, halo_exchange, split
+from .assim import CostBreakdown, primal_operator
+from .comm import World, create_inter, halo_exchange
 from .control import ControlVector
 from .grid import SIDES, Grid, boundary_ring_indices, restrict
-from .krylov import LinearOperator, pcg
+from .krylov import LinearOperator, fcg, pcg
 from .model import ModelDivergedError, SurrogateModel
 from .observations import innovations
 
@@ -85,6 +80,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DDConfig:
+    """Settings of the decomposed solve.
+
+    n_bar caps the outer flexible-CG iterations and tau_dd stops them once
+    the global residual norm has fallen to tau_dd times its initial value.
+    n_inner and inner_tol bound each block's local PCG solve inside the
+    RAS preconditioner; alpha weights the local prior and beta the strip
+    overlap term of the local operator.  gamma weights the theta seam
+    correction of local_tl_step/local_ad_step, and omega damped the
+    corrections of the former trace iteration: neither affects the solve.
+    Both are kept, and omega validated, so existing configs still load.
+    """
     n_bar: int = 50
     tau_dd: float = 1e-10
     inner_solver: str = "pcg"
@@ -115,15 +121,11 @@ class NeighborTrace:
 
     tl_halo / ad_halo map side -> (n_levels, n_fields, si, sj) halo strip
     values per local window level.  start_box is the window-start state on
-    the full box (windows k > 0), ad_terminal the window-end adjoint state
-    on the full box (windows k < n_t - 1).  obs_res holds R^-1-weighted
-    misfit residuals for every observation of the window, in window order.
+    the full box (windows k > 0).
     """
     tl_halo: dict
     ad_halo: dict
     start_box: np.ndarray = None
-    ad_terminal: np.ndarray = None
-    obs_res: np.ndarray = None
 
 
 def theta_correction(direction, op_action, own, neighbor, gamma):
@@ -167,7 +169,8 @@ def overlap_operator(own, neighbor, strip_cov, beta):
 
 
 class LocalProblem:
-    """Everything one (tile, window) block needs for its sweeps and solve."""
+    """Everything one (tile, window) block needs for its local solve and
+    its local sweeps."""
 
     def __init__(self, tile, window, model, box_model, grid, windows,
                  layout_ctl, obs, weights):
@@ -310,18 +313,15 @@ class LocalProblem:
         mine = np.array([tile.contains_point(obs.x[k], obs.y[k], grid)
                          for k in w_idx], dtype=bool)
         self.own_obs_idx = w_idx[mine]
-        self.own_obs_pos = np.nonzero(mine)[0]
         # observations whose stencil lies inside the box: their R^-1 weight
         # curves the local quadratic even when a neighbor owns them, so the
         # local solve must carry them too
         i0, j0 = obs.i0[w_idx], obs.j0[w_idx]
         self.q_obs_idx = w_idx[(i0 >= tile.bi0) & (i0 + 1 < tile.bi1)
                                & (j0 >= tile.bj0) & (j0 + 1 < tile.bj1)]
-        # bilinear stencils on the box: every window observation (the
-        # adjoint seeds, nodes outside the box dropped), the owned ones
-        # (misfits) and the ones the local quadratic carries
+        # bilinear stencils on the box (nodes outside it dropped): the owned
+        # observations (misfits) and the ones the local quadratic carries
         box = ((tile.bi0, tile.bj0), tile.box_shape, self.levels[0])
-        self.window_stencil = obs.stencil(self.window_obs_idx, *box)
         self.own_stencil = obs.stencil(self.own_obs_idx, *box)
         self.q_stencil = obs.stencil(self.q_obs_idx, *box)
         self.own_var = obs.variances[self.own_obs_idx]
@@ -376,7 +376,7 @@ class LocalProblem:
     @cached_property
     def lin_ops(self):
         """Box-model step operators about the linearization, one per step
-        of the window; assembled on the block's first sweep."""
+        of the window; assembled on the block's first use."""
         return [self.box_model.linearize(x) for x in self.lin_states[:-1]]
 
     @cached_property
@@ -519,6 +519,7 @@ class GaussNewtonTerm:
                 state = step @ state + forcing
             x = x + _csr(r, c, v, (start, n)) @ state
         self.x = x
+        self.xt = x.T.tocsr()
         self.q_var = p.q_var
         self.overlap_scale = 2.0 * p.beta
 
@@ -528,8 +529,9 @@ class GaussNewtonTerm:
         for start, stop, prec in self.slabs:
             rows = y[start:stop].reshape(-1, prec.shape[0])
             y[start:stop] = self.overlap_scale * (rows @ prec).ravel()
-        # the transpose is a CSC view of X, as fast as a stored copy
-        return self.x.T @ y
+        # a stored CSR transpose: building the X.T view costs more per
+        # call than the product itself
+        return self.xt @ y
 
 
 def _csr(rows, cols, vals, shape):
@@ -636,8 +638,8 @@ def local_ad_step(p, forcings, lin_ops, trace, terminal=None):
     Strip values are overwritten from trace.ad_halo and the transposed
     theta channel is driven by the difference to them.  Returns
     (p_start, df_star, db_star, stored) with stored[l] the per-level
-    adjoint states used for the trace exchange.  With zero traces this is
-    the exact transpose of local_tl_step, theta channels included.
+    adjoint states.  With zero traces this is the exact transpose of
+    local_tl_step, theta channels included.
     """
     pad = p.zero_box() if terminal is None else np.array(terminal, dtype=float)
     if forcings[p.n_levels - 1] is not None:
@@ -704,8 +706,7 @@ def local_cost(p, local_ctl, trace, d):
     (J, Jb, Jo, O) with J = alpha*Jb + Jo + O, where Jb and Jo keep the
     1/2 convention and O is the overlap penalty (no 1/2) summed over
     levels and strips.  With beta = 0 and a single block this is exactly
-    the global cost.  Runs one residual-form TL sweep; the solver takes
-    the same terms from the sweeps it already runs.
+    the global cost.  Runs one residual-form TL sweep.
     """
     if p.has_x0:
         dx0 = local_ctl["x0"]
@@ -812,13 +813,14 @@ class DDResult:
     delta_z: np.ndarray
     trajectory: object
     converged: bool
-    n_iterations: int
-    mismatch_history: list
-    trace_rows: list
+    n_iterations: int          # outer flexible-CG iterations
+    residuals: np.ndarray      # ||r_k|| / ||r_0||, k = 0..n_iterations
+    costs: np.ndarray          # J at every iterate, from the recurrence
+    trace_rows: list           # (dd_iter, tile, window, inner_iters, residual)
     world: World
     cost: CostBreakdown = None
-    # compute seconds each (tile, window) block spent in its sweeps,
-    # local solve and local cost
+    # compute seconds each (tile, window) block spent restricting the
+    # residual and in its local solves
     block_seconds: dict = field(default_factory=dict)
 
     @property
@@ -844,49 +846,11 @@ class DDSolver:
         self.world = World(layout_tiles.n_tiles, self.windows.n_t)
         self.inter = [create_inter(self.world, k)
                       for k in range(self.windows.n_t)]
-        self.intra = [split(self.world, i)
-                      for i in range(layout_tiles.n_tiles)]
         self.blocks = build_local_problems(
             model, grid, self.windows, problem.layout, layout_tiles,
             problem.obs, problem.b_cov, config)
-        self._check_owned_stencils()
         self.d = innovations(problem.background_traj, problem.obs)
         self._link_background()
-        self.scale = max(float(np.max(np.abs(problem.x_b))), 1e-8)
-
-    def _check_owned_stencils(self):
-        """Reject a network the iteration cannot assimilate exactly.
-
-        Each block samples its own observations on its box, and the box
-        corners are never filled from a neighbor.  An owned observation
-        with weight on a corner cell (or off the box) is therefore sampled
-        wrongly at every iterate, and the fixed point would not be the
-        global analysis.
-        """
-        obs = self.problem.obs
-        for (tid, _), p in sorted(self.blocks.items()):
-            st = p.own_stencil
-            weights = obs.weights[:, p.own_obs_idx]
-            cells = st.nodes % p.live_mask.size
-            bad = (weights != 0.0) & ((st.weights == 0.0)
-                                      | ~p.live_mask.ravel()[cells])
-            if not bad.any():
-                continue
-            pos = int(np.nonzero(bad.any(axis=0))[0][0])
-            n = int(p.own_obs_idx[pos])
-            nodes = [(int(obs.i0[n]) + di, int(obs.j0[n]) + dj)
-                     for c, (di, dj) in enumerate(((0, 0), (1, 0), (0, 1),
-                                                   (1, 1)))
-                     if weights[c, pos] != 0.0]
-            tiles = sorted({t.id for t in self.layout.tiles
-                            for i, j in nodes
-                            if t.i0 <= i < t.i1 and t.j0 <= j < t.j1})
-            raise ValueError(
-                f"observation {n} (x = {float(obs.x[n])!r}, "
-                f"y = {float(obs.y[n])!r}) has a bilinear stencil over "
-                f"tiles {tiles}; its owner, tile {tid}, cannot see all of "
-                f"its nodes (box corners are not exchanged), so the "
-                f"decomposed solve would not reach the global analysis")
 
     def _link_background(self):
         """Local background runs, checked against the global trajectory."""
@@ -916,12 +880,7 @@ class DDSolver:
             tl[side] = np.zeros((p.n_levels, p.n_fields, si, sj))
             ad[side] = np.zeros((p.n_levels, p.n_fields, si, sj))
         start = p.zero_box() if p.window > 0 else None
-        term = (p.zero_box()
-                if p.window < self.windows.n_t - 1 else None)
-        res = (-self.problem.r_cov.apply_inv(self.d)[p.window_obs_idx]
-               if p.window_obs_idx.size else np.zeros(0))
-        return NeighborTrace(tl_halo=tl, ad_halo=ad, start_box=start,
-                             ad_terminal=term, obs_res=res)
+        return NeighborTrace(tl_halo=tl, ad_halo=ad, start_box=start)
 
     def _restrict_control(self, z, p):
         v = ControlVector(self.problem.layout, z)
@@ -953,8 +912,10 @@ class DDSolver:
             outp["f"][:] += (p.alpha * p.cov_f.apply_inv(
                 parts["f"].ravel())).reshape(parts["f"].shape)
             if "b" in parts and p.cov_b is not None:
-                outp["b"][:] += (p.alpha * p.cov_b.apply_inv(
-                    parts["b"].ravel())).reshape(parts["b"].shape)
+                # the ring block is small and dense: its inverse, formed
+                # once per tile, beats a triangular solve pair per apply
+                outp["b"][:] += p.alpha * (parts["b"]
+                                           @ p.cov_b.block.precision)
             return out
 
         return LinearOperator((p.n_local, p.n_local), apply)
@@ -979,199 +940,98 @@ class DDSolver:
 
         return LinearOperator((p.n_local, p.n_local), apply)
 
-    def _block_sweeps(self, key, z, traces):
-        """One block's TL and adjoint sweeps at the assembled increment z.
-
-        Observation residuals merge the block's freshly sampled values for
-        its own observations with the trace values for everyone else's.
-        """
-        p = self.blocks[key]
-        trace = traces[key]
-        ctl = self._restrict_control(z, p)
-        dx0 = ctl["x0"] if p.has_x0 else trace.start_box
-        states, own_strips = local_tl_step(
-            p, dx0, ctl["f"], ctl.get("b"), p.lin_ops, trace=trace)
-        misfit = _own_misfit(p, states, self.d)
-        res = trace.obs_res.copy()
-        res[p.own_obs_pos] = misfit / p.own_var
-        forcings = p.obs.scatter(res, p.n_levels, p.n_fields,
-                                 p.window_stencil)
-        p_start, df_star, db_star, ad_states = local_ad_step(
-            p, forcings, p.lin_ops, trace=trace,
-            terminal=trace.ad_terminal)
-        return {"ctl": ctl, "states": states, "own_strips": own_strips,
-                "res": res, "misfit": misfit, "p_start": p_start,
-                "df_star": df_star, "db_star": db_star,
-                "ad_states": ad_states}
+    def _ras(self, r, ops, pres, block_s, n):
+        """One restricted additive Schwarz pass over the blocks: the
+        owned parts of every block's local solve on the residual r.
+        Returns the preconditioned residual and the local PCG iterations
+        of each block."""
+        layout = self.problem.layout
+        nf = self.problem.model.n_fields
+        v = ControlVector(layout, r)
+        out = ControlVector(layout)
+        its = {}
+        clock = time.perf_counter
+        for k in range(self.windows.n_t):
+            # owned cells from the residual, halo strips from the neighbors
+            boxes = {}
+            for tile in self.layout.tiles:
+                p = self.blocks[(tile.id, k)]
+                segs = [v.x0, v.f(k)] if p.has_x0 else [v.f(k)]
+                osl = tile.owned_slices
+                oi, oj = p.owned_local
+                box = np.zeros((len(segs) * nf,) + tile.box_shape)
+                for c, seg in enumerate(segs):
+                    box[c * nf:(c + 1) * nf, oi, oj] = seg[:, osl[0], osl[1]]
+                boxes[tile.id] = box
+            halo_exchange(self.inter[k], self.layout, boxes, window=k,
+                          tag=("ras", n))
+            for tile in self.layout.tiles:
+                key = (tile.id, k)
+                t0 = clock()
+                p = self.blocks[key]
+                box = p.project_live(boxes[tile.id])
+                rho = np.zeros(p.n_local)
+                parts = p.split_local(rho)
+                if p.has_x0:
+                    parts["x0"][:] = box[:nf]
+                parts["f"][:] = box[-nf:]
+                if "b" in parts:
+                    parts["b"][:] = v.b(k)[:, p.ring_pos]
+                rep = pcg(ops[key], rho, precond=pres[key],
+                          tol=self.config.inner_tol,
+                          maxit=self.config.n_inner, name="dd_local")
+                its[key] = rep.iterations
+                s = p.split_local(rep.x)
+                osl = tile.owned_slices
+                oi, oj = p.owned_local
+                if p.has_x0:
+                    out.x0[:, osl[0], osl[1]] += s["x0"][:, oi, oj]
+                out.f(k)[:, osl[0], osl[1]] += s["f"][:, oi, oj]
+                if "b" in s:
+                    out.b(k)[:, p.ring_pos] += s["b"]
+                block_s[key] += clock() - t0
+        return out.data, its
 
     def solve(self):
+        """Flexible CG on the global primal system, preconditioned by one
+        RAS pass per iteration; at most n_bar iterations."""
         problem = self.problem
-        z = np.zeros(problem.layout.n_z)
-        traces = {key: self._zero_trace(p) for key, p in self.blocks.items()}
+        g_op = problem.background_operator()
+        rinv_d = problem.r_cov.apply_inv(self.d)
+        rhs = g_op.apply_t(rinv_d)
+        n_z = problem.layout.n_z
         ops = {key: self._local_operator(p)
                for key, p in self.blocks.items()}
         pres = {key: self._local_precond(p)
                 for key, p in self.blocks.items()}
         order = sorted(self.blocks)
-        clock = time.perf_counter
         block_s = dict.fromkeys(order, 0.0)
-        rows = []
-        history = []
-        converged = False
-        n_done = 0
-        for n in range(1, self.config.n_bar + 1):
-            n_done = n
-            b_inv_z = problem.b_cov.apply_inv(z)
-            binv_v = ControlVector(problem.layout, b_inv_z)
-            corrections = {}
-            block_rows = {}
-            for key in order:
-                t0 = clock()
-                p = self.blocks[key]
-                trace = traces[key]
-                sw = self._block_sweeps(key, z, traces)
-                rho = np.zeros(p.n_local)
-                parts = p.split_local(rho)
-                bsl = p.tile.box_slices
-                if p.has_x0:
-                    parts["x0"][:] = (sw["p_start"]
-                                      + binv_v.x0[:, bsl[0], bsl[1]])
-                    p.project_live(parts["x0"])
-                parts["f"][:] = (sw["df_star"]
-                                 + binv_v.f(p.window)[:, bsl[0], bsl[1]])
-                p.project_live(parts["f"])
-                if "b" in parts:
-                    parts["b"][:] = binv_v.b(p.window)[:, p.ring_pos]
-                    if sw["db_star"] is not None:
-                        parts["b"][:] += sw["db_star"]
-                rho = -rho
-                rep = pcg(ops[key], rho, precond=pres[key],
-                          tol=self.config.inner_tol,
-                          maxit=self.config.n_inner, name="dd_local")
-                corrections[key] = rep.x
-                j_local = _local_terms(p, sw["ctl"], sw["own_strips"],
-                                       trace, sw["misfit"])[0]
-                block_rows[key] = [n, key[0], key[1], rep.iterations,
-                                   j_local]
-                block_s[key] += clock() - t0
-            v = ControlVector(problem.layout, z)
-            w = self.config.omega
-            for key in order:
-                p = self.blocks[key]
-                parts = p.split_local(corrections[key])
-                osl = p.tile.owned_slices
-                oi, oj = p.owned_local
-                if p.has_x0:
-                    v.x0[:, osl[0], osl[1]] += w * parts["x0"][:, oi, oj]
-                v.f(p.window)[:, osl[0], osl[1]] += w * parts["f"][:, oi, oj]
-                if "b" in parts and p.ring_pos.size:
-                    v.b(p.window)[:, p.ring_pos] += w * parts["b"]
-            # traces are refreshed from sweeps at the updated increment, so
-            # the next iterate's gradients see halo data that already
-            # reflects this update
-            sweeps = {}
-            for key in order:
-                t0 = clock()
-                sw = self._block_sweeps(key, z, traces)
-                sweeps[key] = (sw["states"], sw["ad_states"], sw["res"])
-                block_s[key] += clock() - t0
-            mismatch = self._exchange(sweeps, traces, n)
-            for key in order:
-                rows.append(tuple(block_rows[key] + [mismatch[key]]))
-            worst = max(mismatch.values())
-            history.append(worst)
-            if worst <= self.config.tau_dd:
-                converged = True
-                break
-        traj = problem.run_with_increment(z)
-        return DDResult(delta_z=z, trajectory=traj, converged=converged,
-                        n_iterations=n_done, mismatch_history=history,
-                        trace_rows=rows, world=self.world,
+        inner = []
+
+        def ras(r):
+            out, its = self._ras(r, ops, pres, block_s, len(inner) + 1)
+            inner.append(its)
+            return out
+
+        rep = fcg(primal_operator(g_op, problem.b_cov, problem.r_cov), rhs,
+                  precond=LinearOperator((n_z, n_z), ras),
+                  tol=self.config.tau_dd, maxit=self.config.n_bar,
+                  name="dd4dvar")
+        res0 = rep.residual_norms[0]
+        residuals = rep.residual_norms / res0 if res0 else rep.residual_norms
+        rows = [(m, tid, k, its[(tid, k)], float(residuals[m]))
+                for m, its in enumerate(inner, start=1)
+                for tid, k in order]
+        # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records
+        costs = rep.costs + 0.5 * float(np.vdot(self.d, rinv_d))
+        z = rep.x
+        return DDResult(delta_z=z,
+                        trajectory=problem.run_with_increment(z),
+                        converged=rep.converged,
+                        n_iterations=rep.iterations, residuals=residuals,
+                        costs=costs, trace_rows=rows, world=self.world,
                         cost=problem.cost(z, d=self.d),
                         block_seconds=block_s)
-
-    def _exchange(self, sweeps, traces, n):
-        """Ship traces through the communicators; per-block mismatch."""
-        n_t = self.windows.n_t
-        n_tiles = self.layout.n_tiles
-        mismatch = {key: 0.0 for key in self.blocks}
-
-        def bump(key, old, new):
-            if old is None or new is None or old.size == 0:
-                return
-            delta = float(np.max(np.abs(new - old))) / self.scale
-            if delta > mismatch[key]:
-                mismatch[key] = delta
-
-        # one tag object per message family, shared by every message and
-        # log row of this exchange
-        tl_tag, ad_tag = ("time_tl", n), ("time_ad", n)
-        obs_tag = [("obs", n, src) for src in range(n_tiles)]
-        # time chaining through the intra communicators
-        for tid in range(n_tiles):
-            comm = self.intra[tid]
-            for k in range(n_t - 1):
-                comm.isend(self.world.rank_of(tid, k),
-                           self.world.rank_of(tid, k + 1),
-                           tl_tag, sweeps[(tid, k)][0][-1])
-            for k in range(1, n_t):
-                comm.isend(self.world.rank_of(tid, k),
-                           self.world.rank_of(tid, k - 1),
-                           ad_tag, sweeps[(tid, k)][1][0])
-            for k in range(1, n_t):
-                got = comm.recv(self.world.rank_of(tid, k),
-                                self.world.rank_of(tid, k - 1),
-                                tl_tag)
-                bump((tid, k), traces[(tid, k)].start_box, got)
-                traces[(tid, k)].start_box = got
-            for k in range(n_t - 1):
-                got = comm.recv(self.world.rank_of(tid, k),
-                                self.world.rank_of(tid, k + 1),
-                                ad_tag)
-                bump((tid, k), traces[(tid, k)].ad_terminal, got)
-                traces[(tid, k)].ad_terminal = got
-        # spatial halos: one exchange per window level and sweep direction
-        for k in range(n_t):
-            comm = self.inter[k]
-            if n_tiles > 1:
-                n_levels = self.blocks[(0, k)].n_levels
-                for l in range(n_levels):
-                    for chan, pick in (("tl", 0), ("ad", 1)):
-                        fields = {tid: sweeps[(tid, k)][pick][l].copy()
-                                  for tid in range(n_tiles)}
-                        halo_exchange(comm, self.layout, fields, window=k,
-                                      tag=("halo", n, l, chan))
-                        for tid in range(n_tiles):
-                            p = self.blocks[(tid, k)]
-                            tr = traces[(tid, k)]
-                            store = tr.tl_halo if chan == "tl" else tr.ad_halo
-                            for side, sl in p.strips.items():
-                                new = fields[tid][:, sl[0], sl[1]]
-                                bump((tid, k), store[side][l], new)
-                                store[side][l] = new.copy()
-                # observation residual broadcast within the window
-                for src in range(n_tiles):
-                    for dst in range(n_tiles):
-                        if dst == src:
-                            continue
-                        comm.isend(self.world.rank_of(src, k),
-                                   self.world.rank_of(dst, k),
-                                   obs_tag[src],
-                                   sweeps[(src, k)][2])
-                for dst in range(n_tiles):
-                    merged = sweeps[(dst, k)][2].copy()
-                    for src in range(n_tiles):
-                        if src == dst:
-                            continue
-                        got = comm.recv(self.world.rank_of(dst, k),
-                                        self.world.rank_of(src, k),
-                                        obs_tag[src])
-                        psrc = self.blocks[(src, k)]
-                        merged[psrc.own_obs_pos] = got[psrc.own_obs_pos]
-                    traces[(dst, k)].obs_res = merged
-            else:
-                traces[(0, k)].obs_res = sweeps[(0, k)][2].copy()
-        return mismatch
 
 
 def dd_outer_loop(problem, layout_tiles, config):

@@ -1,14 +1,14 @@
 """Property tests of the space-time decomposition geometry.
 
-Random tile counts, halo widths, window splits and observing networks
-with points on tile seams and junctions: ownership must partition the
-observations, DDSolver must accept exactly the networks whose owned
-stencils sit on live box cells, and every block's assembled local
-operator must equal a plain-loop reference and be symmetric.
+Random tile counts, halo widths, window splits, observation error levels
+and observing networks with points on tile seams and junctions: ownership
+must partition the observations, every network must be accepted and its
+decomposed solve must reach the global B-PCG analysis, and every block's
+assembled local operator must equal a plain-loop reference and be
+symmetric.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +18,6 @@ from ddvar.grid import Grid, boundary_ring_indices, build_tiles
 from ddvar.observations import ObservationSet
 from ddvar.schwarz import DDConfig, DDSolver, build_local_problems
 from util import make_problem
-
-CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 @st.composite
@@ -66,7 +64,7 @@ def networks(draw, geo):
     return pts
 
 
-def build_case(geo, pts):
+def build_case(geo, pts, sigma_o=1.0):
     base = make_problem(geo["kind"], "prescribed", nx=geo["nx"],
                         ny=geo["ny"], n_steps=geo["n_steps"],
                         n_t=geo["n_t"], seed=3, n_obs=4, length_x=0.5,
@@ -74,31 +72,14 @@ def build_case(geo, pts):
     grid = base.model.grid
     levels, xs, ys = zip(*pts)
     obs = ObservationSet(grid, levels, xs, ys, ["p"] * len(pts),
-                         np.zeros(len(pts)), np.ones(len(pts)))
+                         np.zeros(len(pts)),
+                         np.full(len(pts), sigma_o ** 2))
     obs.values[:] = obs.sample(base.background_traj) + 0.1
     prob = AssimilationProblem(base.model, base.windows, base.layout,
                                base.b_cov, CovarianceR(obs.variances), obs,
                                base.x_b)
     tiles = build_tiles(grid, geo["ti"], geo["tj"], geo["halo"])
     return prob, tiles
-
-
-def blind_observations(prob, tiles):
-    """Observations whose owner cannot see a node of their stencil: a
-    node with nonzero weight outside the owner's box, or inside it but
-    outside the owned range along both axes (a box corner)."""
-    obs, grid = prob.obs, prob.model.grid
-    blind = set()
-    for n in range(obs.n_obs):
-        t = next(t for t in tiles.tiles
-                 if t.contains_point(obs.x[n], obs.y[n], grid))
-        for (di, dj), w in zip(CORNERS, obs.weights[:, n]):
-            i, j = obs.i0[n] + di, obs.j0[n] + dj
-            in_box = t.bi0 <= i < t.bi1 and t.bj0 <= j < t.bj1
-            live = t.i0 <= i < t.i1 or t.j0 <= j < t.j1
-            if w != 0.0 and not (in_box and live):
-                blind.add(n)
-    return blind
 
 
 # -- plain-loop reference of the local solve's operator ---------------------
@@ -179,10 +160,11 @@ def reference_prior(p, s):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(data=st.data())
-def test_ownership_partitions_and_junctions_are_rejected(data):
+def test_ownership_partitions_and_every_network_reaches_the_analysis(data):
     geo = data.draw(decompositions())
     pts = data.draw(networks(geo))
-    prob, tiles = build_case(geo, pts)
+    sigma_o = data.draw(st.sampled_from([1.0, 0.3, 0.1]))
+    prob, tiles = build_case(geo, pts, sigma_o)
     obs, grid = prob.obs, prob.model.grid
 
     owners = []
@@ -201,13 +183,12 @@ def test_ownership_partitions_and_junctions_are_rejected(data):
             assert prob.windows.window_of_level(int(obs.levels[n])) \
                 == p.window
 
-    blind = blind_observations(prob, tiles)
-    if not blind:
-        DDSolver(prob, tiles, DDConfig())
-        return
-    with pytest.raises(ValueError, match="bilinear stencil over tiles") as exc:
-        DDSolver(prob, tiles, DDConfig())
-    assert int(str(exc.value).split()[1]) in blind
+    # junction and seam points included: the decomposed solve works on
+    # the global residual, so it reaches the global analysis
+    res = DDSolver(prob, tiles, DDConfig()).solve()
+    assert res.converged
+    ref = prob.primal_analysis(tol=1e-12).x
+    assert np.linalg.norm(res.delta_z - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 @settings(max_examples=8, deadline=None,
@@ -218,12 +199,6 @@ def test_assembled_local_operator_matches_plain_loop_reference(data):
     geo = data.draw(decompositions())
     pts = data.draw(networks(geo))
     prob, tiles = build_case(geo, pts)
-    blind = blind_observations(prob, tiles)
-    # keep the network the DD accepts
-    assume(len(blind) < len(pts))
-    if blind:
-        prob, tiles = build_case(geo, [pt for n, pt in enumerate(pts)
-                                       if n not in blind])
     grid = prob.model.grid
     solver = DDSolver(prob, tiles, DDConfig())
     rng = np.random.default_rng(len(pts))

@@ -39,7 +39,7 @@ def test_run_writes_expected_files(tmp_path):
     names = set(res.files)
     assert {"cost_history.csv", "solver_trace.csv", "timing.csv",
             "manifest.json"} <= names
-    assert "dd_trace.csv" not in names
+    assert "dd_trace.csv" not in names and "messages.csv" not in names
 
     header, rows = read_rows(res.files["cost_history.csv"])
     assert header == ["outer", "inner", "J", "Jb", "Jo"]
@@ -92,15 +92,39 @@ def test_rpcg_matches_primal_cost_column(tmp_path):
 
 def test_dd_run_emits_trace_with_schema(tmp_path):
     cfg = small_cfg(nx=12, ny=10, formulation="dd4dvar", ntile_i=2,
-                    ntile_j=1, n_t=1, sigma_o=1.0, omega=0.9,
+                    ntile_j=1, n_t=1, sigma_o=1.0,
                     length_x=0.5, length_f=0.5, length_b=0.5, n_inner=30)
     res = run_experiment(cfg, out_dir=tmp_path)
     header, rows = read_rows(res.files["dd_trace.csv"])
-    assert header == ["dd_iter", "tile", "window", "inner_iters", "J_local",
-                      "halo_mismatch"]
+    assert header == ["dd_iter", "tile", "window", "inner_iters", "residual"]
     assert len(rows) >= 2
     tiles = {int(r[1]) for r in rows}
     assert tiles == {0, 1}
+    # one row per outer iteration and block
+    n_iter = len(rows) // 2
+    assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == [
+        (n, t, 0) for n in range(1, n_iter + 1) for t in (0, 1)]
+    assert all(int(r[3]) >= 1 for r in rows)
+    resid = [float(r[4]) for r in rows[1::2]]
+    assert resid == [float(r[4]) for r in rows[0::2]]
+    assert resid[-1] <= cfg.tau_dd
+    # solver_trace: the same residuals behind the initial 1.0, and the
+    # recurrence J, falling to the final cost
+    sheader, srows = read_rows(res.files["solver_trace.csv"])
+    assert sheader == ["solver", "iteration", "residual", "J"]
+    assert [r[0] for r in srows] == ["dd4dvar"] * (n_iter + 1)
+    assert [int(r[1]) for r in srows] == list(range(n_iter + 1))
+    assert [float(r[2]) for r in srows] == [1.0] + resid
+    j = [float(r[3]) for r in srows]
+    assert all(b <= a for a, b in zip(j, j[1:]))
+    assert j[-1] == pytest.approx(res.final_cost, rel=1e-10)
+    # messages.csv: the world's log, one halo strip per tile and iteration
+    mheader, mrows = read_rows(res.files["messages.csv"])
+    assert mheader == ["step", "sender", "receiver", "tag", "bytes"]
+    assert [int(r[0]) for r in mrows] == list(range(1, 2 * n_iter + 1))
+    assert {(r[1], r[2]) for r in mrows} == {("0", "1"), ("1", "0")}
+    assert [r[3] for r in mrows[:2]] == ["ras/1/west", "ras/1/east"]
+    assert all(int(r[4]) > 0 for r in mrows)
     # timing: one block row per simulated rank, then the run's phases
     theader, trows = read_rows(res.files["timing.csv"])
     assert theader == ["phase", "rank", "seconds"]
@@ -115,7 +139,8 @@ def test_dd_run_emits_trace_with_schema(tmp_path):
     assert phases["setup"] + phases["solve"] <= phases["total"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["converged"] is True
-    assert manifest["iterations"] == [len(rows) // 2]
+    assert manifest["iterations"] == [n_iter]
+    assert {"dd_trace.csv", "messages.csv"} <= set(manifest["files"])
 
 
 def test_krylov_timing_and_manifest_convergence(tmp_path):
@@ -157,22 +182,59 @@ def test_cli_unconverged_dd_writes_outputs_and_exits_3(tmp_path, capsys):
         manifest["files"])
 
 
-def test_cli_junction_observation_exits_2_without_outputs(tmp_path, capsys):
+def _cli_dd_gap(tmp_path, cfg):
+    """Run cfg through the CLI (must exit 0), then return the relative gap
+    between the DD increment and a 1e-12 primal analysis."""
+    from ddvar.grid import build_tiles
+    from ddvar.schwarz import DDConfig, DDSolver
+
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out",
+                 str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["converged"] is True
+    prob = build_problem(cfg)
+    tiles = build_tiles(prob.model.grid, cfg.ntile_i, cfg.ntile_j, cfg.halo)
+    res = DDSolver(prob, tiles, DDConfig(
+        n_bar=cfg.n_bar, tau_dd=cfg.tau_dd, n_inner=cfg.n_inner,
+        inner_tol=cfg.inner_tol)).solve()
+    assert manifest["iterations"] == [res.n_iterations]
+    ref = prob.primal_analysis(tol=1e-12).x
+    return float(np.linalg.norm(res.delta_z - ref) / np.linalg.norm(ref))
+
+
+def test_cli_junction_observation_run_matches_global_analysis(tmp_path):
     """The C5 network at config seed 1 puts observation 35 in the cell at
-    a four-tile junction; the DD rejects it instead of writing a wrong
+    a four-tile junction; the run is accepted and reaches the global
     analysis."""
     from ddvar.acceptance import _c5_config
 
     cfg = _c5_config(2)
     cfg.seed = 1
-    p = write_cfg(tmp_path, cfg)
+    assert _cli_dd_gap(tmp_path, cfg) <= 1e-6
+
+
+def test_cli_small_sigma_o_two_window_run_matches_global_analysis(tmp_path):
+    """40x32, 2x4 tiles, N_t = 2, 160 observations at sigma_o = 0.1
+    (config seed 14): converges within n_bar = 100."""
+    from ddvar.acceptance import _c5_config
+
+    cfg = _c5_config(2)
+    cfg.seed, cfg.n_obs, cfg.sigma_o, cfg.n_bar = 14, 160, 0.1, 100
+    assert _cli_dd_gap(tmp_path, cfg) <= 1e-6
+
+
+def test_cli_narrow_tile_boxes_are_usage_error(tmp_path, capsys):
+    # 8 nodes over 4 tiles with halo 1: boxes 3 nodes wide in y
+    p = tmp_path / "narrow.cfg"
+    p.write_text(emit_config(ExperimentConfig(
+        nx=12, ny=8, formulation="dd4dvar", ntile_i=1, ntile_j=4, halo=1,
+        seed=3)))
     out = tmp_path / "o"
     code = main(["run", "--config", str(p), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "run failed: observation 35" in err
-    assert "tiles [2, 3, 4, 5]" in err
-    assert not list(out.glob("*"))
+    assert code == 1
+    assert "config field ntile_j" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_truncated_krylov_run_exits_0(tmp_path):
