@@ -190,8 +190,7 @@ def _c5_config(n_t):
                             seed=11, n_obs=40, sigma_o=1.0,
                             length_x=0.5, length_f=0.5, length_b=0.5,
                             formulation="dd4dvar", ntile_i=2, ntile_j=4,
-                            halo=2, n_bar=50, tau_dd=1e-10,
-                            n_inner=30, inner_tol=1e-4).validate()
+                            halo=2, n_bar=50, tau_dd=1e-10).validate()
 
 
 def c5_dd_oracle():
@@ -206,9 +205,8 @@ def c5_dd_oracle():
         za = prob.primal_analysis(tol=1e-12).x
         tiles = build_tiles(prob.model.grid, cfg.ntile_i, cfg.ntile_j,
                             cfg.halo)
-        res = dd_outer_loop(prob, tiles, DDConfig(
-            n_bar=cfg.n_bar, tau_dd=cfg.tau_dd, n_inner=cfg.n_inner,
-            inner_tol=cfg.inner_tol))
+        res = dd_outer_loop(prob, tiles, DDConfig(n_bar=cfg.n_bar,
+                                                  tau_dd=cfg.tau_dd))
         gap = float(np.linalg.norm(res.delta_z - za) / np.linalg.norm(za))
         worst = max(worst, gap)
         its.append(res.n_iterations)
@@ -218,8 +216,7 @@ def c5_dd_oracle():
     prob = build_problem(cfg1)
     za = prob.primal_analysis(tol=1e-13).x
     tiles = build_tiles(prob.model.grid, 1, 1, cfg1.halo)
-    res = dd_outer_loop(prob, tiles, DDConfig(
-        n_bar=50, tau_dd=1e-10, n_inner=4000, inner_tol=1e-13))
+    res = dd_outer_loop(prob, tiles, DDConfig(n_bar=50, tau_dd=1e-10))
     degen = float(np.linalg.norm(res.delta_z - za) / np.linalg.norm(za))
     ok = all_ok and worst <= 1e-6 and degen <= 1e-10
     dt = time.perf_counter() - t0

@@ -4,13 +4,15 @@ write the result CSVs and a manifest.
 All CSVs print floats through repr, so identical runs produce byte-identical
 files; timing.csv is the one machine-dependent exception.  It holds one
 `block` row per simulated rank (the compute seconds of that rank's block:
-residual restriction and local solves for the DD, the whole solve for the
-single-rank Krylov runs) and `setup`, `solve`, `impact` and `total` rows
-with rank -1.  manifest.json records whether the solve converged and its
-iteration counts per outer loop (DD: the outer flexible-CG iterations).
-Decomposed runs also write dd_trace.csv (one row per outer iteration and
-block: local PCG iterations and the relative global residual) and
-messages.csv (the simulated communicator's message log).
+residual restriction, the factorization of its local solve and the local
+solves for the DD, the whole solve for the single-rank Krylov runs) and
+`setup`, `solve`, `impact` and `total` rows with rank -1.  manifest.json
+records whether the solve converged and its iteration counts per outer
+loop (DD: the outer flexible-CG iterations); for the DD also each rank's
+capacitance size k_p.  Decomposed runs also write dd_trace.csv (one row
+per outer iteration and block: the 2-norm of the block's restricted
+right-hand side and the relative global residual) and messages.csv (the
+simulated communicator's message log).
 """
 
 import hashlib
@@ -118,6 +120,7 @@ class _Solved:
     setup_s: float = 0.0      # solver set-up after build_problem
     dd_rows: list = None
     messages: list = None     # the simulated world's message log
+    capacitance_sizes: list = None  # DD: k_p per simulated rank
 
 
 def _run_krylov(problem, cfg):
@@ -165,7 +168,8 @@ def _run_dd(problem, cfg):
     return _Solved(history=history, trace=trace, converged=res.converged,
                    iterations=[res.n_iterations], block_seconds=seconds,
                    setup_s=setup_s, dd_rows=res.trace_rows,
-                   messages=messages)
+                   messages=messages,
+                   capacitance_sizes=res.capacitance_sizes)
 
 
 def _tag_text(tag):
@@ -202,7 +206,7 @@ def run_experiment(cfg, out_dir=None):
          [(o, m, j, jb, jo) for o, m, j, jb, jo in history])
     emit("solver_trace.csv", "solver,iteration,residual,J", solved.trace)
     if solved.dd_rows is not None:
-        emit("dd_trace.csv", "dd_iter,tile,window,inner_iters,residual",
+        emit("dd_trace.csv", "dd_iter,tile,window,rhs_norm,residual",
              solved.dd_rows)
         emit("messages.csv", "step,sender,receiver,tag,bytes",
              solved.messages)
@@ -245,6 +249,8 @@ def run_experiment(cfg, out_dir=None):
                          "sha256": _sha256(files[name])}
                   for name in sorted(files)},
     }
+    if solved.capacitance_sizes is not None:
+        manifest["capacitance_sizes"] = solved.capacitance_sizes
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -24,8 +24,10 @@ and B-preconditioned pcg stop at the same iteration in exact arithmetic.
 
 Costs: report.costs has one entry per stored iterate, taken from the
 recurrences (A x is updated with the same axpys as x), never from extra
-operator applications.  pcg, fcg and minres record the quadratic
-1/2 x^T A x - b^T x unless given another cost callable.  The dual routes
+operator applications.  pcg and minres record the quadratic
+1/2 x^T A x - b^T x unless given another cost callable; fcg records it
+through its step decrements, q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so
+its record never rises, not even by a rounding error.  The dual routes
 (dual_cg_rhalf, minres_dual, rpcg) record rows (Jb, Jo) of the primal cost
 J(B G^T w) = Jb + Jo at the observation-space iterate w, with
 Jb = 1/2 w^T H w and Jo = 1/2 (H w - d)^T R^-1 (H w - d), H = G B G^T.
@@ -198,7 +200,7 @@ def pcg(a, b, precond=None, tol=1e-10, maxit=None, reorthogonalize=False,
     return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
 
 
-def fcg(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="fcg"):
+def fcg(a, b, precond=None, tol=1e-10, maxit=None, name="fcg"):
     """Flexible CG for SPD a with a variable preconditioner.
 
     Each direction is the preconditioned residual A-orthogonalized against
@@ -212,15 +214,12 @@ def fcg(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="fcg"):
     n = b.size
     maxit = _default_maxit(n, maxit)
     apply_m = (lambda v: v.copy()) if precond is None else precond.apply
-    if cost is None:
-        cost = _quadratic(b)
 
     x = np.zeros(n)
-    ax = np.zeros(n)
     r = b.copy()
     res0 = np.linalg.norm(r)
     norms = [res0]
-    costs = [cost(x, ax)]
+    costs = [0.0]
     iterates = [x.copy()]
     if res0 == 0.0:
         return SolveReport(name, x, iterates, norms, costs, 0, True)
@@ -236,14 +235,14 @@ def fcg(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="fcg"):
         pap = np.vdot(p, ap)
         if pap <= 0:
             raise SolverBreakdownError("nonpositive curvature p^T A p", k)
-        alpha = np.vdot(p, r) / pap
+        pr = np.vdot(p, r)
+        alpha = pr / pap
         x += alpha * p
-        ax += alpha * ap
         r -= alpha * ap
         dirs.append((p, ap, pap))
         res = np.linalg.norm(r)
         norms.append(res)
-        costs.append(cost(x, ax))
+        costs.append(costs[-1] - 0.5 * pr * pr / pap)
         iterates.append(x.copy())
         if res <= tol * res0:
             converged = True

@@ -17,17 +17,19 @@ Each pass, every block
      directly, halo strips through one halo_exchange per window on the
      window's inter communicator (x0 and f stacked), then zeroes the cells
      project_live drops; its owned ring cells carry the b residual,
-  2. solves its local SPD system by preconditioned CG,
+  2. solves its local SPD system exactly,
 
          A_p s = alpha B_p^-1 s + X_p' W_p X_p s,
 
      with B_p the covariances restricted to the box.  X_p is a sparse
-     matrix, assembled once on the block's first solve, that maps the
-     local control through the truncated (zero-inflow) local propagator
-     to the observation samples and halo-strip values; W_p weights the
-     samples by 1/R and each level's strip values by the overlap metric
-     2 beta C_strip^-1.  Every CG iteration is one matvec with X_p, one
-     with its transpose and the Kronecker prior, and no model sweep,
+     matrix that maps the local control through the truncated
+     (zero-inflow) local propagator to the observation samples and
+     halo-strip values; W_p weights the samples by 1/R and each level's
+     strip values by the overlap metric 2 beta C_strip^-1.  The second
+     term has rank at most k_p, the number of nonzero rows of X_p, so
+     the block's first pass factorizes a k_p x k_p capacitance matrix
+     (Woodbury identity, LocalSolve) and every solve is then direct,
+     with no model sweep and no inner iteration,
   3. adds only the owned part of s to the preconditioned residual.
 
 The outer iteration works on the exact global residual, so its solution is
@@ -51,13 +53,15 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .assim import CostBreakdown, primal_operator
 from .comm import World, create_inter, halo_exchange
 from .control import ControlVector
 from .grid import SIDES, Grid, boundary_ring_indices, restrict
-from .krylov import LinearOperator, fcg, pcg
+# pcg stays importable from here: perfbench's self-test patches schwarz.pcg
+from .krylov import LinearOperator, fcg, pcg  # noqa: F401
 from .model import ModelDivergedError, SurrogateModel
 from .observations import innovations
 
@@ -67,6 +71,7 @@ __all__ = [
     "DDSolver",
     "GaussNewtonTerm",
     "LocalProblem",
+    "LocalSolve",
     "NeighborTrace",
     "build_local_problems",
     "dd_outer_loop",
@@ -84,16 +89,17 @@ class DDConfig:
 
     n_bar caps the outer flexible-CG iterations and tau_dd stops them once
     the global residual norm has fallen to tau_dd times its initial value.
-    n_inner and inner_tol bound each block's local PCG solve inside the
-    RAS preconditioner; alpha weights the local prior and beta the strip
-    overlap term of the local operator.  gamma weights the theta seam
-    correction of local_tl_step/local_ad_step, and omega damped the
-    corrections of the former trace iteration: neither affects the solve.
-    Both are kept, and omega validated, so existing configs still load.
+    alpha weights the local prior and beta the strip overlap term of the
+    local operator, which each block solves exactly (LocalSolve).
+
+    Inert keys, kept (n_inner and omega validated) so that existing
+    configs still load: n_inner and inner_tol bounded the former local
+    PCG solves, gamma weights the theta seam correction of
+    local_tl_step/local_ad_step, and omega damped the corrections of the
+    former trace iteration.  None of them affects the solve.
     """
     n_bar: int = 50
     tau_dd: float = 1e-10
-    inner_solver: str = "pcg"
     n_inner: int = 30
     inner_tol: float = 1e-4
     alpha: float = 1.0
@@ -106,9 +112,6 @@ class DDConfig:
             raise ValueError("n_bar must be >= 1")
         if self.tau_dd <= 0:
             raise ValueError("tau_dd must be > 0")
-        if self.inner_solver != "pcg":
-            raise ValueError(f"unsupported local inner solver "
-                             f"{self.inner_solver!r} (only pcg)")
         if self.n_inner < 1:
             raise ValueError("n_inner must be >= 1")
         if not 0.0 < self.omega < 2.0:
@@ -380,10 +383,10 @@ class LocalProblem:
         return [self.box_model.linearize(x) for x in self.lin_states[:-1]]
 
     @cached_property
-    def gauss_newton(self):
-        """The observation and overlap term X' W X of the local quadratic;
-        assembled on the block's first local solve."""
-        return GaussNewtonTerm(self)
+    def local_solve(self):
+        """The factorized local solve (LocalSolve); built on the block's
+        first RAS pass."""
+        return LocalSolve(self)
 
     # -- local control packing ------------------------------------------
 
@@ -434,7 +437,8 @@ class LocalProblem:
 
 
 class GaussNewtonTerm:
-    """X' W X of one block's local quadratic, assembled once.
+    """The factors X and W of the term X' W X of one block's local
+    quadratic, assembled for its LocalSolve.
 
     X (CSR) maps the local control (x0, f, b) through the zero-inflow
     correction propagator
@@ -483,17 +487,15 @@ class GaussNewtonTerm:
         else:
             state = scipy.sparse.csr_matrix(shape)
 
-        # readout rows per level: samples first, then the strip slabs
-        readout = [([], [], []) for _ in range(p.n_levels)]
+        # readout rows, samples first, then the strip slabs, over the
+        # stacked level states (level l at columns l * n)
         st = p.q_stencil
         n_q = st.nodes.shape[1]
         level, node = np.divmod(st.nodes, nb)
-        sample = np.broadcast_to(np.arange(n_q), st.nodes.shape)
-        for l, (r, c, v) in enumerate(readout):
-            on = (level == l) & (st.weights != 0.0)
-            r.append(sample[on])
-            c.append(node[on])
-            v.append(st.weights[on])
+        on = st.weights != 0.0
+        rows = [np.broadcast_to(np.arange(n_q), st.nodes.shape)[on]]
+        cols = [(level * n + node)[on]]
+        vals = [st.weights[on]]
         self.slabs = []
         start = n_q
         if p.beta != 0.0:
@@ -502,36 +504,121 @@ class GaussNewtonTerm:
                          + np.arange(sj.start, sj.stop)).ravel()
                 picks = (np.arange(nf)[:, None] * nb + strip).ravel()
                 k = picks.size
-                for l, (r, c, v) in enumerate(readout):
-                    r.append(start + l * k + np.arange(k))
-                    c.append(picks)
-                    v.append(np.ones(k))
+                for l in range(p.n_levels):
+                    rows.append(start + l * k + np.arange(k))
+                    cols.append(l * n + picks)
+                    vals.append(np.ones(k))
                 # the strip precision is shared by the tile's windows
                 stop = start + p.n_levels * k
                 self.slabs.append((start, stop,
                                    p.strip_cov[side].block.precision))
                 start = stop
 
-        x = scipy.sparse.csr_matrix((start, p.n_local))
-        for l, (r, c, v) in enumerate(readout):
-            if l:
-                step = scipy.sparse.diags(mask) @ p.lin_ops[l - 1].matrix
-                state = step @ state + forcing
-            x = x + _csr(r, c, v, (start, n)) @ state
-        self.x = x
-        self.xt = x.T.tocsr()
+        # D M_l, formed once per distinct step operator (the linear
+        # model's levels share one)
+        masked = {}
+        states = [state]
+        for op in p.lin_ops:
+            if id(op) not in masked:
+                step = op.matrix.copy()
+                step.data *= np.repeat(mask, np.diff(step.indptr))
+                masked[id(op)] = step
+            states.append(masked[id(op)] @ states[-1] + forcing)
+        self.x = (_csr(rows, cols, vals, (start, p.n_levels * n))
+                  @ scipy.sparse.vstack(states, format="csr"))
         self.q_var = p.q_var
         self.overlap_scale = 2.0 * p.beta
 
-    def apply(self, s):
-        y = self.x @ s
-        y[:self.q_var.size] /= self.q_var
+    def weight_inverse(self, rows):
+        """Dense inverse of the principal sub-block of W over rows (sorted).
+
+        W is block diagonal: 1/q_var on the samples, one strip precision
+        block per (level, field) row of each slab, so the sub-block inverts
+        piece by piece.
+        """
+        out = np.zeros((rows.size, rows.size))
+        samples = np.flatnonzero(rows < self.q_var.size)
+        out[samples, samples] = self.q_var[rows[samples]]
         for start, stop, prec in self.slabs:
-            rows = y[start:stop].reshape(-1, prec.shape[0])
-            y[start:stop] = self.overlap_scale * (rows @ prec).ravel()
-        # a stored CSR transpose: building the X.T view costs more per
-        # call than the product itself
-        return self.xt @ y
+            pos = np.flatnonzero((rows >= start) & (rows < stop))
+            piece, cell = np.divmod(rows[pos] - start, prec.shape[0])
+            inverses = {}  # pieces keeping the same strip cells share one
+            for b in np.unique(piece):
+                at = pos[piece == b]
+                sub = cell[piece == b]
+                key = sub.tobytes()
+                if key not in inverses:
+                    inverses[key] = np.linalg.inv(
+                        self.overlap_scale * prec[np.ix_(sub, sub)])
+                out[np.ix_(at, at)] = inverses[key]
+        return out
+
+
+class LocalSolve:
+    """Exact solve of one block's local system
+    A_p = alpha B_p^-1 + X' W X, factorized once.
+
+    The Gauss-Newton term has rank at most k, the number of nonzero rows
+    X_n of X, so by the Woodbury identity
+
+        A_p^-1 r = (B_p r - B_p X_n' C^-1 X_n B_p r / alpha) / alpha,
+        C = W_nn^-1 + X_n B_p X_n' / alpha,
+
+    with W_nn the principal sub-block of W on those rows.  B_p is the
+    covariance restricted to the box (Kronecker blocks for x0 and f, the
+    owned ring block for b).  C (k x k) is built from chunks of X_n rows,
+    so no dense k x n_local array outlives a chunk, and Cholesky-factored.
+    An apply costs two B_p applies, two sparse products and one
+    triangular solve pair; k = 0 leaves B_p r / alpha.
+    """
+
+    CHUNK = 64
+
+    def __init__(self, p):
+        self.alpha = p.alpha
+        self.covs = ([p.cov_x] if p.has_x0 else []) + [p.cov_f]
+        if p.layout_ctl.has_boundary:
+            self.covs.append(p.cov_b)  # None when the block owns no ring
+        self.seg_sizes = p.seg_sizes
+        self.n_fields = p.n_fields
+        gn = GaussNewtonTerm(p)
+        rows = np.flatnonzero(np.diff(gn.x.indptr))
+        self.k = rows.size
+        self.xn = gn.x[rows]
+        self.xnt = self.xn.T.tocsr()
+        self.factor = None
+        if self.k:
+            cap = gn.weight_inverse(rows)
+            for c0 in range(0, self.k, self.CHUNK):
+                block = self.prior(self.xn[c0:c0 + self.CHUNK].toarray())
+                cap[:, c0:c0 + self.CHUNK] += (self.xn @ block.T) / self.alpha
+            # cap.T: the same symmetric matrix, Fortran-ordered, so LAPACK
+            # factors it in place
+            low = scipy.linalg.cholesky(cap.T, lower=True, overwrite_a=True,
+                                        check_finite=False)
+            # kept packed, column by column (k (k + 1) / 2 entries)
+            self.factor = low.T[np.triu(np.ones(cap.shape, dtype=bool))]
+
+    def prior(self, v):
+        """B_p applied to v (n_local,), or to every row of v (m, n_local)."""
+        out = v.copy()
+        ofs = 0
+        for cov, n in zip(self.covs, self.seg_sizes):
+            if cov is not None:
+                seg = v[..., ofs:ofs + n]
+                out[..., ofs:ofs + n] = cov.block.apply(
+                    seg.reshape(seg.shape[:-1] + (self.n_fields, -1))
+                ).reshape(seg.shape)
+            ofs += n
+        return out
+
+    def apply(self, r):
+        u = self.prior(r)
+        if self.k:
+            y, _ = scipy.linalg.lapack.dpptrs(self.k, self.factor,
+                                              self.xn @ u, lower=1)
+            u -= self.prior(self.xnt @ y.ravel()) / self.alpha
+        return u / self.alpha
 
 
 def _csr(rows, cols, vals, shape):
@@ -816,12 +903,14 @@ class DDResult:
     n_iterations: int          # outer flexible-CG iterations
     residuals: np.ndarray      # ||r_k|| / ||r_0||, k = 0..n_iterations
     costs: np.ndarray          # J at every iterate, from the recurrence
-    trace_rows: list           # (dd_iter, tile, window, inner_iters, residual)
+    trace_rows: list           # (dd_iter, tile, window, rhs_norm, residual)
     world: World
     cost: CostBreakdown = None
     # compute seconds each (tile, window) block spent restricting the
-    # residual and in its local solves
+    # residual, factorizing its local solve and applying it
     block_seconds: dict = field(default_factory=dict)
+    # k_p, the size of each block's capacitance matrix, in rank order
+    capacitance_sizes: list = field(default_factory=list)
 
     @property
     def final_cost(self):
@@ -892,64 +981,16 @@ class DDSolver:
             ctl["b"] = v.b(p.window)[:, p.ring_pos].copy()
         return ctl
 
-    def _local_operator(self, p):
-        """SPD quadratic operator of the block's correction solve,
-        A_p s = alpha B_p^-1 s + X_p' W_p X_p s.
-
-        The prior term uses the inverse of the covariance restricted to the
-        box, which matches the principal block of the global precision up
-        to correlation across the outer box edge; the observation and
-        overlap terms are the block's assembled GaussNewtonTerm.
-        """
-
-        def apply(s):
-            out = p.gauss_newton.apply(s)
-            parts = p.split_local(s)
-            outp = p.split_local(out)
-            if p.has_x0:
-                outp["x0"][:] += (p.alpha * p.cov_x.apply_inv(
-                    parts["x0"].ravel())).reshape(parts["x0"].shape)
-            outp["f"][:] += (p.alpha * p.cov_f.apply_inv(
-                parts["f"].ravel())).reshape(parts["f"].shape)
-            if "b" in parts and p.cov_b is not None:
-                # the ring block is small and dense: its inverse, formed
-                # once per tile, beats a triangular solve pair per apply
-                outp["b"][:] += p.alpha * (parts["b"]
-                                           @ p.cov_b.block.precision)
-            return out
-
-        return LinearOperator((p.n_local, p.n_local), apply)
-
-    def _local_precond(self, p):
-        def apply(s):
-            out = np.zeros_like(s)
-            parts = p.split_local(s)
-            outp = p.split_local(out)
-            if p.has_x0:
-                outp["x0"][:] = p.cov_x.apply(parts["x0"].ravel()).reshape(
-                    parts["x0"].shape)
-            outp["f"][:] = p.cov_f.apply(parts["f"].ravel()).reshape(
-                parts["f"].shape)
-            if "b" in parts:
-                if p.cov_b is not None:
-                    outp["b"][:] = p.cov_b.apply(
-                        parts["b"].ravel()).reshape(parts["b"].shape)
-                else:
-                    outp["b"][:] = parts["b"]
-            return out
-
-        return LinearOperator((p.n_local, p.n_local), apply)
-
-    def _ras(self, r, ops, pres, block_s, n):
+    def _ras(self, r, block_s, n):
         """One restricted additive Schwarz pass over the blocks: the
         owned parts of every block's local solve on the residual r.
-        Returns the preconditioned residual and the local PCG iterations
-        of each block."""
+        Returns the preconditioned residual and the 2-norm of each block's
+        restricted right-hand side."""
         layout = self.problem.layout
         nf = self.problem.model.n_fields
         v = ControlVector(layout, r)
         out = ControlVector(layout)
-        its = {}
+        norms = {}
         clock = time.perf_counter
         for k in range(self.windows.n_t):
             # owned cells from the residual, halo strips from the neighbors
@@ -977,11 +1018,8 @@ class DDSolver:
                 parts["f"][:] = box[-nf:]
                 if "b" in parts:
                     parts["b"][:] = v.b(k)[:, p.ring_pos]
-                rep = pcg(ops[key], rho, precond=pres[key],
-                          tol=self.config.inner_tol,
-                          maxit=self.config.n_inner, name="dd_local")
-                its[key] = rep.iterations
-                s = p.split_local(rep.x)
+                norms[key] = float(np.linalg.norm(rho))
+                s = p.split_local(p.local_solve.apply(rho))
                 osl = tile.owned_slices
                 oi, oj = p.owned_local
                 if p.has_x0:
@@ -990,7 +1028,7 @@ class DDSolver:
                 if "b" in s:
                     out.b(k)[:, p.ring_pos] += s["b"]
                 block_s[key] += clock() - t0
-        return out.data, its
+        return out.data, norms
 
     def solve(self):
         """Flexible CG on the global primal system, preconditioned by one
@@ -1000,17 +1038,13 @@ class DDSolver:
         rinv_d = problem.r_cov.apply_inv(self.d)
         rhs = g_op.apply_t(rinv_d)
         n_z = problem.layout.n_z
-        ops = {key: self._local_operator(p)
-               for key, p in self.blocks.items()}
-        pres = {key: self._local_precond(p)
-                for key, p in self.blocks.items()}
         order = sorted(self.blocks)
         block_s = dict.fromkeys(order, 0.0)
-        inner = []
+        passes = []
 
         def ras(r):
-            out, its = self._ras(r, ops, pres, block_s, len(inner) + 1)
-            inner.append(its)
+            out, norms = self._ras(r, block_s, len(passes) + 1)
+            passes.append(norms)
             return out
 
         rep = fcg(primal_operator(g_op, problem.b_cov, problem.r_cov), rhs,
@@ -1019,8 +1053,8 @@ class DDSolver:
                   name="dd4dvar")
         res0 = rep.residual_norms[0]
         residuals = rep.residual_norms / res0 if res0 else rep.residual_norms
-        rows = [(m, tid, k, its[(tid, k)], float(residuals[m]))
-                for m, its in enumerate(inner, start=1)
+        rows = [(m, tid, k, norms[(tid, k)], float(residuals[m]))
+                for m, norms in enumerate(passes, start=1)
                 for tid, k in order]
         # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records
         costs = rep.costs + 0.5 * float(np.vdot(self.d, rinv_d))
@@ -1031,7 +1065,10 @@ class DDSolver:
                         n_iterations=rep.iterations, residuals=residuals,
                         costs=costs, trace_rows=rows, world=self.world,
                         cost=problem.cost(z, d=self.d),
-                        block_seconds=block_s)
+                        block_seconds=block_s,
+                        capacitance_sizes=[
+                            self.blocks[key].local_solve.k for key in sorted(
+                                order, key=lambda b: self.world.rank_of(*b))])
 
 
 def dd_outer_loop(problem, layout_tiles, config):

@@ -6,6 +6,7 @@ from ddvar.krylov import (
     LinearOperator,
     SolverBreakdownError,
     dual_cg_rhalf,
+    fcg,
     minres,
     minres_dual,
     pcg,
@@ -228,3 +229,20 @@ def test_all_solvers_agree_on_one_instance():
     for name, x in sols.items():
         err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
         assert err <= 1e-8, f"{name}: {err}"
+
+
+def test_fcg_cost_record_is_the_quadratic_and_never_rises():
+    """fcg's J comes from its step decrements: it equals 1/2 x'Ax - b'x at
+    every iterate and never rises, also under a changing preconditioner
+    and through the rounding-level steps at the end."""
+    rng = np.random.default_rng(17)
+    a = random_spd(30, rng, spread=3.0)
+    b = rng.standard_normal(30)
+    scales = iter(rng.uniform(0.5, 2.0, 200))
+    precond = LinearOperator((30, 30), lambda v: next(scales) * v)
+    rep = fcg(a, b, precond=precond, tol=1e-15, maxit=60)
+    for x, j in zip(rep.iterates, rep.costs):
+        q = 0.5 * x @ a @ x - b @ x
+        assert abs(j - q) <= 1e-12 * abs(rep.costs[-1])
+    assert all(j1 <= j0 for j0, j1 in zip(rep.costs, rep.costs[1:]))
+    np.testing.assert_allclose(rep.x, np.linalg.solve(a, b), rtol=1e-10)

@@ -50,3 +50,34 @@ def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
     problem = AssimilationProblem(model, windows, layout, b_cov, r_cov, obs, x_b)
     problem.z_truth = z_truth
     return problem
+
+
+# -- references for one DD block's local operator ---------------------------
+
+
+def reference_weight(p, y):
+    """W of the block's local quadratic applied to readout values y: 1/R
+    on the samples, 2 beta C_strip^-1 on every level of every strip."""
+    n_q = p.q_var.size
+    out = [y[:n_q] / p.q_var]
+    pos = n_q
+    for side, sl in p.strips.items():
+        k = p.n_fields * (sl[0].stop - sl[0].start) * (sl[1].stop
+                                                        - sl[1].start)
+        for _ in range(p.n_levels):
+            out.append(2.0 * p.beta * p.strip_cov[side].apply_inv(
+                y[pos:pos + k]))
+            pos += k
+    return np.concatenate(out)
+
+
+def reference_prior(p, s):
+    """alpha B_p^-1 s through the restricted covariances' own inverses."""
+    out = np.zeros_like(s)
+    parts, outp = p.split_local(s), p.split_local(out)
+    covs = {"x0": p.cov_x, "f": p.cov_f, "b": p.cov_b}
+    for name, v in parts.items():
+        if covs[name] is not None:
+            outp[name][:] = p.alpha * covs[name].apply_inv(
+                v.ravel()).reshape(v.shape)
+    return out
