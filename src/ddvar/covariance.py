@@ -13,7 +13,8 @@ i*ny + j (the order of Grid.node_coords)
 with Kx (nx x nx) and Ky (ny x ny) the 1-D Gaussian kernels of the axes.
 Both come with their eigenpairs Kx = Ux Lx Ux', Ky = Uy Ly Uy', and the
 nugget is diagonal in the joint eigenbasis, so every operation works on an
-(..., nx, ny) view V of a field and costs a few small matrix products:
+(..., nx, ny) view V of a field and costs a few small matrix products
+(the eigenpairs are computed on the first operation that needs them):
 
     B V        = sigma^2 Kx V Ky + eps V
     B^-1 V     = Ux [(Ux' V Uy) / s] Uy'
@@ -185,15 +186,39 @@ class KroneckerCovariance:
         self.n = self.nx * self.ny
         self.kx = _kernel_1d(self.x, length)
         self.ky = _kernel_1d(self.y, length)
-        lx, self.ux = np.linalg.eigh(self.kx)
-        ly, self.uy = np.linalg.eigh(self.ky)
+
+    @cached_property
+    def _eigen(self):
+        """(Ux, Uy, s), computed on first use: apply needs none of them,
+        so restrictions that are only ever applied never decompose."""
+        lx, ux = np.linalg.eigh(self.kx)
+        ly, uy = np.linalg.eigh(self.ky)
         # the Gaussian kernel is positive semidefinite: eigenvalues below
         # zero are rounding, and clipping them keeps s >= eps
-        self.spectrum = (self.sigma**2 * np.outer(np.maximum(lx, 0.0),
-                                                  np.maximum(ly, 0.0))
-                         + self.nugget)
-        self._inv_spectrum = 1.0 / self.spectrum
-        self._sqrt_spectrum = np.sqrt(self.spectrum)
+        spectrum = (self.sigma**2 * np.outer(np.maximum(lx, 0.0),
+                                             np.maximum(ly, 0.0))
+                    + self.nugget)
+        return ux, uy, spectrum
+
+    @property
+    def ux(self):
+        return self._eigen[0]
+
+    @property
+    def uy(self):
+        return self._eigen[1]
+
+    @property
+    def spectrum(self):
+        return self._eigen[2]
+
+    @cached_property
+    def _inv_spectrum(self):
+        return 1.0 / self.spectrum
+
+    @cached_property
+    def _sqrt_spectrum(self):
+        return np.sqrt(self.spectrum)
 
     @property
     def matrix(self):
@@ -221,12 +246,6 @@ class KroneckerCovariance:
 
     def apply_inv(self, v):
         return self._eig_scale(v, self._inv_spectrum)
-
-    @cached_property
-    def precision(self):
-        """The dense inverse B^-1, computed on first use; for small
-        sub-grids such as the halo strips of a decomposition."""
-        return self.apply_inv(np.eye(self.n))
 
     def apply_sqrt(self, w):
         """Map a unit-variance draw w to a B-distributed vector, B^1/2 w."""

@@ -4,15 +4,16 @@ write the result CSVs and a manifest.
 All CSVs print floats through repr, so identical runs produce byte-identical
 files; timing.csv is the one machine-dependent exception.  It holds one
 `block` row per simulated rank (the compute seconds of that rank's block:
-residual restriction, the factorization of its local solve and the local
-solves for the DD, the whole solve for the single-rank Krylov runs) and
-`setup`, `solve`, `impact` and `total` rows with rank -1.  manifest.json
-records whether the solve converged and its iteration counts per outer
-loop (DD: the outer flexible-CG iterations); for the DD also each rank's
-capacitance size k_p.  Decomposed runs also write dd_trace.csv (one row
-per outer iteration and block: the 2-norm of the block's restricted
-right-hand side and the relative global residual) and messages.csv (the
-simulated communicator's message log).
+the restriction of B r to its box, the factorization of its
+observation-space solve and those solves for the DD, the whole solve for
+the single-rank Krylov runs) and `setup`, `solve`, `impact` and `total`
+rows with rank -1.  manifest.json records whether the solve converged
+and its iteration counts per outer loop (DD: the outer flexible-CG
+iterations); for the DD also each rank's capacitance size k_p, the
+number of observations its block carries.  Decomposed runs also write
+dd_trace.csv (one row per outer iteration and block: the 2-norm of the
+block's restriction of B r and the relative global residual) and
+messages.csv (the simulated communicator's message log).
 """
 
 import hashlib

@@ -144,17 +144,18 @@ class Tile:
             slice(sj.start - self.bj0, sj.stop - self.bj0),
         )
 
-    def contains_point(self, x: float, y: float, grid: Grid) -> bool:
-        """True if (x, y) falls in this tile's owned coordinate patch.
+    def contains_point(self, x, y, grid: Grid):
+        """True where (x, y) falls in this tile's owned coordinate patch.
 
         The patch is [i0*dx, i1*dx) x [j0*dy, j1*dy), closed on the domain's
         east/north edges so every in-domain point has exactly one owner.
+        x and y are coordinates or equal-shaped arrays of them.
         """
         xlo, xhi = self.i0 * grid.dx, self.i1 * grid.dx
         ylo, yhi = self.j0 * grid.dy, self.j1 * grid.dy
-        in_x = (xlo <= x < xhi) or (self.i1 == grid.nx and x == xhi)
-        in_y = (ylo <= y < yhi) or (self.j1 == grid.ny and y == yhi)
-        return in_x and in_y
+        in_x = ((xlo <= x) & (x < xhi)) | ((self.i1 == grid.nx) & (x == xhi))
+        in_y = ((ylo <= y) & (y < yhi)) | ((self.j1 == grid.ny) & (y == yhi))
+        return in_x & in_y
 
 
 @dataclass(frozen=True)

@@ -7,45 +7,47 @@ on the primal system
 
 one Hessian apply (one TL and one AD sweep of the problem's background
 TangentObsOperator) per iteration, and stops once the global residual has
-fallen to tau_dd times its initial norm.  The preconditioner is one
-restricted additive Schwarz (RAS) pass over the (tile i, window k) blocks.
-Window-0 blocks own their tile's initial-state nodes, and every block owns
-its tile's forcing nodes and physical-boundary ring nodes for its window.
-Each pass, every block
+fallen to tau_dd times its initial norm.  The preconditioner applies the
+prior globally and splits only the low-rank observation term over the
+(tile i, window k) blocks, the observation-space (dual) form of the
+Gauss-Newton inverse (Courtier, QJRMS 1997) applied block by block as in
+restricted additive Schwarz (Cai & Sarkis, SIAM J. Sci. Comput. 1999):
 
-  1. takes the global residual restricted to its box: owned cells
-     directly, halo strips through one halo_exchange per window on the
-     window's inter communicator (x0 and f stacked), then zeroes the cells
-     project_live drops; its owned ring cells carry the b residual,
-  2. solves its local SPD system exactly,
+    M r = (u - B E(sum_p X_p' y_p) / alpha) / alpha,    u = B r,
+    y_p = C_p^-1 X_p u_p,    C_p = R_pp + X_p B_p X_p' / alpha.
 
-         A_p s = alpha B_p^-1 s + X_p' W_p X_p s,
+B is one global covariance apply, so M needs two of them and no B^-1,
+and with no observations M = B / alpha, B-preconditioned CG, which does
+not degrade at long correlation lengths.  Window-0 blocks own their tile's
+initial-state nodes, and every block owns its tile's forcing nodes and
+physical-boundary ring nodes for its window.  Each apply, every block
 
-     with B_p the covariances restricted to the box.  X_p is a sparse
-     matrix that maps the local control through the truncated
-     (zero-inflow) local propagator to the observation samples and
-     halo-strip values; W_p weights the samples by 1/R and each level's
-     strip values by the overlap metric 2 beta C_strip^-1.  The second
-     term has rank at most k_p, the number of nonzero rows of X_p, so
-     the block's first pass factorizes a k_p x k_p capacitance matrix
-     (Woodbury identity, LocalSolve) and every solve is then direct,
-     with no model sweep and no inner iteration,
-  3. adds only the owned part of s to the preconditioned residual.
+  1. takes u restricted to its box: owned cells directly, halo strips
+     through one halo_exchange per window on the window's inter
+     communicator (x0 and f stacked), then zeroes the cells project_live
+     drops; its owned ring cells carry the b part of u,
+  2. solves in the space of its k_p observations, the ones whose bilinear
+     stencil lies inside its box.  X_p (k_p x n_local) maps the local
+     control through the truncated (zero-inflow) local propagator to
+     those samples, R_pp is their error variance and B_p the covariance
+     restricted to the box.  The block's first apply builds X_p and
+     Cholesky-factors the k_p x k_p matrix C_p (LocalSolve); every later
+     solve is two small dense products and one triangular solve pair,
+  3. adds the owned part of X_p' y_p to the vector E assembles.
 
 The outer iteration works on the exact global residual, so its solution is
-the global analysis whatever the local operators are; they only shape the
+the global analysis whatever the blocks drop; they only shape the
 convergence rate.  In particular an observation in the cell at a
 four-tile junction, whose diagonal node is a zeroed corner of its owner's
-box, is seen exactly by the Hessian and approximately by the local
-operators.
+box, is seen exactly by the Hessian and approximately by the blocks.
 
 The local sweeps (local_tl_step, local_ad_step) describe one block's part
 of the global sweeps with frozen neighbor traces: halo strips are
 overwritten from the trace after every step plus the theta seam correction
 (the step operator applied to the difference between the locally evolved
 strip values and the trace), and box corners are zeroed.  local_cost
-evaluates the block's local functional from such a sweep.  The solve runs
-none of them.
+evaluates the block's overlap-regularized local functional from such a
+sweep.  The solve runs none of them.
 """
 
 import time
@@ -54,7 +56,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .assim import CostBreakdown, primal_operator
 from .comm import World, create_inter, halo_exchange
@@ -89,14 +90,15 @@ class DDConfig:
 
     n_bar caps the outer flexible-CG iterations and tau_dd stops them once
     the global residual norm has fallen to tau_dd times its initial value.
-    alpha weights the local prior and beta the strip overlap term of the
-    local operator, which each block solves exactly (LocalSolve).
+    alpha weights the prior in the preconditioner.
 
     Inert keys, kept (n_inner and omega validated) so that existing
     configs still load: n_inner and inner_tol bounded the former local
-    PCG solves, gamma weights the theta seam correction of
-    local_tl_step/local_ad_step, and omega damped the corrections of the
-    former trace iteration.  None of them affects the solve.
+    PCG solves, beta weights the strip overlap term of local_cost (the
+    preconditioner carries no strip rows), gamma weights the theta seam
+    correction of local_tl_step/local_ad_step, and omega damped the
+    corrections of the former trace iteration.  None of them affects the
+    solve.
     """
     n_bar: int = 50
     tau_dd: float = 1e-10
@@ -172,8 +174,8 @@ def overlap_operator(own, neighbor, strip_cov, beta):
 
 
 class LocalProblem:
-    """Everything one (tile, window) block needs for its local solve and
-    its local sweeps."""
+    """Everything one (tile, window) block needs for its observation-space
+    solve and its local sweeps."""
 
     def __init__(self, tile, window, model, box_model, grid, windows,
                  layout_ctl, obs, weights):
@@ -308,17 +310,16 @@ class LocalProblem:
 
         # observations of the window, and the subset this tile owns
         self.obs = obs
-        self.window_obs_idx = np.asarray(
-            [k for k in range(obs.n_obs)
-             if windows.window_of_level(int(obs.levels[k])) == window],
-            dtype=int)
+        # levels shared by two windows go to the earlier one
+        ends = [windows.end(k) for k in range(windows.n_t)]
+        self.window_obs_idx = np.flatnonzero(
+            np.searchsorted(ends, obs.levels) == window)
         w_idx = self.window_obs_idx
-        mine = np.array([tile.contains_point(obs.x[k], obs.y[k], grid)
-                         for k in w_idx], dtype=bool)
-        self.own_obs_idx = w_idx[mine]
-        # observations whose stencil lies inside the box: their R^-1 weight
-        # curves the local quadratic even when a neighbor owns them, so the
-        # local solve must carry them too
+        self.own_obs_idx = w_idx[tile.contains_point(obs.x[w_idx],
+                                                     obs.y[w_idx], grid)]
+        # observations whose stencil lies inside the box: the block's
+        # observation-space solve carries them even when a neighbor owns
+        # them
         i0, j0 = obs.i0[w_idx], obs.j0[w_idx]
         self.q_obs_idx = w_idx[(i0 >= tile.bi0) & (i0 + 1 < tile.bi1)
                                & (j0 >= tile.bj0) & (j0 + 1 < tile.bj1)]
@@ -330,10 +331,9 @@ class LocalProblem:
         self.own_var = obs.variances[self.own_obs_idx]
         self.q_var = obs.variances[self.q_obs_idx]
 
-        # control segments of the local solve: x0 (window 0) and f live on
-        # the whole box so that the restricted-covariance prior matches the
-        # principal block of the precision to the halo-truncation error;
-        # only the owned part of a correction is ever assembled
+        # control segments of the block: x0 (window 0) and f live on the
+        # whole box, so the propagator reads the halo strips of u; only the
+        # owned part of a correction is ever assembled
         self.has_x0 = window == 0
         sizes = []
         if self.has_x0:
@@ -345,12 +345,11 @@ class LocalProblem:
         self.n_local = int(sum(sizes))
 
         # covariances, attached by build_local_problems: restricted ones
-        # for preconditioning and the overlap metric, full segment ones
-        # for the owned block of the precision
+        # for the capacitance matrix, full segment ones for the owned
+        # block of the precision and the overlap metric
         self.cov_x = None
         self.cov_f = None
         self.cov_b = None
-        self.strip_cov = {}
         self.full_cov = {}
 
     def owned_prec_apply(self, seg, v):
@@ -366,6 +365,14 @@ class LocalProblem:
         full[:, idx] = v.reshape(self.n_fields, -1)
         out = cov.apply_inv(full.ravel()).reshape(self.n_fields, -1)
         return out[:, idx].ravel()
+
+    @cached_property
+    def strip_cov(self):
+        """Initial-state covariance restricted to each halo strip, the
+        overlap metric of local_cost; built on first use."""
+        bx = self.full_cov["x0"]
+        return {side: bx.restrict(idx)
+                for side, idx in self.strip_node_idx.items()}
 
     @cached_property
     def ring_prec(self):
@@ -384,8 +391,8 @@ class LocalProblem:
 
     @cached_property
     def local_solve(self):
-        """The factorized local solve (LocalSolve); built on the block's
-        first RAS pass."""
+        """The factorized observation-space solve (LocalSolve); built on
+        the block's first preconditioner apply."""
         return LocalSolve(self)
 
     # -- local control packing ------------------------------------------
@@ -410,9 +417,9 @@ class LocalProblem:
         """Zero box cells outside the owned and meaningful strip cells.
 
         Everything else carries either wrapped stencil output or a
-        neighbor's territory, so gradient components there are dropped
-        before the local solve, and the correction propagator starts from
-        the projected initial increment.
+        neighbor's territory, so those components of u are dropped before
+        the block's solve, and the correction propagator starts from the
+        projected initial increment.
         """
         field[:, ~self.rho_keep] = 0.0
         return field
@@ -437,21 +444,20 @@ class LocalProblem:
 
 
 class GaussNewtonTerm:
-    """The factors X and W of the term X' W X of one block's local
-    quadratic, assembled for its LocalSolve.
+    """The rows X of the Gauss-Newton term X' R_pp^-1 X of one block.
 
-    X (CSR) maps the local control (x0, f, b) through the zero-inflow
-    correction propagator
+    X (dense, k x n_local) maps the local control (x0, f, b) through the
+    zero-inflow correction propagator
 
         x_0 = P x0,    x_l = D (M_l x_{l-1} + dt f) + R b
 
-    to the values the local weight reads: the q_stencil samples of every
-    window level, then one slab per strip side holding that side's strip
-    values at every level.  P is project_live, M_l the step operator onto
-    level l, D the 0/1 mask that zeroes owned ring cells, strip lines on
-    the box edge, ring cells in the halo and box corners, and R injects b
-    into the owned ring cells.  W is diag(1/q_var) on the samples and
-    2 beta C_side^-1 on each (level, field) row of a side's slab.
+    to the block's k observation samples (q_stencil, the observations
+    whose bilinear stencil lies inside the box); R_pp = diag(q_var).  P
+    is project_live, M_l the step operator onto level l, D the 0/1 mask
+    that zeroes owned ring cells, strip lines on the box edge, ring cells
+    in the halo and box corners, and R injects b into the owned ring
+    cells.  All k rows come from one reverse sweep of the sample seeds
+    through the transposed masked step operators.
     """
 
     def __init__(self, p):
@@ -459,120 +465,57 @@ class GaussNewtonTerm:
         bnx, bny = p.tile.box_shape
         nb = bnx * bny
         n = nf * nb
-        ofs_f = n if p.has_x0 else 0
-        ofs_b = ofs_f + n
-        shape = (n, p.n_local)
+        st = p.q_stencil
+        k = st.nodes.shape[1]
 
         keep = p.live_mask.copy()
         keep[p.ring_ii, p.ring_jj] = False
         keep[p.ring_halo_ii, p.ring_halo_jj] = False
         for side, sl in p.strips.items():
             keep[sl][p.outer_rel[side]] = False
-        mask = np.tile(keep.ravel(), nf).astype(float)
-        cells = np.arange(n)
+        mask = np.tile(keep.ravel(), nf)[:, None]
 
-        # the constant part of every step, dt D f + R b
-        rows, cols = [cells], [ofs_f + cells]
-        vals = [p.box_model.grid.dt * mask]
-        if p.layout_ctl.has_boundary and p.ring_pos.size:
-            ring = p.ring_ii * bny + p.ring_jj
-            rows.append((np.arange(nf)[:, None] * nb + ring).ravel())
-            cols.append(ofs_b + np.arange(nf * ring.size))
-            vals.append(np.ones(nf * ring.size))
-        forcing = _csr(rows, cols, vals, shape)
-        if p.has_x0:
-            state = _csr([cells], [cells],
-                         [np.tile(p.rho_keep.ravel(), nf).astype(float)],
-                         shape)
-        else:
-            state = scipy.sparse.csr_matrix(shape)
-
-        # readout rows, samples first, then the strip slabs, over the
-        # stacked level states (level l at columns l * n)
-        st = p.q_stencil
-        n_q = st.nodes.shape[1]
+        # the samples' bilinear weights on field 0 of every level
         level, node = np.divmod(st.nodes, nb)
+        col = np.broadcast_to(np.arange(k), st.nodes.shape)
         on = st.weights != 0.0
-        rows = [np.broadcast_to(np.arange(n_q), st.nodes.shape)[on]]
-        cols = [(level * n + node)[on]]
-        vals = [st.weights[on]]
-        self.slabs = []
-        start = n_q
-        if p.beta != 0.0:
-            for side, (si, sj) in p.strips.items():
-                strip = (np.arange(si.start, si.stop)[:, None] * bny
-                         + np.arange(sj.start, sj.stop)).ravel()
-                picks = (np.arange(nf)[:, None] * nb + strip).ravel()
-                k = picks.size
-                for l in range(p.n_levels):
-                    rows.append(start + l * k + np.arange(k))
-                    cols.append(l * n + picks)
-                    vals.append(np.ones(k))
-                # the strip precision is shared by the tile's windows
-                stop = start + p.n_levels * k
-                self.slabs.append((start, stop,
-                                   p.strip_cov[side].block.precision))
-                start = stop
+        seeds = np.zeros((p.n_levels, n, k))
+        seeds[level[on], node[on], col[on]] = st.weights[on]
 
-        # D M_l, formed once per distinct step operator (the linear
-        # model's levels share one)
-        masked = {}
-        states = [state]
-        for op in p.lin_ops:
-            if id(op) not in masked:
-                step = op.matrix.copy()
-                step.data *= np.repeat(mask, np.diff(step.indptr))
-                masked[id(op)] = step
-            states.append(masked[id(op)] @ states[-1] + forcing)
-        self.x = (_csr(rows, cols, vals, (start, p.n_levels * n))
-                  @ scipy.sparse.vstack(states, format="csr"))
+        ring = (np.arange(nf)[:, None] * nb
+                + p.ring_ii * bny + p.ring_jj).ravel()
+        adj = seeds[-1]
+        adj_f = np.zeros((n, k))
+        adj_b = np.zeros((ring.size, k))
+        for l in range(p.n_levels - 1, 0, -1):
+            adj_b += adj[ring]
+            adj = np.where(mask, adj, 0.0)
+            adj_f += adj
+            adj = seeds[l - 1] + p.lin_ops[l - 1].matrix_t @ adj
+        parts = [adj_f * p.box_model.grid.dt]
+        if p.has_x0:
+            parts.insert(0, adj * np.tile(p.rho_keep.ravel(), nf)[:, None])
+        if p.layout_ctl.has_boundary:
+            parts.append(adj_b)
+        self.x = np.ascontiguousarray(np.concatenate(parts).T)
         self.q_var = p.q_var
-        self.overlap_scale = 2.0 * p.beta
-
-    def weight_inverse(self, rows):
-        """Dense inverse of the principal sub-block of W over rows (sorted).
-
-        W is block diagonal: 1/q_var on the samples, one strip precision
-        block per (level, field) row of each slab, so the sub-block inverts
-        piece by piece.
-        """
-        out = np.zeros((rows.size, rows.size))
-        samples = np.flatnonzero(rows < self.q_var.size)
-        out[samples, samples] = self.q_var[rows[samples]]
-        for start, stop, prec in self.slabs:
-            pos = np.flatnonzero((rows >= start) & (rows < stop))
-            piece, cell = np.divmod(rows[pos] - start, prec.shape[0])
-            inverses = {}  # pieces keeping the same strip cells share one
-            for b in np.unique(piece):
-                at = pos[piece == b]
-                sub = cell[piece == b]
-                key = sub.tobytes()
-                if key not in inverses:
-                    inverses[key] = np.linalg.inv(
-                        self.overlap_scale * prec[np.ix_(sub, sub)])
-                out[np.ix_(at, at)] = inverses[key]
-        return out
 
 
 class LocalSolve:
-    """Exact solve of one block's local system
-    A_p = alpha B_p^-1 + X' W X, factorized once.
+    """One block's observation-space solve, factorized once.
 
-    The Gauss-Newton term has rank at most k, the number of nonzero rows
-    X_n of X, so by the Woodbury identity
+    With X the block's sample rows (GaussNewtonTerm), B_p the covariance
+    restricted to the box (Kronecker blocks for x0 and f, the owned ring
+    block for b) and R_pp the samples' error variances,
 
-        A_p^-1 r = (B_p r - B_p X_n' C^-1 X_n B_p r / alpha) / alpha,
-        C = W_nn^-1 + X_n B_p X_n' / alpha,
+        C = R_pp + X B_p X' / alpha    (k x k, Cholesky-factored),
 
-    with W_nn the principal sub-block of W on those rows.  B_p is the
-    covariance restricted to the box (Kronecker blocks for x0 and f, the
-    owned ring block for b).  C (k x k) is built from chunks of X_n rows,
-    so no dense k x n_local array outlives a chunk, and Cholesky-factored.
-    An apply costs two B_p applies, two sparse products and one
-    triangular solve pair; k = 0 leaves B_p r / alpha.
+    and apply(u) = X' C^-1 X u.  By the Woodbury identity
+    (u - B_p apply(u) / alpha) / alpha with u = B_p r is the inverse of
+    the local operator alpha B_p^-1 + X' R_pp^-1 X applied to r; the
+    preconditioner uses the global B in place of B_p outside C.  k = 0
+    (a block without observations) leaves apply(u) = 0.
     """
-
-    CHUNK = 64
 
     def __init__(self, p):
         self.alpha = p.alpha
@@ -582,22 +525,14 @@ class LocalSolve:
         self.seg_sizes = p.seg_sizes
         self.n_fields = p.n_fields
         gn = GaussNewtonTerm(p)
-        rows = np.flatnonzero(np.diff(gn.x.indptr))
-        self.k = rows.size
-        self.xn = gn.x[rows]
-        self.xnt = self.xn.T.tocsr()
+        self.x = gn.x
+        self.k = self.x.shape[0]
         self.factor = None
         if self.k:
-            cap = gn.weight_inverse(rows)
-            for c0 in range(0, self.k, self.CHUNK):
-                block = self.prior(self.xn[c0:c0 + self.CHUNK].toarray())
-                cap[:, c0:c0 + self.CHUNK] += (self.xn @ block.T) / self.alpha
-            # cap.T: the same symmetric matrix, Fortran-ordered, so LAPACK
-            # factors it in place
-            low = scipy.linalg.cholesky(cap.T, lower=True, overwrite_a=True,
-                                        check_finite=False)
-            # kept packed, column by column (k (k + 1) / 2 entries)
-            self.factor = low.T[np.triu(np.ones(cap.shape, dtype=bool))]
+            cap = self.x @ self.prior(self.x).T / self.alpha
+            cap[np.diag_indices(self.k)] += gn.q_var
+            self.factor = scipy.linalg.cholesky(cap, lower=True,
+                                                check_finite=False)
 
     def prior(self, v):
         """B_p applied to v (n_local,), or to every row of v (m, n_local)."""
@@ -612,19 +547,12 @@ class LocalSolve:
             ofs += n
         return out
 
-    def apply(self, r):
-        u = self.prior(r)
-        if self.k:
-            y, _ = scipy.linalg.lapack.dpptrs(self.k, self.factor,
-                                              self.xn @ u, lower=1)
-            u -= self.prior(self.xnt @ y.ravel()) / self.alpha
-        return u / self.alpha
-
-
-def _csr(rows, cols, vals, shape):
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape)
+    def apply(self, u):
+        """X' C^-1 X u."""
+        if not self.k:
+            return np.zeros_like(u)
+        y, _ = scipy.linalg.lapack.dpotrs(self.factor, self.x @ u, lower=1)
+        return self.x.T @ y
 
 
 def local_model_solve(p, initial_state, trace, forcing=None, boundary=None):
@@ -687,9 +615,9 @@ def local_tl_step(p, dx_start, df, db, lin_ops, trace):
     where own_strips[l][side] holds the locally evolved strip values (the
     "own" halo data of the overlap and theta operators).  lin_ops[l] is
     the box-model step operator of the step from window level l
-    (LocalProblem.lin_ops).  The local solve does not run sweeps: its
-    zero-inflow correction propagator is assembled once per block as a
-    sparse matrix (GaussNewtonTerm).
+    (LocalProblem.lin_ops).  The block solve does not run sweeps: its
+    zero-inflow correction propagator is read at the observation samples
+    once per block (GaussNewtonTerm).
     """
     states = [np.array(dx_start, dtype=float)]
     own0 = {side: _own_strip(p, side, states[0], trace.tl_halo[side][0])
@@ -878,14 +806,9 @@ def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
             if tile.id not in per_tile:
                 cb = (bb.restrict(p.ring_pos)
                       if bb is not None and p.ring_pos.size else None)
-                per_tile[tile.id] = (
-                    bx.restrict(p.box_node_idx),
-                    bf.restrict(p.box_node_idx),
-                    cb,
-                    {side: bx.restrict(idx)
-                     for side, idx in p.strip_node_idx.items()},
-                )
-            p.cov_x, p.cov_f, p.cov_b, p.strip_cov = per_tile[tile.id]
+                per_tile[tile.id] = (bx.restrict(p.box_node_idx),
+                                     bf.restrict(p.box_node_idx), cb)
+            p.cov_x, p.cov_f, p.cov_b = per_tile[tile.id]
             p.full_cov = {"x0": bx, "f": bf, "b": bb}
             blocks[(tile.id, k)] = p
     owned_total = sum(p.own_obs_idx.size for p in blocks.values())
@@ -906,10 +829,11 @@ class DDResult:
     trace_rows: list           # (dd_iter, tile, window, rhs_norm, residual)
     world: World
     cost: CostBreakdown = None
-    # compute seconds each (tile, window) block spent restricting the
-    # residual, factorizing its local solve and applying it
+    # compute seconds each (tile, window) block spent restricting B r,
+    # factorizing its observation-space solve and applying it
     block_seconds: dict = field(default_factory=dict)
-    # k_p, the size of each block's capacitance matrix, in rank order
+    # k_p, the size of each block's capacitance matrix (its observation
+    # count), in rank order
     capacitance_sizes: list = field(default_factory=list)
 
     @property
@@ -942,23 +866,12 @@ class DDSolver:
         self._link_background()
 
     def _link_background(self):
-        """Local background runs, checked against the global trajectory."""
+        """Every block linearizes about the global background trajectory
+        restricted to its box."""
         bg = self.problem.background_traj
         for (tid, k), p in self.blocks.items():
             tile = self.layout.tile(tid)
-            lin = [restrict(bg[l], tile).data for l in p.levels]
-            tr = self._zero_trace(p)
-            for side, sl in p.strips.items():
-                tr.tl_halo[side] = np.stack(
-                    [lin[l][:, sl[0], sl[1]] for l in range(p.n_levels)])
-            solved = local_model_solve(p, lin[0], tr)
-            for l in range(p.n_levels):
-                gap = np.abs(solved[l] - lin[l])[:, p.live_mask]
-                if gap.size and gap.max() > 1e-12:
-                    raise RuntimeError(
-                        f"local background run drifted from the global "
-                        f"trajectory on tile {tid}, window {k}")
-            p.lin_states = solved
+            p.lin_states = [restrict(bg[l], tile).data for l in p.levels]
 
     def _zero_trace(self, p):
         tl = {}
@@ -981,19 +894,25 @@ class DDSolver:
             ctl["b"] = v.b(p.window)[:, p.ring_pos].copy()
         return ctl
 
-    def _ras(self, r, block_s, n):
-        """One restricted additive Schwarz pass over the blocks: the
-        owned parts of every block's local solve on the residual r.
-        Returns the preconditioned residual and the 2-norm of each block's
-        restricted right-hand side."""
-        layout = self.problem.layout
-        nf = self.problem.model.n_fields
-        v = ControlVector(layout, r)
-        out = ControlVector(layout)
+    def _precond(self, r, block_s, n):
+        """The preconditioner applied to the residual r,
+
+            M r = (u - B E(sum_p X_p' y_p) / alpha) / alpha,    u = B r,
+
+        with y_p = C_p^-1 X_p u_p every block's observation-space solve on
+        the box restriction u_p of u.  Returns M r and the 2-norm of each
+        u_p."""
+        problem = self.problem
+        b_cov = problem.b_cov
+        alpha = self.config.alpha
+        nf = problem.model.n_fields
+        u = b_cov.apply(r)
+        v = ControlVector(problem.layout, u)
+        out = ControlVector(problem.layout)
         norms = {}
         clock = time.perf_counter
         for k in range(self.windows.n_t):
-            # owned cells from the residual, halo strips from the neighbors
+            # owned cells from u, halo strips from the neighbors
             boxes = {}
             for tile in self.layout.tiles:
                 p = self.blocks[(tile.id, k)]
@@ -1011,15 +930,15 @@ class DDSolver:
                 t0 = clock()
                 p = self.blocks[key]
                 box = p.project_live(boxes[tile.id])
-                rho = np.zeros(p.n_local)
-                parts = p.split_local(rho)
+                u_p = np.zeros(p.n_local)
+                parts = p.split_local(u_p)
                 if p.has_x0:
                     parts["x0"][:] = box[:nf]
                 parts["f"][:] = box[-nf:]
                 if "b" in parts:
                     parts["b"][:] = v.b(k)[:, p.ring_pos]
-                norms[key] = float(np.linalg.norm(rho))
-                s = p.split_local(p.local_solve.apply(rho))
+                norms[key] = float(np.linalg.norm(u_p))
+                s = p.split_local(p.local_solve.apply(u_p))
                 osl = tile.owned_slices
                 oi, oj = p.owned_local
                 if p.has_x0:
@@ -1028,11 +947,11 @@ class DDSolver:
                 if "b" in s:
                     out.b(k)[:, p.ring_pos] += s["b"]
                 block_s[key] += clock() - t0
-        return out.data, norms
+        return (u - b_cov.apply(out.data) / alpha) / alpha, norms
 
     def solve(self):
-        """Flexible CG on the global primal system, preconditioned by one
-        RAS pass per iteration; at most n_bar iterations."""
+        """Flexible CG on the global primal system, one preconditioner
+        apply per iteration; at most n_bar iterations."""
         problem = self.problem
         g_op = problem.background_operator()
         rinv_d = problem.r_cov.apply_inv(self.d)
@@ -1040,21 +959,21 @@ class DDSolver:
         n_z = problem.layout.n_z
         order = sorted(self.blocks)
         block_s = dict.fromkeys(order, 0.0)
-        passes = []
+        applies = []
 
-        def ras(r):
-            out, norms = self._ras(r, block_s, len(passes) + 1)
-            passes.append(norms)
+        def precond(r):
+            out, norms = self._precond(r, block_s, len(applies) + 1)
+            applies.append(norms)
             return out
 
         rep = fcg(primal_operator(g_op, problem.b_cov, problem.r_cov), rhs,
-                  precond=LinearOperator((n_z, n_z), ras),
+                  precond=LinearOperator((n_z, n_z), precond),
                   tol=self.config.tau_dd, maxit=self.config.n_bar,
                   name="dd4dvar")
         res0 = rep.residual_norms[0]
         residuals = rep.residual_norms / res0 if res0 else rep.residual_norms
         rows = [(m, tid, k, norms[(tid, k)], float(residuals[m]))
-                for m, norms in enumerate(passes, start=1)
+                for m, norms in enumerate(applies, start=1)
                 for tid, k in order]
         # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records
         costs = rep.costs + 0.5 * float(np.vdot(self.d, rinv_d))

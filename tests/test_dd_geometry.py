@@ -1,11 +1,12 @@
 """Property tests of the space-time decomposition geometry.
 
-Random tile counts, halo widths, window splits, observation error levels
-and observing networks with points on tile seams and junctions: ownership
-must partition the observations, every network must be accepted and its
-decomposed solve must reach the global B-PCG analysis, and every block's
-factorized local solve must invert the local operator built by plain
-loops from the tile geometry (which checks the assembled X with it).
+Random tile counts, halo widths, window splits, observation error levels,
+correlation lengths and observing networks with points on tile seams and
+junctions: ownership must partition the observations, every network must
+be accepted and its decomposed solve must reach the global B-PCG
+analysis, and every block's observation rows X must equal the ones built
+by plain loops from the tile geometry, with its factorized solve
+inverting the local operator they define.
 """
 
 import numpy as np
@@ -64,11 +65,11 @@ def networks(draw, geo):
     return pts
 
 
-def build_case(geo, pts, sigma_o=1.0):
+def build_case(geo, pts, sigma_o=1.0, length=0.5):
     base = make_problem(geo["kind"], "prescribed", nx=geo["nx"],
                         ny=geo["ny"], n_steps=geo["n_steps"],
-                        n_t=geo["n_t"], seed=3, n_obs=4, length_x=0.5,
-                        length_f=0.5, length_b=0.5)
+                        n_t=geo["n_t"], seed=3, n_obs=4, length_x=length,
+                        length_f=length, length_b=length)
     grid = base.model.grid
     levels, xs, ys = zip(*pts)
     obs = ObservationSet(grid, levels, xs, ys, ["p"] * len(pts),
@@ -109,7 +110,7 @@ def reference_cells(p, grid):
 
 def reference_readout(p, s, keep, ring):
     """Zero-inflow correction sweep of the local control s, read at the
-    observation samples and the strip values of every level."""
+    block's observation samples."""
     parts = p.split_local(s)
     state = (p.project_live(parts["x0"].copy()) if p.has_x0
              else p.zero_box())
@@ -121,11 +122,7 @@ def reference_readout(p, s, keep, ring):
         if ring[0].size:
             nxt[:, ring[0], ring[1]] = parts["b"]
         states.append(nxt)
-    rows = [p.obs.sample(states, p.q_stencil)]
-    for sl in p.strips.values():
-        rows += [states[l][:, sl[0], sl[1]].ravel()
-                 for l in range(p.n_levels)]
-    return np.concatenate(rows)
+    return p.obs.sample(states, p.q_stencil)
 
 
 # -- properties -------------------------------------------------------------
@@ -139,7 +136,8 @@ def test_ownership_partitions_and_every_network_reaches_the_analysis(data):
     geo = data.draw(decompositions())
     pts = data.draw(networks(geo))
     sigma_o = data.draw(st.sampled_from([1.0, 0.3, 0.1]))
-    prob, tiles = build_case(geo, pts, sigma_o)
+    length = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    prob, tiles = build_case(geo, pts, sigma_o, length)
     obs, grid = prob.obs, prob.model.grid
 
     owners = []
@@ -182,9 +180,15 @@ def test_assembled_local_operator_matches_plain_loop_reference(data):
         keep, ring = reference_cells(p, grid)
         cols = [reference_readout(p, e, keep, ring)
                 for e in np.eye(p.n_local)]
-        x_ref = np.array(cols).T
+        x_ref = np.array(cols).reshape(p.n_local, -1).T
+        ls = p.local_solve
+        assert ls.k == p.q_obs_idx.size == x_ref.shape[0]
+        assert np.linalg.norm(ls.x - x_ref) <= 1e-12 * max(
+            np.linalg.norm(x_ref), 1.0)
         want = rng.standard_normal(p.n_local)
         a_ref_v = reference_prior(p, want) + x_ref.T @ reference_weight(
             p, x_ref @ want)
-        got = p.local_solve.apply(a_ref_v)
+        # Woodbury: (u - B_p X' C^-1 X u / alpha) / alpha, u = B_p a
+        u = ls.prior(a_ref_v)
+        got = (u - ls.prior(ls.apply(u)) / p.alpha) / p.alpha
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -226,6 +226,19 @@ def test_cli_small_sigma_o_two_window_run_matches_global_analysis(tmp_path):
     assert _cli_dd_gap(tmp_path, cfg) <= 1e-6
 
 
+def test_cli_dd_cfg_at_the_default_correlation_length(tmp_path):
+    """dd.cfg with its length_* lines deleted, so every correlation length
+    is at its default 2.0, converges to the global analysis."""
+    from importlib import resources
+
+    text = (resources.files("ddvar") / "configs" / "dd.cfg").read_text()
+    text = re.sub(r"^length_\w+ = .*\n", "", text, flags=re.M)
+    cfg = parse_config(text)
+    assert "length" not in text
+    assert cfg.length_x == cfg.length_f == cfg.length_b == 2.0
+    assert _cli_dd_gap(tmp_path, cfg) <= 1e-6
+
+
 def test_cli_narrow_tile_boxes_are_usage_error(tmp_path, capsys):
     # 8 nodes over 4 tiles with halo 1: boxes 3 nodes wide in y
     p = tmp_path / "narrow.cfg"

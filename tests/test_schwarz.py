@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,10 @@ def test_overlap_value_matches_quadratic_form():
 
 
 def test_local_model_solve_matches_global_restriction():
-    """Traces from the global run reproduce its restriction bit-near."""
+    """Every block linearizes about the restriction of the global
+    background, and the box model fed with traces from the global run
+    reproduces that restriction on every live cell, so the set-up may
+    take the restriction without running the box model."""
     from ddvar.grid import restrict
 
     for kind in ("linear", "burgers"):
@@ -147,6 +152,8 @@ def test_local_model_solve_matches_global_restriction():
         bg = prob.background_traj
         for key, p in solver.blocks.items():
             lin = [restrict(bg[l], p.tile).data for l in p.levels]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(p.lin_states, lin, strict=True))
             tr = solver._zero_trace(p)
             for side, sl in p.strips.items():
                 tr.tl_halo[side] = np.stack(
@@ -371,29 +378,29 @@ def test_shared_endpoint_levels_go_to_earlier_window():
 # -- fixed-point consistency ----------------------------------------------
 
 
-def _ras_pass(solver, r, n=1):
-    return solver._ras(r, dict.fromkeys(solver.blocks, 0.0), n)
+def _precond_apply(solver, r, n=1):
+    return solver._precond(r, dict.fromkeys(solver.blocks, 0.0), n)
 
 
 def test_local_gradients_vanish_at_global_analysis():
-    """At the global analysis every block's restricted residual, and with
-    it the RAS correction, vanishes; at zero it does not."""
+    """At the global analysis every block's restricted B r, and with it
+    the preconditioned residual, vanishes; at zero it does not."""
     prob, tiles, solver = dd_setup()
     z = prob.primal_analysis(tol=1e-13).x
     r0 = -prob.gradient(np.zeros_like(z), d=solver.d)
     r = -prob.gradient(z, d=solver.d)
     assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(r0)
-    out0, norms0 = _ras_pass(solver, r0, 1)
-    out, norms = _ras_pass(solver, r, 2)
+    out0, norms0 = _precond_apply(solver, r0, 1)
+    out, norms = _precond_apply(solver, r, 2)
     assert set(norms) == set(solver.blocks)
     assert np.max(np.abs(out)) <= 1e-8 * np.max(np.abs(out0))
 
 
 def test_ras_blocks_see_the_restricted_residual(monkeypatch):
     """The halo strips a block receives through the exchange equal the
-    direct restriction of the residual: each local solve's right-hand
-    side is project_live of the box restriction, and its norm is the
-    one the pass reports."""
+    direct restriction of B r: each block's observation-space solve sees
+    project_live of the box restriction of B r, and its norm is the one
+    the apply reports."""
     prob, tiles, solver = dd_setup()
     r = np.random.default_rng(12).standard_normal(prob.layout.n_z)
     calls = []
@@ -404,13 +411,14 @@ def test_ras_blocks_see_the_restricted_residual(monkeypatch):
         return real_apply(self, rhs)
 
     monkeypatch.setattr(LocalSolve, "apply", spy)
-    _, norms = _ras_pass(solver, r)
+    _, norms = _precond_apply(solver, r)
     assert len(calls) == len(solver.blocks)
     seen = {key: rhs for key, p in solver.blocks.items()
             for solve, rhs in calls if solve is p.local_solve}
     assert set(seen) == set(solver.blocks)
+    u = prob.b_cov.apply(r)
     for key, p in solver.blocks.items():
-        ctl = solver._restrict_control(r, p)
+        ctl = solver._restrict_control(u, p)
         want = np.zeros(p.n_local)
         parts = p.split_local(want)
         if p.has_x0:
@@ -435,10 +443,10 @@ def _c5_solver(n_t, sigma_o=1.0):
 
 
 def test_local_solve_matches_pcg_on_the_local_operator():
-    """Every block's factorized solve agrees with CG run to 1e-14 on
-    alpha B_p^-1 + X' W X, W applied piece by piece; the 3x3-tile,
-    halo-1 case has blocks with k_p = 0 and a block that owns no ring
-    cells."""
+    """Through the Woodbury identity every block's factorized solve
+    inverts alpha B_p^-1 + X' R_pp^-1 X as CG run to 1e-14 does; the
+    3x3-tile, halo-1 case has blocks with k_p = 0 and a block that owns
+    no ring cells."""
     solvers = [dd_setup()[2], _c5_solver(2)[1],
                dd_setup(nx=12, ny=12, ti=3, tj=3, halo=1, n_obs=6)[2]]
     rng = np.random.default_rng(31)
@@ -450,21 +458,24 @@ def test_local_solve_matches_pcg_on_the_local_operator():
             a_p = LinearOperator(
                 (p.n_local,) * 2, lambda v, p=p, x=x: reference_prior(p, v)
                 + x.T @ reference_weight(p, x @ v))
-            b_p = LinearOperator((p.n_local,) * 2, p.local_solve.prior)
+            ls = p.local_solve
+            b_p = LinearOperator((p.n_local,) * 2, ls.prior)
             rhs = rng.standard_normal(p.n_local)
             ref = pcg(a_p, rhs, precond=b_p, tol=1e-14, maxit=2000)
             assert ref.converged
-            got = p.local_solve.apply(rhs)
+            u = ls.prior(rhs)
+            got = (u - ls.prior(ls.apply(u)) / p.alpha) / p.alpha
             assert np.linalg.norm(got - ref.x) <= 1e-10 * np.linalg.norm(
                 ref.x)
-            ranks.append(p.local_solve.k)
+            ranks.append(ls.k)
             rings.append(p.ring_pos.size)
     assert min(ranks) == 0 and min(rings) == 0
 
 
 def test_each_block_is_factorized_once_per_solve(monkeypatch):
-    """The first RAS pass factorizes every block, later passes reuse the
-    factors, and the preconditioner runs no inner Krylov solve."""
+    """The first preconditioner apply factorizes every block, later
+    applies reuse the factors, no inner Krylov solve runs, and each
+    block's capacitance size is its observation count."""
     import ddvar.krylov as krylov
     import ddvar.schwarz as schwarz
 
@@ -476,20 +487,26 @@ def test_each_block_is_factorized_once_per_solve(monkeypatch):
         init(self, p)
 
     def no_pcg(*args, **kw):
-        raise AssertionError("the RAS pass ran pcg")
+        raise AssertionError("the preconditioner ran pcg")
 
     monkeypatch.setattr(LocalSolve, "__init__", counted)
     monkeypatch.setattr(krylov, "pcg", no_pcg)
     monkeypatch.setattr(schwarz, "pcg", no_pcg)
-    prob, tiles, solver = dd_setup()
-    assert built == []
-    res = solver.solve()
-    assert res.converged and res.n_iterations > 1
-    assert sorted(built) == sorted(solver.blocks)
-    assert len(res.capacitance_sizes) == len(solver.blocks)
-    for (tid, k), p in solver.blocks.items():
-        assert res.capacitance_sizes[tid + tiles.n_tiles * k] \
-            == p.local_solve.k > 0
+    sizes = []
+    # the 3x3-tile network leaves some blocks without observations
+    for kw in ({}, dict(nx=12, ny=12, ti=3, tj=3, halo=1, n_obs=6)):
+        built.clear()
+        prob, tiles, solver = dd_setup(**kw)
+        assert built == []
+        res = solver.solve()
+        assert res.converged and res.n_iterations > 1
+        assert sorted(built) == sorted(solver.blocks)
+        assert len(res.capacitance_sizes) == len(solver.blocks)
+        for (tid, k), p in solver.blocks.items():
+            assert res.capacitance_sizes[tid + tiles.n_tiles * k] \
+                == p.local_solve.k == p.q_obs_idx.size
+        sizes += res.capacitance_sizes
+    assert min(sizes) == 0 < max(sizes)
 
 
 def test_local_tl_matches_global_tl_at_fixed_point():
@@ -640,6 +657,54 @@ def test_dd_solve_runs_one_tl_and_ad_sweep_per_iteration(monkeypatch):
                      "adjoint": res.n_iterations + 1}
 
 
+def test_dd_solve_work_counts(monkeypatch):
+    """Exact work of one solve on the 2x2-tile, two-window problem: each
+    preconditioner apply runs two global B applies and no B^-1 apply,
+    each block is factorized once, one TL and one AD sweep run per outer
+    iteration, and each apply sends one halo strip per tile side with a
+    neighbor and window (16 messages)."""
+    prob, tiles, solver = dd_setup()
+    calls = Counter()
+
+    def counting(obj, name, key):
+        orig = getattr(obj, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return orig(*args)
+        monkeypatch.setattr(obj, name, counted)
+
+    counting(prob.b_cov, "apply", "B")
+    counting(prob.b_cov, "apply_inv", "B^-1")
+    counting(TangentObsOperator, "forward", "tl")
+    counting(TangentObsOperator, "adjoint", "ad")
+    counting(LocalSolve, "__init__", "factorized")
+    precond = solver._precond
+
+    def counted_precond(*args):
+        before = calls.copy()
+        out = precond(*args)
+        calls["applies"] += 1
+        calls["B in precond"] += calls["B"] - before["B"]
+        calls["B^-1 in precond"] += calls["B^-1"] - before["B^-1"]
+        return out
+    monkeypatch.setattr(solver, "_precond", counted_precond)
+
+    res = solver.solve()
+    n = res.n_iterations
+    assert res.converged and n == 6
+    assert calls["applies"] == n
+    assert calls["B in precond"] == calls["B"] == 2 * n
+    assert calls["B^-1 in precond"] == 0
+    # B^-1 once per Hessian apply and once in the final cost
+    assert calls["B^-1"] == n + 1
+    assert calls["factorized"] == len(solver.blocks) == 8
+    # plus the right-hand side's adjoint and the final cost's forward
+    assert calls["tl"] == calls["ad"] == n + 1
+    assert len(res.world.log) == 16 * n == 96
+    assert sum(entry[-1] for entry in res.world.log) == 16128
+
+
 def test_dd_iterations_do_not_depend_on_the_innovation_scale():
     counts = []
     for scale in (1.0, 1e-6, 1e6):
@@ -652,7 +717,7 @@ def test_dd_iterations_do_not_depend_on_the_innovation_scale():
 
 
 # outer flexible-CG iterations on the C5 network, by sigma_o and N_t
-C5_ITERATIONS = {1.0: (15, 12, 12), 0.3: (15, 16, 17), 0.1: (16, 28, 30)}
+C5_ITERATIONS = {1.0: (4, 6, 7), 0.3: (6, 12, 12), 0.1: (9, 19, 22)}
 
 
 @pytest.mark.slow

@@ -56,19 +56,9 @@ def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
 
 
 def reference_weight(p, y):
-    """W of the block's local quadratic applied to readout values y: 1/R
-    on the samples, 2 beta C_strip^-1 on every level of every strip."""
-    n_q = p.q_var.size
-    out = [y[:n_q] / p.q_var]
-    pos = n_q
-    for side, sl in p.strips.items():
-        k = p.n_fields * (sl[0].stop - sl[0].start) * (sl[1].stop
-                                                        - sl[1].start)
-        for _ in range(p.n_levels):
-            out.append(2.0 * p.beta * p.strip_cov[side].apply_inv(
-                y[pos:pos + k]))
-            pos += k
-    return np.concatenate(out)
+    """R_pp^-1 of the block's observation term applied to sample values
+    y."""
+    return y / p.q_var
 
 
 def reference_prior(p, s):
