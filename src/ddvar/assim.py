@@ -230,7 +230,6 @@ def kalman_gain_adjoint_apply(g_op, b_cov, r_cov, v, tol=1e-10, maxit=None):
 @dataclass
 class AnalysisResult:
     delta_z: np.ndarray
-    trajectory: list
     history: list
     reports: list
     n_outer: int
@@ -320,15 +319,18 @@ class AssimilationProblem:
         history = []
         reports = []
         for outer in range(1, n_outer + 1):
-            try:
-                traj = self.run_with_increment(z_bar)
-            except ModelDivergedError as exc:
-                raise RuntimeError(
-                    f"model diverged while relinearizing outer iteration "
-                    f"{outer}") from exc
             # the first outer loop linearizes about the background
-            gop = (self.background_operator() if outer == 1
-                   else self.operator_about(traj))
+            if outer == 1:
+                traj = self.background_traj
+                gop = self.background_operator()
+            else:
+                try:
+                    traj = self.run_with_increment(z_bar)
+                except ModelDivergedError as exc:
+                    raise RuntimeError(
+                        f"model diverged while relinearizing outer iteration "
+                        f"{outer}") from exc
+                gop = self.operator_about(traj)
             d = innovations(traj, self.obs)
             if solver == "is4dvar":
                 shift = None if not z_bar.any() else -self.b_cov.apply_inv(z_bar)
@@ -359,7 +361,5 @@ class AssimilationProblem:
                 history.append((outer, m, jb + jo, jb, jo))
             reports.append(rep)
             z_bar = z_new
-        final_traj = self.run_with_increment(z_bar)
-        return AnalysisResult(delta_z=z_bar, trajectory=final_traj,
-                              history=history, reports=reports,
-                              n_outer=n_outer)
+        return AnalysisResult(delta_z=z_bar, history=history,
+                              reports=reports, n_outer=n_outer)

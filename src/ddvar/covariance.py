@@ -36,7 +36,19 @@ the rest of the code assumes from B.
 
 The boundary ring of the prescribed-boundary model is not a product set,
 so its covariance stays a dense Gaussian kernel over the ring points,
-factorized by Cholesky.  Control-vector covariances are block diagonal
+factorized by Cholesky.  The full ring kernel is factorized on
+construction, which is its positive-definiteness check; a restriction is
+a principal block of an SPD matrix, so it factorizes only on the first
+operation that needs the factor (the decomposed solver only applies it).
+
+At short lengths the kernels tail off below the smallest normal double
+(tiny = np.finfo(float).tiny): at L = 0.5 grid spacings on the 40 x 32
+grid, Kx holds 42 subnormal entries, Ky 26, the ring kernel 264 and its
+factor 149.  Every entry below tiny in the 1-D kernels, the ring kernel
+and its factor is set to zero.  A product through such an entry changes
+a result by less than tiny times the input's 1-norm, far below rounding,
+but arithmetic on subnormals is slow: it made each Kronecker apply
+several times slower.  Control-vector covariances are block diagonal
 over the control segments (initial state, one forcing block per
 assimilation window, one boundary block per window), with the window
 blocks sharing one covariance object.
@@ -61,6 +73,13 @@ __all__ = [
 ]
 
 DEFAULT_NUGGET_FACTOR = 1e-3
+TINY = np.finfo(float).tiny
+
+
+def _flush_subnormals(m):
+    """Zero the entries of m below the smallest normal float, in place."""
+    m[np.abs(m) < TINY] = 0.0
+    return m
 
 
 def _checked_nugget(sigma, length, nugget):
@@ -107,17 +126,20 @@ class GaussianCovariance:
         self.sigma = float(sigma)
         self.length = float(length)
         self.nugget = nugget
-        self._init_from_matrix(matrix)
-
-    def _init_from_matrix(self, matrix):
-        self.matrix = matrix
+        self.matrix = _flush_subnormals(matrix)
         try:
-            self.factor = np.linalg.cholesky(matrix)
+            self.factor = _flush_subnormals(np.linalg.cholesky(matrix))
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 "covariance matrix is not positive definite "
                 f"(sigma={self.sigma}, length={self.length}, "
                 f"nugget={self.nugget}): {exc}") from exc
+
+    @cached_property
+    def factor(self):
+        """Lower Cholesky factor, subnormals flushed.  Set by __init__;
+        a restriction builds it on first use."""
+        return _flush_subnormals(np.linalg.cholesky(self.matrix))
 
     @property
     def n(self):
@@ -150,20 +172,21 @@ class GaussianCovariance:
         return self._check(v) @ self.factor
 
     def restrict(self, idx):
-        """Principal submatrix over index set idx, refactorized."""
+        """Principal submatrix over index set idx; its factor is built on
+        first use."""
         idx = _check_index_set(idx, self.n)
         sub = object.__new__(GaussianCovariance)
         sub.points = self.points[idx]
         sub.sigma = self.sigma
         sub.length = self.length
         sub.nugget = self.nugget
-        sub._init_from_matrix(self.matrix[np.ix_(idx, idx)].copy())
+        sub.matrix = self.matrix[np.ix_(idx, idx)]
         return sub
 
 
 def _kernel_1d(x, length):
     d = x[:, None] - x[None, :]
-    return np.exp(-d**2 / (2.0 * length**2))
+    return _flush_subnormals(np.exp(-d**2 / (2.0 * length**2)))
 
 
 class KroneckerCovariance:

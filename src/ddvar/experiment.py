@@ -10,7 +10,9 @@ the single-rank Krylov runs) and `setup`, `solve`, `impact` and `total`
 rows with rank -1.  manifest.json records whether the solve converged
 and its iteration counts per outer loop (DD: the outer flexible-CG
 iterations); for the DD also each rank's capacitance size k_p, the
-number of observations its block carries.  Decomposed runs also write
+number of observations its block carries; with impact = true, the
+Kalman-gain solves the impact report and its sensitivity check ran
+(adjoint and forward).  Decomposed runs also write
 dd_trace.csv (one row per outer iteration and block: the 2-norm of the
 block's restriction of B r and the relative global residual) and
 messages.csv (the simulated communicator's message log).
@@ -213,6 +215,7 @@ def run_experiment(cfg, out_dir=None):
              solved.messages)
 
     impact_s = 0.0
+    gain_solves = None
     if cfg.impact:
         t_impact = clock()
         grid = problem.model.grid
@@ -225,11 +228,15 @@ def run_experiment(cfg, out_dir=None):
         chk = observation_sensitivity(problem.background_operator(),
                                       problem.b_cov, problem.r_cov,
                                       problem.background_innovations(),
-                                      rep.sensitivity)
+                                      rep.sensitivity, analysis=rep.z_a,
+                                      gain_adjoint=rep.g_obs)
         emit("sensitivity.csv", "actual,linearized,gap",
              [(chk.actual, chk.linearized,
                abs(chk.actual - chk.linearized))])
         impact_s = clock() - t_impact
+        gain_solves = {
+            "adjoint": rep.adjoint_solves + chk.adjoint_solves,
+            "forward": rep.forward_solves + chk.forward_solves}
 
     t_end = clock()
     setup_s = t_built - t0 + solved.setup_s
@@ -252,6 +259,8 @@ def run_experiment(cfg, out_dir=None):
     }
     if solved.capacitance_sizes is not None:
         manifest["capacitance_sizes"] = solved.capacitance_sizes
+    if gain_solves is not None:
+        manifest["impact_gain_solves"] = gain_solves
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -9,6 +9,12 @@ after the initial time.  The adjoint of the tangent chain turns h into a
 control-space sensitivity, the adjoint of the Kalman gain turns that into an
 observation-space vector g, and the pairing of g with the innovations splits
 the analysis-induced change of I into one contribution per observation.
+
+Each application of the gain K or its adjoint is an iterative solve, so
+the report runs as few as carry new information: one adjoint solve K' s,
+and one forward solve per platform.  K is linear, so the analysis is the
+sum of the platform increments, and the sensitivity check can reuse both
+the analysis and K' s from the report.
 """
 
 from dataclasses import dataclass, field
@@ -117,11 +123,12 @@ class PlatformImpact:
 class ImpactReport:
     """Per-observation and per-segment split of the functional change.
 
-    per_obs[l] = d_l * g_l; total_tl is their sum.  density is the
-    control-space impact density (analysis increment times sensitivity),
-    and g_x / g_f / g_b are its segment-masked copies, so they reassemble
+    per_obs[l] = d_l * g_l; total_tl is their sum.  z_a is the analysis
+    increment K d and density the control-space impact density z_a * s;
+    g_x / g_f / g_b are its segment-masked copies, so they reassemble
     density exactly.  ic / fc / bc are the segment sums.  sensitivity is
-    the control-space sensitivity s of the functional.
+    the control-space sensitivity s of the functional.  adjoint_solves and
+    forward_solves count the gain solves the report ran.
     """
     n_obs: int
     per_obs: np.ndarray
@@ -138,6 +145,9 @@ class ImpactReport:
     fc: float
     bc: float
     sensitivity: np.ndarray
+    z_a: np.ndarray
+    adjoint_solves: int
+    forward_solves: int
     platform_rows: list = field(default_factory=list)
 
     def rows(self):
@@ -170,9 +180,12 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
 
     The observation-space sensitivity is g = K^T s with s the adjoint of
     the averaged functional, so d_l g_l is observation l's contribution and
-    the headline TL impact is their sum.  The nonlinear reference runs the
-    model from the gain-applied increment.  Each platform row re-applies
-    the gain to that platform's innovations alone.
+    the headline TL impact is their sum.  Each platform row applies the
+    gain to that platform's innovations alone, z_p = K d_p, and runs the
+    model from z_p for its NL change.  The analysis is z_a = sum_p z_p
+    (K is linear); the nonlinear reference runs the model from it, unless
+    there is one platform, whose run is that reference already.  So the
+    report runs one adjoint and one forward gain solve per platform.
     """
     d = problem.background_innovations()
     g_op = problem.background_operator()
@@ -182,73 +195,89 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
                                   tol=tol, maxit=maxit)
     per_obs = d * g
     total_tl = float(np.sum(per_obs))
-
-    z_a = kalman_gain_apply(g_op, problem.b_cov, problem.r_cov, d, tol=tol,
-                            maxit=maxit)
     i_b = evaluate_functional(problem.background_traj, functional)
-    i_a = evaluate_functional(problem.run_with_increment(z_a), functional)
-
-    density = z_a * s
-    g_x, g_f, g_b = _segment_split(layout, density)
-    ic = float(np.sum(g_x))
-    fc = float(np.sum(g_f))
-    bc = float(np.sum(g_b))
 
     names = []
     for name in problem.obs.platforms:
         if name not in names:
             names.append(name)
     rows = []
+    z_a = None
     for name in names:
         mask = np.array([p == name for p in problem.obs.platforms])
         d_p = np.where(mask, d, 0.0)
         z_p = kalman_gain_apply(g_op, problem.b_cov, problem.r_cov, d_p,
                                 tol=tol, maxit=maxit)
-        nl_p = evaluate_functional(problem.run_with_increment(z_p),
-                                   functional) - i_b
-        dens_p = z_p * s
-        px, pf, pb = _segment_split(layout, dens_p)
+        z_a = z_p if z_a is None else z_a + z_p
+        i_p = evaluate_functional(problem.run_with_increment(z_p), functional)
+        px, pf, pb = _segment_split(layout, z_p * s)
         rows.append(PlatformImpact(platform=name, count=int(np.sum(mask)),
-                                   nl=nl_p,
+                                   nl=i_p - i_b,
                                    tl=float(np.sum(per_obs[mask])),
                                    ic=float(np.sum(px)),
                                    fc=float(np.sum(pf)),
                                    bc=float(np.sum(pb))))
+    if len(names) == 1:
+        i_a = i_p  # the one platform's increment is the analysis
+    else:
+        i_a = evaluate_functional(problem.run_with_increment(z_a), functional)
 
+    density = z_a * s
+    g_x, g_f, g_b = _segment_split(layout, density)
     return ImpactReport(n_obs=problem.obs.n_obs, per_obs=per_obs, g_obs=g,
                         total_tl=total_tl, total_nl=i_a - i_b, i_a=i_a,
                         i_b=i_b, density=density, g_x=g_x, g_f=g_f, g_b=g_b,
-                        ic=ic, fc=fc, bc=bc, sensitivity=s,
+                        ic=float(np.sum(g_x)), fc=float(np.sum(g_f)),
+                        bc=float(np.sum(g_b)), sensitivity=s, z_a=z_a,
+                        adjoint_solves=1, forward_solves=len(names),
                         platform_rows=rows)
 
 
 @dataclass
 class SensitivityCheck:
-    """Recomputed versus linearized response to an observation shift."""
+    """Recomputed versus linearized response to an observation shift, and
+    the gain solves the check ran."""
     actual: float
     linearized: float
     analysis_shift: np.ndarray
     gain_adjoint: np.ndarray
+    adjoint_solves: int
+    forward_solves: int
 
 
 def observation_sensitivity(g_op, b_cov, r_cov, d, s, delta_y=None,
-                            tol=1e-10, maxit=None):
+                            tol=1e-10, maxit=None, analysis=None,
+                            gain_adjoint=None):
     """Shift the observations by delta_y (default: the innovations) and
     compare the recomputed analysis response of the functional pairing
-    s . dz against the linearized prediction g . delta_y."""
+    s . dz against the linearized prediction g . delta_y.
+
+    analysis (K d) and gain_adjoint (g = K' s) skip their solves when
+    given, as an ImpactReport's z_a and g_obs; the shifted analysis
+    K (d + delta_y) is always solved afresh, so the check still compares
+    a forward solve against the adjoint one."""
     d = np.asarray(d, dtype=float)
     s = np.asarray(s, dtype=float)
     delta_y = d.copy() if delta_y is None else np.asarray(delta_y, dtype=float)
     if delta_y.shape != d.shape:
         raise ValueError("delta_y must match the innovation vector")
-    dz0 = kalman_gain_apply(g_op, b_cov, r_cov, d, tol=tol, maxit=maxit)
+    forward = adjoint = 0
+    if analysis is None:
+        analysis = kalman_gain_apply(g_op, b_cov, r_cov, d, tol=tol,
+                                     maxit=maxit)
+        forward += 1
     dz1 = kalman_gain_apply(g_op, b_cov, r_cov, d + delta_y, tol=tol,
                             maxit=maxit)
-    shift = dz1 - dz0
-    g = kalman_gain_adjoint_apply(g_op, b_cov, r_cov, s, tol=tol, maxit=maxit)
+    forward += 1
+    shift = dz1 - analysis
+    if gain_adjoint is None:
+        gain_adjoint = kalman_gain_adjoint_apply(g_op, b_cov, r_cov, s,
+                                                 tol=tol, maxit=maxit)
+        adjoint += 1
     return SensitivityCheck(actual=float(np.vdot(s, shift)),
-                            linearized=float(np.vdot(g, delta_y)),
-                            analysis_shift=shift, gain_adjoint=g)
+                            linearized=float(np.vdot(gain_adjoint, delta_y)),
+                            analysis_shift=shift, gain_adjoint=gain_adjoint,
+                            adjoint_solves=adjoint, forward_solves=forward)
 
 
 @dataclass

@@ -821,7 +821,6 @@ def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
 @dataclass
 class DDResult:
     delta_z: np.ndarray
-    trajectory: object
     converged: bool
     n_iterations: int          # outer flexible-CG iterations
     residuals: np.ndarray      # ||r_k|| / ||r_0||, k = 0..n_iterations
@@ -978,9 +977,7 @@ class DDSolver:
         # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records
         costs = rep.costs + 0.5 * float(np.vdot(self.d, rinv_d))
         z = rep.x
-        return DDResult(delta_z=z,
-                        trajectory=problem.run_with_increment(z),
-                        converged=rep.converged,
+        return DDResult(delta_z=z, converged=rep.converged,
                         n_iterations=rep.iterations, residuals=residuals,
                         costs=costs, trace_rows=rows, world=self.world,
                         cost=problem.cost(z, d=self.d),

@@ -254,8 +254,9 @@ SWEEPS = {
 @pytest.mark.parametrize("case,solver", sorted(SWEEPS))
 def test_outer_loop_sweep_counts(case, solver, monkeypatch):
     """Exact TL/AD sweep counts: one of each per iteration, plus at most
-    two of each per outer loop."""
-    calls = {"tl": 0, "ad": 0}
+    two of each per outer loop; one nonlinear run per relinearization,
+    none for the first outer loop or after the last."""
+    calls = {"tl": 0, "ad": 0, "nl": 0}
     forward, adjoint = TangentObsOperator.forward, TangentObsOperator.adjoint
 
     def counted_forward(self, dz):
@@ -267,12 +268,20 @@ def test_outer_loop_sweep_counts(case, solver, monkeypatch):
         return adjoint(self, w)
 
     p, cfg = shipped_problem(case)
+    run_nl = p.run_with_increment
+
+    def counted_run(z):
+        calls["nl"] += 1
+        return run_nl(z)
+
     monkeypatch.setattr(TangentObsOperator, "forward", counted_forward)
     monkeypatch.setattr(TangentObsOperator, "adjoint", counted_adjoint)
+    monkeypatch.setattr(p, "run_with_increment", counted_run)
     res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner, solver=solver,
                                    tol=cfg.solver_tol)
     its = [rep.iterations for rep in res.reports]
     assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, solver)]
+    assert calls["nl"] == cfg.n_outer - 1
     assert calls["tl"] <= sum(its) + 2 * len(its)
     assert calls["ad"] <= sum(its) + 2 * len(its)
 

@@ -6,7 +6,9 @@ from ddvar.covariance import (
     ControlCovariance,
     CovarianceR,
     GaussianCovariance,
+    KroneckerCovariance,
     build_b,
+    ring_coords,
 )
 from ddvar.grid import Grid
 
@@ -127,6 +129,52 @@ def test_kronecker_matches_dense_kernel(nx, ny):
     sub = dense[np.ix_(idx, idx)]
     w = rng.standard_normal(idx.size)
     assert rel(b.restrict(idx).apply_inv(w), np.linalg.solve(sub, w)) <= 1e-12
+
+
+def _subnormals(a):
+    return int(np.sum((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
+
+
+def _raw_kernel(points, length):
+    """Unflushed Gaussian kernel over the rows of points."""
+    d2 = scipy.spatial.distance.cdist(points, points, "sqeuclidean")
+    return np.exp(-d2 / (2.0 * length**2))
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_short_length_kernels_hold_no_subnormals():
+    # at L = 0.5 on the C5 grid the raw kernels tail off into subnormals
+    grid = Grid(nx=40, ny=32, dt=0.1, n_steps=1)
+    x, y = np.arange(40) * grid.dx, np.arange(32) * grid.dy
+    sigma, length, eps = 0.8, 0.5, 1e-3 * 0.8**2
+    raw_x = _raw_kernel(x[:, None], length)
+    raw_y = _raw_kernel(y[:, None], length)
+    assert _subnormals(raw_x) > 0 and _subnormals(raw_y) > 0
+    rng = np.random.default_rng(13)
+
+    kron = KroneckerCovariance(x, y, sigma, length)
+    assert _subnormals(kron.kx) == 0 and _subnormals(kron.ky) == 0
+    ref = sigma**2 * np.kron(raw_x, raw_y) + eps * np.eye(kron.n)
+    v = rng.standard_normal((2, kron.n))
+    assert _rel(kron.apply(v), v @ ref) <= 1e-14
+    assert _rel(kron.apply_inv(v), np.linalg.solve(ref, v.T).T) <= 1e-14
+
+    pts = ring_coords(grid)
+    ring = GaussianCovariance(pts, sigma, length)
+    ref = sigma**2 * _raw_kernel(pts, length) + eps * np.eye(len(pts))
+    assert _subnormals(ref) > 0
+    idx = np.arange(10, 50)
+    sub = ring.restrict(idx)
+    assert "factor" not in vars(sub)  # factorized on first use only
+    for cov, dense in ((ring, ref), (sub, ref[np.ix_(idx, idx)])):
+        assert _subnormals(cov.matrix) == 0
+        assert _subnormals(cov.factor) == 0
+        w = rng.standard_normal((3, cov.n))
+        assert _rel(cov.apply(w), w @ dense) <= 1e-14
+        assert _rel(cov.apply_inv(w), np.linalg.solve(dense, w.T).T) <= 1e-14
 
 
 def test_dimension_and_parameter_rejection(grid66):

@@ -11,6 +11,8 @@ from ddvar.cli import main
 from ddvar.config import ExperimentConfig, emit_config, parse_config
 from ddvar.experiment import build_problem, run_experiment
 
+from util import count_gain_solves
+
 
 def small_cfg(**over):
     base = dict(nx=10, ny=8, n_steps=4, n_t=1, model="linear",
@@ -266,6 +268,31 @@ def test_impact_files_written_on_request(tmp_path):
     header, rows = read_rows(res.files["sensitivity.csv"])
     assert header == ["actual", "linearized", "gap"]
     assert float(rows[0][2]) <= 1e-6
+
+
+def test_impact_run_shares_the_reports_gain_solves(tmp_path, monkeypatch):
+    """One platform: K' s, that platform's K d (the analysis) and the
+    shifted K (d + d) of the sensitivity check; manifest.json records
+    them.  The nonlinear runs are the background's and the analysis's."""
+    from ddvar.assim import AssimilationProblem
+
+    calls = count_gain_solves(monkeypatch)
+    calls["nl"] = 0
+    run_nl = AssimilationProblem.run_with_increment
+
+    def counted_run(self, z):
+        calls["nl"] += 1
+        return run_nl(self, z)
+
+    monkeypatch.setattr(AssimilationProblem, "run_with_increment",
+                        counted_run)
+    run_experiment(small_cfg(impact=True), out_dir=tmp_path)
+    assert calls == {"adjoint": 1, "forward": 2, "nl": 2}
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["impact_gain_solves"] == {"adjoint": 1, "forward": 2}
+    run_experiment(small_cfg(), out_dir=tmp_path / "plain")
+    manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+    assert "impact_gain_solves" not in manifest
 
 
 def test_impact_run_assembles_each_background_step_once(tmp_path,

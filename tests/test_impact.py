@@ -24,7 +24,7 @@ from ddvar.model import ModelConfig, SurrogateModel
 from ddvar.observations import ObservationSet, PlatformSpec
 from ddvar.krylov import LinearOperator
 
-from util import make_problem
+from util import count_gain_solves, make_problem
 
 
 class ScalarSpd:
@@ -294,6 +294,41 @@ def test_impact_permutation_invariance():
     for row in rep.platform_rows:
         assert got[row.platform].count == row.count
         assert abs(got[row.platform].tl - row.tl) <= 1e-8 * scale
+
+
+def test_impact_runs_one_adjoint_and_one_forward_solve_per_platform(
+        monkeypatch):
+    prob = impact_problem(seed=9)
+    F = column_section(prob.model.grid, col=4, n_avg=6)
+    calls = count_gain_solves(monkeypatch)
+    rep = observation_impact(prob, F)
+    assert calls == {"adjoint": 1, "forward": 3}
+    assert (rep.adjoint_solves, rep.forward_solves) == (1, 3)
+    # the analysis is the sum of the platform increments
+    za = kalman_gain_apply(prob.background_operator(), prob.b_cov, prob.r_cov,
+                           prob.background_innovations(), tol=1e-12)
+    assert np.linalg.norm(rep.z_a - za) <= 1e-9 * np.linalg.norm(za)
+    assert np.array_equal(rep.density, rep.z_a * rep.sensitivity)
+
+
+def test_report_fed_sensitivity_check_matches_standalone(monkeypatch):
+    prob = impact_problem(seed=23)
+    F = column_section(prob.model.grid, col=5, n_avg=6)
+    rep = observation_impact(prob, F)
+    args = (prob.background_operator(), prob.b_cov, prob.r_cov,
+            prob.background_innovations(), rep.sensitivity)
+    alone = observation_sensitivity(*args)
+    calls = count_gain_solves(monkeypatch)
+    fed = observation_sensitivity(*args, analysis=rep.z_a,
+                                  gain_adjoint=rep.g_obs)
+    assert calls == {"adjoint": 0, "forward": 1}
+    assert (fed.adjoint_solves, fed.forward_solves) == (0, 1)
+    assert (alone.adjoint_solves, alone.forward_solves) == (1, 2)
+    for got, want in ((fed.actual, alone.actual),
+                      (fed.linearized, alone.linearized)):
+        assert abs(got - want) <= 1e-8 * abs(want)
+    scale = max(1.0, abs(fed.actual), abs(fed.linearized))
+    assert abs(fed.actual - fed.linearized) <= 1e-8 * scale
 
 
 # ----------------------------------------------------- observation sensitivity

@@ -661,8 +661,8 @@ def test_dd_solve_work_counts(monkeypatch):
     """Exact work of one solve on the 2x2-tile, two-window problem: each
     preconditioner apply runs two global B applies and no B^-1 apply,
     each block is factorized once, one TL and one AD sweep run per outer
-    iteration, and each apply sends one halo strip per tile side with a
-    neighbor and window (16 messages)."""
+    iteration, no nonlinear model run, and each apply sends one halo
+    strip per tile side with a neighbor and window (16 messages)."""
     prob, tiles, solver = dd_setup()
     calls = Counter()
 
@@ -679,6 +679,7 @@ def test_dd_solve_work_counts(monkeypatch):
     counting(TangentObsOperator, "forward", "tl")
     counting(TangentObsOperator, "adjoint", "ad")
     counting(LocalSolve, "__init__", "factorized")
+    counting(prob, "run_with_increment", "nl")
     precond = solver._precond
 
     def counted_precond(*args):
@@ -701,6 +702,8 @@ def test_dd_solve_work_counts(monkeypatch):
     assert calls["factorized"] == len(solver.blocks) == 8
     # plus the right-hand side's adjoint and the final cost's forward
     assert calls["tl"] == calls["ad"] == n + 1
+    # the blocks linearize about the problem's background run: no NL run
+    assert calls["nl"] == 0
     assert len(res.world.log) == 16 * n == 96
     assert sum(entry[-1] for entry in res.world.log) == 16128
 

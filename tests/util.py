@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ddvar import impact
 from ddvar.assim import AssimilationProblem
 from ddvar.control import ControlLayout, ControlVector
 from ddvar.covariance import CovarianceR, build_control_covariance
@@ -71,3 +72,16 @@ def reference_prior(p, s):
             outp[name][:] = p.alpha * covs[name].apply_inv(
                 v.ravel()).reshape(v.shape)
     return out
+
+
+def count_gain_solves(monkeypatch):
+    """Wrap the Kalman-gain functions the impact module calls; returns the
+    {"adjoint": n, "forward": n} call counts, updated as they run."""
+    calls = {"adjoint": 0, "forward": 0}
+    for key, name in (("adjoint", "kalman_gain_adjoint_apply"),
+                      ("forward", "kalman_gain_apply")):
+        def counted(*args, _key=key, _fn=getattr(impact, name), **kw):
+            calls[_key] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(impact, name, counted)
+    return calls
