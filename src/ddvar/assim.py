@@ -22,11 +22,16 @@ innovation d + G z_accum.  Both report the same total cost, so history
 rows are comparable across solver choices.
 
 History rows (outer, inner, J, Jb, Jo) come from the Krylov recurrences,
-not from extra sweeps: the dual routes record (Jb, Jo) per iterate, and
-the primal route adds the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1
-z_accum to pcg's quadratic for J and takes Jb from one B^-1 apply per
-stored iterate (Jo = J - Jb).  An outer loop therefore costs one TL and
-one AD sweep per inner iteration plus at most two of each.
+not from extra sweeps or covariance applies: the dual routes record
+(Jb, Jo) per iterate, and the primal route runs krylov.bpcg, which
+carries A x and B^-1 x by the same axpys as its iterate x.  J is bpcg's
+quadratic plus the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1 z_accum,
+Jb = 1/2 z_accum^T B^-1 z_accum + x^T B^-1 z_accum + 1/2 x^T B^-1 x takes
+B^-1 z_accum from the right-hand-side shift, and Jo = J - Jb.  A primal
+outer loop therefore costs one TL and one AD sweep and one B apply per
+inner iteration, plus one AD sweep and one B apply, and applies B^-1 once
+(the shift) when z_accum is nonzero; any outer loop costs at most two
+sweeps of each kind beyond its inner iterations.
 """
 
 from dataclasses import dataclass
@@ -35,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .control import ControlVector
-from .krylov import LinearOperator, dual_cg_rhalf, minres_dual, pcg, rpcg
+from .krylov import (LinearOperator, bpcg, dual_cg_rhalf, minres_dual, pcg,
+                     rpcg)
 from .model import ModelDivergedError
 from .observations import innovations
 
@@ -152,12 +158,16 @@ def gradient(dz, d, b_cov, r_cov, g_op):
     return b_cov.apply_inv(dz) + g_op.apply_t(r_cov.apply_inv(misfit))
 
 
-def primal_operator(g_op, b_cov, r_cov):
+def _gauss_newton(g_op, r_cov):
+    """G^T R^-1 G: one TL and one AD sweep per apply."""
     n = g_op.shape[1]
+    return LinearOperator(
+        (n, n), lambda v: g_op.apply_t(r_cov.apply_inv(g_op.apply(v))))
 
-    def mv(v):
-        return b_cov.apply_inv(v) + g_op.apply_t(r_cov.apply_inv(g_op.apply(v)))
-    return LinearOperator((n, n), mv)
+
+def primal_operator(g_op, b_cov, r_cov):
+    gn = _gauss_newton(g_op, r_cov)
+    return LinearOperator(gn.shape, lambda v: b_cov.apply_inv(v) + gn.apply(v))
 
 
 def dual_operator(g_op, b_cov, r_cov):
@@ -177,16 +187,30 @@ def _check_converged(rep, require):
 
 
 def primal_analysis(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None,
-                    reorthogonalize=False, require_convergence=True,
-                    rhs_extra=None):
-    """Solve (B^-1 + G^T R^-1 G) dz = G^T R^-1 d [+ rhs_extra], B-preconditioned."""
+                    reorthogonalize=False, require_convergence=True):
+    """Solve (B^-1 + G^T R^-1 G) dz = G^T R^-1 d by bpcg (no B^-1 apply)."""
     rhs = g_op.apply_t(r_cov.apply_inv(np.asarray(d, dtype=float)))
-    if rhs_extra is not None:
-        rhs = rhs + rhs_extra
-    rep = pcg(primal_operator(g_op, b_cov, r_cov), rhs, precond=b_cov,
-              tol=tol, maxit=maxit, reorthogonalize=reorthogonalize,
-              name="is4dvar")
+    rep = bpcg(_gauss_newton(g_op, r_cov), rhs, b_cov, tol=tol, maxit=maxit,
+               reorthogonalize=reorthogonalize, name="is4dvar")
     return _check_converged(rep, require_convergence)
+
+
+def _primal_rows(rhs, jo0, z_bar, shift):
+    """bpcg cost callable for the rows (Jb, Jo) of J(z_bar + x).
+
+    With shift = -B^-1 z_bar, jo0 = 1/2 d^T R^-1 d and bpcg's quadratic
+    q(x) = 1/2 x^T A x - rhs^T x,
+
+        J  = q + jo0 + 1/2 z_bar^T B^-1 z_bar
+        Jb = 1/2 z_bar^T B^-1 z_bar - x^T shift + 1/2 x^T B^-1 x
+    """
+    jb0 = -0.5 * np.vdot(z_bar, shift)
+
+    def row(x, ax, binv_x):
+        jb = jb0 - np.vdot(x, shift) + 0.5 * np.vdot(x, binv_x)
+        q = 0.5 * np.vdot(x, ax) - np.vdot(rhs, x)
+        return jb, q + jo0 + jb0 - jb
+    return row
 
 
 def dual_analysis(g_op, b_cov, r_cov, d, solver="rbl4dvar", tol=1e-10,
@@ -333,21 +357,18 @@ class AssimilationProblem:
                 gop = self.operator_about(traj)
             d = innovations(traj, self.obs)
             if solver == "is4dvar":
-                shift = None if not z_bar.any() else -self.b_cov.apply_inv(z_bar)
-                rep = primal_analysis(gop, self.b_cov, self.r_cov, d,
-                                      tol=tol, maxit=n_inner,
-                                      reorthogonalize=reorthogonalize,
-                                      require_convergence=False,
-                                      rhs_extra=shift)
-                # J(z_bar + x) = q(x) + 1/2 d^T R^-1 d + 1/2 z_bar^T B^-1 z_bar
-                j0 = 0.5 * np.vdot(d, self.r_cov.apply_inv(d))
-                if shift is not None:
-                    j0 -= 0.5 * np.vdot(z_bar, shift)
-                rows = []
-                for x, q in zip(rep.iterates, rep.costs):
-                    z = z_bar + x
-                    jb = 0.5 * np.vdot(z, self.b_cov.apply_inv(z))
-                    rows.append((jb, q + j0 - jb))
+                # the background term about z_bar shifts the right-hand side
+                shift = (-self.b_cov.apply_inv(z_bar) if z_bar.any()
+                         else np.zeros_like(z_bar))
+                rinv_d = self.r_cov.apply_inv(d)
+                rhs = gop.apply_t(rinv_d) + shift
+                jo0 = 0.5 * np.vdot(d, rinv_d)
+                rep = bpcg(_gauss_newton(gop, self.r_cov), rhs, self.b_cov,
+                           tol=tol, maxit=n_inner,
+                           reorthogonalize=reorthogonalize,
+                           cost=_primal_rows(rhs, jo0, z_bar, shift),
+                           name="is4dvar")
+                rows = rep.costs
                 z_new = z_bar + rep.x
             else:
                 d_tilde = d + gop.apply(z_bar) if z_bar.any() else d

@@ -1,8 +1,11 @@
 """Matrix-free Krylov solvers for the quadratic inner loop.
 
-Five solvers share one reporting contract:
+Six solvers share one reporting contract:
 
 * pcg             preconditioned conjugate gradient on an SPD system
+* bpcg            B-preconditioned CG on the primal system (B^-1 + S) x = b,
+                  S SPD (S = G^T R^-1 G in 4D-Var), that never applies
+                  B^-1 (derivation below)
 * fcg             flexible CG (Notay 2000) on an SPD system whose
                   preconditioner may change from one iteration to the next
                   (an inexact inner solve): every new direction is
@@ -18,16 +21,19 @@ All solvers but fcg stop on the preconditioned residual norm relative to
 its initial value, so iteration-count comparisons between them are
 meaningful.  A changing preconditioner defines no fixed norm, so fcg stops
 on the Euclidean residual norm relative to its initial value.
-pcg's norm is sqrt(r^T M r); rpcg's is sqrt(rho^T G B G^T rho), which is
-algebraically the same number as the primal B-preconditioned norm, so rpcg
-and B-preconditioned pcg stop at the same iteration in exact arithmetic.
+pcg's norm is sqrt(r^T M r) and bpcg's sqrt(r^T B r); rpcg's is
+sqrt(rho^T G B G^T rho), which is algebraically the same number as the
+primal B-preconditioned norm, so rpcg, bpcg and B-preconditioned pcg stop
+at the same iteration in exact arithmetic.
 
 Costs: report.costs has one entry per stored iterate, taken from the
 recurrences (A x is updated with the same axpys as x), never from extra
 operator applications.  pcg and minres record the quadratic
 1/2 x^T A x - b^T x unless given another cost callable; fcg records it
 through its step decrements, q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so
-its record never rises, not even by a rounding error.  The dual routes
+its record never rises, not even by a rounding error.  bpcg carries A x
+and B^-1 x by the same axpys as x and hands all three to its cost
+callable, so a primal cost row needs no B^-1 apply.  The dual routes
 (dual_cg_rhalf, minres_dual, rpcg) record rows (Jb, Jo) of the primal cost
 J(B G^T w) = Jb + Jo at the observation-space iterate w, with
 Jb = 1/2 w^T H w and Jo = 1/2 (H w - d)^T R^-1 (H w - d), H = G B G^T.
@@ -45,6 +51,19 @@ observation-space vectors with H = G B G^T,
 so one H application per iteration (on R^-1 q) sustains the whole
 iteration, and H chi follows by the same recurrence as chi, giving the
 cost rows for free.
+
+bpcg derivation sketch (Derber & Rosati, J. Phys. Oceanogr. 1989;
+Gurol et al., QJRMS 2014): B-preconditioned CG on A = B^-1 + S starts
+from p_0 = z_0 = B r_0, so q_0 = B^-1 p_0 = r_0, and every later direction
+p <- z + beta p with z = B r has B^-1 p = r + beta q.  Carrying q that way,
+
+    A p   = q + S p
+    x     <- x + alpha p,   B^-1 x <- B^-1 x + alpha q
+
+so an iteration costs one S apply (one TL and one AD sweep) and one B
+apply, iterations + 1 B applies per solve in all, and no B^-1 apply.
+With reorthogonalization the residual is reorthogonalized as in pcg
+before z = B r is formed, which keeps B^-1 p = r + beta q exact.
 """
 
 from dataclasses import dataclass
@@ -55,6 +74,7 @@ __all__ = [
     "LinearOperator",
     "SolveReport",
     "SolverBreakdownError",
+    "bpcg",
     "dual_cg_rhalf",
     "fcg",
     "minres",
@@ -196,6 +216,79 @@ def pcg(a, b, precond=None, tol=1e-10, maxit=None, reorthogonalize=False,
             break
         beta = rz_new / rz
         p = z + beta * p
+        rz = rz_new
+    return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
+
+
+def bpcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
+         cost=None, name="bpcg"):
+    """B-preconditioned CG on (B^-1 + h) x = b with no B^-1 apply.
+
+    h is the SPD operator S of the derivation above; b_cov needs only
+    apply.  Stops on sqrt(r^T B r) relative drop, like pcg with
+    precond=b_cov.  cost, when given, is called as cost(x, A x, B^-1 x) at
+    every stored iterate; the default records the quadratic
+    1/2 x^T A x - b^T x.
+    """
+    h = _as_operator(h)
+    b = np.asarray(b, dtype=float)
+    n = b.size
+    maxit = _default_maxit(n, maxit)
+    if cost is None:
+        quadratic = _quadratic(b)
+
+        def cost(x, ax, binv_x):
+            return quadratic(x, ax)
+
+    x = np.zeros(n)
+    ax = np.zeros(n)
+    binv_x = np.zeros(n)
+    r = b.copy()
+    z = b_cov.apply(r)
+    rz = np.vdot(r, z)
+    if rz < 0:
+        raise SolverBreakdownError("indefinite preconditioner", 0)
+    pre0 = np.sqrt(rz)
+    pre_norms = [pre0]
+    costs = [cost(x, ax, binv_x)]
+    iterates = [x.copy()]
+    if pre0 == 0.0:
+        return SolveReport(name, x, iterates, pre_norms, costs, 0, True)
+
+    p = z.copy()
+    q = r.copy()  # B^-1 p, since p_0 = B r_0
+    basis = []
+    converged = False
+    k = 0
+    for k in range(1, maxit + 1):
+        if reorthogonalize:
+            basis.append((r.copy(), z.copy(), rz))
+        ap = q + h.apply(p)
+        pap = np.vdot(p, ap)
+        if pap <= 0:
+            raise SolverBreakdownError("nonpositive curvature p^T A p", k)
+        alpha = rz / pap
+        x += alpha * p
+        ax += alpha * ap
+        binv_x += alpha * q
+        r -= alpha * ap
+        if reorthogonalize:
+            for rj, zj, rzj in basis:
+                r -= (np.vdot(zj, r) / rzj) * rj
+        z = b_cov.apply(r)
+        rz_new = np.vdot(r, z)
+        if rz_new < 0:
+            raise SolverBreakdownError("indefinite preconditioner", k)
+        pre = np.sqrt(rz_new)
+        pre_norms.append(pre)
+        costs.append(cost(x, ax, binv_x))
+        iterates.append(x.copy())
+        if pre <= tol * pre0:
+            converged = True
+            break
+        beta = rz_new / rz
+        p = z + beta * p
+        q = r + beta * q
         rz = rz_new
     return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
 

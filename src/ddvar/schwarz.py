@@ -31,8 +31,9 @@ physical-boundary ring nodes for its window.  Each apply, every block
      control through the truncated (zero-inflow) local propagator to
      those samples, R_pp is their error variance and B_p the covariance
      restricted to the box.  The block's first apply builds X_p and
-     Cholesky-factors the k_p x k_p matrix C_p (LocalSolve); every later
-     solve is two small dense products and one triangular solve pair,
+     inverts the k_p x k_p matrix C_p through the inverse of its
+     Cholesky factor (LocalSolve); every later solve is three small dense
+     products,
   3. adds the owned part of X_p' y_p to the vector E assembles.
 
 The outer iteration works on the exact global residual, so its solution is
@@ -55,7 +56,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .assim import CostBreakdown, primal_operator
 from .comm import World, create_inter, halo_exchange
@@ -508,9 +508,10 @@ class LocalSolve:
     restricted to the box (Kronecker blocks for x0 and f, the owned ring
     block for b) and R_pp the samples' error variances,
 
-        C = R_pp + X B_p X' / alpha    (k x k, Cholesky-factored),
+        C = R_pp + X B_p X' / alpha    (k x k, inverted once),
 
-    and apply(u) = X' C^-1 X u.  By the Woodbury identity
+    and apply(u) = X' C^-1 X u.  C^-1 = L^-T L^-1 comes from the inverse
+    of C's Cholesky factor L, built once.  By the Woodbury identity
     (u - B_p apply(u) / alpha) / alpha with u = B_p r is the inverse of
     the local operator alpha B_p^-1 + X' R_pp^-1 X applied to r; the
     preconditioner uses the global B in place of B_p outside C.  k = 0
@@ -527,12 +528,12 @@ class LocalSolve:
         gn = GaussNewtonTerm(p)
         self.x = gn.x
         self.k = self.x.shape[0]
-        self.factor = None
+        self.cap_inv = None
         if self.k:
             cap = self.x @ self.prior(self.x).T / self.alpha
             cap[np.diag_indices(self.k)] += gn.q_var
-            self.factor = scipy.linalg.cholesky(cap, lower=True,
-                                                check_finite=False)
+            factor_inv = np.linalg.inv(np.linalg.cholesky(cap))
+            self.cap_inv = factor_inv.T @ factor_inv
 
     def prior(self, v):
         """B_p applied to v (n_local,), or to every row of v (m, n_local)."""
@@ -551,8 +552,7 @@ class LocalSolve:
         """X' C^-1 X u."""
         if not self.k:
             return np.zeros_like(u)
-        y, _ = scipy.linalg.lapack.dpotrs(self.factor, self.x @ u, lower=1)
-        return self.x.T @ y
+        return self.x.T @ (self.cap_inv @ (self.x @ u))
 
 
 def local_model_solve(p, initial_state, trace, forcing=None, boundary=None):

@@ -240,11 +240,11 @@ def shipped_problem(name):
 # outer loops after the first) and the dual B G^T w (one AD), plus rpcg's
 # initial H application (one TL, one AD).
 SWEEPS = {
-    ("case2", "is4dvar"): (42, 43, [42]),
+    ("case2", "is4dvar"): (43, 44, [43]),
     ("case2", "rbl4dvar"): (46, 47, [46]),
     ("case2", "minres"): (45, 46, [45]),
     ("case2", "rpcg"): (48, 49, [47]),
-    ("case4", "is4dvar"): (91, 93, [42, 49]),
+    ("case4", "is4dvar"): (92, 94, [43, 49]),
     ("case4", "rbl4dvar"): (92, 93, [46, 45]),
     ("case4", "minres"): (91, 92, [45, 45]),
     ("case4", "rpcg"): (97, 98, [47, 47]),
@@ -255,8 +255,10 @@ SWEEPS = {
 def test_outer_loop_sweep_counts(case, solver, monkeypatch):
     """Exact TL/AD sweep counts: one of each per iteration, plus at most
     two of each per outer loop; one nonlinear run per relinearization,
-    none for the first outer loop or after the last."""
-    calls = {"tl": 0, "ad": 0, "nl": 0}
+    none for the first outer loop or after the last.  is4dvar applies B
+    iterations + 1 times per outer loop and B^-1 only for the background
+    shift of the outer loops after the first."""
+    calls = {"tl": 0, "ad": 0, "nl": 0, "b": 0, "b_inv": 0}
     forward, adjoint = TangentObsOperator.forward, TangentObsOperator.adjoint
 
     def counted_forward(self, dz):
@@ -277,11 +279,21 @@ def test_outer_loop_sweep_counts(case, solver, monkeypatch):
     monkeypatch.setattr(TangentObsOperator, "forward", counted_forward)
     monkeypatch.setattr(TangentObsOperator, "adjoint", counted_adjoint)
     monkeypatch.setattr(p, "run_with_increment", counted_run)
+    for op, key in (("apply", "b"), ("apply_inv", "b_inv")):
+        real = getattr(p.b_cov, op)
+
+        def counted_cov(v, real=real, key=key):
+            calls[key] += 1
+            return real(v)
+        monkeypatch.setattr(p.b_cov, op, counted_cov)
     res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner, solver=solver,
                                    tol=cfg.solver_tol)
     its = [rep.iterations for rep in res.reports]
     assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, solver)]
     assert calls["nl"] == cfg.n_outer - 1
+    if solver == "is4dvar":
+        assert calls["b_inv"] == cfg.n_outer - 1
+        assert calls["b"] == sum(its) + len(its)
     assert calls["tl"] <= sum(its) + 2 * len(its)
     assert calls["ad"] <= sum(its) + 2 * len(its)
 

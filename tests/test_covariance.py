@@ -177,6 +177,21 @@ def test_short_length_kernels_hold_no_subnormals():
         assert _rel(cov.apply_inv(w), np.linalg.solve(dense, w.T).T) <= 1e-14
 
 
+@pytest.mark.parametrize("length", [0.5, 2.0])
+def test_ring_apply_inv_round_trip(length):
+    """The ring's apply_inv, through the inverse of its Cholesky factor,
+    undoes apply to 1e-10 relative, on the full ring and a restriction,
+    and matches a dense solve of the kernel."""
+    pts = ring_coords(Grid(nx=40, ny=32, dt=0.1, n_steps=1))
+    ring = GaussianCovariance(pts, sigma=0.8, length=length)
+    rng = np.random.default_rng(14)
+    for cov in (ring, ring.restrict(np.arange(30, 95))):
+        v = rng.standard_normal((3, cov.n))
+        assert _rel(cov.apply_inv(cov.apply(v)), v) <= 1e-10
+        assert _rel(cov.apply_inv(v),
+                    np.linalg.solve(cov.matrix, v.T).T) <= 1e-10
+
+
 def test_dimension_and_parameter_rejection(grid66):
     b = build_b(grid66, 1, sigma=1.0, length=2.0)
     with pytest.raises(ValueError):
@@ -233,7 +248,8 @@ def test_ring_kernel_distances_equal_cdist():
     assert np.array_equal(cov.matrix, want)
 
 
-def test_import_does_not_load_scipy_spatial():
+def _run_python(code):
+    """stdout of a fresh interpreter that imports ddvar from this tree."""
     import os
     import subprocess
     import sys
@@ -243,9 +259,29 @@ def test_import_does_not_load_scipy_spatial():
 
     src = str(Path(ddvar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, ddvar.experiment; "
-            "print('scipy.spatial' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_spatial():
+    code = ("import sys, ddvar.experiment; "
+            "print('scipy.spatial' in sys.modules)")
+    assert _run_python(code) == "False"
+
+
+def test_import_does_not_load_scipy_linalg(tmp_path):
+    """Neither the import nor a global (case2) or decomposed (dd.cfg) run
+    loads scipy.linalg: ddvar needs only scipy.sparse."""
+    code = f"""
+import sys
+from importlib import resources
+from ddvar.config import parse_config
+from ddvar.experiment import run_experiment
+for name in ("case2", "dd"):
+    text = (resources.files("ddvar") / "configs" / f"{{name}}.cfg").read_text()
+    run_experiment(parse_config(text), {str(tmp_path)!r} + "/" + name)
+print('scipy.linalg' in sys.modules)
+"""
+    assert _run_python(code) == "False"

@@ -5,6 +5,7 @@ from ddvar.covariance import CovarianceR
 from ddvar.krylov import (
     LinearOperator,
     SolverBreakdownError,
+    bpcg,
     dual_cg_rhalf,
     fcg,
     minres,
@@ -86,6 +87,72 @@ def test_pcg_zero_rhs():
 def test_pcg_breakdown_on_indefinite():
     with pytest.raises(SolverBreakdownError, match="iteration 1"):
         pcg(np.diag([1.0, -1.0]), np.array([0.0, 1.0]))
+
+
+class ApplyOnlySpd(DenseSpd):
+    """A covariance stub that counts its applies and cannot apply its
+    inverse."""
+
+    applies = 0
+
+    def apply(self, v):
+        self.applies += 1
+        return super().apply(v)
+
+    def apply_inv(self, v):
+        raise AssertionError("bpcg applied B^-1")
+
+
+@pytest.mark.parametrize("reorthogonalize", [False, True])
+def test_bpcg_matches_dense_solve_and_pcg_without_b_inverse(reorthogonalize):
+    """bpcg on (B^-1 + S) x = b equals the dense solve and B-preconditioned
+    pcg on the assembled matrix; it applies B once per iteration plus once,
+    and never B^-1.  Its carried A x and B^-1 x are the true products."""
+    rng = np.random.default_rng(29)
+    b_mat = random_spd(24, rng, spread=2.0)
+    g = rng.standard_normal((9, 24))
+    s_mat = g.T @ g
+    rhs = rng.standard_normal(24)
+    b_cov = ApplyOnlySpd(b_mat)
+    seen = []
+
+    def cost(x, ax, binv_x):
+        seen.append((x.copy(), ax.copy(), binv_x.copy()))
+        return 0.5 * np.vdot(x, ax) - np.vdot(rhs, x)
+
+    rep = bpcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
+               reorthogonalize=reorthogonalize, cost=cost)
+    a = np.linalg.inv(b_mat) + s_mat
+    ref = np.linalg.solve(a, rhs)
+    assert rep.converged
+    assert np.linalg.norm(rep.x - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert b_cov.applies == rep.iterations + 1
+    rep_p = pcg(a, rhs, precond=DenseSpd(b_mat), tol=1e-12,
+                reorthogonalize=reorthogonalize)
+    assert np.linalg.norm(rep.x - rep_p.x) <= 1e-9 * np.linalg.norm(ref)
+    assert abs(rep.iterations - rep_p.iterations) <= 1
+    # the preconditioned residual norms agree above the rounding floor
+    m = min(rep.iterations, rep_p.iterations) + 1
+    above = rep_p.residual_norms[:m] > 1e-8 * rep_p.residual_norms[0]
+    np.testing.assert_allclose(rep.residual_norms[:m][above],
+                               rep_p.residual_norms[:m][above], rtol=1e-6)
+    for x, ax, binv_x in seen:
+        assert np.linalg.norm(binv_x - np.linalg.solve(b_mat, x)) \
+            <= 1e-9 * np.linalg.norm(np.linalg.solve(b_mat, ref))
+        assert np.linalg.norm(ax - a @ x) <= 1e-9 * np.linalg.norm(a @ ref)
+    # the default record is the quadratic, as in pcg
+    default = bpcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
+                   reorthogonalize=reorthogonalize)
+    np.testing.assert_array_equal(default.costs, rep.costs)
+
+
+def test_bpcg_zero_rhs_and_breakdown():
+    rep = bpcg(np.eye(3), np.zeros(3), ApplyOnlySpd(np.eye(3)))
+    assert rep.iterations == 0 and rep.converged
+    assert np.all(rep.x == 0.0)
+    with pytest.raises(SolverBreakdownError, match="iteration 1"):
+        bpcg(np.diag([-4.0, 0.0]), np.array([1.0, 0.0]),
+             ApplyOnlySpd(np.eye(2)))
 
 
 def test_operator_linearity_probe():

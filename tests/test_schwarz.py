@@ -444,9 +444,10 @@ def _c5_solver(n_t, sigma_o=1.0):
 
 def test_local_solve_matches_pcg_on_the_local_operator():
     """Through the Woodbury identity every block's factorized solve
-    inverts alpha B_p^-1 + X' R_pp^-1 X as CG run to 1e-14 does; the
-    3x3-tile, halo-1 case has blocks with k_p = 0 and a block that owns
-    no ring cells."""
+    inverts alpha B_p^-1 + X' R_pp^-1 X as CG run to 1e-14 does, and its
+    capacitance solve matches a dense solve of C = R_pp + X B_p X' / alpha
+    to 1e-12; the 3x3-tile, halo-1 case has blocks with k_p = 0 and a
+    block that owns no ring cells."""
     solvers = [dd_setup()[2], _c5_solver(2)[1],
                dd_setup(nx=12, ny=12, ti=3, tj=3, halo=1, n_obs=6)[2]]
     rng = np.random.default_rng(31)
@@ -461,6 +462,11 @@ def test_local_solve_matches_pcg_on_the_local_operator():
             ls = p.local_solve
             b_p = LinearOperator((p.n_local,) * 2, ls.prior)
             rhs = rng.standard_normal(p.n_local)
+            if ls.k:
+                cap = x @ ls.prior(x).T / p.alpha + np.diag(p.q_var)
+                want = x.T @ np.linalg.solve(cap, x @ rhs)
+                assert np.linalg.norm(ls.apply(rhs) - want) \
+                    <= 1e-12 * np.linalg.norm(want)
             ref = pcg(a_p, rhs, precond=b_p, tol=1e-14, maxit=2000)
             assert ref.converged
             u = ls.prior(rhs)
