@@ -85,10 +85,12 @@ class TangentObsOperator:
     """G: control increments -> observation space, about a fixed trajectory.
 
     forward runs the tangent-linear sweep (adding the window's constant
-    forcing and boundary increments at each step) and samples it at the
-    observations; adjoint scatters observation weights onto the levels and
-    runs one backward sweep, accumulating the per-window segments.  Both
-    use one step operator per level, built once from the trajectory.
+    forcing and boundary increments at each step) into one array of
+    levels and samples it at the observations; adjoint scatters
+    observation weights onto the levels and runs one backward sweep,
+    accumulating into the window segments of one control vector.  Both
+    use one step operator per level, built once from the trajectory, and
+    one model step call per step.
     """
 
     def __init__(self, model, traj, windows, obs, layout):
@@ -100,39 +102,49 @@ class TangentObsOperator:
         if len(self.traj) != windows.n_steps + 1:
             raise ValueError("trajectory does not cover the windows")
         self.steps = [model.linearize(x) for x in self.traj[:-1]]
+        # window of the step onto level l, at index l - 1
+        self.window = [windows.window_of_step(s)
+                       for s in range(1, windows.n_steps + 1)]
 
     @property
     def shape(self):
         return (self.obs.n_obs, self.layout.n_z)
 
+    def _segments(self, v):
+        """Views (x0, [f_k], [b_k]) of the control vector v; the boundary
+        views are None without boundary segments."""
+        n_t = self.layout.n_t
+        b = ([v.b(k) for k in range(n_t)] if self.layout.has_boundary
+             else [None] * n_t)
+        return v.x0, [v.f(k) for k in range(n_t)], b
+
     def tl_states(self, dz_flat):
-        v = ControlVector(self.layout, dz_flat)
-        dx = v.x0.copy()
-        states = [dx]
-        for step in range(1, self.windows.n_steps + 1):
-            k = self.windows.window_of_step(step)
-            db = v.b(k) if self.layout.has_boundary else None
-            dx = self.model.step_tl(self.steps[step - 1], dx, df=v.f(k), db=db)
-            states.append(dx)
-        return states
+        """The tangent-linear levels, an array (n_steps + 1, nf, nx, ny)."""
+        x0, f, b = self._segments(ControlVector(self.layout, dz_flat))
+        levels = np.empty((len(self.steps) + 1,) + x0.shape)
+        levels[0] = x0
+        for l, (op, k) in enumerate(zip(self.steps, self.window), start=1):
+            levels[l] = self.model.step_tl(op, levels[l - 1], df=f[k],
+                                           db=b[k])
+        return levels
 
     def forward(self, dz_flat):
         return self.obs.sample(self.tl_states(dz_flat))
 
     def adjoint(self, w):
-        n_steps = self.windows.n_steps
+        n_steps = len(self.steps)
         scat = self.obs.scatter(w, n_steps + 1, self.model.n_fields)
         out = ControlVector(self.layout)
-        p = scat[n_steps].copy()
-        for step in range(n_steps, 0, -1):
-            k = self.windows.window_of_step(step)
-            p_prev, df_star, db_star = self.model.step_ad(self.steps[step - 1],
-                                                           p)
-            out.f(k)[:] += df_star
-            if self.layout.has_boundary:
-                out.b(k)[:] += db_star
-            p = p_prev + scat[step - 1]
-        out.x0[:] += p
+        x0, f, b = self._segments(out)
+        p = scat[n_steps]
+        for l in range(n_steps, 0, -1):
+            k = self.window[l - 1]
+            p, df_star, db_star = self.model.step_ad(self.steps[l - 1], p)
+            f[k] += df_star
+            if db_star is not None:
+                b[k] += db_star
+            p += scat[l - 1]
+        x0 += p
         return out.data
 
     def as_linear_operator(self):

@@ -37,8 +37,10 @@ the rest of the code assumes from B.
 The boundary ring of the prescribed-boundary model is not a product set,
 so its covariance stays a dense Gaussian kernel over the ring points,
 factorized by Cholesky, B = L L'.  apply_inv is one product with the
-precision B^-1 = L^-T L^-1, built from the inverse of L on the first
-call (numpy has no triangular solve).  The round trip apply_inv(apply(v))
+precision B^-1 = L^-T L^-1, built on the first call from the inverse of
+L, which is taken by 2 x 2 triangular blocks (numpy has no triangular
+solve; on the 140-point C5 ring the blocks take about a third of the
+time of a general inverse).  The round trip apply_inv(apply(v))
 holds to 1e-10 relative as for the Kronecker blocks (the ring kernel has
 the same nugget).  The full ring kernel is factorized on construction,
 which is its positive-definiteness check; a restriction is a principal
@@ -55,10 +57,12 @@ but arithmetic on subnormals is slow: it made each Kronecker apply
 several times slower.  Control-vector covariances are block diagonal
 over the control segments (initial state, one forcing block per
 assimilation window, one boundary block per window), with the window
-blocks sharing one covariance object.
+blocks sharing one covariance object, which applies all of its windows
+as one stacked call.
 """
 
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -106,6 +110,27 @@ def _block_diag(mats):
     for m, k in zip(mats, sizes):
         out[ofs:ofs + k, ofs:ofs + k] = m
         ofs += k
+    return out
+
+
+def _tril_inv(m):
+    """Inverse of the lower-triangular m by 2 x 2 blocks,
+
+        [A 0; C D]^-1 = [A^-1 0; -D^-1 C A^-1 D^-1],
+
+    down to leaves of at most 36 rows, inverted by LU (numpy has no
+    triangular solve).  The products run on the triangular blocks only,
+    about a third of the work of one LU inverse of m."""
+    n = m.shape[0]
+    if n <= 36:
+        return np.tril(np.linalg.inv(m))
+    h = n // 2
+    a = _tril_inv(m[:h, :h])
+    d = _tril_inv(m[h:, h:])
+    out = np.zeros_like(m)
+    out[:h, :h] = a
+    out[h:, h:] = d
+    out[h:, :h] = -(d @ (m[h:, :h] @ a))
     return out
 
 
@@ -177,7 +202,7 @@ class GaussianCovariance:
     def precision(self):
         """The dense inverse B^-1 = L^-T L^-1 from the inverse of the
         Cholesky factor L, subnormals flushed; built on first use."""
-        factor_inv = np.linalg.inv(self.factor)
+        factor_inv = _tril_inv(self.factor)
         return _flush_subnormals(factor_inv.T @ factor_inv)
 
     def apply_sqrt(self, w):
@@ -319,7 +344,10 @@ class KroneckerCovariance:
 
 
 class CovarianceB:
-    """State covariance: one spatial block repeated over n_fields."""
+    """State covariance: one spatial block repeated over n_fields.
+
+    The applies take one state vector (n,) or a stack of them (..., n).
+    """
 
     def __init__(self, block, n_fields):
         if n_fields < 1:
@@ -335,23 +363,24 @@ class CovarianceB:
     def matrix(self):
         return _block_diag([self.block.matrix] * self.n_fields)
 
-    def _fields(self, v):
+    def _map(self, v, op):
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
+        if v.ndim < 1 or v.shape[-1] != self.n:
             raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
-        return v.reshape(self.n_fields, self.block.n)
+        fields = v.reshape(v.shape[:-1] + (self.n_fields, self.block.n))
+        return getattr(self.block, op)(fields).reshape(v.shape)
 
     def apply(self, v):
-        return self.block.apply(self._fields(v)).ravel()
+        return self._map(v, "apply")
 
     def apply_inv(self, v):
-        return self.block.apply_inv(self._fields(v)).ravel()
+        return self._map(v, "apply_inv")
 
     def apply_sqrt(self, w):
-        return self.block.apply_sqrt(self._fields(w)).ravel()
+        return self._map(w, "apply_sqrt")
 
     def apply_sqrt_t(self, v):
-        return self.block.apply_sqrt_t(self._fields(v)).ravel()
+        return self._map(v, "apply_sqrt_t")
 
     def restrict(self, idx):
         """Restrict to a node index set, applied identically per field."""
@@ -435,8 +464,9 @@ class ControlCovariance:
     """Block-diagonal covariance over named control segments.
 
     segments is an ordered list of (name, cov) pairs; covariance objects may
-    be shared between segments (forcing windows all point at one block), the
-    apply routines just walk the list.
+    be shared between segments (forcing windows all point at one block).
+    The apply routines walk runs of consecutive segments that share one
+    covariance object and apply each run as one stacked call.
     """
 
     def __init__(self, segments):
@@ -448,6 +478,14 @@ class ControlCovariance:
             raise ValueError(f"duplicate segment names in {names}")
         self.sizes = [cov.n for _, cov in self.segments]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        # (cov, start, count) of each run of consecutive segments sharing
+        # one covariance object
+        self._runs = []
+        start = 0
+        for _, run in groupby((cov for _, cov in self.segments), key=id):
+            run = list(run)
+            self._runs.append((run[0], start, len(run)))
+            start += run[0].n * len(run)
 
     @property
     def n(self):
@@ -478,9 +516,12 @@ class ControlCovariance:
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
         out = np.empty_like(v)
-        for i, (_, cov) in enumerate(self.segments):
-            sl = slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-            out[sl] = getattr(cov, op)(v[sl])
+        for cov, start, count in self._runs:
+            stop = start + count * cov.n
+            seg = v[start:stop]
+            if count > 1:
+                seg = seg.reshape(count, cov.n)
+            out[start:stop] = getattr(cov, op)(seg).ravel()
         return out
 
     def apply(self, v):

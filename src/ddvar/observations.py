@@ -152,8 +152,10 @@ class ObservationSet:
         """Bilinear samples of field 0 of a trajectory, in stencil order
         (set order by default)."""
         st = self._all if stencil is None else stencil
-        states = getattr(traj, "states", traj)
-        v = np.stack([s[0] for s in states]).ravel()[st.nodes]
+        # a list of states is stacked; an array of levels is read in place
+        # (field 0 is copied only when the state has more fields)
+        states = np.asarray(getattr(traj, "states", traj))
+        v = states[:, 0].reshape(-1)[st.nodes]
         w = st.weights
         return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3]
 
@@ -165,10 +167,13 @@ class ObservationSet:
             raise ValueError(f"expected {st.nodes.shape[1]} weights, "
                              f"got shape {w.shape}")
         nx, ny = st.shape
-        out = np.zeros((n_levels, n_fields, nx, ny))
-        out[:, 0] = np.bincount(
+        field0 = np.bincount(
             st.nodes.ravel(), weights=(st.weights * w).ravel(),
-            minlength=n_levels * nx * ny).reshape(n_levels, nx, ny)
+            minlength=n_levels * nx * ny).reshape(n_levels, 1, nx, ny)
+        if n_fields == 1:
+            return field0
+        out = np.zeros((n_levels, n_fields, nx, ny))
+        out[:, :1] = field0
         return out
 
     def subset(self, idx):

@@ -457,14 +457,13 @@ class GaussNewtonTerm:
     that zeroes owned ring cells, strip lines on the box edge, ring cells
     in the halo and box corners, and R injects b into the owned ring
     cells.  All k rows come from one reverse sweep of the sample seeds
-    through the transposed masked step operators.
+    through the transposed masked step operators: one apply_t per level
+    on the (k, nf, bnx, bny) stack of seeds.
     """
 
     def __init__(self, p):
         nf = p.n_fields
         bnx, bny = p.tile.box_shape
-        nb = bnx * bny
-        n = nf * nb
         st = p.q_stencil
         k = st.nodes.shape[1]
 
@@ -473,31 +472,31 @@ class GaussNewtonTerm:
         keep[p.ring_halo_ii, p.ring_halo_jj] = False
         for side, sl in p.strips.items():
             keep[sl][p.outer_rel[side]] = False
-        mask = np.tile(keep.ravel(), nf)[:, None]
 
-        # the samples' bilinear weights on field 0 of every level
-        level, node = np.divmod(st.nodes, nb)
+        # the samples' bilinear weights on field 0 of every level, one
+        # (nf, bnx, bny) seed per sample
+        level, node = np.divmod(st.nodes, bnx * bny)
         col = np.broadcast_to(np.arange(k), st.nodes.shape)
         on = st.weights != 0.0
-        seeds = np.zeros((p.n_levels, n, k))
-        seeds[level[on], node[on], col[on]] = st.weights[on]
+        seeds = np.zeros((p.n_levels, k, nf, bnx, bny))
+        n = nf * bnx * bny
+        seeds.reshape(p.n_levels, k, n)[level[on], col[on], node[on]] = \
+            st.weights[on]
 
-        ring = (np.arange(nf)[:, None] * nb
-                + p.ring_ii * bny + p.ring_jj).ravel()
         adj = seeds[-1]
-        adj_f = np.zeros((n, k))
-        adj_b = np.zeros((ring.size, k))
+        adj_f = np.zeros((k, nf, bnx, bny))
+        adj_b = np.zeros((k, nf, p.ring_ii.size))
         for l in range(p.n_levels - 1, 0, -1):
-            adj_b += adj[ring]
-            adj = np.where(mask, adj, 0.0)
+            adj_b += adj[..., p.ring_ii, p.ring_jj]
+            adj = np.where(keep, adj, 0.0)
             adj_f += adj
-            adj = seeds[l - 1] + p.lin_ops[l - 1].matrix_t @ adj
-        parts = [adj_f * p.box_model.grid.dt]
+            adj = seeds[l - 1] + p.lin_ops[l - 1].apply_t(adj)
+        parts = [(adj_f * p.box_model.grid.dt).reshape(k, n)]
         if p.has_x0:
-            parts.insert(0, adj * np.tile(p.rho_keep.ravel(), nf)[:, None])
+            parts.insert(0, (adj * p.rho_keep).reshape(k, n))
         if p.layout_ctl.has_boundary:
-            parts.append(adj_b)
-        self.x = np.ascontiguousarray(np.concatenate(parts).T)
+            parts.append(adj_b.reshape(k, nf * p.ring_ii.size))
+        self.x = np.concatenate(parts, axis=1)
         self.q_var = p.q_var
 
 

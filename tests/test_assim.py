@@ -18,6 +18,7 @@ from ddvar.config import parse_config
 from ddvar.covariance import CovarianceR
 from ddvar.experiment import build_problem
 from ddvar.krylov import LinearOperator
+from ddvar.model import SurrogateModel
 from ddvar.observations import ObservationSet, innovations
 from util import make_problem
 
@@ -241,11 +242,11 @@ def shipped_problem(name):
 # initial H application (one TL, one AD).
 SWEEPS = {
     ("case2", "is4dvar"): (43, 44, [43]),
-    ("case2", "rbl4dvar"): (46, 47, [46]),
+    ("case2", "rbl4dvar"): (45, 46, [45]),
     ("case2", "minres"): (45, 46, [45]),
     ("case2", "rpcg"): (48, 49, [47]),
     ("case4", "is4dvar"): (92, 94, [43, 49]),
-    ("case4", "rbl4dvar"): (92, 93, [46, 45]),
+    ("case4", "rbl4dvar"): (91, 92, [45, 45]),
     ("case4", "minres"): (91, 92, [45, 45]),
     ("case4", "rpcg"): (97, 98, [47, 47]),
 }
@@ -255,19 +256,37 @@ SWEEPS = {
 def test_outer_loop_sweep_counts(case, solver, monkeypatch):
     """Exact TL/AD sweep counts: one of each per iteration, plus at most
     two of each per outer loop; one nonlinear run per relinearization,
-    none for the first outer loop or after the last.  is4dvar applies B
-    iterations + 1 times per outer loop and B^-1 only for the background
-    shift of the outer loops after the first."""
-    calls = {"tl": 0, "ad": 0, "nl": 0, "b": 0, "b_inv": 0}
+    none for the first outer loop or after the last.  Every sweep makes
+    exactly n_steps model step calls.  is4dvar applies B iterations + 1
+    times per outer loop and B^-1 only for the background shift of the
+    outer loops after the first."""
+    calls = {"tl": 0, "ad": 0, "nl": 0, "b": 0, "b_inv": 0,
+             "step_tl": 0, "step_ad": 0}
+    per_sweep = {"step_tl": [], "step_ad": []}
     forward, adjoint = TangentObsOperator.forward, TangentObsOperator.adjoint
 
     def counted_forward(self, dz):
         calls["tl"] += 1
-        return forward(self, dz)
+        before = calls["step_tl"]
+        out = forward(self, dz)
+        per_sweep["step_tl"].append(calls["step_tl"] - before)
+        return out
 
     def counted_adjoint(self, w):
         calls["ad"] += 1
-        return adjoint(self, w)
+        before = calls["step_ad"]
+        out = adjoint(self, w)
+        per_sweep["step_ad"].append(calls["step_ad"] - before)
+        return out
+
+    for name in ("step_tl", "step_ad"):
+        real_step = getattr(SurrogateModel, name)
+
+        def counted_step(self, *args, real_step=real_step, name=name,
+                         **kw):
+            calls[name] += 1
+            return real_step(self, *args, **kw)
+        monkeypatch.setattr(SurrogateModel, name, counted_step)
 
     p, cfg = shipped_problem(case)
     run_nl = p.run_with_increment
@@ -291,6 +310,8 @@ def test_outer_loop_sweep_counts(case, solver, monkeypatch):
     its = [rep.iterations for rep in res.reports]
     assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, solver)]
     assert calls["nl"] == cfg.n_outer - 1
+    assert per_sweep["step_tl"] == [cfg.n_steps] * calls["tl"]
+    assert per_sweep["step_ad"] == [cfg.n_steps] * calls["ad"]
     if solver == "is4dvar":
         assert calls["b_inv"] == cfg.n_outer - 1
         assert calls["b"] == sum(its) + len(its)

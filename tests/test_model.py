@@ -222,3 +222,35 @@ def test_linear_step_operator_is_built_once_per_model():
     burgers = make_model(kind="burgers", advect=(0.6, 0.6))
     x = random_state(burgers, rng, scale=0.5)
     assert burgers.linearize(x) is not burgers.linearize(x)
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+@pytest.mark.parametrize("boundary", ["periodic", "prescribed"])
+@pytest.mark.parametrize("nx,ny", [(16, 12), (11, 7)])
+def test_step_operator_stacks_and_transposes(kind, boundary, nx, ny):
+    """apply / apply_t on a (k, nf, nx, ny) stack equal k single applies,
+    and the dense matrices built column by column from apply and apply_t
+    (and from step_tl and step_ad) are transposes of each other."""
+    grid = Grid(nx=nx, ny=ny, dx=0.9, dy=1.1, dt=0.15, n_steps=1)
+    model = SurrogateModel(grid, ModelConfig(
+        kind=kind, advect=(0.6, -0.4), viscosity=0.2, boundary=boundary))
+    rng = np.random.default_rng(9)
+    op = model.linearize(random_state(model, rng, scale=0.5))
+    stack = rng.standard_normal((5,) + model.state_shape)
+    for fn in (op.apply, op.apply_t):
+        got = fn(stack)
+        for k in range(len(stack)):
+            np.testing.assert_array_equal(got[k], fn(stack[k]))
+
+    n = stack[0].size
+    cols = {name: np.zeros((n, n)) for name in ("m", "m_t", "tl", "ad")}
+    for c in range(n):
+        e = np.zeros(model.state_shape)
+        e.ravel()[c] = 1.0
+        cols["m"][:, c] = op.apply(e).ravel()
+        cols["m_t"][:, c] = op.apply_t(e).ravel()
+        cols["tl"][:, c] = model.step_tl(op, e).ravel()
+        cols["ad"][:, c] = model.step_ad(op, e)[0].ravel()
+    assert np.abs(cols["m"]).max() > 0.5
+    assert np.max(np.abs(cols["m_t"] - cols["m"].T)) <= 1e-14
+    assert np.max(np.abs(cols["ad"] - cols["tl"].T)) <= 1e-14
