@@ -35,7 +35,7 @@ from ddvar.impact import (
 )
 from ddvar.model import ModelConfig, SurrogateModel
 from ddvar.observations import ObservationSet, PlatformSpec, synthesize
-from ddvar.schwarz import DDConfig, DDResult, dd_outer_loop
+from ddvar.schwarz import DDConfig, DDResult
 
 __all__ = [
     "AssimilationProblem",
@@ -64,7 +64,6 @@ __all__ = [
     "build_time_windows",
     "column_section",
     "cost_history_report",
-    "dd_outer_loop",
     "dual_analysis",
     "emit_config",
     "evaluate_functional",

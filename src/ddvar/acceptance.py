@@ -17,7 +17,7 @@ from .config import ExperimentConfig
 from .grid import SIDES, build_tiles, restrict
 from .impact import column_section, observation_impact
 from .krylov import LinearOperator
-from .schwarz import DDConfig, dd_outer_loop
+from .schwarz import DDConfig, DDSolver
 from .experiment import build_problem, run_experiment
 
 
@@ -205,8 +205,8 @@ def c5_dd_oracle():
         za = prob.primal_analysis(tol=1e-12).x
         tiles = build_tiles(prob.model.grid, cfg.ntile_i, cfg.ntile_j,
                             cfg.halo)
-        res = dd_outer_loop(prob, tiles, DDConfig(n_bar=cfg.n_bar,
-                                                  tau_dd=cfg.tau_dd))
+        res = DDSolver(prob, tiles, DDConfig(n_bar=cfg.n_bar,
+                                             tau_dd=cfg.tau_dd)).solve()
         gap = float(np.linalg.norm(res.delta_z - za) / np.linalg.norm(za))
         worst = max(worst, gap)
         its.append(res.n_iterations)
@@ -216,7 +216,7 @@ def c5_dd_oracle():
     prob = build_problem(cfg1)
     za = prob.primal_analysis(tol=1e-13).x
     tiles = build_tiles(prob.model.grid, 1, 1, cfg1.halo)
-    res = dd_outer_loop(prob, tiles, DDConfig(n_bar=50, tau_dd=1e-10))
+    res = DDSolver(prob, tiles, DDConfig(n_bar=50, tau_dd=1e-10)).solve()
     degen = float(np.linalg.norm(res.delta_z - za) / np.linalg.norm(za))
     ok = all_ok and worst <= 1e-6 and degen <= 1e-10
     dt = time.perf_counter() - t0

@@ -317,16 +317,6 @@ class KroneckerCovariance:
 
     apply_sqrt_t = apply_sqrt
 
-    def inv_quadratic(self, rows, cols, v):
-        """v' B^-1 v for fields that vanish outside the sub-grid rows x cols.
-
-        v has shape (..., |rows|, |cols|) and the leading axes are summed.
-        Equals the quadratic form of the principal block of B^-1 on the
-        sub-grid: sum (Ux[rows]' V Uy[cols])^2 / s, one half-transform.
-        """
-        t = self.ux[rows].T @ np.asarray(v, dtype=float) @ self.uy[cols]
-        return float(np.sum(t * t * self._inv_spectrum))
-
     def restrict(self, idx):
         """Principal block over a rectangular sub-grid.
 

@@ -526,9 +526,11 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
                 rho -= c * rj
                 z -= c * zj
         rz_new = np.vdot(rho, z)
-        if rz_new < 0:
+        # once the Krylov space is exhausted rz_new is rounding noise and
+        # may come out negative: within the convergence threshold it is zero
+        if rz_new < -(tol * pre0) ** 2:
             raise SolverBreakdownError("indefinite G B G^T", k)
-        pre = np.sqrt(rz_new)
+        pre = np.sqrt(max(rz_new, 0.0))
         pre_norms.append(pre)
         costs.append(_jb_jo(r_cov, d, chi, h_chi))
         iterates.append(chi.copy())

@@ -42,13 +42,13 @@ convergence rate.  In particular an observation in the cell at a
 four-tile junction, whose diagonal node is a zeroed corner of its owner's
 box, is seen exactly by the Hessian and approximately by the blocks.
 
-The local sweeps (local_tl_step, local_ad_step) describe one block's part
-of the global sweeps with frozen neighbor traces: halo strips are
-overwritten from the trace after every step plus the theta seam correction
-(the step operator applied to the difference between the locally evolved
-strip values and the trace), and box corners are zeroed.  local_cost
-evaluates the block's overlap-regularized local functional from such a
-sweep.  The solve runs none of them.
+Two local sweeps remain, which the solve does not run: local_tl_step and
+local_ad_step describe one block's part of the global sweeps with frozen
+neighbor traces (halo strips overwritten from the trace after every step
+plus the theta seam correction, box corners zeroed).  They stay, with
+LocalProblem.owned_prec_apply, because the benchmark's layer table
+(perfbench/layers.py) names them; tests check them against the global
+sweeps and B^-1.
 """
 
 import time
@@ -63,7 +63,7 @@ from .control import ControlVector
 from .grid import SIDES, Grid, boundary_ring_indices, restrict
 # pcg stays importable from here: perfbench's self-test patches schwarz.pcg
 from .krylov import LinearOperator, fcg, pcg  # noqa: F401
-from .model import ModelDivergedError, SurrogateModel
+from .model import SurrogateModel
 from .observations import innovations
 
 __all__ = [
@@ -75,13 +75,8 @@ __all__ = [
     "LocalSolve",
     "NeighborTrace",
     "build_local_problems",
-    "dd_outer_loop",
     "local_ad_step",
-    "local_cost",
-    "local_model_solve",
     "local_tl_step",
-    "overlap_operator",
-    "theta_correction",
 ]
 
 @dataclass(frozen=True)
@@ -94,12 +89,13 @@ class DDConfig:
 
     Inert keys, kept (n_inner and omega validated) so that existing
     configs still load: n_inner and inner_tol bounded the former local
-    PCG solves, beta weights the strip overlap term of local_cost (the
-    preconditioner carries no strip rows), gamma weights the theta seam
-    correction of local_tl_step/local_ad_step, and omega damped the
-    corrections of the former trace iteration.  None of them affects the
-    solve.
+    PCG solves, beta weighted the former strip overlap term and now has no
+    reader, gamma weights the theta seam correction of
+    local_tl_step/local_ad_step, and omega damped the corrections of the
+    former trace iteration.  None of them affects the solve.
     """
+    # every field stays: perfbench's _dd_config passes n_inner, inner_tol,
+    # beta, gamma and omega, and its dd_c5 config sets omega and n_inner
     n_bar: int = 50
     tau_dd: float = 1e-10
     n_inner: int = 30
@@ -125,52 +121,10 @@ class NeighborTrace:
     """Frozen neighbor data one block reads during its sweeps.
 
     tl_halo / ad_halo map side -> (n_levels, n_fields, si, sj) halo strip
-    values per local window level.  start_box is the window-start state on
-    the full box (windows k > 0).
+    values per local window level.
     """
     tl_halo: dict
     ad_halo: dict
-    start_box: np.ndarray = None
-
-
-def theta_correction(direction, op_action, own, neighbor, gamma):
-    """gamma * (op(own) - op(neighbor)), the seam correction of one step.
-
-    direction ("I" for west/east seams, "J" for south/north) only tags
-    which family of strips the data belongs to; own and neighbor are
-    same-shaped halo values and op_action the linear local step action.
-    The result vanishes whenever the two variants agree.
-    """
-    if direction not in ("I", "J"):
-        raise ValueError(f"direction must be 'I' or 'J', got {direction!r}")
-    own = np.asarray(own, dtype=float)
-    neighbor = np.asarray(neighbor, dtype=float)
-    if own.shape != neighbor.shape:
-        raise ValueError("own and neighbor halo shapes differ")
-    if gamma == 0.0 or own.size == 0:
-        return np.zeros_like(own)
-    return gamma * (op_action(own) - op_action(neighbor))
-
-
-def overlap_operator(own, neighbor, strip_cov, beta):
-    """Overlap penalty on one halo strip and its gradient.
-
-    Value beta * ||own - neighbor||^2 in the inverse-covariance metric of
-    the strip (no 1/2 in front), gradient 2 beta B^-1 (own - neighbor)
-    with respect to the own values; the neighbor values are constants of
-    the current outer iterate.
-    """
-    own = np.asarray(own, dtype=float)
-    neighbor = np.asarray(neighbor, dtype=float)
-    if own.shape != neighbor.shape:
-        raise ValueError("own and neighbor strip shapes differ")
-    diff = (own - neighbor).ravel()
-    if diff.size == 0 or beta == 0.0:
-        return 0.0, np.zeros_like(own)
-    binv_diff = strip_cov.apply_inv(diff)
-    value = beta * float(np.vdot(diff, binv_diff))
-    grad = (2.0 * beta * binv_diff).reshape(own.shape)
-    return value, grad
 
 
 class LocalProblem:
@@ -184,7 +138,7 @@ class LocalProblem:
         self.grid = grid
         self.windows = windows
         self.layout_ctl = layout_ctl
-        self.alpha, self.beta, self.gamma = weights
+        self.alpha, self.gamma = weights
         self.n_fields = model.n_fields
         self.prescribed = model.config.boundary == "prescribed"
         self.lin_states = None  # set once the linearization is known
@@ -292,8 +246,6 @@ class LocalProblem:
 
         # node bookkeeping: flat global indices of owned and box nodes
         self.owned_local = tile.owned_slices_local()
-        oh, ow = tile.owned_shape
-        self.n_owned_nodes = oh * ow
         self.n_box_nodes = bnx * bny
         gi = np.arange(tile.i0, tile.i1)
         gj = np.arange(tile.j0, tile.j1)
@@ -301,20 +253,12 @@ class LocalProblem:
         gi = np.arange(tile.bi0, tile.bi1)
         gj = np.arange(tile.bj0, tile.bj1)
         self.box_node_idx = (gi[:, None] * grid.ny + gj[None, :]).ravel()
-        self.strip_node_idx = {}
-        for side, (si, sj) in self.strips.items():
-            gsi = np.arange(si.start + tile.bi0, si.stop + tile.bi0)
-            gsj = np.arange(sj.start + tile.bj0, sj.stop + tile.bj0)
-            self.strip_node_idx[side] = (gsi[:, None] * grid.ny
-                                         + gsj[None, :]).ravel()
 
-        # observations of the window, and the subset this tile owns
+        # observations of the window, and the subset this tile owns; levels
+        # shared by two windows go to the earlier one
         self.obs = obs
-        # levels shared by two windows go to the earlier one
         ends = [windows.end(k) for k in range(windows.n_t)]
-        self.window_obs_idx = np.flatnonzero(
-            np.searchsorted(ends, obs.levels) == window)
-        w_idx = self.window_obs_idx
+        w_idx = np.flatnonzero(np.searchsorted(ends, obs.levels) == window)
         self.own_obs_idx = w_idx[tile.contains_point(obs.x[w_idx],
                                                      obs.y[w_idx], grid)]
         # observations whose stencil lies inside the box: the block's
@@ -323,12 +267,10 @@ class LocalProblem:
         i0, j0 = obs.i0[w_idx], obs.j0[w_idx]
         self.q_obs_idx = w_idx[(i0 >= tile.bi0) & (i0 + 1 < tile.bi1)
                                & (j0 >= tile.bj0) & (j0 + 1 < tile.bj1)]
-        # bilinear stencils on the box (nodes outside it dropped): the owned
-        # observations (misfits) and the ones the local quadratic carries
-        box = ((tile.bi0, tile.bj0), tile.box_shape, self.levels[0])
-        self.own_stencil = obs.stencil(self.own_obs_idx, *box)
-        self.q_stencil = obs.stencil(self.q_obs_idx, *box)
-        self.own_var = obs.variances[self.own_obs_idx]
+        # bilinear stencils on the box (nodes outside it dropped) of the
+        # observations the local quadratic carries
+        self.q_stencil = obs.stencil(self.q_obs_idx, (tile.bi0, tile.bj0),
+                                     tile.box_shape, self.levels[0])
         self.q_var = obs.variances[self.q_obs_idx]
 
         # control segments of the block: x0 (window 0) and f live on the
@@ -346,7 +288,7 @@ class LocalProblem:
 
         # covariances, attached by build_local_problems: restricted ones
         # for the capacitance matrix, full segment ones for the owned
-        # block of the precision and the overlap metric
+        # block of the precision
         self.cov_x = None
         self.cov_f = None
         self.cov_b = None
@@ -354,34 +296,13 @@ class LocalProblem:
 
     def owned_prec_apply(self, seg, v):
         """Owned principal block of the segment precision applied to v, by
-        zero-padding into the whole segment and applying its full B^-1.
-
-        The reference for _owned_jb, which evaluates the same block
-        without the padding.
-        """
+        zero-padding into the whole segment and applying its full B^-1."""
         cov = self.full_cov[seg]
         idx = self.ring_pos if seg == "b" else self.owned_node_idx
         full = np.zeros((self.n_fields, cov.block.n))
         full[:, idx] = v.reshape(self.n_fields, -1)
         out = cov.apply_inv(full.ravel()).reshape(self.n_fields, -1)
         return out[:, idx].ravel()
-
-    @cached_property
-    def strip_cov(self):
-        """Initial-state covariance restricted to each halo strip, the
-        overlap metric of local_cost; built on first use."""
-        bx = self.full_cov["x0"]
-        return {side: bx.restrict(idx)
-                for side, idx in self.strip_node_idx.items()}
-
-    @cached_property
-    def ring_prec(self):
-        """Owned principal block of the ring precision, or None when the
-        block owns no ring cells."""
-        cov = self.full_cov.get("b")
-        if cov is None or not self.ring_pos.size:
-            return None
-        return cov.block.precision[np.ix_(self.ring_pos, self.ring_pos)]
 
     @cached_property
     def lin_ops(self):
@@ -554,38 +475,6 @@ class LocalSolve:
         return self.x.T @ (self.cap_inv @ (self.x @ u))
 
 
-def local_model_solve(p, initial_state, trace, forcing=None, boundary=None):
-    """Nonlinear local trajectory over the block's window.
-
-    initial_state is the window-start state on the box.  After every step,
-    owned physical-ring cells take the boundary values, halo strips are
-    overwritten from trace.tl_halo, and corners are zeroed.  Fed with
-    traces restricted from a global run, the result matches the
-    restriction of that run on every live (non-corner) cell.
-    """
-    state = np.array(initial_state, dtype=float)
-    if state.shape != (p.n_fields,) + p.tile.box_shape:
-        raise ValueError("initial state does not match the box")
-    states = [state]
-    for step in range(1, p.n_levels):
-        try:
-            nxt = p.box_model.step_nl(
-                states[-1],
-                f=None if forcing is None else forcing[step - 1])
-        except ModelDivergedError as exc:
-            raise RuntimeError(
-                f"local model diverged on tile {p.tile.id}, window "
-                f"{p.window}, step {step}") from exc
-        if p.prescribed:
-            p._apply_ring(nxt, None if boundary is None
-                          else boundary[step - 1])
-        for side, sl in p.strips.items():
-            nxt[:, sl[0], sl[1]] = trace.tl_halo[side][step]
-        p._zero_corners(nxt)
-        states.append(nxt)
-    return states
-
-
 def _own_strip(p, side, raw, trace_vals):
     """Locally evolved strip values, trace-filled where not meaningful."""
     sl = p.strips[side]
@@ -612,8 +501,8 @@ def local_tl_step(p, dx_start, df, db, lin_ops, trace):
     Halo strips are overwritten from trace.tl_halo after every step and
     the theta seam correction is added.  Returns (states, own_strips)
     where own_strips[l][side] holds the locally evolved strip values (the
-    "own" halo data of the overlap and theta operators).  lin_ops[l] is
-    the box-model step operator of the step from window level l
+    "own" halo data of the theta correction).  lin_ops[l] is the
+    box-model step operator of the step from window level l
     (LocalProblem.lin_ops).  The block solve does not run sweeps: its
     zero-inflow correction propagator is read at the observation samples
     once per block (GaussNewtonTerm).
@@ -712,72 +601,6 @@ def local_ad_step(p, forcings, lin_ops, trace, terminal=None):
     return pad, df_star, db_star, stored
 
 
-def local_cost(p, local_ctl, trace, d):
-    """The block's local functional at its restriction of the increment.
-
-    local_ctl: dict with box-restricted "x0" (window 0), "f", and
-    owned-ring "b" increments; d: global innovation vector.  Returns
-    (J, Jb, Jo, O) with J = alpha*Jb + Jo + O, where Jb and Jo keep the
-    1/2 convention and O is the overlap penalty (no 1/2) summed over
-    levels and strips.  With beta = 0 and a single block this is exactly
-    the global cost.  Runs one residual-form TL sweep.
-    """
-    if p.has_x0:
-        dx0 = local_ctl["x0"]
-    elif trace.start_box is not None:
-        dx0 = trace.start_box
-    else:
-        dx0 = p.zero_box()
-    states, own_strips = local_tl_step(p, dx0, local_ctl["f"],
-                                       local_ctl.get("b"), p.lin_ops,
-                                       trace=trace)
-    return _local_terms(p, local_ctl, own_strips, trace,
-                        _own_misfit(p, states, d))
-
-
-def _own_misfit(p, states, d):
-    """Sampled minus observed for the block's own observations."""
-    return p.obs.sample(states, p.own_stencil) - d[p.own_obs_idx]
-
-
-def _local_terms(p, local_ctl, own_strips, trace, misfit):
-    """(J, Jb, Jo, O) of the local functional from one residual-form TL
-    sweep's own strips and own-observation misfits."""
-    jb = _owned_jb(p, local_ctl)
-    jo = 0.5 * float(np.vdot(misfit, misfit / p.own_var))
-    o_val = 0.0
-    if p.beta != 0.0:
-        for l in range(p.n_levels):
-            for side in p.strips:
-                val, _ = overlap_operator(own_strips[l][side],
-                                          trace.tl_halo[side][l],
-                                          p.strip_cov[side], p.beta)
-                o_val += val
-    return p.alpha * jb + jo + o_val, jb, jo, o_val
-
-
-def _owned_jb(p, local_ctl):
-    """alpha-free background term of the local functional (1/2 kept).
-
-    The local quadratic is the restriction of the global one, so its
-    background term is the owned principal block of B^-1 (not the inverse
-    of the restricted covariance): the Kronecker blocks evaluate it on the
-    owned rectangle, the boundary ring through its principal block.
-    """
-    oi, oj = p.owned_local
-    gi, gj = p.tile.owned_slices
-    jb = 0.0
-    if p.has_x0:
-        jb += p.full_cov["x0"].block.inv_quadratic(
-            gi, gj, local_ctl["x0"][:, oi, oj])
-    jb += p.full_cov["f"].block.inv_quadratic(gi, gj,
-                                              local_ctl["f"][:, oi, oj])
-    if p.ring_prec is not None and "b" in local_ctl:
-        w = local_ctl["b"]
-        jb += float(np.vdot(w, w @ p.ring_prec))
-    return 0.5 * jb
-
-
 def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
                          obs, b_cov, config):
     """All (tile, window) blocks, with restricted covariances attached.
@@ -785,7 +608,7 @@ def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
     Blocks whose boxes have the same shape share one periodic box model,
     and with it the linear model's step operator.
     """
-    weights = (config.alpha, config.beta, config.gamma)
+    weights = (config.alpha, config.gamma)
     bx = b_cov.segment_cov("x0")
     bf = b_cov.segment_cov("f0")
     bb = b_cov.segment_cov("b0") if layout_ctl.has_boundary else None
@@ -870,27 +693,6 @@ class DDSolver:
         for (tid, k), p in self.blocks.items():
             tile = self.layout.tile(tid)
             p.lin_states = [restrict(bg[l], tile).data for l in p.levels]
-
-    def _zero_trace(self, p):
-        tl = {}
-        ad = {}
-        for side, sl in p.strips.items():
-            si = sl[0].stop - sl[0].start
-            sj = sl[1].stop - sl[1].start
-            tl[side] = np.zeros((p.n_levels, p.n_fields, si, sj))
-            ad[side] = np.zeros((p.n_levels, p.n_fields, si, sj))
-        start = p.zero_box() if p.window > 0 else None
-        return NeighborTrace(tl_halo=tl, ad_halo=ad, start_box=start)
-
-    def _restrict_control(self, z, p):
-        v = ControlVector(self.problem.layout, z)
-        bi, bj = p.tile.box_slices
-        ctl = {"f": v.f(p.window)[:, bi, bj].copy()}
-        if p.has_x0:
-            ctl["x0"] = v.x0[:, bi, bj].copy()
-        if self.problem.layout.has_boundary:
-            ctl["b"] = v.b(p.window)[:, p.ring_pos].copy()
-        return ctl
 
     def _precond(self, r, block_s, n):
         """The preconditioner applied to the residual r,
@@ -985,7 +787,3 @@ class DDSolver:
                             self.blocks[key].local_solve.k for key in sorted(
                                 order, key=lambda b: self.world.rank_of(*b))])
 
-
-def dd_outer_loop(problem, layout_tiles, config):
-    """Run the decomposed solve and return the assembled result."""
-    return DDSolver(problem, layout_tiles, config).solve()

@@ -259,6 +259,25 @@ def test_cli_truncated_krylov_run_exits_0(tmp_path):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_cli_rpcg_on_an_exhausted_krylov_space_exits_0(tmp_path):
+    """Three observations: rpcg's third iteration exhausts the Krylov
+    space and its recurrence value r'z rounds to a tiny negative number.
+    That is convergence, not an indefinite G B G^T: the run exits 0 and
+    the increment is rbl4dvar's."""
+    cfg = ExperimentConfig(nx=11, ny=12, n_steps=4, n_t=3, model="linear",
+                           boundary="prescribed", n_obs=3, sigma_o=0.3,
+                           length_x=1.0, length_f=1.0, length_b=1.0,
+                           formulation="rpcg", seed=17).validate()
+    p = write_cfg(tmp_path, cfg)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    prob = build_problem(cfg)
+    got = prob.dual_analysis(solver="rpcg")
+    ref = prob.dual_analysis(solver="rbl4dvar")
+    assert got.iterations == ref.iterations == 3
+    assert np.linalg.norm(got.x_control - ref.x_control) \
+        <= 1e-8 * np.linalg.norm(ref.x_control)
+
+
 def test_impact_files_written_on_request(tmp_path):
     res = run_experiment(small_cfg(impact=True), out_dir=tmp_path)
     header, rows = read_rows(res.files["impact.csv"])

@@ -269,6 +269,15 @@ def test_rpcg_zero_innovation():
     assert np.all(rep.x_control == 0.0)
 
 
+def test_rpcg_breakdown_on_indefinite_g_b_gt():
+    """r'z = -0.18 of r0'z0 after one step: beyond the rounding band that
+    counts as convergence, so it still raises."""
+    g = LinearOperator.from_matrix(np.eye(2))
+    with pytest.raises(SolverBreakdownError, match="indefinite.*iteration 1"):
+        rpcg(g, DenseSpd(np.diag([1.0, -0.5])), CovarianceR([1.0, 1.0]),
+             np.array([1.0, 1.0]))
+
+
 def test_reorthogonalization_still_correct():
     rng = np.random.default_rng(27)
     a = random_spd(40, rng, spread=3.0)

@@ -8,19 +8,19 @@ from ddvar.grid import build_tiles
 from ddvar.krylov import LinearOperator, pcg
 from ddvar.schwarz import (
     DDConfig,
-    _owned_jb,
     DDSolver,
     GaussNewtonTerm,
     LocalSolve,
-    dd_outer_loop,
     local_ad_step,
-    local_cost,
-    local_model_solve,
     local_tl_step,
-    overlap_operator,
-    theta_correction,
 )
-from util import make_problem, reference_prior, reference_weight
+from util import (
+    make_problem,
+    reference_prior,
+    reference_weight,
+    restrict_control,
+    zero_trace,
+)
 
 
 def dd_setup(nx=16, ny=12, ti=2, tj=2, n_t=2, n_steps=6, seed=5, n_obs=18,
@@ -31,110 +31,6 @@ def dd_setup(nx=16, ny=12, ti=2, tj=2, n_t=2, n_steps=6, seed=5, n_obs=18,
     tiles = build_tiles(prob.model.grid, ti, tj, halo)
     cfg = DDConfig(**cfg_kw)
     return prob, tiles, DDSolver(prob, tiles, cfg)
-
-
-# -- theta correction -----------------------------------------------------
-
-
-def test_theta_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        theta_correction("K", lambda h: h, np.ones(3), np.ones(3), 1.0)
-    with pytest.raises(ValueError):
-        theta_correction("I", lambda h: h, np.ones(3), np.ones(2), 1.0)
-
-
-def test_theta_vanishes_for_matching_halos():
-    rng = np.random.default_rng(0)
-    own = rng.standard_normal((2, 5))
-    th = theta_correction("I", lambda h: 3.0 * h, own, own.copy(), 1.0)
-    assert np.all(th == 0.0)
-    assert theta_correction("J", lambda h: h, np.zeros(0), np.zeros(0),
-                            1.0).size == 0
-
-
-def test_theta_zero_gamma_short_circuits():
-    own = np.ones((2, 4))
-    nb = np.zeros((2, 4))
-    th = theta_correction("I", lambda h: 1.0 / 0.0 * h, own, nb, 0.0)
-    assert np.all(th == 0.0)
-
-
-def test_theta_against_dense_operator_on_6x6_tile():
-    """One-cell halo mismatch equals the matching dense operator column."""
-    prob, tiles, solver = dd_setup(nx=12, ny=6, ti=2, tj=1, n_t=1,
-                                   n_steps=2, n_obs=6, seed=3)
-    p = solver.blocks[(0, 0)]
-    assert p.tile.owned_shape == (6, 6)
-    sl = p.strips["east"]
-    shape = (p.n_fields, sl[0].stop - sl[0].start, sl[1].stop - sl[1].start)
-
-    def op_action(h):
-        field = p.zero_box()
-        field[:, sl[0], sl[1]] = h
-        out = p.box_model.step_tl(p.lin_ops[0], field)
-        return out[:, sl[0], sl[1]]
-
-    n = int(np.prod(shape))
-    dense = np.zeros((n, n))
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = 1.0
-        dense[:, c] = op_action(e.reshape(shape)).ravel()
-
-    rng = np.random.default_rng(4)
-    nb = rng.standard_normal(shape)
-    delta = np.zeros(shape)
-    delta[0, 0, 2] = 0.7
-    th = theta_correction("I", op_action, nb + delta, nb, 1.0)
-    expect = (dense @ delta.ravel()).reshape(shape)
-    assert np.max(np.abs(th - expect)) <= 1e-13
-
-
-# -- overlap operator -----------------------------------------------------
-
-
-class ScalarCov:
-    def __init__(self, val):
-        self.val = val
-
-    def apply_inv(self, v):
-        return v / self.val
-
-
-def test_overlap_scalar_oracle():
-    val, grad = overlap_operator(np.array([3.0]), np.array([1.0]),
-                                 ScalarCov(2.0), 1.0)
-    assert val == pytest.approx(2.0, abs=1e-15)
-    assert grad[0] == pytest.approx(2.0, abs=1e-15)
-
-
-def test_overlap_trivial_cases():
-    own = np.array([1.5, -0.5])
-    assert overlap_operator(own, own.copy(), ScalarCov(1.0), 1.0)[0] == 0.0
-    assert overlap_operator(np.zeros(0), np.zeros(0),
-                            ScalarCov(1.0), 1.0)[0] == 0.0
-    assert overlap_operator(own, np.zeros(2), ScalarCov(1.0), 0.0)[0] == 0.0
-    with pytest.raises(ValueError):
-        overlap_operator(np.ones(3), np.ones(2), ScalarCov(1.0), 1.0)
-
-
-def test_overlap_value_matches_quadratic_form():
-    prob, tiles, solver = dd_setup()
-    p = solver.blocks[(0, 0)]
-    side = next(iter(p.strips))
-    sl = p.strips[side]
-    shape = (p.n_fields, sl[0].stop - sl[0].start, sl[1].stop - sl[1].start)
-    rng = np.random.default_rng(9)
-    own = rng.standard_normal(shape)
-    nb = rng.standard_normal(shape)
-    val, grad = overlap_operator(own, nb, p.strip_cov[side], 1.0)
-    diff = (own - nb).ravel()
-    assert val == pytest.approx(
-        float(diff @ p.strip_cov[side].apply_inv(diff)), rel=1e-12)
-    assert grad.shape == own.shape
-    # value is a true nonnegative quadratic in the mismatch
-    assert val > 0.0
-    assert overlap_operator(nb, nb, p.strip_cov[side], 1.0)[0] == 0.0
 
 
 # -- local model runs -----------------------------------------------------
@@ -154,34 +50,18 @@ def test_local_model_solve_matches_global_restriction():
             lin = [restrict(bg[l], p.tile).data for l in p.levels]
             assert all(np.array_equal(a, b)
                        for a, b in zip(p.lin_states, lin, strict=True))
-            tr = solver._zero_trace(p)
-            for side, sl in p.strips.items():
-                tr.tl_halo[side] = np.stack(
-                    [lin[l][:, sl[0], sl[1]] for l in range(p.n_levels)])
-            solved = local_model_solve(p, lin[0], tr)
-            for l in range(p.n_levels):
-                gap = np.abs(solved[l] - lin[l])[:, p.live_mask]
+            # step the box model from the restricted start; after every
+            # step the owned ring takes the (zero) boundary values, the
+            # halo strips the global run's values, and corners are zeroed
+            state = lin[0]
+            for l in range(1, p.n_levels):
+                state = p.box_model.step_nl(state)
+                p._apply_ring(state, None)
+                for sl in p.strips.values():
+                    state[:, sl[0], sl[1]] = lin[l][:, sl[0], sl[1]]
+                p._zero_corners(state)
+                gap = np.abs(state - lin[l])[:, p.live_mask]
                 assert gap.max() <= 1e-13
-
-
-def test_local_model_solve_zero_everything():
-    prob, tiles, solver = dd_setup(n_t=1)
-    p = solver.blocks[(0, 0)]
-    tr = solver._zero_trace(p)
-    states = local_model_solve(p, p.zero_box(), tr)
-    assert all(np.all(s == 0.0) for s in states)
-
-
-def test_local_model_solve_shape_and_divergence_errors():
-    prob, tiles, solver = dd_setup(kind="burgers", n_t=1)
-    p = solver.blocks[(0, 0)]
-    tr = solver._zero_trace(p)
-    with pytest.raises(ValueError):
-        local_model_solve(p, np.zeros((p.n_fields, 3, 3)), tr)
-    huge = np.full((p.n_fields,) + p.tile.box_shape, 1e160)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=r"tile 0, window 0"):
-            local_model_solve(p, huge, tr)
 
 
 # -- local TL/AD pair -----------------------------------------------------
@@ -212,7 +92,7 @@ def test_local_adjoint_identity_frozen_traces(mode):
     prob, tiles, solver = dd_setup(n_t=2)
     rng = np.random.default_rng(11)
     for key, p in solver.blocks.items():
-        tr = solver._zero_trace(p)
+        tr = zero_trace(p)
         for _ in range(2):
             dx0 = rng.standard_normal((p.n_fields,) + p.tile.box_shape)
             df = rng.standard_normal((p.n_fields,) + p.tile.box_shape)
@@ -233,7 +113,7 @@ def test_local_adjoint_identity_frozen_traces(mode):
 def test_local_ad_zero_input_zero_output():
     prob, tiles, solver = dd_setup(n_t=1)
     p = solver.blocks[(0, 0)]
-    tr = solver._zero_trace(p)
+    tr = zero_trace(p)
     forcings = [None] * p.n_levels
     p_start, df_star, db_star, _ = local_ad_step(p, forcings, p.lin_ops,
                                                  trace=tr)
@@ -243,77 +123,35 @@ def test_local_ad_zero_input_zero_output():
         assert np.all(db_star == 0.0)
 
 
-# -- local cost -----------------------------------------------------------
-
-
-def test_local_cost_single_block_equals_global():
-    """beta = 0 and one block: the local functional is the global cost."""
-    prob, tiles, solver = dd_setup(ti=1, tj=1, n_t=1, beta=0.0)
-    p = solver.blocks[(0, 0)]
-    rng = np.random.default_rng(21)
-    z = 0.1 * rng.standard_normal(prob.layout.n_z)
-    ctl = solver._restrict_control(z, p)
-    tr = solver._zero_trace(p)
-    j, jb, jo, o_val = local_cost(p, ctl, tr, solver.d)
-    cb = prob.cost(z, d=solver.d)
-    assert o_val == 0.0
-    assert jb == pytest.approx(cb.Jb, rel=1e-12, abs=1e-15)
-    assert jo == pytest.approx(cb.Jo, rel=1e-12, abs=1e-15)
-    assert j == pytest.approx(cb.J, rel=1e-12)
-
-
-def test_local_cost_beta_splits_off_overlap_term():
-    """J with overlap minus J without equals the overlap value exactly."""
-    prob, tiles, solver = dd_setup()
-    p0 = solver.blocks[(0, 0)]
-    rng = np.random.default_rng(22)
-    z = 0.1 * rng.standard_normal(prob.layout.n_z)
-    ctl = solver._restrict_control(z, p0)
-    tr = solver._zero_trace(p0)
-    j1, jb1, jo1, o1 = local_cost(p0, ctl, tr, solver.d)
-    p0.beta = 0.0
-    j0, jb0, jo0, o0 = local_cost(p0, ctl, tr, solver.d)
-    p0.beta = 1.0
-    assert o0 == 0.0
-    assert o1 > 0.0
-    assert jb1 == jb0 and jo1 == jo0
-    assert j1 - j0 == pytest.approx(o1, rel=1e-12)
-    assert j1 == pytest.approx(p0.alpha * jb1 + jo1 + o1, rel=1e-12)
-
-
-def test_local_cost_zero_increment_zero_innovations():
-    prob, tiles, solver = dd_setup()
-    p = solver.blocks[(0, 0)]
-    ctl = solver._restrict_control(np.zeros(prob.layout.n_z), p)
-    tr = solver._zero_trace(p)
-    j, jb, jo, o_val = local_cost(p, ctl, tr, np.zeros(prob.obs.n_obs))
-    assert j == 0.0 and jb == 0.0 and jo == 0.0 and o_val == 0.0
-
-
-def _padded_owned_jb(p, ctl):
-    """The owned background term through the zero-padded whole-segment
-    B^-1 (LocalProblem.owned_prec_apply)."""
-    oi, oj = p.owned_local
-    segs = [("f", ctl["f"][:, oi, oj])]
-    if p.has_x0:
-        segs.append(("x0", ctl["x0"][:, oi, oj]))
-    if p.ring_pos.size:
-        segs.append(("b", ctl["b"]))
-    return 0.5 * sum(float(np.vdot(v, p.owned_prec_apply(seg, v.ravel())))
-                     for seg, v in segs)
+# -- owned precision block -----------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["linear", "burgers"])
 def test_owned_jb_matches_padded_precision(kind):
-    """The owned-rectangle and ring-block background term equals the
-    zero-padded whole-segment B^-1 quadratic form."""
+    """The owned principal block of each segment's B^-1, applied by
+    zero-padding into the whole segment (owned_prec_apply), equals the
+    same block of the dense inverse, on every block and segment."""
     prob, tiles, solver = dd_setup(kind=kind, ti=2, tj=2, n_t=2)
     rng = np.random.default_rng(23)
-    z = rng.standard_normal(prob.layout.n_z)
+    dense = {}
+    checked = Counter()
     for p in solver.blocks.values():
-        ctl = solver._restrict_control(z, p)
-        want = _padded_owned_jb(p, ctl)
-        assert _owned_jb(p, ctl) == pytest.approx(want, rel=1e-12)
+        segs = (["x0"] if p.has_x0 else []) + ["f"]
+        if p.ring_pos.size:
+            segs.append("b")
+        for seg in segs:
+            cov = p.full_cov[seg]
+            if seg not in dense:
+                dense[seg] = np.linalg.inv(cov.matrix)
+            idx = p.ring_pos if seg == "b" else p.owned_node_idx
+            rows = (np.arange(p.n_fields)[:, None] * cov.block.n
+                    + idx[None, :]).ravel()
+            v = rng.standard_normal(rows.size)
+            want = dense[seg][np.ix_(rows, rows)] @ v
+            got = p.owned_prec_apply(seg, v)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            checked[seg] += 1
+    assert checked == {"x0": 4, "f": 8, "b": 8}
 
 
 # -- observation bookkeeping ----------------------------------------------
@@ -418,7 +256,7 @@ def test_ras_blocks_see_the_restricted_residual(monkeypatch):
     assert set(seen) == set(solver.blocks)
     u = prob.b_cov.apply(r)
     for key, p in solver.blocks.items():
-        ctl = solver._restrict_control(u, p)
+        ctl = restrict_control(prob, u, p)
         want = np.zeros(p.n_local)
         parts = p.split_local(want)
         if p.has_x0:
@@ -525,10 +363,10 @@ def test_local_tl_matches_global_tl_at_fixed_point():
         p = solver.blocks[key]
         bsl = p.tile.box_slices
         box = [glob[lvl][:, bsl[0], bsl[1]] for lvl in p.levels]
-        trace = solver._zero_trace(p)
+        trace = zero_trace(p)
         for side, sl in p.strips.items():
             trace.tl_halo[side] = np.stack([b[:, sl[0], sl[1]] for b in box])
-        ctl = solver._restrict_control(z, p)
+        ctl = restrict_control(prob, z, p)
         states, _ = local_tl_step(p, ctl["x0"] if p.has_x0 else box[0],
                                   ctl["f"], ctl.get("b"), p.lin_ops, trace)
         oi, oj = p.owned_local
@@ -544,7 +382,7 @@ def test_degenerate_decomposition_equals_global():
     prob, tiles, solver = dd_setup(ti=1, tj=1, n_t=1, tau_dd=1e-10,
                                    n_bar=5)
     p = solver.blocks[(0, 0)]
-    assert not p.strips          # no neighbors: theta and overlap empty
+    assert not p.strips          # no neighbors: no halo strips
     res = solver.solve()
     ref = prob.primal_analysis(tol=1e-13)
     gap = np.linalg.norm(res.delta_z - ref.x) / np.linalg.norm(ref.x)
@@ -742,17 +580,6 @@ def test_c5_network_dd_matches_global_analysis(sigma_o, n_t):
     assert res.n_iterations == C5_ITERATIONS[sigma_o][n_t - 1]
     ref = prob.primal_analysis(tol=1e-12).x
     assert np.linalg.norm(res.delta_z - ref) <= 1e-6 * np.linalg.norm(ref)
-
-
-def test_dd_outer_loop_wrapper():
-    prob = make_problem("linear", "prescribed", nx=16, ny=12, n_steps=6,
-                        n_t=1, seed=5, n_obs=18, sigma_o=1.0,
-                        length_x=0.5, length_f=0.5, length_b=0.5)
-    tiles = build_tiles(prob.model.grid, 1, 1, 2)
-    res = dd_outer_loop(prob, tiles, DDConfig(n_bar=5))
-    assert res.converged
-    cb = prob.cost(res.delta_z, d=prob.background_innovations())
-    assert res.final_cost == pytest.approx(cb.J, rel=1e-12)
 
 
 def test_periodic_multi_tile_rejected():

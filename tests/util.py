@@ -9,6 +9,7 @@ from ddvar.covariance import CovarianceR, build_control_covariance
 from ddvar.grid import Grid, build_time_windows
 from ddvar.model import ModelConfig, SurrogateModel
 from ddvar.observations import PlatformSpec, synthesize
+from ddvar.schwarz import NeighborTrace
 
 
 def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
@@ -54,6 +55,31 @@ def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
 
 
 # -- references for one DD block's local operator ---------------------------
+
+
+def zero_trace(p):
+    """All-zero halo traces for block p's local sweeps."""
+    tl = {}
+    ad = {}
+    for side, sl in p.strips.items():
+        si = sl[0].stop - sl[0].start
+        sj = sl[1].stop - sl[1].start
+        tl[side] = np.zeros((p.n_levels, p.n_fields, si, sj))
+        ad[side] = np.zeros((p.n_levels, p.n_fields, si, sj))
+    return NeighborTrace(tl_halo=tl, ad_halo=ad)
+
+
+def restrict_control(problem, z, p):
+    """Block p's part of the control z: box "f" (and window-0 "x0")
+    fields, and owned-ring "b" values on prescribed boundaries."""
+    v = ControlVector(problem.layout, z)
+    bi, bj = p.tile.box_slices
+    ctl = {"f": v.f(p.window)[:, bi, bj].copy()}
+    if p.has_x0:
+        ctl["x0"] = v.x0[:, bi, bj].copy()
+    if problem.layout.has_boundary:
+        ctl["b"] = v.b(p.window)[:, p.ring_pos].copy()
+    return ctl
 
 
 def reference_weight(p, y):
