@@ -58,7 +58,6 @@ __all__ = [
     "kalman_gain_adjoint_apply",
     "kalman_gain_apply",
     "primal_analysis",
-    "primal_operator",
 ]
 
 SOLVERS = ("is4dvar", "rbl4dvar", "minres", "rpcg")
@@ -175,11 +174,6 @@ def _gauss_newton(g_op, r_cov):
     n = g_op.shape[1]
     return LinearOperator(
         (n, n), lambda v: g_op.apply_t(r_cov.apply_inv(g_op.apply(v))))
-
-
-def primal_operator(g_op, b_cov, r_cov):
-    gn = _gauss_newton(g_op, r_cov)
-    return LinearOperator(gn.shape, lambda v: b_cov.apply_inv(v) + gn.apply(v))
 
 
 def dual_operator(g_op, b_cov, r_cov):

@@ -3,8 +3,9 @@
 `ddvar run --config FILE [--formulation F] [--seed S] [--out DIR]` runs one
 experiment; `ddvar verify --suite NAME` runs an acceptance suite.  Exit
 codes: 0 success, 1 usage error, 2 numerical failure, 3 a dd4dvar run that
-stopped at n_bar outer iterations unconverged (its outputs are written;
-Krylov runs stop at n_inner by design and exit 0).
+stopped unconverged, at n_bar outer iterations or earlier at rounding level
+when tau_dd lies below it (its outputs are written; Krylov runs stop at
+n_inner by design and exit 0).
 """
 
 import argparse
@@ -77,8 +78,8 @@ def main(argv=None):
             print(f"wrote {res.files[name]}")
         if cfg.formulation == "dd4dvar" and not res.converged:
             print(f"ddvar: warning: the domain-decomposed solve did not "
-                  f"converge within n_bar = {cfg.n_bar} iterations",
-                  file=sys.stderr)
+                  f"converge (stopped after {res.history[-1][1]} of at most "
+                  f"n_bar = {cfg.n_bar} iterations)", file=sys.stderr)
             return 3
         return 0
 

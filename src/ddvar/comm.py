@@ -67,7 +67,11 @@ class World:
         return rank // self.n_sub
 
     def _enqueue(self, key, payload, nbytes):
-        self._queues.setdefault(key, deque()).append(payload)
+        q = self._queues.get(key)
+        if q is None:
+            self._queues[key] = deque((payload,))
+        else:
+            q.append(payload)
         self._step += 1
         comm_id, src, dst, tag = key
         self.log.append((self._step, src, dst, tag, nbytes))
@@ -108,6 +112,7 @@ class Communicator:
             raise ValueError("member outside the world")
         self.world = world
         self.members = members
+        self._member_set = frozenset(members)
         self.kind = kind
         self._id = (kind,) + members
 
@@ -116,7 +121,7 @@ class Communicator:
         return len(self.members)
 
     def _check_member(self, rank, role):
-        if rank not in self.members:
+        if rank not in self._member_set:
             raise ValueError(f"{role} rank {rank} not in {self.kind} "
                              f"communicator {self.members}")
 
@@ -139,17 +144,21 @@ class Communicator:
     def wait(self, handle):
         if isinstance(handle, _SendHandle):
             return None
-        payload = self.world._dequeue((self._id, handle.src, handle.dst,
-                                       handle.tag))
-        if payload is None:
-            raise DeadlockError(
-                f"deadlock: rank {handle.dst} waiting on message "
-                f"{handle.src}->{handle.dst} tag {handle.tag} in {self.kind} "
-                f"communicator {self.members}; no matching send was posted")
-        return payload
+        return self._take(handle.src, handle.dst, handle.tag)
 
     def recv(self, dst, src, tag):
-        return self.wait(self.irecv(dst, src, tag))
+        self._check_member(src, "sending")
+        self._check_member(dst, "receiving")
+        return self._take(src, dst, tag)
+
+    def _take(self, src, dst, tag):
+        payload = self.world._dequeue((self._id, src, dst, tag))
+        if payload is None:
+            raise DeadlockError(
+                f"deadlock: rank {dst} waiting on message {src}->{dst} tag "
+                f"{tag} in {self.kind} communicator {self.members}; no "
+                f"matching send was posted")
+        return payload
 
 
 def split(world, tile):
@@ -173,35 +182,21 @@ def halo_exchange(comm, layout, fields, window=0, tag="halo"):
 
     fields maps tile id -> array of shape (..., box_nx, box_ny).  Only halo
     strips are written; owned interiors are never touched.  Each strip
-    travels with the tag (tag, side).  Exchange order
-    is fixed (side order, then tile id), so the message log is
-    deterministic.
+    travels with the tag (tag, side).  Exchange order is the layout's
+    plan (side order, then tile id), so the message log is deterministic.
     """
     for tid, tile in enumerate(layout.tiles):
         want = (fields[tid].shape[-2], fields[tid].shape[-1])
         if want != tile.box_shape:
             raise ValueError(f"tile {tid}: field shape {want} does not match "
                              f"box {tile.box_shape}")
+    # rank of tile t in this window: base + t
+    base = comm.world.rank_of(0, window)
     # one tag object per side, shared by every message and log row
     tags = {side: (tag, side) for side in SIDES}
-    for side in SIDES:
-        for tile in layout.tiles:
-            nb = tile.neighbors.get(side)
-            if nb is None:
-                continue
-            neighbor = layout.tile(nb)
-            gsl_i, gsl_j = tile.halo_slices[side]
-            loc_i = slice(gsl_i.start - neighbor.bi0, gsl_i.stop - neighbor.bi0)
-            loc_j = slice(gsl_j.start - neighbor.bj0, gsl_j.stop - neighbor.bj0)
-            strip = fields[nb][..., loc_i, loc_j]
-            comm.isend(comm.world.rank_of(nb, window),
-                       comm.world.rank_of(tile.id, window), tags[side], strip)
-    for side in SIDES:
-        for tile in layout.tiles:
-            nb = tile.neighbors.get(side)
-            if nb is None:
-                continue
-            strip = comm.recv(comm.world.rank_of(tile.id, window),
-                              comm.world.rank_of(nb, window), tags[side])
-            sl_i, sl_j = tile.halo_slices_local(side)
-            fields[tile.id][..., sl_i, sl_j] = strip
+    for t in layout.exchange:
+        comm.isend(base + t.neighbor, base + t.tile, tags[t.side],
+                   fields[t.neighbor][t.src])
+    for t in layout.exchange:
+        fields[t.tile][t.dst] = comm.recv(base + t.tile, base + t.neighbor,
+                                          tags[t.side])

@@ -119,6 +119,10 @@ class ExperimentConfig:
             bad("tau_dd", "must be > 0")
         if self.inner_tol <= 0:
             bad("inner_tol", "must be > 0")
+        if self.alpha <= 0:
+            # the preconditioner scales the prior by 1 / alpha: zero
+            # divides by zero, a negative value makes it negative definite
+            bad("alpha", "must be > 0")
         if not 0.0 < self.omega < 2.0:
             bad("omega", "must lie in (0, 2)")
         if self.formulation == "dd4dvar" and self.boundary == "periodic" \

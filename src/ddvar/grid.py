@@ -19,7 +19,7 @@ contiguous windows that share their endpoint levels, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -158,12 +158,28 @@ class Tile:
         return in_x & in_y
 
 
+class HaloTransfer(NamedTuple):
+    """One halo strip of the exchange: the owned cells of `neighbor` that
+    fill the `side` strip of `tile`.  src and dst index the strip in the
+    neighbor's and in the tile's box arrays; both keep leading axes."""
+
+    side: str
+    tile: int
+    neighbor: int
+    src: tuple
+    dst: tuple
+
+
 @dataclass(frozen=True)
 class TileLayout:
+    """The tiles, and the halo exchange plan: every strip transfer in
+    side order (SIDES), then tile id order."""
+
     ntile_i: int
     ntile_j: int
     halo: int
     tiles: tuple
+    exchange: tuple = ()
 
     @property
     def n_tiles(self) -> int:
@@ -248,7 +264,19 @@ def build_tiles(grid: Grid, ntile_i: int, ntile_j: int, halo: int) -> TileLayout
                     neighbors=neighbors, halo_slices=halo_slices,
                 )
             )
-    return TileLayout(ntile_i=ntile_i, ntile_j=ntile_j, halo=halo, tiles=tuple(tiles))
+    exchange = []
+    for side in SIDES:
+        for t in tiles:
+            if side not in t.neighbors:
+                continue
+            nb = tiles[t.neighbors[side]]
+            si, sj = t.halo_slices[side]
+            src = (slice(si.start - nb.bi0, si.stop - nb.bi0),
+                   slice(sj.start - nb.bj0, sj.stop - nb.bj0))
+            exchange.append(HaloTransfer(side, t.id, nb.id, (...,) + src,
+                                         (...,) + t.halo_slices_local(side)))
+    return TileLayout(ntile_i=ntile_i, ntile_j=ntile_j, halo=halo,
+                      tiles=tuple(tiles), exchange=tuple(exchange))
 
 
 @dataclass(frozen=True)

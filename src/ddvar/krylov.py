@@ -6,10 +6,11 @@ Six solvers share one reporting contract:
 * bpcg            B-preconditioned CG on the primal system (B^-1 + S) x = b,
                   S SPD (S = G^T R^-1 G in 4D-Var), that never applies
                   B^-1 (derivation below)
-* fcg             flexible CG (Notay 2000) on an SPD system whose
-                  preconditioner may change from one iteration to the next
-                  (an inexact inner solve): every new direction is
-                  A-orthogonalized against all earlier ones
+* fcg             flexible CG (Notay 2000) on the primal system
+                  (B^-1 + S) x = b whose preconditioner may change from one
+                  iteration to the next (an inexact inner solve): every new
+                  direction is A-orthogonalized against all earlier ones,
+                  and no B^-1 is applied (derivation below)
 * dual_cg_rhalf   CG on the observation-space system (GBG^T + R) w = d,
                   preconditioned by R^{-1} (the R^{-1/2}-scaled CG)
 * minres / minres_dual   Paige-Saunders MINRES, same preconditioning
@@ -64,6 +65,21 @@ so an iteration costs one S apply (one TL and one AD sweep) and one B
 apply, iterations + 1 B applies per solve in all, and no B^-1 apply.
 With reorthogonalization the residual is reorthogonalized as in pcg
 before z = B r is formed, which keeps B^-1 p = r + beta q exact.
+
+fcg derivation sketch: the same bookkeeping without a fixed
+preconditioner.  The preconditioner hands back B^-1 z with every
+z = M_k r_k; the domain-decomposed one computes M r = B s, so B^-1 z = s
+costs nothing.  The direction
+
+    p = z - sum_j c_j p_j,    c_j = (A p_j, z) / (p_j, A p_j),
+
+is a combination of z and the earlier directions, so with q_j = B^-1 p_j
+
+    q     = B^-1 z - sum_j c_j q_j,    A p = q + S p,
+    x     <- x + alpha p,   B^-1 x <- B^-1 x + alpha q,
+
+and an iteration costs one S apply and one preconditioner apply, with no
+B^-1 apply.  The final Jb = 1/2 x^T B^-1 x needs none either.
 """
 
 from dataclasses import dataclass
@@ -140,6 +156,7 @@ class SolveReport:
     iterations: int
     converged: bool
     x_control: np.ndarray = None
+    binv_x: np.ndarray = None  # fcg: B^-1 x, carried by the recurrence
 
     def __post_init__(self):
         self.residual_norms = np.asarray(self.residual_norms, dtype=float)
@@ -293,46 +310,63 @@ def bpcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
     return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
 
 
-def fcg(a, b, precond=None, tol=1e-10, maxit=None, name="fcg"):
-    """Flexible CG for SPD a with a variable preconditioner.
+def fcg(h, b, precond, tol=1e-10, maxit=None, name="fcg"):
+    """Flexible CG on (B^-1 + h) x = b with a variable preconditioner and
+    no B^-1 apply.
 
-    Each direction is the preconditioned residual A-orthogonalized against
-    every earlier direction (no truncation), so each step minimizes the
-    quadratic over all directions so far and the cost falls monotonically.
-    One a apply and one preconditioner apply per iteration; stops on
-    ||r_k|| <= tol ||r_0||.
+    h is the SPD operator S of the derivations above.  precond(r) returns
+    (z, B^-1 z) for its approximation z of A^-1 r, and may change from one
+    call to the next.  Each direction is the preconditioned residual
+    A-orthogonalized against every earlier direction (no truncation), so
+    each step minimizes the quadratic over all directions so far and the
+    cost falls monotonically.  One h apply and one preconditioner apply
+    per iteration; stops on ||r_k|| <= tol ||r_0||, or unconverged at a
+    direction whose computed curvature p'Ap is nonpositive.  That happens
+    only at rounding level: the carried B^-1 p is exact only up to the
+    rounding of the preconditioner's B apply, so once the residual has
+    stalled at rounding level the A-orthogonalized direction can be all
+    rounding error, and a tol below that level ends there.  report.binv_x
+    holds B^-1 x.
     """
-    a = _as_operator(a)
+    h = _as_operator(h)
     b = np.asarray(b, dtype=float)
     n = b.size
     maxit = _default_maxit(n, maxit)
-    apply_m = (lambda v: v.copy()) if precond is None else precond.apply
 
     x = np.zeros(n)
+    binv_x = np.zeros(n)
     r = b.copy()
     res0 = np.linalg.norm(r)
     norms = [res0]
     costs = [0.0]
     iterates = [x.copy()]
     if res0 == 0.0:
-        return SolveReport(name, x, iterates, norms, costs, 0, True)
+        return SolveReport(name, x, iterates, norms, costs, 0, True,
+                           binv_x=binv_x)
 
     dirs = []
     converged = False
     k = 0
     for k in range(1, maxit + 1):
-        p = apply_m(r)
-        for pj, apj, papj in dirs:
-            p -= (np.vdot(apj, p) / papj) * pj
-        ap = a.apply(p)
+        p, q = precond(r)  # q = B^-1 p
+        for pj, qj, apj, papj in dirs:
+            c = np.vdot(apj, p) / papj
+            p -= c * pj
+            q -= c * qj
+        ap = q + h.apply(p)
         pap = np.vdot(p, ap)
         if pap <= 0:
-            raise SolverBreakdownError("nonpositive curvature p^T A p", k)
+            # every exact direction has p'Ap > 0: this one has sunk below
+            # the accuracy of the carried B^-1 p, and no step along it
+            # lowers the quadratic
+            k -= 1
+            break
         pr = np.vdot(p, r)
         alpha = pr / pap
         x += alpha * p
+        binv_x += alpha * q
         r -= alpha * ap
-        dirs.append((p, ap, pap))
+        dirs.append((p, q, ap, pap))
         res = np.linalg.norm(r)
         norms.append(res)
         costs.append(costs[-1] - 0.5 * pr * pr / pap)
@@ -340,7 +374,8 @@ def fcg(a, b, precond=None, tol=1e-10, maxit=None, name="fcg"):
         if res <= tol * res0:
             converged = True
             break
-    return SolveReport(name, x, iterates, norms, costs, k, converged)
+    return SolveReport(name, x, iterates, norms, costs, k, converged,
+                       binv_x=binv_x)
 
 
 def _jb_jo(r_cov, d, w, hw):

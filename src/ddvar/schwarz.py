@@ -13,28 +13,34 @@ prior globally and splits only the low-rank observation term over the
 Gauss-Newton inverse (Courtier, QJRMS 1997) applied block by block as in
 restricted additive Schwarz (Cai & Sarkis, SIAM J. Sci. Comput. 1999):
 
-    M r = (u - B E(sum_p X_p' y_p) / alpha) / alpha,    u = B r,
-    y_p = C_p^-1 X_p u_p,    C_p = R_pp + X_p B_p X_p' / alpha.
+    M r = B s,    s = (r - E(sum_p X_p' y_p) / alpha) / alpha,
+    y_p = C_p^-1 X_p u_p,    u = B r,    C_p = R_pp + X_p B_p X_p' / alpha.
 
-B is one global covariance apply, so M needs two of them and no B^-1,
-and with no observations M = B / alpha, B-preconditioned CG, which does
-not degrade at long correlation lengths.  Window-0 blocks own their tile's
-initial-state nodes, and every block owns its tile's forcing nodes and
-physical-boundary ring nodes for its window.  Each apply, every block
+B is one global covariance apply, so M needs two of them, and B^-1 M r
+is s itself: fcg carries B^-1 of its directions from it and never
+applies B^-1.  With no observations M = B / alpha, B-preconditioned CG,
+which does not degrade at long correlation lengths.  Window-0 blocks own
+their tile's initial-state nodes, and every block owns its tile's forcing
+nodes and physical-boundary ring nodes for its window.  A window's blocks
+share one flat buffer that holds each block's local control u_p (its
+box, x0 and f stacked, then its owned ring values).  Each apply, per
+window,
 
-  1. takes u restricted to its box: owned cells directly, halo strips
-     through one halo_exchange per window on the window's inter
-     communicator (x0 and f stacked), then zeroes the cells project_live
-     drops; its owned ring cells carry the b part of u,
-  2. solves in the space of its k_p observations, the ones whose bilinear
-     stencil lies inside its box.  X_p (k_p x n_local) maps the local
-     control through the truncated (zero-inflow) local propagator to
-     those samples, R_pp is their error variance and B_p the covariance
-     restricted to the box.  The block's first apply builds X_p and
-     inverts the k_p x k_p matrix C_p through the inverse of its
-     Cholesky factor (LocalSolve); every later solve is three small dense
-     products,
-  3. adds the owned part of X_p' y_p to the vector E assembles.
+  1. one gather fills the owned cells and ring values of every block from
+     u, and one halo_exchange on the window's inter communicator fills
+     the halo strips of the boxes,
+  2. every block gathers its kept inputs (owned cells, the strip cells
+     whose locally evolved values are meaningful, and its ring values)
+     and solves in the space of its k_p observations, the ones whose
+     bilinear stencil lies inside its box.  X_p (k_p x n_local) maps the
+     local control through the truncated (zero-inflow) local propagator
+     to those samples, R_pp is their error variance and B_p the
+     covariance restricted to the box.  The block's first apply builds
+     X_p, inverts the k_p x k_p matrix C_p and keeps only C_p^-1 X_p on
+     the kept columns and X_p' on the owned ones (LocalSolve); every
+     later solve is two small dense products,
+  3. scatters X_p' y_p on its owned entries into the flat vector E
+     assembles (the owned entries of the blocks are disjoint).
 
 The outer iteration works on the exact global residual, so its solution is
 the global analysis whatever the blocks drop; they only shape the
@@ -51,18 +57,18 @@ LocalProblem.owned_prec_apply, because the benchmark's layer table
 sweeps and B^-1.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .assim import CostBreakdown, primal_operator
+from .assim import CostBreakdown, _gauss_newton
 from .comm import World, create_inter, halo_exchange
-from .control import ControlVector
-from .grid import SIDES, Grid, boundary_ring_indices, restrict
+from .grid import SIDES, Grid, boundary_ring_indices, restrict, ring_size
 # pcg stays importable from here: perfbench's self-test patches schwarz.pcg
-from .krylov import LinearOperator, fcg, pcg  # noqa: F401
+from .krylov import fcg, pcg  # noqa: F401
 from .model import SurrogateModel
 from .observations import innovations
 
@@ -85,7 +91,7 @@ class DDConfig:
 
     n_bar caps the outer flexible-CG iterations and tau_dd stops them once
     the global residual norm has fallen to tau_dd times its initial value.
-    alpha weights the prior in the preconditioner.
+    alpha > 0 weights the prior in the preconditioner.
 
     Inert keys, kept (n_inner and omega validated) so that existing
     configs still load: n_inner and inner_tol bounded the former local
@@ -112,6 +118,8 @@ class DDConfig:
             raise ValueError("tau_dd must be > 0")
         if self.n_inner < 1:
             raise ValueError("n_inner must be >= 1")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be > 0")
         if not 0.0 < self.omega < 2.0:
             raise ValueError("omega must lie in (0, 2)")
 
@@ -316,34 +324,41 @@ class LocalProblem:
         the block's first preconditioner apply."""
         return LocalSolve(self)
 
-    # -- local control packing ------------------------------------------
+    @cached_property
+    def control_maps(self):
+        """(keep_cols, own_cols, own_idx), built on the block's first
+        preconditioner apply.
 
-    def split_local(self, s):
-        """Views of a flat local vector as (x0), f, (b) segments."""
-        out = {}
-        ofs = 0
-        bnx, bny = self.tile.box_shape
-        if self.has_x0:
-            n = self.seg_sizes[0]
-            out["x0"] = s[ofs:ofs + n].reshape(self.n_fields, bnx, bny)
-            ofs += n
-        n = self.n_fields * self.n_box_nodes
-        out["f"] = s[ofs:ofs + n].reshape(self.n_fields, bnx, bny)
-        ofs += n
-        if self.layout_ctl.has_boundary:
-            out["b"] = s[ofs:].reshape(self.n_fields, self.ring_pos.size)
-        return out
-
-    def project_live(self, field):
-        """Zero box cells outside the owned and meaningful strip cells.
-
-        Everything else carries either wrapped stencil output or a
-        neighbor's territory, so those components of u are dropped before
-        the block's solve, and the correction propagator starts from the
-        projected initial increment.
+        The local control u_p is the box of every x0 (window 0) and f
+        field, row-major, then the owned ring values of b.  keep_cols
+        indexes in u_p the inputs the block's solve reads: the owned and
+        meaningful strip cells (rho_keep) and the ring values; the other
+        box cells carry either wrapped stencil output or a neighbor's
+        territory.  own_cols indexes the owned cells and ring values,
+        and own_idx the same entries in the global control vector.
         """
-        field[:, ~self.rho_keep] = 0.0
-        return field
+        nf, ncell = self.n_fields, self.n_box_nodes
+        ctl = self.layout_ctl
+        segs = (["x0"] if self.has_x0 else []) + [f"f{self.window}"]
+        # offset in u_p and in the global vector of every box channel
+        # (segment, field)
+        local = np.arange(len(segs) * nf)[:, None] * ncell
+        start = np.array([ctl.slice_of(seg).start + f * self.grid.n_points
+                          for seg in segs for f in range(nf)])[:, None]
+        owned = np.arange(ncell).reshape(self.tile.box_shape)[
+            self.owned_local].ravel()
+        keep = [(local + np.flatnonzero(self.rho_keep)).ravel()]
+        own_cols = [(local + owned).ravel()]
+        own_idx = [(start + self.owned_node_idx).ravel()]
+        if ctl.has_boundary:
+            ring = local.size * ncell + np.arange(nf * self.ring_pos.size)
+            keep.append(ring)
+            own_cols.append(ring)
+            n_ring = ring_size(self.grid.nx, self.grid.ny)
+            own_idx.append((ctl.slice_of(f"b{self.window}").start
+                            + np.arange(nf)[:, None] * n_ring
+                            + self.ring_pos).ravel())
+        return tuple(np.concatenate(m) for m in (keep, own_cols, own_idx))
 
     def zero_box(self):
         return np.zeros((self.n_fields,) + self.tile.box_shape)
@@ -367,17 +382,17 @@ class LocalProblem:
 class GaussNewtonTerm:
     """The rows X of the Gauss-Newton term X' R_pp^-1 X of one block.
 
-    X (dense, k x n_local) maps the local control (x0, f, b) through the
+    X (dense, k x n_local) maps the local control u_p (x0, f, b) through the
     zero-inflow correction propagator
 
         x_0 = P x0,    x_l = D (M_l x_{l-1} + dt f) + R b
 
     to the block's k observation samples (q_stencil, the observations
     whose bilinear stencil lies inside the box); R_pp = diag(q_var).  P
-    is project_live, M_l the step operator onto level l, D the 0/1 mask
-    that zeroes owned ring cells, strip lines on the box edge, ring cells
-    in the halo and box corners, and R injects b into the owned ring
-    cells.  All k rows come from one reverse sweep of the sample seeds
+    zeroes the box cells outside rho_keep, M_l is the step operator onto
+    level l, D the 0/1 mask that zeroes owned ring cells, strip lines on
+    the box edge, ring cells in the halo and box corners, and R injects b
+    into the owned ring cells.  All k rows come from one reverse sweep of the sample seeds
     through the transposed masked step operators: one apply_t per level
     on the (k, nf, bnx, bny) stack of seeds.
     """
@@ -385,39 +400,46 @@ class GaussNewtonTerm:
     def __init__(self, p):
         nf = p.n_fields
         bnx, bny = p.tile.box_shape
+        n = nf * bnx * bny
         st = p.q_stencil
         k = st.nodes.shape[1]
 
-        keep = p.live_mask.copy()
-        keep[p.ring_ii, p.ring_jj] = False
-        keep[p.ring_halo_ii, p.ring_halo_jj] = False
+        # D as a 0/1 factor on the box cells
+        keep = p.live_mask.astype(float)
+        keep[p.ring_ii, p.ring_jj] = 0.0
+        keep[p.ring_halo_ii, p.ring_halo_jj] = 0.0
         for side, sl in p.strips.items():
-            keep[sl][p.outer_rel[side]] = False
+            keep[sl][p.outer_rel[side]] = 0.0
 
         # the samples' bilinear weights on field 0 of every level, one
-        # (nf, bnx, bny) seed per sample
-        level, node = np.divmod(st.nodes, bnx * bny)
-        col = np.broadcast_to(np.arange(k), st.nodes.shape)
-        on = st.weights != 0.0
-        seeds = np.zeros((p.n_levels, k, nf, bnx, bny))
-        n = nf * bnx * bny
-        seeds.reshape(p.n_levels, k, n)[level[on], col[on], node[on]] = \
-            st.weights[on]
+        # (nf, bnx, bny) seed per sample; every stencil lies inside the
+        # box, so no two weights share a slot
+        level, cell = np.divmod(st.nodes, bnx * bny)
+        seeds = np.zeros((p.n_levels, k, n))
+        seeds[level, np.arange(k), cell] = st.weights
+        seeds = seeds.reshape(p.n_levels, k, nf, bnx, bny)
 
+        # acc sums the adjoint states of levels n_levels-1 .. 1: the f
+        # rows are D acc (dt f enters every step through D), the b rows
+        # acc on the owned ring cells
+        acc = np.zeros((k, nf, bnx, bny))
         adj = seeds[-1]
-        adj_f = np.zeros((k, nf, bnx, bny))
-        adj_b = np.zeros((k, nf, p.ring_ii.size))
         for l in range(p.n_levels - 1, 0, -1):
-            adj_b += adj[..., p.ring_ii, p.ring_jj]
-            adj = np.where(keep, adj, 0.0)
-            adj_f += adj
-            adj = seeds[l - 1] + p.lin_ops[l - 1].apply_t(adj)
-        parts = [(adj_f * p.box_model.grid.dt).reshape(k, n)]
+            acc += adj
+            adj *= keep
+            adj = p.lin_ops[l - 1].apply_t(adj)
+            adj += seeds[l - 1]
+
+        # the rows, laid out as u_p: (x0), f, (b)
+        x = np.empty((k, p.n_local))
+        ofs = 0
         if p.has_x0:
-            parts.insert(0, (adj * p.rho_keep).reshape(k, n))
-        if p.layout_ctl.has_boundary:
-            parts.append(adj_b.reshape(k, nf * p.ring_ii.size))
-        self.x = np.concatenate(parts, axis=1)
+            x[:, :n] = (adj * p.rho_keep).reshape(k, n)
+            ofs = n
+        x[:, ofs:ofs + n] = (acc * (keep * p.box_model.grid.dt)).reshape(k, n)
+        x[:, ofs + n:] = acc[..., p.ring_ii, p.ring_jj].reshape(
+            k, nf * p.ring_ii.size)
+        self.x = x
         self.q_var = p.q_var
 
 
@@ -430,30 +452,35 @@ class LocalSolve:
 
         C = R_pp + X B_p X' / alpha    (k x k, inverted once),
 
-    and apply(u) = X' C^-1 X u.  C^-1 = L^-T L^-1 comes from the inverse
-    of C's Cholesky factor L, built once.  By the Woodbury identity
-    (u - B_p apply(u) / alpha) / alpha with u = B_p r is the inverse of
+    and X' C^-1 X u_p is the block's correction.  By the Woodbury identity
+    (u - B_p X' C^-1 X u / alpha) / alpha with u = B_p r is the inverse of
     the local operator alpha B_p^-1 + X' R_pp^-1 X applied to r; the
-    preconditioner uses the global B in place of B_p outside C.  k = 0
-    (a block without observations) leaves apply(u) = 0.
+    preconditioner uses the global B in place of B_p outside C.
+
+    The solve keeps only what its apply reads: cx = C^-1 X on the columns
+    LocalProblem.control_maps keeps (the others carry zeros in u_p) and
+    xt = X' on the owned columns, the only ones assembled.  k = 0 (a
+    block without observations) keeps neither, and its correction is 0.
     """
 
     def __init__(self, p):
-        self.alpha = p.alpha
         self.covs = ([p.cov_x] if p.has_x0 else []) + [p.cov_f]
         if p.layout_ctl.has_boundary:
             self.covs.append(p.cov_b)  # None when the block owns no ring
         self.seg_sizes = p.seg_sizes
         self.n_fields = p.n_fields
+        self.keep_cols, own_cols, self.own_idx = p.control_maps
         gn = GaussNewtonTerm(p)
-        self.x = gn.x
-        self.k = self.x.shape[0]
-        self.cap_inv = None
+        x = gn.x
+        self.k = x.shape[0]
+        self.cx = self.xt = None
         if self.k:
-            cap = self.x @ self.prior(self.x).T / self.alpha
+            cap = x @ self.prior(x).T / p.alpha
             cap[np.diag_indices(self.k)] += gn.q_var
-            factor_inv = np.linalg.inv(np.linalg.cholesky(cap))
-            self.cap_inv = factor_inv.T @ factor_inv
+            # a k x k inverse and one product: several times faster than
+            # np.linalg.solve with the n_keep right-hand sides
+            self.cx = np.linalg.inv(cap) @ x[:, self.keep_cols]
+            self.xt = np.ascontiguousarray(x[:, own_cols].T)
 
     def prior(self, v):
         """B_p applied to v (n_local,), or to every row of v (m, n_local)."""
@@ -468,11 +495,10 @@ class LocalSolve:
             ofs += n
         return out
 
-    def apply(self, u):
-        """X' C^-1 X u."""
-        if not self.k:
-            return np.zeros_like(u)
-        return self.x.T @ (self.cap_inv @ (self.x @ u))
+    def apply(self, v):
+        """The owned entries of X' C^-1 X u_p, given the kept entries v
+        of u_p; the block must have observations (k > 0)."""
+        return self.xt @ (self.cx @ v)
 
 
 def _own_strip(p, side, raw, trace_vals):
@@ -694,60 +720,62 @@ class DDSolver:
             tile = self.layout.tile(tid)
             p.lin_states = [restrict(bg[l], tile).data for l in p.levels]
 
+    @cached_property
+    def _window_buffers(self):
+        """Per window: the flat buffer of its blocks' local controls u_p,
+        the box views halo_exchange fills, the (buffer, u) index pair of
+        the owned entries, and (key, block, u_p view) in tile order.
+        Built on the first preconditioner apply."""
+        out = []
+        for k in range(self.windows.n_t):
+            blocks = [((t.id, k), self.blocks[(t.id, k)])
+                      for t in self.layout.tiles]
+            offsets = np.cumsum([0] + [p.n_local for _, p in blocks])
+            buf = np.zeros(offsets[-1])
+            boxes, dst, src, views = {}, [], [], []
+            for (key, p), ofs in zip(blocks, offsets):
+                view = buf[ofs:ofs + p.n_local]
+                n_box = p.n_local - p.n_fields * p.ring_pos.size
+                boxes[key[0]] = view[:n_box].reshape(
+                    (-1,) + p.tile.box_shape)
+                _, own_cols, own_idx = p.control_maps
+                dst.append(ofs + own_cols)
+                src.append(own_idx)
+                views.append((key, p, view))
+            out.append((buf, boxes, np.concatenate(dst), np.concatenate(src),
+                        views))
+        return out
+
     def _precond(self, r, block_s, n):
         """The preconditioner applied to the residual r,
 
-            M r = (u - B E(sum_p X_p' y_p) / alpha) / alpha,    u = B r,
+            M r = B s,    s = (r - E(sum_p X_p' y_p) / alpha) / alpha,
 
         with y_p = C_p^-1 X_p u_p every block's observation-space solve on
-        the box restriction u_p of u.  Returns M r and the 2-norm of each
-        u_p."""
-        problem = self.problem
-        b_cov = problem.b_cov
+        the kept entries of its local control u_p, the restriction of
+        u = B r.  Returns M r, B^-1 M r = s and the 2-norm of the kept
+        entries of each u_p."""
+        b_cov = self.problem.b_cov
         alpha = self.config.alpha
-        nf = problem.model.n_fields
         u = b_cov.apply(r)
-        v = ControlVector(problem.layout, u)
-        out = ControlVector(problem.layout)
+        e = np.zeros_like(r)
         norms = {}
         clock = time.perf_counter
-        for k in range(self.windows.n_t):
-            # owned cells from u, halo strips from the neighbors
-            boxes = {}
-            for tile in self.layout.tiles:
-                p = self.blocks[(tile.id, k)]
-                segs = [v.x0, v.f(k)] if p.has_x0 else [v.f(k)]
-                osl = tile.owned_slices
-                oi, oj = p.owned_local
-                box = np.zeros((len(segs) * nf,) + tile.box_shape)
-                for c, seg in enumerate(segs):
-                    box[c * nf:(c + 1) * nf, oi, oj] = seg[:, osl[0], osl[1]]
-                boxes[tile.id] = box
+        for k, (buf, boxes, dst, src, views) in enumerate(
+                self._window_buffers):
+            buf[dst] = u[src]
             halo_exchange(self.inter[k], self.layout, boxes, window=k,
                           tag=("ras", n))
-            for tile in self.layout.tiles:
-                key = (tile.id, k)
+            for key, p, view in views:
                 t0 = clock()
-                p = self.blocks[key]
-                box = p.project_live(boxes[tile.id])
-                u_p = np.zeros(p.n_local)
-                parts = p.split_local(u_p)
-                if p.has_x0:
-                    parts["x0"][:] = box[:nf]
-                parts["f"][:] = box[-nf:]
-                if "b" in parts:
-                    parts["b"][:] = v.b(k)[:, p.ring_pos]
-                norms[key] = float(np.linalg.norm(u_p))
-                s = p.split_local(p.local_solve.apply(u_p))
-                osl = tile.owned_slices
-                oi, oj = p.owned_local
-                if p.has_x0:
-                    out.x0[:, osl[0], osl[1]] += s["x0"][:, oi, oj]
-                out.f(k)[:, osl[0], osl[1]] += s["f"][:, oi, oj]
-                if "b" in s:
-                    out.b(k)[:, p.ring_pos] += s["b"]
+                solve = p.local_solve
+                v = view[solve.keep_cols]
+                norms[key] = math.sqrt(v @ v)
+                if solve.k:
+                    e[solve.own_idx] = solve.apply(v)
                 block_s[key] += clock() - t0
-        return (u - b_cov.apply(out.data) / alpha) / alpha, norms
+        s = (r - e / alpha) / alpha
+        return b_cov.apply(s), s, norms
 
     def solve(self):
         """Flexible CG on the global primal system, one preconditioner
@@ -756,34 +784,35 @@ class DDSolver:
         g_op = problem.background_operator()
         rinv_d = problem.r_cov.apply_inv(self.d)
         rhs = g_op.apply_t(rinv_d)
-        n_z = problem.layout.n_z
         order = sorted(self.blocks)
         block_s = dict.fromkeys(order, 0.0)
         applies = []
 
         def precond(r):
-            out, norms = self._precond(r, block_s, len(applies) + 1)
+            z, binv_z, norms = self._precond(r, block_s, len(applies) + 1)
             applies.append(norms)
-            return out
+            return z, binv_z
 
-        rep = fcg(primal_operator(g_op, problem.b_cov, problem.r_cov), rhs,
-                  precond=LinearOperator((n_z, n_z), precond),
+        rep = fcg(_gauss_newton(g_op, problem.r_cov), rhs, precond,
                   tol=self.config.tau_dd, maxit=self.config.n_bar,
                   name="dd4dvar")
         res0 = rep.residual_norms[0]
         residuals = rep.residual_norms / res0 if res0 else rep.residual_norms
         rows = [(m, tid, k, norms[(tid, k)], float(residuals[m]))
-                for m, norms in enumerate(applies, start=1)
+                # an apply whose direction fcg discarded has no iterate
+                for m, norms in enumerate(applies[:rep.iterations], start=1)
                 for tid, k in order]
         # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records
         costs = rep.costs + 0.5 * float(np.vdot(self.d, rinv_d))
         z = rep.x
+        misfit = g_op.apply(z) - self.d
+        jb = 0.5 * np.vdot(z, rep.binv_x)
+        jo = 0.5 * np.vdot(misfit, problem.r_cov.apply_inv(misfit))
         return DDResult(delta_z=z, converged=rep.converged,
                         n_iterations=rep.iterations, residuals=residuals,
                         costs=costs, trace_rows=rows, world=self.world,
-                        cost=problem.cost(z, d=self.d),
+                        cost=CostBreakdown(J=jb + jo, Jb=jb, Jo=jo),
                         block_seconds=block_s,
                         capacitance_sizes=[
                             self.blocks[key].local_solve.k for key in sorted(
                                 order, key=lambda b: self.world.rank_of(*b))])
-

@@ -101,6 +101,8 @@ def test_membership_enforced():
         comm.isend(0, 2, 0, np.zeros(1))
     with pytest.raises(ValueError, match="not in"):
         comm.irecv(3, 0, 0)
+    with pytest.raises(ValueError, match="not in"):
+        comm.recv(0, 3, 0)
 
 
 def test_message_log_rows():
@@ -177,3 +179,53 @@ def test_exchange_log_deterministic():
     assert logs[0] == logs[1]
     assert len(logs[0]) > 0
     assert {row[3][0] for row in logs[0]} == {("halo", 40)}
+
+
+def _reference_exchange(comm, layout, fields, window, tag):
+    """The exchange as a plain loop: every strip sent by side, then tile
+    id, and received in the same order."""
+    world = comm.world
+    for side in SIDES:
+        for tile in layout.tiles:
+            nb = tile.neighbors.get(side)
+            if nb is None:
+                continue
+            neighbor = layout.tile(nb)
+            si, sj = tile.halo_slices[side]
+            strip = fields[nb][..., si.start - neighbor.bi0:
+                               si.stop - neighbor.bi0,
+                               sj.start - neighbor.bj0:
+                               sj.stop - neighbor.bj0]
+            comm.isend(world.rank_of(nb, window),
+                       world.rank_of(tile.id, window), (tag, side), strip)
+    for side in SIDES:
+        for tile in layout.tiles:
+            nb = tile.neighbors.get(side)
+            if nb is None:
+                continue
+            sl_i, sl_j = tile.halo_slices_local(side)
+            fields[tile.id][..., sl_i, sl_j] = comm.recv(
+                world.rank_of(tile.id, window), world.rank_of(nb, window),
+                (tag, side))
+
+
+@pytest.mark.parametrize("ti,tj", [(2, 4), (3, 3), (1, 1)])
+def test_halo_exchange_plan_matches_reference_loop(ti, tj):
+    """The exchange plan build_tiles precomputes writes the same strips
+    and logs the same (step, src, dst, tag, bytes) rows as the plain
+    side-then-tile loop."""
+    grid = Grid(nx=16, ny=16, dt=0.05, n_steps=1)
+    layout = build_tiles(grid, ti, tj, halo=2)
+    rng = np.random.default_rng(5)
+    fields = {t.id: rng.standard_normal((3,) + t.box_shape)
+              for t in layout.tiles}
+    ref = {tid: f.copy() for tid, f in fields.items()}
+    worlds = World(layout.n_tiles, 2), World(layout.n_tiles, 2)
+    halo_exchange(create_inter(worlds[0], 1), layout, fields, window=1,
+                  tag=("ras", 3))
+    _reference_exchange(create_inter(worlds[1], 1), layout, ref, 1,
+                        ("ras", 3))
+    for tid in fields:
+        np.testing.assert_array_equal(fields[tid], ref[tid])
+    assert worlds[0].log == worlds[1].log
+    assert len(worlds[0].log) == sum(len(t.neighbors) for t in layout.tiles)

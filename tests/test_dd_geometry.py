@@ -5,8 +5,8 @@ correlation lengths and observing networks with points on tile seams and
 junctions: ownership must partition the observations, every network must
 be accepted and its decomposed solve must reach the global B-PCG
 analysis, and every block's observation rows X must equal the ones built
-by plain loops from the tile geometry, with its factorized solve
-inverting the local operator they define.
+by plain loops from the tile geometry, with its factorized solve applying
+X' C^-1 X of those rows.
 """
 
 import numpy as np
@@ -17,8 +17,9 @@ from ddvar.assim import AssimilationProblem
 from ddvar.covariance import CovarianceR
 from ddvar.grid import Grid, boundary_ring_indices, build_tiles
 from ddvar.observations import ObservationSet
-from ddvar.schwarz import DDConfig, DDSolver, build_local_problems
-from util import make_problem, reference_prior, reference_weight
+from ddvar.schwarz import (DDConfig, DDSolver, GaussNewtonTerm,
+                           build_local_problems)
+from util import make_problem, project_live, reference_cov, split_local
 
 
 @st.composite
@@ -111,8 +112,8 @@ def reference_cells(p, grid):
 def reference_readout(p, s, keep, ring):
     """Zero-inflow correction sweep of the local control s, read at the
     block's observation samples."""
-    parts = p.split_local(s)
-    state = (p.project_live(parts["x0"].copy()) if p.has_x0
+    parts = split_local(p, s)
+    state = (project_live(p, parts["x0"].copy()) if p.has_x0
              else p.zero_box())
     states = [state]
     for l in range(1, p.n_levels):
@@ -183,12 +184,18 @@ def test_assembled_local_operator_matches_plain_loop_reference(data):
         x_ref = np.array(cols).reshape(p.n_local, -1).T
         ls = p.local_solve
         assert ls.k == p.q_obs_idx.size == x_ref.shape[0]
-        assert np.linalg.norm(ls.x - x_ref) <= 1e-12 * max(
+        x = GaussNewtonTerm(p).x
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * max(
             np.linalg.norm(x_ref), 1.0)
-        want = rng.standard_normal(p.n_local)
-        a_ref_v = reference_prior(p, want) + x_ref.T @ reference_weight(
-            p, x_ref @ want)
-        # Woodbury: (u - B_p X' C^-1 X u / alpha) / alpha, u = B_p a
-        u = ls.prior(a_ref_v)
-        got = (u - ls.prior(ls.apply(u)) / p.alpha) / p.alpha
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        if not ls.k:
+            continue
+        # on the kept entries of u_p the solve returns the owned entries
+        # of X' C^-1 X u_p, C = R_pp + X B_p X' / alpha
+        keep_cols, own_cols, _ = p.control_maps
+        u = np.zeros(p.n_local)
+        u[keep_cols] = rng.standard_normal(keep_cols.size)
+        b_x = np.array([reference_cov(p, row) for row in x_ref])
+        cap = x_ref @ b_x.T / p.alpha + np.diag(p.q_var)
+        want = (x_ref.T @ np.linalg.solve(cap, x_ref @ u))[own_cols]
+        assert np.linalg.norm(ls.apply(u[keep_cols]) - want) \
+            <= 1e-10 * np.linalg.norm(want)

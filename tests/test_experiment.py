@@ -179,12 +179,24 @@ def test_cli_unconverged_dd_writes_outputs_and_exits_3(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["run", "--config", str(p), "--out", str(out)])
     assert code == 3
-    assert "did not converge" in capsys.readouterr().err
+    assert "did not converge (stopped after 1 of at most n_bar = 1" \
+        in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["converged"] is False
     assert manifest["iterations"] == [1]
     assert {"cost_history.csv", "dd_trace.csv", "timing.csv"} <= set(
         manifest["files"])
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_cli_dd_nonpositive_alpha_is_usage_error(tmp_path, capsys, alpha):
+    p = _dd_cfg_file(tmp_path)
+    p.write_text(p.read_text() + f"alpha = {alpha}\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out)])
+    assert code == 1
+    assert "config field alpha" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _cli_dd_gap(tmp_path, cfg):

@@ -308,17 +308,27 @@ def test_all_solvers_agree_on_one_instance():
 
 
 def test_fcg_cost_record_is_the_quadratic_and_never_rises():
-    """fcg's J comes from its step decrements: it equals 1/2 x'Ax - b'x at
-    every iterate and never rises, also under a changing preconditioner
-    and through the rounding-level steps at the end."""
+    """fcg on (B^-1 + S) x = b: its J comes from its step decrements and
+    equals 1/2 x'Ax - b'x at every iterate and never rises, also under a
+    changing preconditioner and through the rounding-level steps at the
+    end; the B^-1 x it carries is B^-1 of its solution, and it never
+    applies B^-1."""
     rng = np.random.default_rng(17)
-    a = random_spd(30, rng, spread=3.0)
+    b_mat = random_spd(30, rng, spread=3.0)
+    g = rng.standard_normal((12, 30))
+    s_mat = g.T @ g
+    a = np.linalg.inv(b_mat) + s_mat
     b = rng.standard_normal(30)
     scales = iter(rng.uniform(0.5, 2.0, 200))
-    precond = LinearOperator((30, 30), lambda v: next(scales) * v)
-    rep = fcg(a, b, precond=precond, tol=1e-15, maxit=60)
+
+    def precond(r):
+        c = next(scales)
+        return c * (b_mat @ r), c * r
+
+    rep = fcg(s_mat, b, precond, tol=1e-15, maxit=60)
     for x, j in zip(rep.iterates, rep.costs):
         q = 0.5 * x @ a @ x - b @ x
         assert abs(j - q) <= 1e-12 * abs(rep.costs[-1])
     assert all(j1 <= j0 for j0, j1 in zip(rep.costs, rep.costs[1:]))
     np.testing.assert_allclose(rep.x, np.linalg.solve(a, b), rtol=1e-10)
+    np.testing.assert_allclose(b_mat @ rep.binv_x, rep.x, rtol=1e-10)

@@ -15,10 +15,12 @@ from ddvar.schwarz import (
     local_tl_step,
 )
 from util import (
+    local_control,
     make_problem,
     reference_prior,
     reference_weight,
     restrict_control,
+    split_local,
     zero_trace,
 )
 
@@ -222,50 +224,97 @@ def _precond_apply(solver, r, n=1):
 
 def test_local_gradients_vanish_at_global_analysis():
     """At the global analysis every block's restricted B r, and with it
-    the preconditioned residual, vanishes; at zero it does not."""
+    the preconditioned residual and its B^-1, vanishes; at zero it does
+    not."""
     prob, tiles, solver = dd_setup()
     z = prob.primal_analysis(tol=1e-13).x
     r0 = -prob.gradient(np.zeros_like(z), d=solver.d)
     r = -prob.gradient(z, d=solver.d)
     assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(r0)
-    out0, norms0 = _precond_apply(solver, r0, 1)
-    out, norms = _precond_apply(solver, r, 2)
+    out0, binv0, norms0 = _precond_apply(solver, r0, 1)
+    out, binv, norms = _precond_apply(solver, r, 2)
     assert set(norms) == set(solver.blocks)
     assert np.max(np.abs(out)) <= 1e-8 * np.max(np.abs(out0))
+    assert np.max(np.abs(binv)) <= 1e-8 * np.max(np.abs(binv0))
+
+
+def _periodic_single_tile():
+    prob = make_problem("linear", "periodic", nx=12, ny=10, n_steps=4,
+                        n_t=2, seed=5, n_obs=10)
+    tiles = build_tiles(prob.model.grid, 1, 1, 2)
+    return prob, tiles, DDSolver(prob, tiles, DDConfig())
+
+
+RAS_CASES = {
+    "linear-nt1": lambda: dd_setup(kind="linear", n_t=1),
+    "linear-nt3": lambda: dd_setup(kind="linear", n_t=3),
+    "burgers-nt1": lambda: dd_setup(kind="burgers", n_t=1),
+    "burgers-nt3": lambda: dd_setup(kind="burgers", n_t=3),
+    "periodic-1x1": _periodic_single_tile,
+}
 
 
 def test_ras_blocks_see_the_restricted_residual(monkeypatch):
     """The halo strips a block receives through the exchange equal the
-    direct restriction of B r: each block's observation-space solve sees
-    project_live of the box restriction of B r, and its norm is the one
-    the apply reports."""
-    prob, tiles, solver = dd_setup()
-    r = np.random.default_rng(12).standard_normal(prob.layout.n_z)
+    direct restriction of B r: each block's solve gathers the kept
+    entries of project_live of the box restriction of B r (every other
+    entry of it is zero), and the norm the apply reports is theirs.  The
+    block's apply is the dense X' C^-1 X on that input, read on the owned
+    entries, to 1e-12; the maps put those entries where the global
+    vector holds them, and the apply returns the assembled M r and
+    B^-1 M r.  Every block of the linear and burgers 2x2-tile problems at
+    N_t 1 and 3, and of a periodic single tile."""
     calls = []
     real_apply = LocalSolve.apply
 
-    def spy(self, rhs):
-        calls.append((self, rhs.copy()))
-        return real_apply(self, rhs)
+    def spy(self, v):
+        calls.append((self, v.copy()))
+        return real_apply(self, v)
 
     monkeypatch.setattr(LocalSolve, "apply", spy)
-    _, norms = _precond_apply(solver, r)
-    assert len(calls) == len(solver.blocks)
-    seen = {key: rhs for key, p in solver.blocks.items()
-            for solve, rhs in calls if solve is p.local_solve}
-    assert set(seen) == set(solver.blocks)
+    for case in RAS_CASES.values():
+        _check_restricted_residual(*case(), calls, real_apply)
+
+
+def _check_restricted_residual(prob, tiles, solver, calls, real_apply):
+    calls.clear()
+    r = np.random.default_rng(12).standard_normal(prob.layout.n_z)
+    z, binv_z, norms = _precond_apply(solver, r)
+    with_obs = [key for key, p in solver.blocks.items() if p.local_solve.k]
+    assert with_obs and len(calls) == len(with_obs)
+    seen = {key: v for key, p in solver.blocks.items()
+            for solve, v in calls if solve is p.local_solve}
+    assert set(seen) == set(with_obs)
     u = prob.b_cov.apply(r)
+    index = np.arange(prob.layout.n_z, dtype=float)
+    e = np.zeros(prob.layout.n_z)
     for key, p in solver.blocks.items():
-        ctl = restrict_control(prob, u, p)
-        want = np.zeros(p.n_local)
-        parts = p.split_local(want)
-        if p.has_x0:
-            parts["x0"][:] = p.project_live(ctl["x0"])
-        parts["f"][:] = p.project_live(ctl["f"])
-        if "b" in parts:
-            parts["b"][:] = ctl["b"]
-        assert np.array_equal(seen[key], want)
-        assert norms[key] == np.linalg.norm(want)
+        keep_cols, own_cols, own_idx = p.control_maps
+        want = local_control(prob, u, p)
+        gathered = want[keep_cols]
+        assert not np.delete(want, keep_cols).any()
+        assert norms[key] == np.linalg.norm(gathered)
+        assert norms[key] == pytest.approx(np.linalg.norm(want), rel=1e-14)
+        # the owned entries of u_p sit at own_idx in the global vector
+        ctl = restrict_control(prob, index, p)
+        loc = np.zeros(p.n_local)
+        for name, part in split_local(p, loc).items():
+            part[:] = ctl[name]
+        assert np.array_equal(loc[own_cols], own_idx)
+        if key not in seen:
+            continue
+        assert np.array_equal(seen[key], gathered)
+        x = GaussNewtonTerm(p).x
+        cap = x @ p.local_solve.prior(x).T / p.alpha + np.diag(p.q_var)
+        dense = x.T @ np.linalg.solve(cap, x @ want)
+        got = real_apply(p.local_solve, gathered)
+        assert np.linalg.norm(got - dense[own_cols]) \
+            <= 1e-12 * np.linalg.norm(dense)
+        e[own_idx] = got
+    alpha = solver.config.alpha
+    s = (r - e / alpha) / alpha
+    assert np.linalg.norm(binv_z - s) <= 1e-12 * np.linalg.norm(s)
+    assert np.array_equal(z, prob.b_cov.apply(binv_z))
 
 
 def _c5_solver(n_t, sigma_o=1.0):
@@ -281,11 +330,12 @@ def _c5_solver(n_t, sigma_o=1.0):
 
 
 def test_local_solve_matches_pcg_on_the_local_operator():
-    """Through the Woodbury identity every block's factorized solve
-    inverts alpha B_p^-1 + X' R_pp^-1 X as CG run to 1e-14 does, and its
-    capacitance solve matches a dense solve of C = R_pp + X B_p X' / alpha
-    to 1e-12; the 3x3-tile, halo-1 case has blocks with k_p = 0 and a
-    block that owns no ring cells."""
+    """Through the Woodbury identity the block's capacitance matrix
+    C = R_pp + X B_p X' / alpha inverts alpha B_p^-1 + X' R_pp^-1 X as CG
+    run to 1e-14 does, and the factorized solve, given the kept entries
+    of u_p, returns the owned entries of X' C^-1 X u_p to 1e-12; the
+    3x3-tile, halo-1 case has blocks with k_p = 0 and a block that owns
+    no ring cells."""
     solvers = [dd_setup()[2], _c5_solver(2)[1],
                dd_setup(nx=12, ny=12, ti=3, tj=3, halo=1, n_obs=6)[2]]
     rng = np.random.default_rng(31)
@@ -300,15 +350,24 @@ def test_local_solve_matches_pcg_on_the_local_operator():
             ls = p.local_solve
             b_p = LinearOperator((p.n_local,) * 2, ls.prior)
             rhs = rng.standard_normal(p.n_local)
-            if ls.k:
+
+            def correction(u):
+                if not ls.k:
+                    return np.zeros_like(u)
                 cap = x @ ls.prior(x).T / p.alpha + np.diag(p.q_var)
-                want = x.T @ np.linalg.solve(cap, x @ rhs)
-                assert np.linalg.norm(ls.apply(rhs) - want) \
+                return x.T @ np.linalg.solve(cap, x @ u)
+
+            if ls.k:
+                keep_cols, own_cols, _ = p.control_maps
+                u = np.zeros(p.n_local)
+                u[keep_cols] = rhs[keep_cols]
+                want = correction(u)[own_cols]
+                assert np.linalg.norm(ls.apply(u[keep_cols]) - want) \
                     <= 1e-12 * np.linalg.norm(want)
             ref = pcg(a_p, rhs, precond=b_p, tol=1e-14, maxit=2000)
             assert ref.converged
             u = ls.prior(rhs)
-            got = (u - ls.prior(ls.apply(u)) / p.alpha) / p.alpha
+            got = (u - ls.prior(correction(u)) / p.alpha) / p.alpha
             assert np.linalg.norm(got - ref.x) <= 1e-10 * np.linalg.norm(
                 ref.x)
             ranks.append(ls.k)
@@ -482,6 +541,22 @@ def test_dd_not_converged_is_flagged_not_raised():
     assert len(res.residuals) == len(res.costs) == 3
 
 
+@pytest.mark.parametrize("kw", [dict(ti=1, tj=1, n_t=1),
+                                dict(kind="burgers")])
+def test_dd_tolerance_below_rounding_level_stops_without_raising(kw):
+    """The recurrence residual stalls at rounding level, where the
+    A-orthogonalized directions turn into rounding error; a tau_dd below
+    that level ends the solve at the first nonpositive curvature, before
+    n_bar, unconverged and at the global analysis."""
+    prob, tiles, solver = dd_setup(tau_dd=1e-17, **kw)
+    res = solver.solve()
+    assert not res.converged and res.residuals[-1] > 1e-17
+    assert res.n_iterations < solver.config.n_bar
+    assert len(res.trace_rows) == res.n_iterations * len(solver.blocks)
+    ref = prob.primal_analysis(tol=1e-14).x
+    assert np.linalg.norm(res.delta_z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_dd_solve_runs_one_tl_and_ad_sweep_per_iteration(monkeypatch):
     """One global forward and adjoint per outer iteration, plus the right
     hand side's adjoint and the final cost's forward."""
@@ -503,8 +578,8 @@ def test_dd_solve_runs_one_tl_and_ad_sweep_per_iteration(monkeypatch):
 
 def test_dd_solve_work_counts(monkeypatch):
     """Exact work of one solve on the 2x2-tile, two-window problem: each
-    preconditioner apply runs two global B applies and no B^-1 apply,
-    each block is factorized once, one TL and one AD sweep run per outer
+    preconditioner apply runs two global B applies, the solve no B^-1
+    apply, each block is factorized once, one TL and one AD sweep run per outer
     iteration, no nonlinear model run, and each apply sends one halo
     strip per tile side with a neighbor and window (16 messages)."""
     prob, tiles, solver = dd_setup()
@@ -531,7 +606,6 @@ def test_dd_solve_work_counts(monkeypatch):
         out = precond(*args)
         calls["applies"] += 1
         calls["B in precond"] += calls["B"] - before["B"]
-        calls["B^-1 in precond"] += calls["B^-1"] - before["B^-1"]
         return out
     monkeypatch.setattr(solver, "_precond", counted_precond)
 
@@ -540,9 +614,11 @@ def test_dd_solve_work_counts(monkeypatch):
     assert res.converged and n == 6
     assert calls["applies"] == n
     assert calls["B in precond"] == calls["B"] == 2 * n
-    assert calls["B^-1 in precond"] == 0
-    # B^-1 once per Hessian apply and once in the final cost
-    assert calls["B^-1"] == n + 1
+    # fcg carries B^-1 of its directions and iterate, so neither the
+    # Hessian applies nor the final cost apply B^-1, and the ring
+    # block's precision is never built
+    assert calls["B^-1"] == 0
+    assert "precision" not in vars(prob.b_cov.segment_cov("b0").block)
     assert calls["factorized"] == len(solver.blocks) == 8
     # plus the right-hand side's adjoint and the final cost's forward
     assert calls["tl"] == calls["ad"] == n + 1
@@ -601,3 +677,6 @@ def test_dd_config_validation():
         DDConfig(omega=2.0)
     with pytest.raises(ValueError, match="n_inner"):
         DDConfig(n_inner=0)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            DDConfig(alpha=alpha)

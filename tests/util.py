@@ -82,22 +82,66 @@ def restrict_control(problem, z, p):
     return ctl
 
 
+def split_local(p, s):
+    """Views of block p's flat local control s as its (x0), f, (b)
+    segments."""
+    box = (p.n_fields,) + p.tile.box_shape
+    n = p.n_fields * p.n_box_nodes
+    out = {}
+    ofs = 0
+    if p.has_x0:
+        out["x0"] = s[:n].reshape(box)
+        ofs = n
+    out["f"] = s[ofs:ofs + n].reshape(box)
+    if p.layout_ctl.has_boundary:
+        out["b"] = s[ofs + n:].reshape(p.n_fields, p.ring_pos.size)
+    return out
+
+
+def project_live(p, field):
+    """field with the box cells outside p.rho_keep zeroed, in place."""
+    field[:, ~p.rho_keep] = 0.0
+    return field
+
+
+def local_control(problem, z, p):
+    """Block p's local control u_p of the global vector z, with the box
+    cells its solve drops zeroed."""
+    ctl = restrict_control(problem, z, p)
+    out = np.zeros(p.n_local)
+    parts = split_local(p, out)
+    for name, v in ctl.items():
+        parts[name][:] = v if name == "b" else project_live(p, v)
+    return out
+
+
 def reference_weight(p, y):
     """R_pp^-1 of the block's observation term applied to sample values
     y."""
     return y / p.q_var
 
 
-def reference_prior(p, s):
-    """alpha B_p^-1 s through the restricted covariances' own inverses."""
+def _segment_map(p, s, method, scale=1.0):
+    """scale times the restricted covariances' own method (apply or
+    apply_inv) on every segment of block p's local control s."""
     out = np.zeros_like(s)
-    parts, outp = p.split_local(s), p.split_local(out)
+    parts, outp = split_local(p, s), split_local(p, out)
     covs = {"x0": p.cov_x, "f": p.cov_f, "b": p.cov_b}
     for name, v in parts.items():
         if covs[name] is not None:
-            outp[name][:] = p.alpha * covs[name].apply_inv(
+            outp[name][:] = scale * getattr(covs[name], method)(
                 v.ravel()).reshape(v.shape)
     return out
+
+
+def reference_cov(p, s):
+    """B_p s through the restricted covariances' own applies."""
+    return _segment_map(p, s, "apply")
+
+
+def reference_prior(p, s):
+    """alpha B_p^-1 s through the restricted covariances' own inverses."""
+    return _segment_map(p, s, "apply_inv", p.alpha)
 
 
 def count_gain_solves(monkeypatch):
