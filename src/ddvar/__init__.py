@@ -14,11 +14,9 @@ from ddvar.covariance import CovarianceR, build_control_covariance
 from ddvar.experiment import build_problem, run_experiment
 from ddvar.grid import (
     Grid,
-    LocalField,
     Tile,
     TileLayout,
     TimeWindows,
-    assemble,
     build_tiles,
     build_time_windows,
     restrict,
@@ -27,9 +25,7 @@ from ddvar.impact import (
     TransportFunctional,
     adjoint_sensitivity,
     column_section,
-    cost_history_report,
     evaluate_functional,
-    forecast_impact,
     observation_impact,
     observation_sensitivity,
 )
@@ -46,7 +42,6 @@ __all__ = [
     "DDResult",
     "ExperimentConfig",
     "Grid",
-    "LocalField",
     "ModelConfig",
     "ObservationSet",
     "PlatformSpec",
@@ -57,17 +52,14 @@ __all__ = [
     "TimeWindows",
     "TransportFunctional",
     "adjoint_sensitivity",
-    "assemble",
     "build_control_covariance",
     "build_problem",
     "build_tiles",
     "build_time_windows",
     "column_section",
-    "cost_history_report",
     "dual_analysis",
     "emit_config",
     "evaluate_functional",
-    "forecast_impact",
     "kalman_gain_adjoint_apply",
     "kalman_gain_apply",
     "observation_impact",

@@ -286,14 +286,14 @@ def c8_communicators(dd_cfg=None):
     g = rng.standard_normal((2, grid.nx, grid.ny))
     fields = {}
     for tile in layout.tiles:
-        lf = restrict(g, tile)
+        box = restrict(g, tile)
         for side in SIDES:
             if tile.neighbors.get(side) is not None:
                 sl_i, sl_j = tile.halo_slices_local(side)
-                lf.data[..., sl_i, sl_j] = 0.0
-        fields[tile.id] = lf.data
+                box[..., sl_i, sl_j] = 0.0
+        fields[tile.id] = box
     halo_exchange(create_inter(World(layout.n_tiles, 1), 0), layout, fields)
-    halo_ok = all(np.array_equal(fields[t.id], restrict(g, t).data)
+    halo_ok = all(np.array_equal(fields[t.id], restrict(g, t))
                   for t in layout.tiles)
 
     if dd_cfg is None:

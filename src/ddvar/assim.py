@@ -23,8 +23,8 @@ rows are comparable across solver choices.
 
 History rows (outer, inner, J, Jb, Jo) come from the Krylov recurrences,
 not from extra sweeps or covariance applies: the dual routes record
-(Jb, Jo) per iterate, and the primal route runs krylov.bpcg, which
-carries A x and B^-1 x by the same axpys as its iterate x.  J is bpcg's
+(Jb, Jo) per iterate, and the primal route runs krylov.pcg, which
+carries A x and B^-1 x by the same axpys as its iterate x.  J is pcg's
 quadratic plus the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1 z_accum,
 Jb = 1/2 z_accum^T B^-1 z_accum + x^T B^-1 z_accum + 1/2 x^T B^-1 x takes
 B^-1 z_accum from the right-hand-side shift, and Jo = J - Jb.  A primal
@@ -40,8 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .control import ControlVector
-from .krylov import (LinearOperator, bpcg, dual_cg_rhalf, minres_dual, pcg,
-                     rpcg)
+from .krylov import (LinearOperator, dual_cg_rhalf, minres_dual, pcg, rpcg)
 from .model import ModelDivergedError
 from .observations import innovations
 
@@ -176,12 +175,17 @@ def _gauss_newton(g_op, r_cov):
         (n, n), lambda v: g_op.apply_t(r_cov.apply_inv(g_op.apply(v))))
 
 
-def dual_operator(g_op, b_cov, r_cov):
+def _obs_hessian(g_op, b_cov):
+    """H = G B G^T: one AD and one TL sweep per apply."""
     m = g_op.shape[0]
+    return LinearOperator(
+        (m, m), lambda w: g_op.apply(b_cov.apply(g_op.apply_t(w))))
 
-    def mv(w):
-        return g_op.apply(b_cov.apply(g_op.apply_t(w))) + r_cov.apply(w)
-    return LinearOperator((m, m), mv)
+
+def dual_operator(g_op, b_cov, r_cov):
+    """G B G^T + R, for MINRES; the dual CG carries R w instead."""
+    h = _obs_hessian(g_op, b_cov)
+    return LinearOperator(h.shape, lambda w: h.apply(w) + r_cov.apply(w))
 
 
 def _check_converged(rep, require):
@@ -194,17 +198,17 @@ def _check_converged(rep, require):
 
 def primal_analysis(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None,
                     reorthogonalize=False, require_convergence=True):
-    """Solve (B^-1 + G^T R^-1 G) dz = G^T R^-1 d by bpcg (no B^-1 apply)."""
+    """Solve (B^-1 + G^T R^-1 G) dz = G^T R^-1 d by pcg (no B^-1 apply)."""
     rhs = g_op.apply_t(r_cov.apply_inv(np.asarray(d, dtype=float)))
-    rep = bpcg(_gauss_newton(g_op, r_cov), rhs, b_cov, tol=tol, maxit=maxit,
-               reorthogonalize=reorthogonalize, name="is4dvar")
+    rep = pcg(_gauss_newton(g_op, r_cov), rhs, b_cov, tol=tol, maxit=maxit,
+              reorthogonalize=reorthogonalize, name="is4dvar")
     return _check_converged(rep, require_convergence)
 
 
 def _primal_rows(rhs, jo0, z_bar, shift):
-    """bpcg cost callable for the rows (Jb, Jo) of J(z_bar + x).
+    """pcg cost callable for the rows (Jb, Jo) of J(z_bar + x).
 
-    With shift = -B^-1 z_bar, jo0 = 1/2 d^T R^-1 d and bpcg's quadratic
+    With shift = -B^-1 z_bar, jo0 = 1/2 d^T R^-1 d and pcg's quadratic
     q(x) = 1/2 x^T A x - rhs^T x,
 
         J  = q + jo0 + 1/2 z_bar^T B^-1 z_bar
@@ -212,7 +216,7 @@ def _primal_rows(rhs, jo0, z_bar, shift):
     """
     jb0 = -0.5 * np.vdot(z_bar, shift)
 
-    def row(x, ax, binv_x):
+    def row(x, ax, binv_x, z):
         jb = jb0 - np.vdot(x, shift) + 0.5 * np.vdot(x, binv_x)
         q = 0.5 * np.vdot(x, ax) - np.vdot(rhs, x)
         return jb, q + jo0 + jb0 - jb
@@ -226,7 +230,7 @@ def dual_analysis(g_op, b_cov, r_cov, d, solver="rbl4dvar", tol=1e-10,
         return b_cov.apply(g_op.apply_t(w))
 
     if solver == "rbl4dvar":
-        rep = dual_cg_rhalf(dual_operator(g_op, b_cov, r_cov), d, r_cov,
+        rep = dual_cg_rhalf(_obs_hessian(g_op, b_cov), d, r_cov,
                             tol=tol, maxit=maxit,
                             reorthogonalize=reorthogonalize, bg_t=bg_t)
     elif solver == "minres":
@@ -240,21 +244,25 @@ def dual_analysis(g_op, b_cov, r_cov, d, solver="rbl4dvar", tol=1e-10,
     return _check_converged(rep, require_convergence)
 
 
+def _gain_solve(g_op, b_cov, r_cov, rhs, tol, maxit, name):
+    """(G B G^T + R)^-1 rhs by pcg with B := R^-1 (see krylov)."""
+    rhs = np.asarray(rhs, dtype=float)
+    precond = LinearOperator((rhs.size, rhs.size), r_cov.apply_inv)
+    rep = pcg(_obs_hessian(g_op, b_cov), rhs, precond, tol=tol, maxit=maxit,
+              name=name)
+    return _check_converged(rep, True).x
+
+
 def kalman_gain_apply(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None):
     """K d with K = B G^T (G B G^T + R)^-1."""
-    rep = dual_analysis(g_op, b_cov, r_cov, d, solver="rbl4dvar", tol=tol,
-                        maxit=maxit)
-    return rep.x_control
+    w = _gain_solve(g_op, b_cov, r_cov, d, tol, maxit, "kalman")
+    return b_cov.apply(g_op.apply_t(w))
 
 
 def kalman_gain_adjoint_apply(g_op, b_cov, r_cov, v, tol=1e-10, maxit=None):
     """K^T v = (G B G^T + R)^-1 G B v, an observation-space vector."""
     rhs = g_op.apply(b_cov.apply(np.asarray(v, dtype=float)))
-    precond = LinearOperator((rhs.size, rhs.size), r_cov.apply_inv)
-    rep = pcg(dual_operator(g_op, b_cov, r_cov), rhs, precond=precond,
-              tol=tol, maxit=maxit, name="kalman_adjoint")
-    _check_converged(rep, True)
-    return rep.x
+    return _gain_solve(g_op, b_cov, r_cov, rhs, tol, maxit, "kalman_adjoint")
 
 
 @dataclass
@@ -369,11 +377,11 @@ class AssimilationProblem:
                 rinv_d = self.r_cov.apply_inv(d)
                 rhs = gop.apply_t(rinv_d) + shift
                 jo0 = 0.5 * np.vdot(d, rinv_d)
-                rep = bpcg(_gauss_newton(gop, self.r_cov), rhs, self.b_cov,
-                           tol=tol, maxit=n_inner,
-                           reorthogonalize=reorthogonalize,
-                           cost=_primal_rows(rhs, jo0, z_bar, shift),
-                           name="is4dvar")
+                rep = pcg(_gauss_newton(gop, self.r_cov), rhs, self.b_cov,
+                          tol=tol, maxit=n_inner,
+                          reorthogonalize=reorthogonalize,
+                          cost=_primal_rows(rhs, jo0, z_bar, shift),
+                          name="is4dvar")
                 rows = rep.costs
                 z_new = z_bar + rep.x
             else:

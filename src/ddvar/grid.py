@@ -19,7 +19,7 @@ contiguous windows that share their endpoint levels, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -342,67 +342,10 @@ def build_time_windows(n_steps: int, n_t: int) -> TimeWindows:
     return TimeWindows(n_t=n_t, starts=tuple(starts), sizes=sizes)
 
 
-@dataclass
-class LocalField:
-    """Field data restricted to one tile (owned box or halo-extended box)."""
-
-    tile_id: int
-    data: np.ndarray
-    with_halo: bool = True
-    window: int = 0
-
-
-def restrict(global_field: np.ndarray, tile: Tile, with_halo: bool = True,
-             window: int = 0) -> LocalField:
-    """Copy the tile's box (or owned interior) out of a global array.
+def restrict(global_field: np.ndarray, tile: Tile) -> np.ndarray:
+    """Copy the tile's box out of a global array.
 
     Works on any array whose last two axes are (nx, ny).
     """
-    if with_halo:
-        si, sj = tile.box_slices
-    else:
-        si, sj = tile.owned_slices
-    return LocalField(
-        tile_id=tile.id,
-        data=np.ascontiguousarray(global_field[..., si, sj]).copy(),
-        with_halo=with_halo,
-        window=window,
-    )
-
-
-def assemble(layout: TileLayout, locals_: Iterable[LocalField],
-             leading_shape: tuple = ()) -> np.ndarray:
-    """Reassemble a global array from per-tile LocalFields.
-
-    Every grid node is written from its owning tile only; halo values are
-    ignored.  Raises ValueError unless exactly one LocalField per tile is
-    supplied.
-    """
-    by_tile = {}
-    for lf in locals_:
-        if lf.tile_id in by_tile:
-            raise ValueError(f"duplicate LocalField for tile {lf.tile_id}")
-        by_tile[lf.tile_id] = lf
-    missing = [t.id for t in layout.tiles if t.id not in by_tile]
-    if missing:
-        raise ValueError(f"missing LocalField for tiles {missing}")
-
-    t0 = layout.tiles[0]
-    nx = max(t.i1 for t in layout.tiles)
-    ny = max(t.j1 for t in layout.tiles)
-    lf0 = by_tile[t0.id]
-    out = np.zeros(lf0.data.shape[:-2] + (nx, ny), dtype=lf0.data.dtype)
-    for t in layout.tiles:
-        lf = by_tile[t.id]
-        exp_shape = t.box_shape if lf.with_halo else t.owned_shape
-        if lf.data.shape[-2:] != exp_shape:
-            raise ValueError(
-                f"tile {t.id}: data shape {lf.data.shape[-2:]} does not match "
-                f"expected {exp_shape}"
-            )
-        if lf.with_halo:
-            li, lj = t.owned_slices_local()
-        else:
-            li, lj = slice(None), slice(None)
-        out[..., t.owned_slices[0], t.owned_slices[1]] = lf.data[..., li, lj]
-    return out
+    si, sj = tile.box_slices
+    return global_field[..., si, sj].copy()

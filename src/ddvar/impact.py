@@ -278,91 +278,3 @@ def observation_sensitivity(g_op, b_cov, r_cov, d, s, delta_y=None,
                             linearized=float(np.vdot(gain_adjoint, delta_y)),
                             analysis_shift=shift, gain_adjoint=gain_adjoint,
                             adjoint_solves=adjoint, forward_solves=forward)
-
-
-@dataclass
-class ForecastImpact:
-    """Functional change carried beyond the window by two forecasts."""
-    delta_i: float
-    i_a: float
-    i_b: float
-    misfit_a: float = None
-    misfit_b: float = None
-    reduction: float = None
-
-
-def _extended_states(problem, z_flat, horizon):
-    """Nonlinear run continued past the window with background forcing."""
-    v = ControlVector(problem.layout, z_flat)
-    n_steps = problem.windows.n_steps
-    forcing = [v.f(problem.windows.window_of_step(s))
-               for s in range(1, n_steps + 1)]
-    forcing += [np.zeros_like(forcing[0])] * horizon
-    boundary = None
-    if problem.layout.has_boundary:
-        boundary = [v.b(problem.windows.window_of_step(s))
-                    for s in range(1, n_steps + 1)]
-        boundary += [np.zeros_like(boundary[0])] * horizon
-    traj = problem.model.run_nl(problem.x_b + v.x0, forcing=forcing,
-                                boundary=boundary,
-                                n_steps=n_steps + horizon)
-    return traj.states
-
-
-def forecast_impact(problem, z_a, horizon, functional, z_ref=None,
-                    verifying_obs=None):
-    """Run forecasts from the analysed and reference increments and report
-    the functional difference over the forecast range.
-
-    The functional averages over the first n_avg forecast levels, so the
-    horizon must cover them.  With verifying observations the report also
-    carries both quadratic misfits and their reduction.
-    """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("forecast horizon must be >= 1 step")
-    if functional.n_avg > horizon:
-        raise ValueError(f"functional n_avg {functional.n_avg} exceeds the "
-                         f"forecast horizon {horizon}")
-    if z_ref is None:
-        z_ref = np.zeros(problem.layout.n_z)
-    n_steps = problem.windows.n_steps
-    states_a = _extended_states(problem, z_a, horizon)
-    states_b = _extended_states(problem, z_ref, horizon)
-    i_a = evaluate_functional(states_a[n_steps:], functional)
-    i_b = evaluate_functional(states_b[n_steps:], functional)
-    out = ForecastImpact(delta_i=i_a - i_b, i_a=i_a, i_b=i_b)
-    if verifying_obs is not None:
-        def misfit(states):
-            resid = verifying_obs.sample(states) - verifying_obs.values
-            return 0.5 * float(np.sum(resid * resid
-                                      / verifying_obs.variances))
-        out.misfit_a = misfit(states_a)
-        out.misfit_b = misfit(states_b)
-        out.reduction = out.misfit_b - out.misfit_a
-    return out
-
-
-@dataclass
-class CostHistoryReport:
-    """Cost-history table with the consistency level E[J_min] = n_obs / 2."""
-    rows: tuple
-    j_min: float
-    final_j: float
-
-    @property
-    def final_ratio(self):
-        return self.final_j / self.j_min
-
-
-def cost_history_report(history, n_obs):
-    """Normalize (outer, inner, J, Jb, Jo) rows and attach the expected
-    minimum n_obs / 2 of a consistent twin analysis."""
-    if int(n_obs) < 1:
-        raise ValueError("n_obs must be >= 1")
-    rows = tuple((int(o), int(m), float(j), float(jb), float(jo))
-                 for o, m, j, jb, jo in history)
-    if not rows:
-        raise ValueError("history must not be empty")
-    return CostHistoryReport(rows=rows, j_min=n_obs / 2.0,
-                             final_j=rows[-1][2])

@@ -1,43 +1,55 @@
 """Matrix-free Krylov solvers for the quadratic inner loop.
 
-Six solvers share one reporting contract:
+Four solvers share one reporting contract:
 
-* pcg             preconditioned conjugate gradient on an SPD system
-* bpcg            B-preconditioned CG on the primal system (B^-1 + S) x = b,
-                  S SPD (S = G^T R^-1 G in 4D-Var), that never applies
-                  B^-1 (derivation below)
-* fcg             flexible CG (Notay 2000) on the primal system
-                  (B^-1 + S) x = b whose preconditioner may change from one
-                  iteration to the next (an inexact inner solve): every new
-                  direction is A-orthogonalized against all earlier ones,
-                  and no B^-1 is applied (derivation below)
-* dual_cg_rhalf   CG on the observation-space system (GBG^T + R) w = d,
-                  preconditioned by R^{-1} (the R^{-1/2}-scaled CG)
-* minres / minres_dual   Paige-Saunders MINRES, same preconditioning
-* rpcg            the restricted B-preconditioned CG: the primal
-                  B-preconditioned iteration carried entirely in
-                  observation space
+* pcg     B-preconditioned CG on (B^-1 + S) x = b, S SPD, that never
+          applies B^-1 (derivation below).  In 4D-Var it runs the primal
+          system, S = G^T R^-1 G, and, through dual_cg_rhalf, the dual
+          system (G B G^T + R) w = d preconditioned by R^-1
+* fcg     flexible CG (Notay 2000) on the primal system whose
+          preconditioner may change from one iteration to the next (an
+          inexact inner solve): every new direction is A-orthogonalized
+          against all earlier ones, and no B^-1 is applied
+* minres  Paige-Saunders MINRES; minres_dual runs it on the dual system
+          with R^-1 preconditioning
+* rpcg    the restricted B-preconditioned CG: the primal
+          B-preconditioned iteration carried entirely in observation space
 
 All solvers but fcg stop on the preconditioned residual norm relative to
 its initial value, so iteration-count comparisons between them are
 meaningful.  A changing preconditioner defines no fixed norm, so fcg stops
-on the Euclidean residual norm relative to its initial value.
-pcg's norm is sqrt(r^T M r) and bpcg's sqrt(r^T B r); rpcg's is
-sqrt(rho^T G B G^T rho), which is algebraically the same number as the
-primal B-preconditioned norm, so rpcg, bpcg and B-preconditioned pcg stop
-at the same iteration in exact arithmetic.
+on the Euclidean residual norm relative to its initial value.  pcg's norm
+is sqrt(r^T B r); rpcg's is sqrt(rho^T G B G^T rho), which is
+algebraically the same number as the primal one, so rpcg and primal pcg
+stop at the same iteration in exact arithmetic.
 
 Costs: report.costs has one entry per stored iterate, taken from the
 recurrences (A x is updated with the same axpys as x), never from extra
-operator applications.  pcg and minres record the quadratic
-1/2 x^T A x - b^T x unless given another cost callable; fcg records it
-through its step decrements, q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so
-its record never rises, not even by a rounding error.  bpcg carries A x
-and B^-1 x by the same axpys as x and hands all three to its cost
-callable, so a primal cost row needs no B^-1 apply.  The dual routes
+operator applications.  minres records the quadratic 1/2 x^T A x - b^T x
+unless given another cost callable, and so does pcg, which hands its cost
+callable A x, B^-1 x and B r beside x.  fcg records the quadratic through
+its step decrements, q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so its
+record never rises, not even by a rounding error.  The dual routes
 (dual_cg_rhalf, minres_dual, rpcg) record rows (Jb, Jo) of the primal cost
 J(B G^T w) = Jb + Jo at the observation-space iterate w, with
 Jb = 1/2 w^T H w and Jo = 1/2 (H w - d)^T R^-1 (H w - d), H = G B G^T.
+
+pcg derivation sketch (Derber & Rosati, J. Phys. Oceanogr. 1989;
+Gurol et al., QJRMS 2014): B-preconditioned CG on A = B^-1 + S starts
+from p_0 = z_0 = B r_0, so q_0 = B^-1 p_0 = r_0, and every later direction
+p <- z + beta p with z = B r has B^-1 p = r + beta q.  Carrying q that way,
+
+    A p   = q + S p
+    x     <- x + alpha p,   B^-1 x <- B^-1 x + alpha q
+
+so an iteration costs one S apply (one TL and one AD sweep) and one B
+apply, iterations + 1 B applies per solve in all, and no B^-1 apply.
+With reorthogonalization the residual is reorthogonalized before z = B r
+is formed, which keeps B^-1 p = r + beta q exact.  The dual system is the
+same iteration with B := R^-1 and S := H: R^-1 preconditions, R w is
+carried, and an iteration costs one H apply and one R^-1 apply.  Its cost
+rows need no further apply either: with r = d - A w the recurrence
+residual and z = R^-1 r, H w = A w - R w and R^-1 (H w - d) = -(w + z).
 
 rpcg derivation sketch: with x_k = B G^T chi_k, r_k = G^T rho_k and
 p_k = B G^T pi_k, the B-preconditioned CG update collapses onto
@@ -53,20 +65,7 @@ so one H application per iteration (on R^-1 q) sustains the whole
 iteration, and H chi follows by the same recurrence as chi, giving the
 cost rows for free.
 
-bpcg derivation sketch (Derber & Rosati, J. Phys. Oceanogr. 1989;
-Gurol et al., QJRMS 2014): B-preconditioned CG on A = B^-1 + S starts
-from p_0 = z_0 = B r_0, so q_0 = B^-1 p_0 = r_0, and every later direction
-p <- z + beta p with z = B r has B^-1 p = r + beta q.  Carrying q that way,
-
-    A p   = q + S p
-    x     <- x + alpha p,   B^-1 x <- B^-1 x + alpha q
-
-so an iteration costs one S apply (one TL and one AD sweep) and one B
-apply, iterations + 1 B applies per solve in all, and no B^-1 apply.
-With reorthogonalization the residual is reorthogonalized as in pcg
-before z = B r is formed, which keeps B^-1 p = r + beta q exact.
-
-fcg derivation sketch: the same bookkeeping without a fixed
+fcg derivation sketch: pcg's bookkeeping without a fixed
 preconditioner.  The preconditioner hands back B^-1 z with every
 z = M_k r_k; the domain-decomposed one computes M r = B s, so B^-1 z = s
 costs nothing.  The direction
@@ -90,7 +89,6 @@ __all__ = [
     "LinearOperator",
     "SolveReport",
     "SolverBreakdownError",
-    "bpcg",
     "dual_cg_rhalf",
     "fcg",
     "minres",
@@ -156,7 +154,7 @@ class SolveReport:
     iterations: int
     converged: bool
     x_control: np.ndarray = None
-    binv_x: np.ndarray = None  # fcg: B^-1 x, carried by the recurrence
+    binv_x: np.ndarray = None  # pcg, fcg: B^-1 x, carried by the recurrence
 
     def __post_init__(self):
         self.residual_norms = np.asarray(self.residual_norms, dtype=float)
@@ -172,90 +170,27 @@ def _default_maxit(n, maxit):
 
 
 def _quadratic(b):
-    def q(x, ax):
+    def q(x, ax, *carried):
         return 0.5 * np.vdot(x, ax) - np.vdot(b, x)
     return q
 
 
-def pcg(a, b, precond=None, tol=1e-10, maxit=None, reorthogonalize=False,
+def pcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
         cost=None, name="pcg"):
-    """Preconditioned CG for SPD a; stops on sqrt(r^T M r) relative drop."""
-    a = _as_operator(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    maxit = _default_maxit(n, maxit)
-    apply_m = (lambda v: v.copy()) if precond is None else precond.apply
-    if cost is None:
-        cost = _quadratic(b)
-
-    x = np.zeros(n)
-    ax = np.zeros(n)
-    r = b.copy()
-    z = apply_m(r)
-    rz = np.vdot(r, z)
-    if rz < 0:
-        raise SolverBreakdownError("indefinite preconditioner", 0)
-    pre0 = np.sqrt(rz)
-    pre_norms = [pre0]
-    costs = [cost(x, ax)]
-    iterates = [x.copy()]
-    if pre0 == 0.0:
-        return SolveReport(name, x, iterates, pre_norms, costs, 0, True)
-
-    p = z.copy()
-    basis = []
-    converged = False
-    k = 0
-    for k in range(1, maxit + 1):
-        if reorthogonalize:
-            basis.append((r.copy(), z.copy(), rz))
-        ap = a.apply(p)
-        pap = np.vdot(p, ap)
-        if pap <= 0:
-            raise SolverBreakdownError("nonpositive curvature p^T A p", k)
-        alpha = rz / pap
-        x += alpha * p
-        ax += alpha * ap
-        r -= alpha * ap
-        if reorthogonalize:
-            for rj, zj, rzj in basis:
-                r -= (np.vdot(zj, r) / rzj) * rj
-        z = apply_m(r)
-        rz_new = np.vdot(r, z)
-        if rz_new < 0:
-            raise SolverBreakdownError("indefinite preconditioner", k)
-        pre = np.sqrt(rz_new)
-        pre_norms.append(pre)
-        costs.append(cost(x, ax))
-        iterates.append(x.copy())
-        if pre <= tol * pre0:
-            converged = True
-            break
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
-    return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
-
-
-def bpcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
-         cost=None, name="bpcg"):
     """B-preconditioned CG on (B^-1 + h) x = b with no B^-1 apply.
 
     h is the SPD operator S of the derivation above; b_cov needs only
-    apply.  Stops on sqrt(r^T B r) relative drop, like pcg with
-    precond=b_cov.  cost, when given, is called as cost(x, A x, B^-1 x) at
-    every stored iterate; the default records the quadratic
-    1/2 x^T A x - b^T x.
+    apply.  Stops on sqrt(r^T B r) relative drop.  cost, when given, is
+    called as cost(x, A x, B^-1 x, B r) at every stored iterate; the
+    default records the quadratic 1/2 x^T A x - b^T x.  report.binv_x
+    holds B^-1 x.
     """
     h = _as_operator(h)
     b = np.asarray(b, dtype=float)
     n = b.size
     maxit = _default_maxit(n, maxit)
     if cost is None:
-        quadratic = _quadratic(b)
-
-        def cost(x, ax, binv_x):
-            return quadratic(x, ax)
+        cost = _quadratic(b)
 
     x = np.zeros(n)
     ax = np.zeros(n)
@@ -267,10 +202,11 @@ def bpcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
         raise SolverBreakdownError("indefinite preconditioner", 0)
     pre0 = np.sqrt(rz)
     pre_norms = [pre0]
-    costs = [cost(x, ax, binv_x)]
+    costs = [cost(x, ax, binv_x, z)]
     iterates = [x.copy()]
     if pre0 == 0.0:
-        return SolveReport(name, x, iterates, pre_norms, costs, 0, True)
+        return SolveReport(name, x, iterates, pre_norms, costs, 0, True,
+                           binv_x=binv_x)
 
     p = z.copy()
     q = r.copy()  # B^-1 p, since p_0 = B r_0
@@ -298,7 +234,7 @@ def bpcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
             raise SolverBreakdownError("indefinite preconditioner", k)
         pre = np.sqrt(rz_new)
         pre_norms.append(pre)
-        costs.append(cost(x, ax, binv_x))
+        costs.append(cost(x, ax, binv_x, z))
         iterates.append(x.copy())
         if pre <= tol * pre0:
             converged = True
@@ -307,7 +243,8 @@ def bpcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
         p = z + beta * p
         q = r + beta * q
         rz = rz_new
-    return SolveReport(name, x, iterates, pre_norms, costs, k, converged)
+    return SolveReport(name, x, iterates, pre_norms, costs, k, converged,
+                       binv_x=binv_x)
 
 
 def fcg(h, b, precond, tol=1e-10, maxit=None, name="fcg"):
@@ -385,25 +322,27 @@ def _jb_jo(r_cov, d, w, hw):
             0.5 * np.vdot(misfit, r_cov.apply_inv(misfit)))
 
 
-def _dual_cost(r_cov, d):
-    """(Jb, Jo) from the dual iterate, via Hw = Aw - Rw."""
-    def jval(w, aw):
-        return _jb_jo(r_cov, d, w, aw - r_cov.apply(w))
-    return jval
+def _r_inverse(r_cov, n):
+    """R^-1 as the preconditioner of the dual CG: pcg's B := R^-1."""
+    return LinearOperator((n, n), r_cov.apply_inv)
 
 
-def dual_cg_rhalf(dual_op, d, r_cov, tol=1e-10, maxit=None,
+def dual_cg_rhalf(gbg_t, d, r_cov, tol=1e-10, maxit=None,
                   reorthogonalize=False, bg_t=None):
-    """CG on (GBG^T + R) w = d with R^{-1} preconditioning.
+    """CG on (GBG^T + R) w = d with R^{-1} preconditioning: pcg with
+    h = G B G^T and B := R^-1, so R w is carried and R never applied.
 
     Costs record the primal (Jb, Jo) at B G^T w_k.  bg_t, when given, maps
     the final w to control space (B G^T w) and fills report.x_control.
     """
-    n = np.asarray(d).size
-    precond = LinearOperator((n, n), r_cov.apply_inv)
-    rep = pcg(dual_op, d, precond=precond, tol=tol, maxit=maxit,
-              reorthogonalize=reorthogonalize, cost=_dual_cost(r_cov, d),
-              name="rbl4dvar")
+    d = np.asarray(d, dtype=float)
+
+    def rows(w, aw, r_w, rinv_r):
+        hw = aw - r_w  # and R^-1 (H w - d) = -(w + R^-1 r)
+        return 0.5 * np.vdot(w, hw), -0.5 * np.vdot(hw - d, w + rinv_r)
+
+    rep = pcg(gbg_t, d, _r_inverse(r_cov, d.size), tol=tol, maxit=maxit,
+              reorthogonalize=reorthogonalize, cost=rows, name="rbl4dvar")
     if bg_t is not None:
         rep.x_control = bg_t(rep.x)
     return rep
@@ -497,10 +436,11 @@ def minres(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="minres"):
 
 def minres_dual(dual_op, d, r_cov, tol=1e-10, maxit=None, bg_t=None):
     """MINRES on the dual system with R^{-1} preconditioning."""
-    n = np.asarray(d).size
-    precond = LinearOperator((n, n), r_cov.apply_inv)
-    rep = minres(dual_op, d, precond=precond, tol=tol, maxit=maxit,
-                 cost=_dual_cost(r_cov, d), name="minres")
+    def rows(w, aw):
+        return _jb_jo(r_cov, d, w, aw - r_cov.apply(w))
+
+    rep = minres(dual_op, d, precond=_r_inverse(r_cov, np.asarray(d).size),
+                 tol=tol, maxit=maxit, cost=rows, name="minres")
     if bg_t is not None:
         rep.x_control = bg_t(rep.x)
     return rep

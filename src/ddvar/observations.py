@@ -100,6 +100,11 @@ class ObservationSet:
             raise ValueError("observation component lengths disagree")
         if n == 0:
             raise ValueError("empty observation set")
+        # NaN fails every comparison below, so finiteness is checked first
+        for name, arr in (("x", x), ("y", y), ("value", values),
+                          ("variance", variances)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"observation {name} must be finite")
         if np.any(levels < 0) or np.any(levels > grid.n_steps):
             raise ValueError(f"observation time index outside [0, {grid.n_steps}]")
         ex, ey = grid.extent
@@ -243,17 +248,22 @@ def write_observations(path, obs):
 
 
 def read_observations(path, grid):
-    levels, xs, ys, tags, values, variances = [], [], [], [], [], []
+    """Records "level x y platform value variance", one a line."""
+    records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
                 continue
-            l, x, y, tag, val, var = line.split()
-            levels.append(int(l))
-            xs.append(float(x))
-            ys.append(float(y))
-            tags.append(tag)
-            values.append(float(val))
-            variances.append(float(var))
-    return ObservationSet(grid, levels, xs, ys, tags, values, variances)
+            try:
+                l, x, y, tag, val, var = fields
+                records.append((int(l), float(x), float(y), tag, float(val),
+                                float(var)))
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {lineno}: expected six fields "
+                    f"'level x y platform value variance', got "
+                    f"{line.strip()!r}") from None
+    if not records:
+        raise ValueError(f"{path} holds no observation records")
+    return ObservationSet(grid, *zip(*records))

@@ -718,7 +718,7 @@ class DDSolver:
         bg = self.problem.background_traj
         for (tid, k), p in self.blocks.items():
             tile = self.layout.tile(tid)
-            p.lin_states = [restrict(bg[l], tile).data for l in p.levels]
+            p.lin_states = [restrict(bg[l], tile) for l in p.levels]
 
     @cached_property
     def _window_buffers(self):

@@ -13,11 +13,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+from ddvar import experiment  # noqa: E402
 from ddvar.config import parse_config  # noqa: E402
 
-from bench import _setup_once  # noqa: E402
-from layers import METRICS, is_missing  # noqa: E402
-from tracing import public_targets  # noqa: E402
+from bench import OpRecorder, _setup_once  # noqa: E402
+from layers import METRICS, OpSpans, is_missing, reduce_metric  # noqa: E402
+from tracing import Tracer, public_targets  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
@@ -30,3 +31,23 @@ def test_every_layer_metric_reads_an_existing_name():
 def test_every_workload_sets_up(name, tmp_path):
     cfg = parse_config(make_inputs(WORKLOADS[name], 1, tmp_path))
     assert _setup_once(cfg) > 0.0
+
+
+def test_global_primal_solver_is_counted(tmp_path):
+    """The traced solve of global_primal reads its Krylov iterations and
+    one TL plus one AD sweep per iteration: a solver the layer table does
+    not name would read 0 for both."""
+    cfg = parse_config(make_inputs(WORKLOADS["global_primal"], 1, tmp_path))
+    tracer = Tracer(OpRecorder().hooks())
+    tracer.install(public_targets())
+    tracer.op_id = 0
+    try:
+        experiment.run_experiment(cfg, out_dir=tmp_path / "op0")
+    finally:
+        tracer.uninstall()
+    ops = OpSpans(tracer.spans(), tracer.names, 0)
+    value = {m.name: reduce_metric(m, ops, {}) for m in METRICS
+             if m.name in ("krylov.pcg.iterations",
+                           "assim.sweeps_per_iteration")}
+    assert value["krylov.pcg.iterations"] > 0
+    assert 2.0 <= value["assim.sweeps_per_iteration"] <= 2.1

@@ -120,12 +120,12 @@ def halo_fixture(seed=0):
     g = rng.standard_normal((2, grid.nx, grid.ny))
     fields = {}
     for tile in layout.tiles:
-        lf = restrict(g, tile)
+        box = restrict(g, tile)
         for side in SIDES:
             if tile.neighbors.get(side) is not None:
                 sl_i, sl_j = tile.halo_slices_local(side)
-                lf.data[..., sl_i, sl_j] = 0.0
-        fields[tile.id] = lf.data
+                box[..., sl_i, sl_j] = 0.0
+        fields[tile.id] = box
     return grid, layout, g, fields
 
 
@@ -137,7 +137,7 @@ def test_halo_exchange_matches_restriction():
                  for t in layout.tiles}
     halo_exchange(create_inter(w, 0), layout, fields)
     for tile in layout.tiles:
-        want = restrict(g, tile).data
+        want = restrict(g, tile)
         for side in SIDES:
             if tile.neighbors.get(side) is None:
                 continue

@@ -386,6 +386,44 @@ def test_cli_run_overrides(tmp_path):
     assert manifest["seed"] == 9
 
 
+# record 3 of a valid file, edited: (field index, new text, message)
+BAD_RECORDS = {
+    "nan_x": (1, "nan", "observation x must be finite"),
+    "nan_value": (4, "nan", "observation value must be finite"),
+    "nan_variance": (5, "nan", "observation variance must be finite"),
+    "inf_variance": (5, "inf", "observation variance must be finite"),
+    "five_fields": (5, None, "line 3: expected six fields"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_cli_rejects_a_bad_observation_record(tmp_path, capsys, case):
+    """Non-finite locations, values and variances, and short records, end
+    the run before any solve with a message naming the field (or the path
+    and line), where a NaN used to surface as non-finite residual norms
+    and an infinite variance ran to exit 0."""
+    from ddvar.observations import write_observations
+    path = tmp_path / "obs.txt"
+    write_observations(path, build_problem(small_cfg()).obs)
+    lines = path.read_text().splitlines()
+    field, text, message = BAD_RECORDS[case]
+    words = lines[2].split()
+    if text is None:
+        del words[field]
+    else:
+        words[field] = text
+    lines[2] = " ".join(words)
+    path.write_text("\n".join(lines) + "\n")
+    p = write_cfg(tmp_path, small_cfg(obs_file=str(path)))
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    if text is None:
+        assert str(path) in err
+    assert not (tmp_path / "o" / "cost_history.csv").exists()
+
+
 def test_cli_missing_config_is_usage_error(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1

@@ -3,7 +3,6 @@ import pytest
 
 from ddvar.grid import (
     Grid,
-    assemble,
     boundary_ring_indices,
     build_tiles,
     build_time_windows,
@@ -87,34 +86,11 @@ def test_restrict_reproduces_indexed_values():
     layout = build_tiles(grid, 2, 1, halo=2)
     f = np.add.outer(np.arange(10), 100 * np.arange(6)).astype(float)
     t1 = layout.tile(1)
-    lf = restrict(f, t1, with_halo=True)
-    assert lf.data.shape == t1.box_shape
+    box = restrict(f, t1)
+    assert box.shape == t1.box_shape
     for a, i in enumerate(range(t1.bi0, t1.bi1)):
         for b, j in enumerate(range(t1.bj0, t1.bj1)):
-            assert lf.data[a, b] == i + 100 * j
-
-
-def test_restrict_assemble_round_trip():
-    grid = Grid(nx=17, ny=9, n_steps=1)
-    layout = build_tiles(grid, 3, 2, halo=1)
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal((2, grid.nx, grid.ny))
-    locals_ = [restrict(f, t, with_halo=True) for t in layout.tiles]
-    g = assemble(layout, locals_)
-    np.testing.assert_array_equal(f, g)
-    # owned-only restriction round-trips too
-    locals_ = [restrict(f, t, with_halo=False) for t in layout.tiles]
-    g = assemble(layout, locals_)
-    np.testing.assert_array_equal(f, g)
-
-
-def test_assemble_rejects_missing_tile():
-    grid = Grid(nx=8, ny=8, n_steps=1)
-    layout = build_tiles(grid, 2, 1, halo=1)
-    f = np.zeros((grid.nx, grid.ny))
-    locals_ = [restrict(f, layout.tile(0))]
-    with pytest.raises(ValueError, match="missing"):
-        assemble(layout, locals_)
+            assert box[a, b] == i + 100 * j
 
 
 def test_point_owner_partition():

@@ -10,18 +10,15 @@ from ddvar.assim import TangentObsOperator, kalman_gain_apply
 from ddvar.control import ControlVector
 from ddvar.grid import Grid
 from ddvar.impact import (
-    CostHistoryReport,
     TransportFunctional,
     adjoint_sensitivity,
     column_section,
-    cost_history_report,
     evaluate_functional,
-    forecast_impact,
     observation_impact,
     observation_sensitivity,
 )
 from ddvar.model import ModelConfig, SurrogateModel
-from ddvar.observations import ObservationSet, PlatformSpec
+from ddvar.observations import PlatformSpec
 from ddvar.krylov import LinearOperator
 
 from util import count_gain_solves, make_problem
@@ -371,132 +368,3 @@ def test_observation_sensitivity_custom_perturbation():
                                   prob.r_cov, d, s, delta_y=dy, tol=1e-12)
     scale = max(1.0, abs(chk.actual), abs(chk.linearized))
     assert abs(chk.actual - chk.linearized) <= 1e-8 * scale
-
-
-# ------------------------------------------------------------ forecast range
-
-
-def test_forecast_impact_rejects_zero_horizon():
-    prob = impact_problem(seed=2)
-    F = column_section(prob.model.grid, col=4, n_avg=1)
-    with pytest.raises(ValueError, match="horizon"):
-        forecast_impact(prob, np.zeros(prob.layout.n_z), 0, F)
-
-
-def test_forecast_impact_rejects_short_horizon_for_average():
-    prob = impact_problem(seed=2)
-    F = column_section(prob.model.grid, col=4, n_avg=3)
-    with pytest.raises(ValueError, match="n_avg"):
-        forecast_impact(prob, np.zeros(prob.layout.n_z), 2, F)
-
-
-def test_forecast_impact_identical_states_zero():
-    prob = impact_problem(seed=16)
-    F = column_section(prob.model.grid, col=4, n_avg=2)
-    z = np.zeros(prob.layout.n_z)
-    fc = forecast_impact(prob, z, 3, F, z_ref=z)
-    assert fc.delta_i == 0.0
-
-
-def test_forecast_impact_matches_direct_recomputation():
-    prob = impact_problem(seed=17)
-    F = column_section(prob.model.grid, col=4, n_avg=2)
-    d = prob.background_innovations()
-    za = kalman_gain_apply(prob.background_operator(), prob.b_cov, prob.r_cov,
-                           d, tol=1e-12)
-    horizon = 3
-    fc = forecast_impact(prob, za, horizon, F)
-
-    # oracle: extend the analysed run by hand with background forcing
-    n_steps = prob.windows.n_steps
-
-    def extended(z):
-        v = ControlVector(prob.layout, z)
-        forcing = [v.f(prob.windows.window_of_step(s))
-                   for s in range(1, n_steps + 1)]
-        forcing += [np.zeros_like(forcing[0])] * horizon
-        bnd = None
-        if prob.layout.has_boundary:
-            bnd = [v.b(prob.windows.window_of_step(s))
-                   for s in range(1, n_steps + 1)]
-            bnd += [np.zeros_like(bnd[0])] * horizon
-        return prob.model.run_nl(prob.x_b + v.x0, forcing=forcing,
-                                 boundary=bnd, n_steps=n_steps + horizon)
-
-    sa = extended(za).states
-    sb = extended(np.zeros_like(za)).states
-    ia = evaluate_functional(sa[n_steps:], F)
-    ib = evaluate_functional(sb[n_steps:], F)
-    assert abs(fc.delta_i - (ia - ib)) <= 1e-12 * max(1.0, abs(ia - ib))
-    assert fc.i_a == ia and fc.i_b == ib
-
-
-def test_forecast_impact_verifying_misfits():
-    prob = impact_problem(seed=18)
-    F = column_section(prob.model.grid, col=4, n_avg=2)
-    d = prob.background_innovations()
-    za = kalman_gain_apply(prob.background_operator(), prob.b_cov, prob.r_cov,
-                           d, tol=1e-12)
-    horizon = 3
-    n_steps = prob.windows.n_steps
-    grid = prob.model.grid
-    # verifying observations live at forecast levels, so they index an
-    # extended copy of the grid
-    grid_v = Grid(nx=grid.nx, ny=grid.ny, dt=grid.dt,
-                  n_steps=n_steps + horizon)
-    ex, ey = grid.extent
-    rng = np.random.default_rng(1)
-    m = 10
-    levels = rng.integers(n_steps + 1, n_steps + horizon + 1, size=m)
-    obs_v = ObservationSet(grid_v, levels, rng.uniform(0, ex, m),
-                           rng.uniform(0, ey, m), ["verify"] * m,
-                           np.zeros(m), np.full(m, 0.25))
-    fc = forecast_impact(prob, za, horizon, F, verifying_obs=obs_v)
-    for misfit, z in ((fc.misfit_a, za), (fc.misfit_b, np.zeros_like(za))):
-        v = ControlVector(prob.layout, z)
-        forcing = [v.f(prob.windows.window_of_step(s))
-                   for s in range(1, n_steps + 1)]
-        forcing += [np.zeros_like(forcing[0])] * horizon
-        bnd = [v.b(prob.windows.window_of_step(s))
-               for s in range(1, n_steps + 1)]
-        bnd += [np.zeros_like(bnd[0])] * horizon
-        states = prob.model.run_nl(prob.x_b + v.x0, forcing=forcing,
-                                   boundary=bnd,
-                                   n_steps=n_steps + horizon).states
-        resid = obs_v.sample(states) - obs_v.values
-        want = 0.5 * float(np.sum(resid * resid / obs_v.variances))
-        assert abs(misfit - want) <= 1e-12 * max(1.0, want)
-    assert fc.reduction == fc.misfit_b - fc.misfit_a
-
-
-# -------------------------------------------------------------- cost history
-
-
-def test_cost_history_report_reference_level():
-    # with 100 observations a consistent analysis has expected cost 50
-    history = [(1, 0, 180.0, 20.0, 160.0), (1, 1, 90.0, 25.0, 65.0),
-               (1, 2, 52.0, 26.0, 26.0)]
-    rep = cost_history_report(history, n_obs=100)
-    assert isinstance(rep, CostHistoryReport)
-    assert rep.j_min == 50.0
-    assert rep.final_j == 52.0
-    assert rep.rows == tuple((int(a), int(b), float(c), float(d), float(e))
-                             for a, b, c, d, e in history)
-    assert abs(rep.final_ratio - 52.0 / 50.0) <= 1e-15
-
-
-def test_cost_history_report_validation():
-    with pytest.raises(ValueError, match="n_obs"):
-        cost_history_report([(1, 0, 1.0, 0.5, 0.5)], n_obs=0)
-    with pytest.raises(ValueError, match="history"):
-        cost_history_report([], n_obs=10)
-
-
-def test_cost_history_report_from_outer_loop():
-    prob = make_problem(nx=8, ny=6, n_steps=4, n_t=1, seed=30, n_obs=16,
-                        sigma_o=0.2)
-    res = prob.incremental_outer_loop(n_outer=1, n_inner=40, tol=1e-10)
-    rep = cost_history_report(res.history, n_obs=16)
-    assert rep.j_min == 8.0
-    assert rep.final_j == res.final_cost
-    assert rep.rows[0][2] >= rep.final_j

@@ -5,7 +5,6 @@ from ddvar.covariance import CovarianceR
 from ddvar.krylov import (
     LinearOperator,
     SolverBreakdownError,
-    bpcg,
     dual_cg_rhalf,
     fcg,
     minres,
@@ -52,43 +51,6 @@ def primal_solution(b, g, rvar, d):
     return np.linalg.solve(a, g.T @ (d / rvar))
 
 
-def test_pcg_identity_one_iteration():
-    b = np.array([3.0, -1.0, 2.0])
-    rep = pcg(np.eye(3), b)
-    assert rep.iterations == 1 and rep.converged
-    np.testing.assert_allclose(rep.x, b, rtol=1e-14)
-
-
-def test_pcg_diagonal_two_iterations():
-    rep = pcg(np.diag([2.0, 1.0]), np.array([2.0, 1.0]), tol=1e-13)
-    assert rep.iterations <= 2
-    np.testing.assert_allclose(rep.x, [1.0, 1.0], rtol=1e-12)
-
-
-def test_pcg_matches_direct_solve():
-    rng = np.random.default_rng(20)
-    a = random_spd(30, rng, spread=2.0)
-    b = rng.standard_normal(30)
-    rep = pcg(a, b, tol=1e-12)
-    ref = np.linalg.solve(a, b)
-    assert np.linalg.norm(rep.x - ref) / np.linalg.norm(ref) <= 1e-9
-    assert rep.converged
-    # quadratic cost history nonincreasing (1e-12 slack)
-    assert np.all(np.diff(rep.costs) <= 1e-12 * max(1.0, abs(rep.costs[0])))
-    assert len(rep.iterates) == rep.iterations + 1
-
-
-def test_pcg_zero_rhs():
-    rep = pcg(np.eye(4), np.zeros(4))
-    assert rep.iterations == 0 and rep.converged
-    assert np.all(rep.x == 0.0)
-
-
-def test_pcg_breakdown_on_indefinite():
-    with pytest.raises(SolverBreakdownError, match="iteration 1"):
-        pcg(np.diag([1.0, -1.0]), np.array([0.0, 1.0]))
-
-
 class ApplyOnlySpd(DenseSpd):
     """A covariance stub that counts its applies and cannot apply its
     inverse."""
@@ -100,14 +62,63 @@ class ApplyOnlySpd(DenseSpd):
         return super().apply(v)
 
     def apply_inv(self, v):
-        raise AssertionError("bpcg applied B^-1")
+        raise AssertionError("pcg applied B^-1")
+
+
+def identity_cov(n):
+    return DenseSpd(np.eye(n))
+
+
+def test_pcg_identity_one_iteration():
+    b = np.array([3.0, -1.0, 2.0])
+    rep = pcg(np.zeros((3, 3)), b, identity_cov(3))
+    assert rep.iterations == 1 and rep.converged
+    np.testing.assert_allclose(rep.x, b, rtol=1e-14)
+
+
+def test_pcg_diagonal_two_iterations():
+    # B^-1 + h = diag(2, 1)
+    rep = pcg(np.diag([1.0, 0.0]), np.array([2.0, 1.0]), identity_cov(2),
+              tol=1e-13)
+    assert rep.iterations <= 2
+    np.testing.assert_allclose(rep.x, [1.0, 1.0], rtol=1e-12)
+
+
+def test_pcg_matches_direct_solve():
+    rng = np.random.default_rng(20)
+    a = random_spd(30, rng, spread=2.0)
+    b = rng.standard_normal(30)
+    # B = I: plain CG on a = B^-1 + (a - I)
+    rep = pcg(a - np.eye(30), b, identity_cov(30), tol=1e-12)
+    ref = np.linalg.solve(a, b)
+    assert np.linalg.norm(rep.x - ref) / np.linalg.norm(ref) <= 1e-9
+    assert rep.converged
+    # quadratic cost history nonincreasing (1e-12 slack)
+    assert np.all(np.diff(rep.costs) <= 1e-12 * max(1.0, abs(rep.costs[0])))
+    assert len(rep.iterates) == rep.iterations + 1
+
+
+def test_pcg_zero_rhs():
+    rep = pcg(np.eye(4), np.zeros(4), ApplyOnlySpd(np.eye(4)))
+    assert rep.iterations == 0 and rep.converged
+    assert np.all(rep.x == 0.0) and np.all(rep.binv_x == 0.0)
+
+
+def test_pcg_breakdown_on_indefinite():
+    # B^-1 + h = diag(1, -1)
+    with pytest.raises(SolverBreakdownError, match="iteration 1"):
+        pcg(np.diag([0.0, -2.0]), np.array([0.0, 1.0]), identity_cov(2))
+    with pytest.raises(SolverBreakdownError, match="iteration 1"):
+        pcg(np.diag([-4.0, 0.0]), np.array([1.0, 0.0]),
+            ApplyOnlySpd(np.eye(2)))
 
 
 @pytest.mark.parametrize("reorthogonalize", [False, True])
-def test_bpcg_matches_dense_solve_and_pcg_without_b_inverse(reorthogonalize):
-    """bpcg on (B^-1 + S) x = b equals the dense solve and B-preconditioned
-    pcg on the assembled matrix; it applies B once per iteration plus once,
-    and never B^-1.  Its carried A x and B^-1 x are the true products."""
+def test_pcg_matches_dense_solve_without_b_inverse(reorthogonalize):
+    """pcg on (B^-1 + S) x = b equals the dense solve; it applies B once
+    per iteration plus once, and never B^-1.  Its carried A x, B^-1 x and
+    B r are the true products, and its norms are sqrt(r^T B r) of the true
+    residuals."""
     rng = np.random.default_rng(29)
     b_mat = random_spd(24, rng, spread=2.0)
     g = rng.standard_normal((9, 24))
@@ -116,43 +127,36 @@ def test_bpcg_matches_dense_solve_and_pcg_without_b_inverse(reorthogonalize):
     b_cov = ApplyOnlySpd(b_mat)
     seen = []
 
-    def cost(x, ax, binv_x):
-        seen.append((x.copy(), ax.copy(), binv_x.copy()))
+    def cost(x, ax, binv_x, z):
+        seen.append((x.copy(), ax.copy(), binv_x.copy(), z.copy()))
         return 0.5 * np.vdot(x, ax) - np.vdot(rhs, x)
 
-    rep = bpcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
-               reorthogonalize=reorthogonalize, cost=cost)
+    rep = pcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
+              reorthogonalize=reorthogonalize, cost=cost)
     a = np.linalg.inv(b_mat) + s_mat
     ref = np.linalg.solve(a, rhs)
     assert rep.converged
     assert np.linalg.norm(rep.x - ref) <= 1e-9 * np.linalg.norm(ref)
     assert b_cov.applies == rep.iterations + 1
-    rep_p = pcg(a, rhs, precond=DenseSpd(b_mat), tol=1e-12,
-                reorthogonalize=reorthogonalize)
-    assert np.linalg.norm(rep.x - rep_p.x) <= 1e-9 * np.linalg.norm(ref)
-    assert abs(rep.iterations - rep_p.iterations) <= 1
-    # the preconditioned residual norms agree above the rounding floor
-    m = min(rep.iterations, rep_p.iterations) + 1
-    above = rep_p.residual_norms[:m] > 1e-8 * rep_p.residual_norms[0]
-    np.testing.assert_allclose(rep.residual_norms[:m][above],
-                               rep_p.residual_norms[:m][above], rtol=1e-6)
-    for x, ax, binv_x in seen:
+    np.testing.assert_array_equal(rep.binv_x, seen[-1][2])
+    true_norms = []
+    for x, ax, binv_x, z in seen:
         assert np.linalg.norm(binv_x - np.linalg.solve(b_mat, x)) \
             <= 1e-9 * np.linalg.norm(np.linalg.solve(b_mat, ref))
         assert np.linalg.norm(ax - a @ x) <= 1e-9 * np.linalg.norm(a @ ref)
-    # the default record is the quadratic, as in pcg
-    default = bpcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
-                   reorthogonalize=reorthogonalize)
+        r = rhs - a @ x
+        assert np.linalg.norm(z - b_mat @ r) \
+            <= 1e-9 * np.linalg.norm(b_mat @ rhs)
+        true_norms.append(np.sqrt(np.vdot(r, b_mat @ r)))
+    # the preconditioned residual norms agree above the rounding floor
+    true_norms = np.array(true_norms)
+    above = true_norms > 1e-8 * true_norms[0]
+    np.testing.assert_allclose(rep.residual_norms[above], true_norms[above],
+                               rtol=1e-6)
+    # the default record is the quadratic
+    default = pcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
+                  reorthogonalize=reorthogonalize)
     np.testing.assert_array_equal(default.costs, rep.costs)
-
-
-def test_bpcg_zero_rhs_and_breakdown():
-    rep = bpcg(np.eye(3), np.zeros(3), ApplyOnlySpd(np.eye(3)))
-    assert rep.iterations == 0 and rep.converged
-    assert np.all(rep.x == 0.0)
-    with pytest.raises(SolverBreakdownError, match="iteration 1"):
-        bpcg(np.diag([-4.0, 0.0]), np.array([1.0, 0.0]),
-             ApplyOnlySpd(np.eye(2)))
 
 
 def test_operator_linearity_probe():
@@ -168,8 +172,8 @@ def test_operator_linearity_probe():
 
 def test_dual_cg_scalar_case():
     r = CovarianceR([1.0])
-    dual = LinearOperator((1, 1), lambda w: 3.0 * w)  # GBG^T + R = 2 + 1
-    rep = dual_cg_rhalf(dual, np.array([3.0]), r, bg_t=lambda w: 2.0 * w)
+    h = LinearOperator((1, 1), lambda w: 2.0 * w)  # GBG^T = 2, R = 1
+    rep = dual_cg_rhalf(h, np.array([3.0]), r, bg_t=lambda w: 2.0 * w)
     assert rep.iterations == 1 and rep.converged
     np.testing.assert_allclose(rep.x, [1.0], rtol=1e-14)
     np.testing.assert_allclose(rep.x_control, [2.0], rtol=1e-14)
@@ -186,7 +190,7 @@ def test_dual_cg_scalar_case():
 def test_dual_cg_matches_primal_direct():
     b, g, rvar, d = make_instance(24, 9, seed=22)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
-    hmat = g @ b @ g.T + np.diag(rvar)
+    hmat = g @ b @ g.T
     rep = dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc, tol=1e-12,
                         bg_t=lambda w: b @ (g.T @ w))
     ref = primal_solution(b, g, rvar, d)
@@ -212,11 +216,12 @@ def test_minres_indefinite_system():
 def test_minres_dual_matches_cg():
     b, g, rvar, d = make_instance(20, 7, seed=23)
     rc = CovarianceR(rvar)
-    hmat = g @ b @ g.T + np.diag(rvar)
-    op = LinearOperator.from_matrix(hmat)
+    hmat = g @ b @ g.T
+    op = LinearOperator.from_matrix(hmat + np.diag(rvar))
     bg_t = lambda w: b @ (g.T @ w)
     rep_m = minres_dual(op, d, rc, tol=1e-12, bg_t=bg_t)
-    rep_c = dual_cg_rhalf(op, d, rc, tol=1e-12, bg_t=bg_t)
+    rep_c = dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc, tol=1e-12,
+                          bg_t=bg_t)
     assert np.linalg.norm(rep_m.x_control - rep_c.x_control) \
         <= 1e-8 * np.linalg.norm(rep_c.x_control)
     assert np.all(np.diff(rep_m.residual_norms)
@@ -232,13 +237,12 @@ def test_rpcg_scalar_case():
     assert rep.costs[-1].sum() == pytest.approx(1.5, rel=1e-13)
 
 
-def test_rpcg_tracks_primal_bpcg_exactly():
+def test_rpcg_tracks_primal_pcg_exactly():
     b, g, rvar, d = make_instance(28, 10, seed=24)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
-    binv = np.linalg.inv(b)
-    a_primal = binv + g.T @ (g / rvar[:, None])
     rhs = g.T @ (d / rvar)
-    rep_p = pcg(LinearOperator.from_matrix(a_primal), rhs, precond=bc, tol=1e-10)
+    rep_p = pcg(LinearOperator.from_matrix(g.T @ (g / rvar[:, None])), rhs,
+                bc, tol=1e-10)
     rep_r = rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-10)
     assert rep_p.iterations == rep_r.iterations
     jconst = 0.5 * np.vdot(d, d / rvar)
@@ -282,7 +286,8 @@ def test_reorthogonalization_still_correct():
     rng = np.random.default_rng(27)
     a = random_spd(40, rng, spread=3.0)
     b = rng.standard_normal(40)
-    rep = pcg(a, b, tol=1e-12, reorthogonalize=True)
+    rep = pcg(a - np.eye(40), b, identity_cov(40), tol=1e-12,
+              reorthogonalize=True)
     ref = np.linalg.solve(a, b)
     assert np.linalg.norm(rep.x - ref) / np.linalg.norm(ref) <= 1e-9
 
@@ -290,15 +295,15 @@ def test_reorthogonalization_still_correct():
 def test_all_solvers_agree_on_one_instance():
     b, g, rvar, d = make_instance(32, 12, seed=28)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
-    hmat = g @ b @ g.T + np.diag(rvar)
-    op = LinearOperator.from_matrix(hmat)
+    hmat = g @ b @ g.T
+    op = LinearOperator.from_matrix(hmat + np.diag(rvar))
     bg_t = lambda w: b @ (g.T @ w)
     ref = primal_solution(b, g, rvar, d)
     sols = {
-        "pcg": pcg(LinearOperator.from_matrix(
-            np.linalg.inv(b) + g.T @ (g / rvar[:, None])),
-            g.T @ (d / rvar), precond=bc, tol=1e-12).x,
-        "rbl4dvar": dual_cg_rhalf(op, d, rc, tol=1e-12, bg_t=bg_t).x_control,
+        "pcg": pcg(LinearOperator.from_matrix(g.T @ (g / rvar[:, None])),
+                   g.T @ (d / rvar), bc, tol=1e-12).x,
+        "rbl4dvar": dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc,
+                                  tol=1e-12, bg_t=bg_t).x_control,
         "minres": minres_dual(op, d, rc, tol=1e-12, bg_t=bg_t).x_control,
         "rpcg": rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-12).x_control,
     }

@@ -49,7 +49,7 @@ def test_local_model_solve_matches_global_restriction():
         prob, tiles, solver = dd_setup(kind=kind, n_t=2)
         bg = prob.background_traj
         for key, p in solver.blocks.items():
-            lin = [restrict(bg[l], p.tile).data for l in p.levels]
+            lin = [restrict(bg[l], p.tile) for l in p.levels]
             assert all(np.array_equal(a, b)
                        for a, b in zip(p.lin_states, lin, strict=True))
             # step the box model from the restricted start; after every
@@ -364,8 +364,16 @@ def test_local_solve_matches_pcg_on_the_local_operator():
                 want = correction(u)[own_cols]
                 assert np.linalg.norm(ls.apply(u[keep_cols]) - want) \
                     <= 1e-12 * np.linalg.norm(want)
-            ref = pcg(a_p, rhs, precond=b_p, tol=1e-14, maxit=2000)
+            # pcg runs (B_p^-1 + X' R_pp^-1 X / alpha) y = rhs / alpha; its
+            # y must also solve a_p y = rhs, built from the restricted
+            # covariances' own inverses
+            h_p = LinearOperator(
+                (p.n_local,) * 2,
+                lambda v, p=p, x=x: x.T @ reference_weight(p, x @ v) / p.alpha)
+            ref = pcg(h_p, rhs / p.alpha, b_p, tol=1e-14, maxit=2000)
             assert ref.converged
+            assert np.linalg.norm(a_p.apply(ref.x) - rhs) \
+                <= 1e-12 * np.linalg.norm(rhs)
             u = ls.prior(rhs)
             got = (u - ls.prior(correction(u)) / p.alpha) / p.alpha
             assert np.linalg.norm(got - ref.x) <= 1e-10 * np.linalg.norm(
