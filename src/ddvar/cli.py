@@ -2,9 +2,12 @@
 
 `ddvar run --config FILE [--formulation F] [--seed S] [--out DIR]` runs one
 experiment; `ddvar verify --suite NAME` runs an acceptance suite.  Exit
-codes: 0 success, 1 usage error, 2 numerical failure, 3 a dd4dvar run that
-stopped unconverged, at n_bar outer iterations or earlier at rounding level
-when tau_dd lies below it (its outputs are written; Krylov runs stop at
+codes: 0 success; 1 usage error: bad arguments, a config that cannot be
+read or is malformed, or an obs_file that is missing or unreadable, holds
+a malformed record or fails the observation checks (non-finite, outside
+the domain); 2 numerical failure; 3 a dd4dvar run that stopped
+unconverged, at n_bar outer iterations or earlier at rounding level when
+tau_dd lies below it (its outputs are written; Krylov runs stop at
 n_inner by design and exit 0).
 """
 
@@ -15,6 +18,7 @@ from pathlib import Path
 from .acceptance import SUITES, run_suite
 from .config import FORMULATIONS, parse_config
 from .experiment import run_experiment
+from .observations import ObservationFileError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +74,9 @@ def main(argv=None):
             return 1
         try:
             res = run_experiment(cfg, out_dir=args.out)
+        except ObservationFileError as exc:
+            print(f"ddvar: observation file error: {exc}", file=sys.stderr)
+            return 1
         except Exception as exc:
             print(f"ddvar: run failed: {exc}", file=sys.stderr)
             return 2

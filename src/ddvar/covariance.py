@@ -54,11 +54,18 @@ factor 149.  Every entry below tiny in the 1-D kernels, the ring kernel
 and its factor is set to zero.  A product through such an entry changes
 a result by less than tiny times the input's 1-norm, far below rounding,
 but arithmetic on subnormals is slow: it made each Kronecker apply
-several times slower.  Control-vector covariances are block diagonal
-over the control segments (initial state, one forcing block per
-assimilation window, one boundary block per window), with the window
-blocks sharing one covariance object, which applies all of its windows
-as one stacked call.
+several times slower.  The kernels evaluate exp only where its result
+does not underflow to zero (argument above -745.2; numpy takes a slow
+path on the others, whose result is 0 either way), so every entry is
+bitwise the one an unmasked exp gives.  A restriction of the Kronecker
+block slices the parent's 1-D kernels, Kx[I, I] and Ky[J, J], which are
+bitwise the kernels of the sub-grid's coordinates: the entries come from
+the same coordinate differences.
+
+Control-vector covariances are block diagonal over the control segments
+(initial state, one forcing block per assimilation window, one boundary
+block per window), with the window blocks sharing one covariance object,
+which applies all of its windows as one stacked call.
 """
 
 from functools import cached_property
@@ -81,6 +88,8 @@ __all__ = [
 
 DEFAULT_NUGGET_FACTOR = 1e-3
 TINY = np.finfo(float).tiny
+# below this argument exp rounds to 0.0 (exp(-745.14) already does)
+EXP_UNDERFLOW = -745.2
 
 
 def _flush_subnormals(m):
@@ -159,7 +168,7 @@ class GaussianCovariance:
         for c in points.T:
             diff = np.subtract.outer(c, c)
             d2 += diff * diff
-        matrix = sigma**2 * np.exp(-d2 / (2.0 * length**2))
+        matrix = sigma**2 * _gauss(-d2 / (2.0 * length**2))
         matrix[np.diag_indices_from(matrix)] += nugget
         self.points = points
         self.sigma = float(sigma)
@@ -221,13 +230,19 @@ class GaussianCovariance:
         sub.sigma = self.sigma
         sub.length = self.length
         sub.nugget = self.nugget
-        sub.matrix = self.matrix[np.ix_(idx, idx)]
+        sub.matrix = self.matrix[:, idx][idx]
         return sub
+
+
+def _gauss(arg):
+    """exp(arg) for arg <= 0, evaluated only where it does not underflow
+    to zero."""
+    return np.exp(arg, out=np.zeros_like(arg), where=arg > EXP_UNDERFLOW)
 
 
 def _kernel_1d(x, length):
     d = x[:, None] - x[None, :]
-    return _flush_subnormals(np.exp(-d**2 / (2.0 * length**2)))
+    return _flush_subnormals(_gauss(-d**2 / (2.0 * length**2)))
 
 
 class KroneckerCovariance:
@@ -332,8 +347,20 @@ class KroneckerCovariance:
         if not np.array_equal(idx, (rows[:, None] * self.ny + cols).ravel()):
             raise ValueError("restriction of a Kronecker covariance needs "
                              "a rectangular sub-grid in row-major order")
-        return KroneckerCovariance(self.x[rows], self.y[cols], self.sigma,
-                                   self.length, self.nugget)
+        return self.restrict_grid(rows, cols)
+
+    def restrict_grid(self, rows, cols):
+        """Principal block over the sub-grid rows x cols (increasing
+        index arrays), sliced from this block's kernels."""
+        sub = object.__new__(KroneckerCovariance)
+        sub.nugget, sub.sigma, sub.length = self.nugget, self.sigma, self.length
+        sub.x, sub.y = self.x[rows], self.y[cols]
+        sub.nx, sub.ny = sub.x.size, sub.y.size
+        sub.n = sub.nx * sub.ny
+        # columns first: the result is C-ordered, as a fresh kernel is
+        sub.kx = self.kx[:, rows][rows]
+        sub.ky = self.ky[:, cols][cols]
+        return sub
 
 
 class CovarianceB:
@@ -378,6 +405,10 @@ class CovarianceB:
     def restrict(self, idx):
         """Restrict to a node index set, applied identically per field."""
         return CovarianceB(self.block.restrict(idx), self.n_fields)
+
+    def restrict_grid(self, rows, cols):
+        """Restrict a Kronecker block to the sub-grid rows x cols."""
+        return CovarianceB(self.block.restrict_grid(rows, cols), self.n_fields)
 
 
 def build_b(grid, n_fields, sigma, length, nugget=None):

@@ -41,8 +41,11 @@ from .schwarz import DDConfig, DDSolver
 def build_problem(cfg):
     """Twin-experiment assimilation problem for an ExperimentConfig.
 
-    Truth is background plus a prior draw; observations sample the truth
-    with noise at their stored error level, or come from obs_file.
+    The background x_b is a prior draw of the initial state.  Observations
+    come from obs_file, or are synthesized: they sample a truth, the
+    background run with a second prior draw z_truth as its increment,
+    with noise at their stored error level.  The truth exists only for
+    synthesized observations; a file-driven problem has z_truth = None.
     """
     grid = Grid(nx=cfg.nx, ny=cfg.ny, dt=cfg.dt, n_steps=cfg.n_steps)
     model = SurrogateModel(grid, ModelConfig(kind=cfg.model,
@@ -58,19 +61,23 @@ def build_problem(cfg):
                                      cfg.sigma_f, cfg.length_f, cfg.sigma_b,
                                      cfg.length_b)
     rng = np.random.default_rng(cfg.seed)
-    x_b = ControlVector(
-        layout, b_cov.apply_sqrt(rng.standard_normal(layout.n_z))).x0.copy()
-    z_truth = b_cov.apply_sqrt(rng.standard_normal(layout.n_z))
-    vt = ControlVector(layout, z_truth)
-    forcing = [vt.f(windows.window_of_step(s))
-               for s in range(1, cfg.n_steps + 1)]
-    bnd = ([vt.b(windows.window_of_step(s)) for s in range(1, cfg.n_steps + 1)]
-           if has_boundary else None)
-    truth_traj = model.run_nl(x_b + vt.x0, forcing=forcing, boundary=bnd)
+    # x_b is the x0 segment of B^1/2 of a whole-control draw: the x0
+    # block's root of that segment of the draw
+    draw = rng.standard_normal(layout.n_z)
+    x_b = b_cov.segment_cov("x0").apply_sqrt(
+        draw[layout.slice_of("x0")]).reshape(model.n_fields, grid.nx, grid.ny)
 
+    z_truth = None
     if cfg.obs_file:
         obs = read_observations(cfg.obs_file, grid)
     else:
+        z_truth = b_cov.apply_sqrt(rng.standard_normal(layout.n_z))
+        vt = ControlVector(layout, z_truth)
+        forcing = [vt.f(windows.window_of_step(s))
+                   for s in range(1, cfg.n_steps + 1)]
+        bnd = ([vt.b(windows.window_of_step(s))
+                for s in range(1, cfg.n_steps + 1)] if has_boundary else None)
+        truth_traj = model.run_nl(x_b + vt.x0, forcing=forcing, boundary=bnd)
         levels = tuple(range(1, cfg.n_steps + 1))
         obs = synthesize(truth_traj, grid,
                          [PlatformSpec("gridded", cfg.n_obs, cfg.sigma_o,

@@ -62,8 +62,10 @@ observation-space vectors with H = G B G^T,
     pi    <- rho + beta pi,  q <- z + beta q
 
 so one H application per iteration (on R^-1 q) sustains the whole
-iteration, and H chi follows by the same recurrence as chi, giving the
-cost rows for free.
+iteration, and H chi follows by the same recurrence as chi.  The cost
+rows need no further apply: rho_0 = R^-1 d and chi_0 = 0, and each step
+moves rho + chi by -alpha R^-1 q = -alpha R^-1 H pi, so the recurrence
+holds R^-1 (H chi - d) = -(rho + chi).
 
 fcg derivation sketch: pcg's bookkeeping without a fixed
 preconditioner.  The preconditioner hands back B^-1 z with every
@@ -462,6 +464,11 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
     def h_apply(v):
         return g_op.apply(b_cov.apply(g_op.apply_t(v)))
 
+    def rows():
+        # the recurrence holds R^-1 (H chi - d) = -(rho + chi)
+        return (0.5 * np.vdot(chi, h_chi),
+                -0.5 * np.vdot(h_chi - d, rho + chi))
+
     chi = np.zeros(n)
     h_chi = np.zeros(n)
     rho = r_cov.apply_inv(d)
@@ -471,7 +478,7 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
         raise SolverBreakdownError("indefinite G B G^T", 0)
     pre0 = np.sqrt(rz)
     pre_norms = [pre0]
-    costs = [_jb_jo(r_cov, d, chi, h_chi)]
+    costs = [rows()]
     iterates = [chi.copy()]
     if pre0 == 0.0:
         return SolveReport("rpcg", chi, iterates, pre_norms, costs,
@@ -507,7 +514,7 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
             raise SolverBreakdownError("indefinite G B G^T", k)
         pre = np.sqrt(max(rz_new, 0.0))
         pre_norms.append(pre)
-        costs.append(_jb_jo(r_cov, d, chi, h_chi))
+        costs.append(rows())
         iterates.append(chi.copy())
         if pre <= tol * pre0:
             converged = True

@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "ObservationFileError",
     "ObservationSet",
     "PlatformSpec",
     "Stencil",
@@ -247,23 +248,43 @@ def write_observations(path, obs):
                      f"{float(obs.variances[k])!r}\n")
 
 
+class ObservationFileError(ValueError):
+    """An observation file that cannot be read, or whose records do not
+    form a valid observation set; the message names the path."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}")
+
+
 def read_observations(path, grid):
-    """Records "level x y platform value variance", one a line."""
+    """Records "level x y platform value variance", one a line.
+
+    Raises ObservationFileError when the file cannot be read, a record is
+    malformed, or the records fail ObservationSet's checks.
+    """
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                l, x, y, tag, val, var = fields
-                records.append((int(l), float(x), float(y), tag, float(val),
-                                float(var)))
-            except ValueError:
-                raise ValueError(
-                    f"{path} line {lineno}: expected six fields "
-                    f"'level x y platform value variance', got "
-                    f"{line.strip()!r}") from None
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split()
+                if not fields:
+                    continue
+                try:
+                    l, x, y, tag, val, var = fields
+                    records.append((int(l), float(x), float(y), tag,
+                                    float(val), float(var)))
+                except ValueError:
+                    raise ObservationFileError(
+                        path, f"line {lineno}: expected six fields "
+                        f"'level x y platform value variance', got "
+                        f"{line.strip()!r}") from None
+    except OSError as exc:
+        raise ObservationFileError(path, exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ObservationFileError(path, f"not a text file: {exc}") from exc
     if not records:
-        raise ValueError(f"{path} holds no observation records")
-    return ObservationSet(grid, *zip(*records))
+        raise ObservationFileError(path, "holds no observation records")
+    try:
+        return ObservationSet(grid, *zip(*records))
+    except ValueError as exc:
+        raise ObservationFileError(path, str(exc)) from exc

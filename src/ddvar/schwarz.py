@@ -21,10 +21,15 @@ is s itself: fcg carries B^-1 of its directions from it and never
 applies B^-1.  With no observations M = B / alpha, B-preconditioned CG,
 which does not degrade at long correlation lengths.  Window-0 blocks own
 their tile's initial-state nodes, and every block owns its tile's forcing
-nodes and physical-boundary ring nodes for its window.  A window's blocks
-share one flat buffer that holds each block's local control u_p (its
-box, x0 and f stacked, then its owned ring values).  Each apply, per
-window,
+nodes and physical-boundary ring nodes for its window.  The set-up follows
+the space-time split: each tile's spatial geometry (TileGeometry: halo
+strips, cell masks, ring cells, node indices and the covariances
+restricted to the box) is built once and shared, array for array, by the
+tile's N_t window blocks, and each window's observations are found once;
+a block adds only its window's levels, control segments and the
+observations its box carries.  A window's blocks share one flat buffer
+that holds each block's local control u_p (its box, x0 and f stacked,
+then its owned ring values).  Each apply, per window,
 
   1. one gather fills the owned cells and ring values of every block from
      u, and one halo_exchange on the window's inter communicator fills
@@ -80,6 +85,7 @@ __all__ = [
     "LocalProblem",
     "LocalSolve",
     "NeighborTrace",
+    "TileGeometry",
     "build_local_problems",
     "local_ad_step",
     "local_tl_step",
@@ -135,48 +141,58 @@ class NeighborTrace:
     ad_halo: dict
 
 
-class LocalProblem:
-    """Everything one (tile, window) block needs for its observation-space
-    solve and its local sweeps."""
+class TileGeometry:
+    """The spatial part of a tile's blocks, which no window changes: strip
+    geometry, cell masks, ring cells, node indices, the covariances
+    restricted to the box, and which observations the tile owns and its
+    box carries.  build_local_problems builds one per tile, and the tile's
+    N_t window blocks share its arrays.  ring is the boundary ring's
+    (ii, jj) (None for periodic models) and covs the x0, f and b segment
+    covariances (b None without boundary segments)."""
 
-    def __init__(self, tile, window, model, box_model, grid, windows,
-                 layout_ctl, obs, weights):
+    def __init__(self, tile, model, grid, ring, covs, obs):
         self.tile = tile
-        self.window = window
         self.grid = grid
-        self.windows = windows
-        self.layout_ctl = layout_ctl
-        self.alpha, self.gamma = weights
         self.n_fields = model.n_fields
-        self.prescribed = model.config.boundary == "prescribed"
-        self.lin_states = None  # set once the linearization is known
-        self.box_model = box_model
-
+        self.prescribed = prescribed = model.config.boundary == "prescribed"
         bnx, bny = tile.box_shape
-        self.n_levels = windows.sizes[window]
-        self.levels = list(range(windows.starts[window],
-                                 windows.end(window) + 1))
 
-        # strip geometry: local slices, the box-edge line of each strip,
-        # and the cells where a locally evolved value is meaningful
-        # (inside the strip, off the box edge, off the physical ring)
-        self.strips = {}
+        # halo strips (local slices) and the box cells they and the owned
+        # interior cover; the rest are corner cells, kept at zero
+        self.strips = {side: tile.halo_slices_local(side) for side in SIDES
+                       if tile.neighbors.get(side) is not None}
+        oi, oj = tile.owned_slices_local()
+        owned = np.zeros(tile.box_shape, dtype=bool)
+        owned[oi, oj] = True
+        live = owned.copy()
+        for sl in self.strips.values():
+            live[sl] = True
+        self.live_mask = live
+        self.corner_cells = np.nonzero(~live)
+
+        # box cells where a locally evolved value is meaningful: off the
+        # physical ring, and not next to a corner cell, whose zeroed input
+        # the stencil reads
+        gi = np.arange(tile.bi0, tile.bi1)
+        gj = np.arange(tile.bj0, tile.bj1)
+        meaningful = np.ones(tile.box_shape, dtype=bool)
+        if prescribed:
+            meaningful[(gi == 0) | (gi == grid.nx - 1)] = False
+            meaningful[:, (gj == 0) | (gj == grid.ny - 1)] = False
+        if self.corner_cells[0].size:
+            near = ~live
+            meaningful[1:, :] &= ~near[:-1, :]
+            meaningful[:-1, :] &= ~near[1:, :]
+            meaningful[:, 1:] &= ~near[:, :-1]
+            meaningful[:, :-1] &= ~near[:, 1:]
+
+        # per strip: its box-edge line, and its meaningful cells off that
+        # line (own_valid)
         self.outer_rel = {}
         self.own_valid = {}
-        for side in SIDES:
-            if tile.neighbors.get(side) is None:
-                continue
-            sl = tile.halo_slices_local(side)
-            self.strips[side] = sl
+        for side, sl in self.strips.items():
             ilen = sl[0].stop - sl[0].start
             jlen = sl[1].stop - sl[1].start
-            gi = np.arange(sl[0].start, sl[0].stop) + tile.bi0
-            gj = np.arange(sl[1].start, sl[1].stop) + tile.bj0
-            valid = np.ones((ilen, jlen), dtype=bool)
-            if self.prescribed:
-                on_ring = ((gi[:, None] == 0) | (gi[:, None] == grid.nx - 1)
-                           | (gj[None, :] == 0) | (gj[None, :] == grid.ny - 1))
-                valid &= ~on_ring
             if side == "west":
                 outer = (slice(0, 1), slice(None))
             elif side == "east":
@@ -185,37 +201,17 @@ class LocalProblem:
                 outer = (slice(None), slice(0, 1))
             else:
                 outer = (slice(None), slice(jlen - 1, jlen))
+            valid = meaningful[sl].copy()
             valid[outer] = False
             self.outer_rel[side] = outer
             self.own_valid[side] = valid
-
-        # corner cells: box minus owned minus strips (kept at zero)
-        live = np.zeros(tile.box_shape, dtype=bool)
-        oi, oj = tile.owned_slices_local()
-        live[oi, oj] = True
-        for sl in self.strips.values():
-            live[sl] = True
-        self.live_mask = live
-        self.corner_cells = np.nonzero(~live)
-
-        # strip cells whose stencil reads a corner compute with zeroed
-        # input, so their locally evolved values are not meaningful either
-        if self.corner_cells[0].size:
-            near = ~live
-            shifted = np.zeros_like(near)
-            shifted[1:, :] |= near[:-1, :]
-            shifted[:-1, :] |= near[1:, :]
-            shifted[:, 1:] |= near[:, :-1]
-            shifted[:, :-1] |= near[:, 1:]
-            for side, sl in self.strips.items():
-                self.own_valid[side] &= ~shifted[sl]
 
         # box-edge lines on sides without a neighbor sit on the physical
         # boundary; the periodic box stencil wraps them onto the opposite
         # edge, so their adjoint values need a zero-inflow recomputation
         # (the full model wraps them onto chopped ring lines instead)
         self.phys_lines = []
-        if self.prescribed:
+        if prescribed:
             if tile.neighbors.get("west") is None:
                 self.phys_lines.append((slice(0, 1), slice(None)))
             if tile.neighbors.get("east") is None:
@@ -227,20 +223,18 @@ class LocalProblem:
 
         # cells whose gradient components the block solve may trust: owned
         # cells plus meaningful strip cells
-        keep = np.zeros(tile.box_shape, dtype=bool)
-        keep[oi, oj] = True
+        keep = owned
         for side, sl in self.strips.items():
-            sub = keep[sl]
-            sub[self.own_valid[side]] = True
+            keep[sl] |= self.own_valid[side]
         self.rho_keep = keep
 
         # physical-ring cells of the box: owned ones carry the block's
         # boundary increments, the rest are neighbor territory
-        if self.prescribed:
-            ii, jj = boundary_ring_indices(grid.nx, grid.ny)
+        if prescribed:
+            ii, jj = ring
             own = ((ii >= tile.i0) & (ii < tile.i1)
                    & (jj >= tile.j0) & (jj < tile.j1))
-            self.ring_pos = np.nonzero(own)[0]
+            self.ring_pos = np.flatnonzero(own)
             self.ring_ii = ii[own] - tile.bi0
             self.ring_jj = jj[own] - tile.bj0
             inbox = ((ii >= tile.bi0) & (ii < tile.bi1)
@@ -253,28 +247,71 @@ class LocalProblem:
             self.ring_halo_ii = self.ring_halo_jj = np.zeros(0, dtype=int)
 
         # node bookkeeping: flat global indices of owned and box nodes
-        self.owned_local = tile.owned_slices_local()
+        self.owned_local = (oi, oj)
         self.n_box_nodes = bnx * bny
-        gi = np.arange(tile.i0, tile.i1)
-        gj = np.arange(tile.j0, tile.j1)
-        self.owned_node_idx = (gi[:, None] * grid.ny + gj[None, :]).ravel()
-        gi = np.arange(tile.bi0, tile.bi1)
-        gj = np.arange(tile.bj0, tile.bj1)
-        self.box_node_idx = (gi[:, None] * grid.ny + gj[None, :]).ravel()
+        nodes = gi[:, None] * grid.ny + gj[None, :]
+        self.owned_node_idx = nodes[oi, oj].ravel()
+        self.box_node_idx = nodes.ravel()
 
-        # observations of the window, and the subset this tile owns; levels
-        # shared by two windows go to the earlier one
+        # covariances: restricted to the box (x0, f) and the owned ring
+        # (b, None without one) for the capacitance matrix, the full
+        # segment ones for the owned block of the precision
+        bx, bf, bb = covs
+        self.cov_x = bx.restrict_grid(gi, gj)
+        self.cov_f = bf.restrict_grid(gi, gj)
+        self.cov_b = (bb.restrict(self.ring_pos)
+                      if bb is not None and self.ring_pos.size else None)
+        self.full_cov = {"x0": bx, "f": bf, "b": bb}
+
+        # masks over the observation set: the observations the tile owns,
+        # and those whose bilinear stencil lies inside the box, which the
+        # block solves carry even when a neighbor owns them
+        self.obs_owned = tile.contains_point(obs.x, obs.y, grid)
+        self.obs_in_box = ((obs.i0 >= tile.bi0) & (obs.i0 + 1 < tile.bi1)
+                           & (obs.j0 >= tile.bj0) & (obs.j0 + 1 < tile.bj1))
+
+    @cached_property
+    def control_cells(self):
+        """(keep, owned, ring): the flat box cells of rho_keep and of the
+        owned interior, and the offsets of the owned ring values, field
+        by field, in a boundary segment.  Built for the first block of
+        the tile that needs them (LocalProblem.control_maps)."""
+        cells = np.arange(self.n_box_nodes).reshape(self.tile.box_shape)
+        n_ring = ring_size(self.grid.nx, self.grid.ny)
+        ring = (np.arange(self.n_fields)[:, None] * n_ring
+                + self.ring_pos).ravel()
+        return (np.flatnonzero(self.rho_keep), cells[self.owned_local].ravel(),
+                ring)
+
+
+class LocalProblem:
+    """Everything one (tile, window) block needs for its observation-space
+    solve and its local sweeps: its tile's shared geometry, and the
+    window's levels, control segments and observations."""
+
+    def __init__(self, geometry, window, box_model, windows, layout_ctl,
+                 obs, window_obs, weights):
+        # the tile's geometry and restricted covariances: the same
+        # objects, not copies, in every window's block of the tile
+        vars(self).update(vars(geometry))
+        self.geometry = geometry
+        self.window = window
+        self.windows = windows
+        self.layout_ctl = layout_ctl
+        self.alpha, self.gamma = weights
+        self.lin_states = None  # set once the linearization is known
+        self.box_model = box_model
+        tile = self.tile
+
+        self.n_levels = windows.sizes[window]
+        self.levels = list(range(windows.starts[window],
+                                 windows.end(window) + 1))
+
+        # the window's observations (window_obs, a mask over the set) that
+        # the tile owns, and those its block solve carries
         self.obs = obs
-        ends = [windows.end(k) for k in range(windows.n_t)]
-        w_idx = np.flatnonzero(np.searchsorted(ends, obs.levels) == window)
-        self.own_obs_idx = w_idx[tile.contains_point(obs.x[w_idx],
-                                                     obs.y[w_idx], grid)]
-        # observations whose stencil lies inside the box: the block's
-        # observation-space solve carries them even when a neighbor owns
-        # them
-        i0, j0 = obs.i0[w_idx], obs.j0[w_idx]
-        self.q_obs_idx = w_idx[(i0 >= tile.bi0) & (i0 + 1 < tile.bi1)
-                               & (j0 >= tile.bj0) & (j0 + 1 < tile.bj1)]
+        self.own_obs_idx = np.flatnonzero(self.obs_owned & window_obs)
+        self.q_obs_idx = np.flatnonzero(self.obs_in_box & window_obs)
         # bilinear stencils on the box (nodes outside it dropped) of the
         # observations the local quadratic carries
         self.q_stencil = obs.stencil(self.q_obs_idx, (tile.bi0, tile.bj0),
@@ -293,14 +330,6 @@ class LocalProblem:
             sizes.append(self.n_fields * self.ring_pos.size)
         self.seg_sizes = sizes
         self.n_local = int(sum(sizes))
-
-        # covariances, attached by build_local_problems: restricted ones
-        # for the capacitance matrix, full segment ones for the owned
-        # block of the precision
-        self.cov_x = None
-        self.cov_f = None
-        self.cov_b = None
-        self.full_cov = {}
 
     def owned_prec_apply(self, seg, v):
         """Owned principal block of the segment precision applied to v, by
@@ -335,29 +364,27 @@ class LocalProblem:
         meaningful strip cells (rho_keep) and the ring values; the other
         box cells carry either wrapped stencil output or a neighbor's
         territory.  own_cols indexes the owned cells and ring values,
-        and own_idx the same entries in the global control vector.
+        and own_idx the same entries in the global control vector.  The
+        cell lists are the tile's (TileGeometry.control_cells); only the
+        segment offsets are the block's.
         """
         nf, ncell = self.n_fields, self.n_box_nodes
         ctl = self.layout_ctl
+        keep_cells, owned_cells, ring_ofs = self.geometry.control_cells
         segs = (["x0"] if self.has_x0 else []) + [f"f{self.window}"]
         # offset in u_p and in the global vector of every box channel
         # (segment, field)
         local = np.arange(len(segs) * nf)[:, None] * ncell
         start = np.array([ctl.slice_of(seg).start + f * self.grid.n_points
                           for seg in segs for f in range(nf)])[:, None]
-        owned = np.arange(ncell).reshape(self.tile.box_shape)[
-            self.owned_local].ravel()
-        keep = [(local + np.flatnonzero(self.rho_keep)).ravel()]
-        own_cols = [(local + owned).ravel()]
+        keep = [(local + keep_cells).ravel()]
+        own_cols = [(local + owned_cells).ravel()]
         own_idx = [(start + self.owned_node_idx).ravel()]
         if ctl.has_boundary:
-            ring = local.size * ncell + np.arange(nf * self.ring_pos.size)
+            ring = local.size * ncell + np.arange(ring_ofs.size)
             keep.append(ring)
             own_cols.append(ring)
-            n_ring = ring_size(self.grid.nx, self.grid.ny)
-            own_idx.append((ctl.slice_of(f"b{self.window}").start
-                            + np.arange(nf)[:, None] * n_ring
-                            + self.ring_pos).ravel())
+            own_idx.append(ctl.slice_of(f"b{self.window}").start + ring_ofs)
         return tuple(np.concatenate(m) for m in (keep, own_cols, own_idx))
 
     def zero_box(self):
@@ -631,34 +658,38 @@ def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
                          obs, b_cov, config):
     """All (tile, window) blocks, with restricted covariances attached.
 
-    Blocks whose boxes have the same shape share one periodic box model,
-    and with it the linear model's step operator.
+    Each tile's geometry (TileGeometry) is built once and shared by its
+    windows' blocks, and each window's observations are found once and
+    handed to its blocks.  Blocks whose boxes have the same shape share
+    one periodic box model, and with it the linear model's step operator.
     """
     weights = (config.alpha, config.gamma)
-    bx = b_cov.segment_cov("x0")
-    bf = b_cov.segment_cov("f0")
-    bb = b_cov.segment_cov("b0") if layout_ctl.has_boundary else None
+    covs = (b_cov.segment_cov("x0"), b_cov.segment_cov("f0"),
+            b_cov.segment_cov("b0") if layout_ctl.has_boundary else None)
+    ring = (boundary_ring_indices(grid.nx, grid.ny)
+            if model.config.boundary == "prescribed" else None)
     box_models = {}
+    tiles = []
+    for tile in layout_tiles.tiles:
+        shape = tile.box_shape
+        if shape not in box_models:
+            box_grid = Grid(nx=shape[0], ny=shape[1], dx=grid.dx,
+                            dy=grid.dy, dt=grid.dt, n_steps=1)
+            box_models[shape] = SurrogateModel(
+                box_grid, replace(model.config, boundary="periodic"))
+        tiles.append((TileGeometry(tile, model, grid, ring, covs, obs),
+                      box_models[shape]))
+    # the window of every observation: levels shared by two windows go to
+    # the earlier one
+    obs_window = np.searchsorted([windows.end(k) for k in range(windows.n_t)],
+                                 obs.levels)
     blocks = {}
-    per_tile = {}
     for k in range(windows.n_t):
-        for tile in layout_tiles.tiles:
-            shape = tile.box_shape
-            if shape not in box_models:
-                box_grid = Grid(nx=shape[0], ny=shape[1], dx=grid.dx,
-                                dy=grid.dy, dt=grid.dt, n_steps=1)
-                box_models[shape] = SurrogateModel(
-                    box_grid, replace(model.config, boundary="periodic"))
-            p = LocalProblem(tile, k, model, box_models[shape], grid,
-                             windows, layout_ctl, obs, weights)
-            if tile.id not in per_tile:
-                cb = (bb.restrict(p.ring_pos)
-                      if bb is not None and p.ring_pos.size else None)
-                per_tile[tile.id] = (bx.restrict(p.box_node_idx),
-                                     bf.restrict(p.box_node_idx), cb)
-            p.cov_x, p.cov_f, p.cov_b = per_tile[tile.id]
-            p.full_cov = {"x0": bx, "f": bf, "b": bb}
-            blocks[(tile.id, k)] = p
+        window_obs = obs_window == k
+        for geometry, box_model in tiles:
+            blocks[(geometry.tile.id, k)] = LocalProblem(
+                geometry, k, box_model, windows, layout_ctl, obs, window_obs,
+                weights)
     owned_total = sum(p.own_obs_idx.size for p in blocks.values())
     if owned_total != obs.n_obs:
         raise RuntimeError(f"observation ownership does not partition the "

@@ -209,7 +209,9 @@ def test_dual_routes_carry_r_and_apply_r_inverse_once_per_iteration(
     solves) is pcg with B := R^-1: one TL and one AD sweep and one R^-1
     apply per iteration, R^-1 once more for the initial residual, and R
     never, since R w is carried.  Outside the iterations the analysis and
-    K d map w back with one AD sweep, and K' v forms G B v with one TL."""
+    K d map w back with one AD sweep, and K' v forms G B v with one TL.
+    rpcg applies R^-1 as often and R never, since its cost rows come from
+    the recurrence; its initial H rho costs one more TL and AD sweep."""
     import ddvar.assim as assim
     import ddvar.krylov as krylov
 
@@ -223,12 +225,16 @@ def test_dual_routes_carry_r_and_apply_r_inverse_once_per_iteration(
             return real(self, v)
         monkeypatch.setattr(cls, meth, counted)
 
-    def counted_pcg(*args, real=krylov.pcg, **kw):
-        rep = real(*args, **kw)
-        calls["its"].append(rep.iterations)
-        return rep
+    def counting(real):
+        def run(*args, **kw):
+            rep = real(*args, **kw)
+            calls["its"].append(rep.iterations)
+            return rep
+        return run
+    counted_pcg = counting(krylov.pcg)
     monkeypatch.setattr(krylov, "pcg", counted_pcg)
     monkeypatch.setattr(assim, "pcg", counted_pcg)
+    monkeypatch.setattr(assim, "rpcg", counting(krylov.rpcg))
 
     p = make_problem(seed=11)
     gop = p.background_operator()
@@ -239,7 +245,11 @@ def test_dual_routes_carry_r_and_apply_r_inverse_once_per_iteration(
                                                solver="rbl4dvar")),
             ("gain", lambda: kalman_gain_apply(gop, p.b_cov, p.r_cov, d)),
             ("gain_adjoint", lambda: kalman_gain_adjoint_apply(
-                gop, p.b_cov, p.r_cov, v)))
+                gop, p.b_cov, p.r_cov, v)),
+            ("rpcg", lambda: dual_analysis(gop, p.b_cov, p.r_cov, d,
+                                           solver="rpcg")))
+    sweeps = {"analysis": (0, 1), "gain": (0, 1), "gain_adjoint": (1, 0),
+              "rpcg": (1, 2)}
     for name, run in runs:
         for key in ("tl", "ad", "r", "r_inv"):
             calls[key] = 0
@@ -247,7 +257,7 @@ def test_dual_routes_carry_r_and_apply_r_inverse_once_per_iteration(
         run()
         [k] = calls["its"]
         assert k > 0
-        tl, ad = (k + 1, k) if name == "gain_adjoint" else (k, k + 1)
+        tl, ad = (k + n for n in sweeps[name])
         assert (calls["tl"], calls["ad"], calls["r_inv"], calls["r"]) \
             == (tl, ad, k + 1, 0), name
 

@@ -334,3 +334,35 @@ for name in ("case2", "dd"):
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     assert _run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("length", [0.5, 2.0])
+def test_restrictions_slice_the_parent_kernels_bitwise(length):
+    """On every box of the C5 decomposition (40 x 32 grid, 2 x 4 tiles,
+    halo 2) a restriction's 1-D kernels, sliced from the parent's, equal
+    the kernels of the box's own coordinates bit for bit; the masked exp
+    gives the unmasked formula's kernels; and the ring matrix equals the
+    unmasked dense formula bit for bit."""
+    from ddvar.covariance import _kernel_1d, _flush_subnormals
+    from ddvar.grid import build_tiles
+
+    grid = Grid(nx=40, ny=32, dt=0.1, n_steps=1)
+    b = build_b(grid, 1, sigma=0.8, length=length).block
+    for x, k in ((b.x, b.kx), (b.y, b.ky)):
+        d = x[:, None] - x[None, :]
+        assert np.array_equal(
+            k, _flush_subnormals(np.exp(-d**2 / (2.0 * length**2))))
+    for t in build_tiles(grid, 2, 4, 2).tiles:
+        rows, cols = np.arange(t.bi0, t.bi1), np.arange(t.bj0, t.bj1)
+        for sub in (b.restrict(rect(rows, cols, grid.ny)),
+                    b.restrict_grid(rows, cols)):
+            assert np.array_equal(sub.x, b.x[rows])
+            assert np.array_equal(sub.y, b.y[cols])
+            assert np.array_equal(sub.kx, _kernel_1d(b.x[rows], length))
+            assert np.array_equal(sub.ky, _kernel_1d(b.y[cols], length))
+
+    pts = ring_coords(grid)
+    ring = GaussianCovariance(pts, sigma=0.8, length=length)
+    want = 0.8**2 * _raw_kernel(pts, length)
+    want[np.diag_indices_from(want)] += ring.nugget
+    assert np.array_equal(ring.matrix, _flush_subnormals(want))

@@ -27,6 +27,48 @@ def read_rows(path):
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
+def test_file_driven_problem_integrates_only_the_background(tmp_path,
+                                                            monkeypatch):
+    """A problem whose observations come from obs_file runs the model
+    once, for the background, and has no truth; the synthesis path also
+    runs the truth its observations sample."""
+    from ddvar.model import SurrogateModel
+    from ddvar.observations import write_observations
+
+    steps = [0]
+
+    def counted(self, *args, real=SurrogateModel.step_nl, **kw):
+        steps[0] += 1
+        return real(self, *args, **kw)
+    monkeypatch.setattr(SurrogateModel, "step_nl", counted)
+
+    cfg = small_cfg()
+    synth = build_problem(cfg)
+    assert steps[0] == 2 * cfg.n_steps
+    assert synth.z_truth is not None
+    path = tmp_path / "obs.txt"
+    write_observations(path, synth.obs)
+    steps[0] = 0
+    read = build_problem(small_cfg(obs_file=str(path)))
+    assert steps[0] == cfg.n_steps
+    assert read.z_truth is None
+    assert np.array_equal(read.x_b, synth.x_b)
+
+
+@pytest.mark.parametrize("which", ["small", "c5"])
+def test_background_is_the_x0_segment_of_a_whole_control_draw(which):
+    """x_b, drawn through the x0 block alone, equals bit for bit the x0
+    segment of B^1/2 applied to the whole-control draw of the seed."""
+    from ddvar.acceptance import _c5_config
+    from ddvar.control import ControlVector
+
+    cfg = small_cfg() if which == "small" else _c5_config(2)
+    prob = build_problem(cfg)
+    draw = np.random.default_rng(cfg.seed).standard_normal(prob.layout.n_z)
+    want = ControlVector(prob.layout, prob.b_cov.apply_sqrt(draw)).x0
+    assert np.array_equal(prob.x_b, want)
+
+
 def test_build_problem_matches_config():
     cfg = small_cfg()
     prob = build_problem(cfg)
@@ -399,9 +441,10 @@ BAD_RECORDS = {
 @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
 def test_cli_rejects_a_bad_observation_record(tmp_path, capsys, case):
     """Non-finite locations, values and variances, and short records, end
-    the run before any solve with a message naming the field (or the path
-    and line), where a NaN used to surface as non-finite residual norms
-    and an infinite variance ran to exit 0."""
+    the run before any solve with exit 1, an input error like a malformed
+    config, and a message naming the field (or the path and line), where
+    a NaN used to surface as non-finite residual norms and an infinite
+    variance ran to exit 0."""
     from ddvar.observations import write_observations
     path = tmp_path / "obs.txt"
     write_observations(path, build_problem(small_cfg()).obs)
@@ -417,10 +460,27 @@ def test_cli_rejects_a_bad_observation_record(tmp_path, capsys, case):
     p = write_cfg(tmp_path, small_cfg(obs_file=str(path)))
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == 1
+    assert "ddvar: observation file error:" in err
     assert message in err
     if text is None:
         assert str(path) in err
+    assert not (tmp_path / "o" / "cost_history.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "not_text"])
+def test_cli_rejects_an_unreadable_observation_file(tmp_path, capsys, case):
+    """An obs_file that does not exist or is not text is an input error:
+    exit 1 with the path in the message, and no outputs."""
+    path = tmp_path / "obs.txt"
+    if case == "not_text":
+        path.write_bytes(b"1 0.5 0.5 gridded \xff\xfe 1.0\n")
+    p = write_cfg(tmp_path, small_cfg(obs_file=str(path)))
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "ddvar: observation file error:" in err
+    assert str(path) in err
     assert not (tmp_path / "o" / "cost_history.csv").exists()
 
 

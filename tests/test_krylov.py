@@ -258,6 +258,24 @@ def test_rpcg_tracks_primal_pcg_exactly():
     assert np.linalg.norm(rep_r.x_control - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("reorthogonalize", [False, True])
+def test_rpcg_rows_from_the_recurrence_match_direct_evaluation(
+        reorthogonalize):
+    """The (Jb, Jo) rows rpcg takes from its recurrence, with
+    R^-1 (H chi - d) = -(rho + chi), match the rows evaluated from each
+    stored iterate with a fresh H chi and R^-1 apply to 1e-10 relative."""
+    b, g, rvar, d = make_instance(40, 24, seed=27)
+    bc, rc = DenseSpd(b), CovarianceR(rvar)
+    rep = rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-12,
+               reorthogonalize=reorthogonalize)
+    assert rep.iterations > 10
+    h = g @ b @ g.T
+    for chi, row in zip(rep.iterates, rep.costs):
+        misfit = h @ chi - d
+        want = np.array([0.5 * chi @ h @ chi, 0.5 * misfit @ (misfit / rvar)])
+        assert np.all(np.abs(row - want) <= 1e-10 * np.abs(want))
+
+
 def test_rpcg_single_obs_converges_in_one():
     b, g, rvar, d = make_instance(16, 1, seed=25)
     rep = rpcg(LinearOperator.from_matrix(g), DenseSpd(b), CovarianceR(rvar),

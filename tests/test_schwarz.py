@@ -193,6 +193,51 @@ def test_junction_observation_reaches_global_analysis():
     assert np.linalg.norm(res.delta_z - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("n_t", [2, 3])
+def test_tile_geometry_is_built_once_and_shared_by_the_windows(monkeypatch,
+                                                               n_t):
+    """On the C5 decomposition (2 x 4 tiles) the set-up builds each
+    tile's geometry once and finds the boundary ring once, whatever N_t,
+    and the blocks of one tile hold the same geometry arrays and
+    restricted covariances, not copies."""
+    import ddvar.schwarz as schwarz
+    from ddvar.acceptance import _c5_config
+    from ddvar.experiment import build_problem
+
+    prob = build_problem(_c5_config(n_t))
+    grid = prob.model.grid
+    tiles = build_tiles(grid, 2, 4, 2)
+    calls = Counter()
+
+    def counting(name, real):
+        def run(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        return run
+    monkeypatch.setattr(schwarz, "boundary_ring_indices", counting(
+        "ring", schwarz.boundary_ring_indices))
+    monkeypatch.setattr(schwarz.TileGeometry, "__init__", counting(
+        "tile", schwarz.TileGeometry.__init__))
+    blocks = schwarz.build_local_problems(
+        prob.model, grid, prob.windows, prob.layout, tiles, prob.obs,
+        prob.b_cov, DDConfig())
+    assert calls == {"ring": 1, "tile": 8}
+    assert len(blocks) == 8 * n_t
+    shared = ("strips", "outer_rel", "own_valid", "live_mask", "rho_keep",
+              "corner_cells", "ring_pos", "ring_ii", "ring_jj",
+              "ring_halo_ii", "ring_halo_jj", "owned_node_idx",
+              "box_node_idx", "cov_x", "cov_f", "cov_b", "full_cov")
+    for t in tiles.tiles:
+        first = blocks[(t.id, 0)]
+        assert first.cov_b is not None
+        for k in range(1, n_t):
+            p = blocks[(t.id, k)]
+            for name in shared:
+                assert getattr(p, name) is getattr(first, name), name
+            for side, valid in first.own_valid.items():
+                assert p.own_valid[side] is valid
+
+
 def test_dd_setup_networks_have_no_junction_observation():
     """The networks the DD tests run on (seeds 0-11) are all accepted."""
     for seed in range(12):
