@@ -13,6 +13,9 @@ closed-form routes to the minimizer are kept side by side,
     dual:    dz = B G^T w,  (G B G^T + R) w = d    (R^-1-preconditioned)
 
 and must agree; acceptance checks hold them to 1e-8 of each other.
+SOLVERS names the three Krylov routes: is4dvar (the primal system by
+krylov.pcg), rbl4dvar (the dual system by krylov.dual_cg_rhalf) and rpcg
+(the primal B-preconditioned iteration carried in observation space).
 
 The incremental outer loop relinearizes about the accumulated increment,
 recomputes innovations, and minimizes again.  The primal route solves for
@@ -40,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .control import ControlVector
-from .krylov import (LinearOperator, dual_cg_rhalf, minres_dual, pcg, rpcg)
+from .krylov import LinearOperator, dual_cg_rhalf, pcg, rpcg
 from .model import ModelDivergedError
 from .observations import innovations
 
@@ -52,14 +55,13 @@ __all__ = [
     "TangentObsOperator",
     "cost",
     "dual_analysis",
-    "dual_operator",
     "gradient",
     "kalman_gain_adjoint_apply",
     "kalman_gain_apply",
     "primal_analysis",
 ]
 
-SOLVERS = ("is4dvar", "rbl4dvar", "minres", "rpcg")
+SOLVERS = ("is4dvar", "rbl4dvar", "rpcg")
 
 
 class AnalysisNotConverged(RuntimeError):
@@ -182,12 +184,6 @@ def _obs_hessian(g_op, b_cov):
         (m, m), lambda w: g_op.apply(b_cov.apply(g_op.apply_t(w))))
 
 
-def dual_operator(g_op, b_cov, r_cov):
-    """G B G^T + R, for MINRES; the dual CG carries R w instead."""
-    h = _obs_hessian(g_op, b_cov)
-    return LinearOperator(h.shape, lambda w: h.apply(w) + r_cov.apply(w))
-
-
 def _check_converged(rep, require):
     if require and not rep.converged:
         raise AnalysisNotConverged(
@@ -233,9 +229,6 @@ def dual_analysis(g_op, b_cov, r_cov, d, solver="rbl4dvar", tol=1e-10,
         rep = dual_cg_rhalf(_obs_hessian(g_op, b_cov), d, r_cov,
                             tol=tol, maxit=maxit,
                             reorthogonalize=reorthogonalize, bg_t=bg_t)
-    elif solver == "minres":
-        rep = minres_dual(dual_operator(g_op, b_cov, r_cov), d, r_cov,
-                          tol=tol, maxit=maxit, bg_t=bg_t)
     elif solver == "rpcg":
         rep = rpcg(g_op, b_cov, r_cov, d, tol=tol, maxit=maxit,
                    reorthogonalize=reorthogonalize)

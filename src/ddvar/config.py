@@ -8,9 +8,10 @@ reproduces the config exactly (floats go through repr).
 
 from dataclasses import dataclass, fields
 
+from .assim import SOLVERS
 from .grid import Grid, build_tiles
 
-FORMULATIONS = ("is4dvar", "rbl4dvar", "minres", "rpcg", "dd4dvar")
+FORMULATIONS = SOLVERS + ("dd4dvar",)
 
 _REQUIRED = object()
 

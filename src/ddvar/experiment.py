@@ -11,8 +11,8 @@ rows with rank -1.  manifest.json records whether the solve converged
 and its iteration counts per outer loop (DD: the outer flexible-CG
 iterations); for the DD also each rank's capacitance size k_p, the
 number of observations its block carries; with impact = true, the
-Kalman-gain solves the impact report and its sensitivity check ran
-(adjoint and forward).  Decomposed runs also write
+Kalman-gain solves the impact report ran (adjoint and forward; its
+sensitivity check solves nothing).  Decomposed runs also write
 dd_trace.csv (one row per outer iteration and block: the 2-norm of the
 block's restriction of B r and the relative global residual) and
 messages.csv (the simulated communicator's message log).
@@ -232,18 +232,13 @@ def run_experiment(cfg, out_dir=None):
                                     n_fields=problem.model.n_fields)
         rep = observation_impact(problem, functional)
         emit("impact.csv", "platform,count,NL,TL,IC,FC,BC", rep.rows())
-        chk = observation_sensitivity(problem.background_operator(),
-                                      problem.b_cov, problem.r_cov,
-                                      problem.background_innovations(),
-                                      rep.sensitivity, analysis=rep.z_a,
-                                      gain_adjoint=rep.g_obs)
+        chk = observation_sensitivity(rep)
         emit("sensitivity.csv", "actual,linearized,gap",
              [(chk.actual, chk.linearized,
                abs(chk.actual - chk.linearized))])
         impact_s = clock() - t_impact
-        gain_solves = {
-            "adjoint": rep.adjoint_solves + chk.adjoint_solves,
-            "forward": rep.forward_solves + chk.forward_solves}
+        gain_solves = {"adjoint": rep.adjoint_solves,
+                       "forward": rep.forward_solves}
 
     t_end = clock()
     setup_s = t_built - t0 + solved.setup_s

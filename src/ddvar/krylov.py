@@ -1,6 +1,6 @@
 """Matrix-free Krylov solvers for the quadratic inner loop.
 
-Four solvers share one reporting contract:
+Three solvers share one reporting contract:
 
 * pcg     B-preconditioned CG on (B^-1 + S) x = b, S SPD, that never
           applies B^-1 (derivation below).  In 4D-Var it runs the primal
@@ -10,8 +10,6 @@ Four solvers share one reporting contract:
           preconditioner may change from one iteration to the next (an
           inexact inner solve): every new direction is A-orthogonalized
           against all earlier ones, and no B^-1 is applied
-* minres  Paige-Saunders MINRES; minres_dual runs it on the dual system
-          with R^-1 preconditioning
 * rpcg    the restricted B-preconditioned CG: the primal
           B-preconditioned iteration carried entirely in observation space
 
@@ -25,12 +23,12 @@ stop at the same iteration in exact arithmetic.
 
 Costs: report.costs has one entry per stored iterate, taken from the
 recurrences (A x is updated with the same axpys as x), never from extra
-operator applications.  minres records the quadratic 1/2 x^T A x - b^T x
-unless given another cost callable, and so does pcg, which hands its cost
-callable A x, B^-1 x and B r beside x.  fcg records the quadratic through
-its step decrements, q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so its
-record never rises, not even by a rounding error.  The dual routes
-(dual_cg_rhalf, minres_dual, rpcg) record rows (Jb, Jo) of the primal cost
+operator applications.  pcg records the quadratic 1/2 x^T A x - b^T x
+unless given another cost callable, which it hands A x, B^-1 x and B r
+beside x.  fcg records the quadratic through its step decrements,
+q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so its record never rises, not
+even by a rounding error.  The dual routes (dual_cg_rhalf, rpcg) record
+rows (Jb, Jo) of the primal cost
 J(B G^T w) = Jb + Jo at the observation-space iterate w, with
 Jb = 1/2 w^T H w and Jo = 1/2 (H w - d)^T R^-1 (H w - d), H = G B G^T.
 
@@ -93,8 +91,6 @@ __all__ = [
     "SolverBreakdownError",
     "dual_cg_rhalf",
     "fcg",
-    "minres",
-    "minres_dual",
     "pcg",
     "rpcg",
 ]
@@ -317,13 +313,6 @@ def fcg(h, b, precond, tol=1e-10, maxit=None, name="fcg"):
                        binv_x=binv_x)
 
 
-def _jb_jo(r_cov, d, w, hw):
-    """(Jb, Jo) of the primal cost at B G^T w, given H w."""
-    misfit = hw - d
-    return (0.5 * np.vdot(w, hw),
-            0.5 * np.vdot(misfit, r_cov.apply_inv(misfit)))
-
-
 def _r_inverse(r_cov, n):
     """R^-1 as the preconditioner of the dual CG: pcg's B := R^-1."""
     return LinearOperator((n, n), r_cov.apply_inv)
@@ -345,104 +334,6 @@ def dual_cg_rhalf(gbg_t, d, r_cov, tol=1e-10, maxit=None,
 
     rep = pcg(gbg_t, d, _r_inverse(r_cov, d.size), tol=tol, maxit=maxit,
               reorthogonalize=reorthogonalize, cost=rows, name="rbl4dvar")
-    if bg_t is not None:
-        rep.x_control = bg_t(rep.x)
-    return rep
-
-
-def minres(a, b, precond=None, tol=1e-10, maxit=None, cost=None, name="minres"):
-    """Preconditioned MINRES (Paige-Saunders) for symmetric a.
-
-    The preconditioner must be SPD; a may be indefinite.  Stops on the
-    preconditioned residual estimate phibar relative to its initial value,
-    which is monotone by construction.
-    """
-    a = _as_operator(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    maxit = _default_maxit(n, maxit)
-    apply_m = (lambda v: v) if precond is None else precond.apply
-    if cost is None:
-        cost = _quadratic(b)
-
-    x = np.zeros(n)
-    ax = np.zeros(n)
-    r1 = b.copy()
-    y = apply_m(r1)
-    beta1 = np.vdot(r1, y)
-    if beta1 < 0:
-        raise SolverBreakdownError("indefinite preconditioner", 0)
-    beta1 = np.sqrt(beta1)
-    pre_norms = [beta1]
-    costs = [cost(x, ax)]
-    iterates = [x.copy()]
-    if beta1 == 0.0:
-        return SolveReport(name, x, iterates, pre_norms, costs, 0, True)
-
-    oldb = 0.0
-    beta = beta1
-    dbar = 0.0
-    epsln = 0.0
-    phibar = beta1
-    cs = -1.0
-    sn = 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    aw = np.zeros(n)
-    aw2 = np.zeros(n)
-    r2 = r1.copy()
-    converged = False
-    itn = 0
-    for itn in range(1, maxit + 1):
-        v = y / beta
-        av = a.apply(v)
-        y = av.copy()
-        if itn >= 2:
-            y -= (beta / oldb) * r1
-        alfa = np.vdot(v, y)
-        y -= (alfa / beta) * r2
-        r1 = r2
-        r2 = y
-        y = apply_m(r2)
-        oldb = beta
-        beta = np.vdot(r2, y)
-        if beta < 0:
-            raise SolverBreakdownError("indefinite preconditioner", itn)
-        beta = np.sqrt(beta)
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = max(np.sqrt(gbar**2 + beta**2), np.finfo(float).tiny)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-        w1 = w2
-        w2 = w
-        aw1 = aw2
-        aw2 = aw
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        aw = (av - oldeps * aw1 - delta * aw2) / gamma
-        x = x + phi * w
-        ax = ax + phi * aw
-        pre_norms.append(abs(phibar))
-        costs.append(cost(x, ax))
-        iterates.append(x.copy())
-        if abs(phibar) <= tol * beta1:
-            converged = True
-            break
-    return SolveReport(name, x, iterates, pre_norms, costs, itn, converged)
-
-
-def minres_dual(dual_op, d, r_cov, tol=1e-10, maxit=None, bg_t=None):
-    """MINRES on the dual system with R^{-1} preconditioning."""
-    def rows(w, aw):
-        return _jb_jo(r_cov, d, w, aw - r_cov.apply(w))
-
-    rep = minres(dual_op, d, precond=_r_inverse(r_cov, np.asarray(d).size),
-                 tol=tol, maxit=maxit, cost=rows, name="minres")
     if bg_t is not None:
         rep.x_control = bg_t(rep.x)
     return rep

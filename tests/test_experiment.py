@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ddvar.cli import main
-from ddvar.config import ExperimentConfig, emit_config, parse_config
+from ddvar.config import (FORMULATIONS, ExperimentConfig, emit_config,
+                          parse_config)
 from ddvar.experiment import build_problem, run_experiment
 
 from util import count_gain_solves
@@ -344,9 +345,10 @@ def test_impact_files_written_on_request(tmp_path):
 
 
 def test_impact_run_shares_the_reports_gain_solves(tmp_path, monkeypatch):
-    """One platform: K' s, that platform's K d (the analysis) and the
-    shifted K (d + d) of the sensitivity check; manifest.json records
-    them.  The nonlinear runs are the background's and the analysis's."""
+    """One platform: K' s and that platform's K d (the analysis), which
+    the sensitivity check reads without a solve of its own; manifest.json
+    records them.  The nonlinear runs are the background's and the
+    analysis's."""
     from ddvar.assim import AssimilationProblem
 
     calls = count_gain_solves(monkeypatch)
@@ -360,9 +362,9 @@ def test_impact_run_shares_the_reports_gain_solves(tmp_path, monkeypatch):
     monkeypatch.setattr(AssimilationProblem, "run_with_increment",
                         counted_run)
     run_experiment(small_cfg(impact=True), out_dir=tmp_path)
-    assert calls == {"adjoint": 1, "forward": 2, "nl": 2}
+    assert calls == {"adjoint": 1, "forward": 1, "nl": 2}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["impact_gain_solves"] == {"adjoint": 1, "forward": 2}
+    assert manifest["impact_gain_solves"] == {"adjoint": 1, "forward": 1}
     run_experiment(small_cfg(), out_dir=tmp_path / "plain")
     manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
     assert "impact_gain_solves" not in manifest
@@ -523,6 +525,44 @@ def test_cli_bad_formulation_flag_is_usage_error(tmp_path, capsys):
     p = write_cfg(tmp_path, small_cfg())
     code = main(["run", "--config", str(p), "--formulation", "3dvar"])
     assert code == 1
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_cli_minres_is_usage_error(tmp_path, capsys, where):
+    """MINRES is no formulation: in a config file validate() rejects it,
+    on the command line the flag's choices do, and both list the names."""
+    p = write_cfg(tmp_path, small_cfg())
+    if where == "file":
+        p.write_text(p.read_text().replace("formulation = is4dvar",
+                                           "formulation = minres"))
+        argv = ["run", "--config", str(p)]
+    else:
+        argv = ["run", "--config", str(p), "--formulation", "minres"]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "minres" in err
+    assert all(name in err for name in FORMULATIONS)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_cli_runs_every_formulation(tmp_path, formulation):
+    """Every name the config accepts reaches a solver: a small run exits 0
+    and writes its CSVs."""
+    cfg = small_cfg(formulation=formulation)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out",
+                 str(out)]) == 0
+    want = {"cost_history.csv", "solver_trace.csv", "timing.csv"}
+    if formulation == "dd4dvar":
+        want |= {"dd_trace.csv", "messages.csv"}
+    assert {p.name for p in out.glob("*.csv")} == want
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == want
+    assert manifest["converged"] is True
+    header, rows = read_rows(out / "cost_history.csv")
+    assert header == ["outer", "inner", "J", "Jb", "Jo"] and rows
 
 
 def test_cli_no_command_is_usage_error(capsys):

@@ -3,10 +3,13 @@
 Oracle values are frozen from hand calculations noted next to each test.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ddvar.assim import TangentObsOperator, kalman_gain_apply
+from ddvar.assim import (TangentObsOperator, kalman_gain_adjoint_apply,
+                         kalman_gain_apply)
 from ddvar.control import ControlVector
 from ddvar.grid import Grid
 from ddvar.impact import (
@@ -309,23 +312,25 @@ def test_impact_runs_one_adjoint_and_one_forward_solve_per_platform(
 
 
 def test_report_fed_sensitivity_check_matches_standalone(monkeypatch):
+    """The check reads the report and solves nothing; its recomputed
+    response equals a standalone s . (K (2d) - K d) from two fresh gain
+    solves."""
     prob = impact_problem(seed=23)
     F = column_section(prob.model.grid, col=5, n_avg=6)
     rep = observation_impact(prob, F)
-    args = (prob.background_operator(), prob.b_cov, prob.r_cov,
-            prob.background_innovations(), rep.sensitivity)
-    alone = observation_sensitivity(*args)
     calls = count_gain_solves(monkeypatch)
-    fed = observation_sensitivity(*args, analysis=rep.z_a,
-                                  gain_adjoint=rep.g_obs)
-    assert calls == {"adjoint": 0, "forward": 1}
-    assert (fed.adjoint_solves, fed.forward_solves) == (0, 1)
-    assert (alone.adjoint_solves, alone.forward_solves) == (1, 2)
-    for got, want in ((fed.actual, alone.actual),
-                      (fed.linearized, alone.linearized)):
-        assert abs(got - want) <= 1e-8 * abs(want)
-    scale = max(1.0, abs(fed.actual), abs(fed.linearized))
-    assert abs(fed.actual - fed.linearized) <= 1e-8 * scale
+    chk = observation_sensitivity(rep)
+    assert calls == {"adjoint": 0, "forward": 0}
+
+    args = (prob.background_operator(), prob.b_cov, prob.r_cov)
+    d = prob.background_innovations()
+    shift = (kalman_gain_apply(*args, 2.0 * d, tol=1e-12)
+             - kalman_gain_apply(*args, d, tol=1e-12))
+    want = float(np.vdot(rep.sensitivity, shift))
+    assert abs(chk.actual - want) <= 1e-8 * abs(want)
+    assert chk.linearized == rep.total_tl
+    scale = max(1.0, abs(chk.actual), abs(chk.linearized))
+    assert abs(chk.actual - chk.linearized) <= 1e-8 * scale
 
 
 # ----------------------------------------------------- observation sensitivity
@@ -333,38 +338,24 @@ def test_report_fed_sensitivity_check_matches_standalone(monkeypatch):
 
 def test_observation_sensitivity_scalar_oracle():
     # B=2, R=1, G=1: K = BG(GBG+R)^-1 = 2/3.  With d = 3 the analysis is
-    # dz = 2; doubling the observation shifts it by K*3 = 2 exactly, and the
-    # linearized prediction g*dy with g = K^T*1 = 2/3 gives the same 2.
+    # z_a = 2, and doubling the observation shifts it by K*3 = 2, so with
+    # s = 1 the recomputed response is 2; the linearized prediction g*d
+    # with g = K^T*1 = 2/3 gives the same 2.
     g_op = LinearOperator((1, 1), lambda v: v.copy(), lambda w: w.copy())
-    b = ScalarSpd(2.0)
-    r = ScalarSpd(1.0)
+    args = (g_op, ScalarSpd(2.0), ScalarSpd(1.0))
     d = np.array([3.0])
     s = np.array([1.0])
-    chk = observation_sensitivity(g_op, b, r, d, s, tol=1e-13)
-    assert abs(chk.analysis_shift[0] - 2.0) <= 1e-10
+    g = kalman_gain_adjoint_apply(*args, s, tol=1e-13)
+    report = SimpleNamespace(sensitivity=s,
+                             z_a=kalman_gain_apply(*args, d, tol=1e-13),
+                             total_tl=float(np.sum(d * g)))
+    chk = observation_sensitivity(report)
     assert abs(chk.actual - 2.0) <= 1e-10
     assert abs(chk.linearized - 2.0) <= 1e-10
-
 
 def test_observation_sensitivity_linear_twin_agrees():
     prob = impact_problem(seed=21)
     F = column_section(prob.model.grid, col=6, n_avg=6)
-    s = adjoint_sensitivity(prob.background_tangent, F)
-    d = prob.background_innovations()
-    chk = observation_sensitivity(prob.background_operator(), prob.b_cov,
-                                  prob.r_cov, d, s, tol=1e-12)
-    scale = max(1.0, abs(chk.actual), abs(chk.linearized))
-    assert abs(chk.actual - chk.linearized) <= 1e-8 * scale
-
-
-def test_observation_sensitivity_custom_perturbation():
-    prob = impact_problem(seed=22)
-    F = column_section(prob.model.grid, col=2, n_avg=6)
-    s = adjoint_sensitivity(prob.background_tangent, F)
-    d = prob.background_innovations()
-    rng = np.random.default_rng(3)
-    dy = rng.standard_normal(d.size) * 0.1
-    chk = observation_sensitivity(prob.background_operator(), prob.b_cov,
-                                  prob.r_cov, d, s, delta_y=dy, tol=1e-12)
+    chk = observation_sensitivity(observation_impact(prob, F))
     scale = max(1.0, abs(chk.actual), abs(chk.linearized))
     assert abs(chk.actual - chk.linearized) <= 1e-8 * scale

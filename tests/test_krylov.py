@@ -7,8 +7,6 @@ from ddvar.krylov import (
     SolverBreakdownError,
     dual_cg_rhalf,
     fcg,
-    minres,
-    minres_dual,
     pcg,
     rpcg,
 )
@@ -197,37 +195,6 @@ def test_dual_cg_matches_primal_direct():
     assert np.linalg.norm(rep.x_control - ref) / np.linalg.norm(ref) <= 1e-8
 
 
-def test_minres_identity_and_zero():
-    rep = minres(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert rep.iterations == 1 and rep.converged
-    np.testing.assert_allclose(rep.x, [1.0, 2.0, 3.0], rtol=1e-12)
-    rep0 = minres(np.eye(3), np.zeros(3))
-    assert rep0.iterations == 0 and rep0.converged
-
-
-def test_minres_indefinite_system():
-    a = np.diag([1.0, -1.0, 2.0])
-    b = np.array([1.0, 3.0, 4.0])
-    rep = minres(a, b, tol=1e-12)
-    np.testing.assert_allclose(rep.x, [1.0, -3.0, 2.0], rtol=1e-10)
-    assert np.all(np.diff(rep.residual_norms) <= 1e-12 * rep.residual_norms[0])
-
-
-def test_minres_dual_matches_cg():
-    b, g, rvar, d = make_instance(20, 7, seed=23)
-    rc = CovarianceR(rvar)
-    hmat = g @ b @ g.T
-    op = LinearOperator.from_matrix(hmat + np.diag(rvar))
-    bg_t = lambda w: b @ (g.T @ w)
-    rep_m = minres_dual(op, d, rc, tol=1e-12, bg_t=bg_t)
-    rep_c = dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc, tol=1e-12,
-                          bg_t=bg_t)
-    assert np.linalg.norm(rep_m.x_control - rep_c.x_control) \
-        <= 1e-8 * np.linalg.norm(rep_c.x_control)
-    assert np.all(np.diff(rep_m.residual_norms)
-                  <= 1e-12 * rep_m.residual_norms[0])
-
-
 def test_rpcg_scalar_case():
     bc, rc = DenseSpd(np.array([[2.0]])), CovarianceR([1.0])
     g = LinearOperator.from_matrix(np.array([[1.0]]))
@@ -314,7 +281,6 @@ def test_all_solvers_agree_on_one_instance():
     b, g, rvar, d = make_instance(32, 12, seed=28)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
     hmat = g @ b @ g.T
-    op = LinearOperator.from_matrix(hmat + np.diag(rvar))
     bg_t = lambda w: b @ (g.T @ w)
     ref = primal_solution(b, g, rvar, d)
     sols = {
@@ -322,7 +288,6 @@ def test_all_solvers_agree_on_one_instance():
                    g.T @ (d / rvar), bc, tol=1e-12).x,
         "rbl4dvar": dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc,
                                   tol=1e-12, bg_t=bg_t).x_control,
-        "minres": minres_dual(op, d, rc, tol=1e-12, bg_t=bg_t).x_control,
         "rpcg": rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-12).x_control,
     }
     for name, x in sols.items():
