@@ -9,23 +9,26 @@ boundary increments).  G composes the tangent-linear model sweep with the
 observation sampler; its exact transpose is one adjoint sweep.  Two
 closed-form routes to the minimizer are kept side by side,
 
-    primal:  (B^-1 + G^T R^-1 G) dz = G^T R^-1 d   (B-preconditioned CG)
-    dual:    dz = B G^T w,  (G B G^T + R) w = d    (R^-1-preconditioned)
+    primal:  (B^-1 + G^T R^-1 G) dz = G^T R^-1 d
+    dual:    dz = B G^T w,  (G B G^T + R) w = d
 
 and must agree; acceptance checks hold them to 1e-8 of each other.
-SOLVERS names the three Krylov routes: is4dvar (the primal system by
-krylov.pcg), rbl4dvar (the dual system by krylov.dual_cg_rhalf) and rpcg
-(the primal B-preconditioned iteration carried in observation space).
+SOLVERS names the two Krylov routes of the paper: is4dvar runs
+B-preconditioned CG on the primal system (krylov.pcg), and rbl4dvar runs
+the same iteration carried in observation space, the restricted
+B-preconditioned CG (krylov.rpcg), whose iterate converges to w.  The
+Kalman-gain applies solve the dual system by R^-1-preconditioned CG
+(krylov.dual_cg_rhalf).
 
 The incremental outer loop relinearizes about the accumulated increment,
 recomputes innovations, and minimizes again.  The primal route solves for
 the correction dz with the background term shifted by the accumulated
-increment; dual routes solve for the total increment against the shifted
+increment; rbl4dvar solves for the total increment against the shifted
 innovation d + G z_accum.  Both report the same total cost, so history
 rows are comparable across solver choices.
 
 History rows (outer, inner, J, Jb, Jo) come from the Krylov recurrences,
-not from extra sweeps or covariance applies: the dual routes record
+not from extra sweeps or covariance applies: rbl4dvar records
 (Jb, Jo) per iterate, and the primal route runs krylov.pcg, which
 carries A x and B^-1 x by the same axpys as its iterate x.  J is pcg's
 quadratic plus the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1 z_accum,
@@ -61,7 +64,7 @@ __all__ = [
     "primal_analysis",
 ]
 
-SOLVERS = ("is4dvar", "rbl4dvar", "rpcg")
+SOLVERS = ("is4dvar", "rbl4dvar")
 
 
 class AnalysisNotConverged(RuntimeError):
@@ -219,43 +222,28 @@ def _primal_rows(rhs, jo0, z_bar, shift):
     return row
 
 
-def dual_analysis(g_op, b_cov, r_cov, d, solver="rbl4dvar", tol=1e-10,
-                  maxit=None, reorthogonalize=False, require_convergence=True):
-    """Observation-space analysis dz = B G^T (G B G^T + R)^-1 d."""
-    def bg_t(w):
-        return b_cov.apply(g_op.apply_t(w))
-
-    if solver == "rbl4dvar":
-        rep = dual_cg_rhalf(_obs_hessian(g_op, b_cov), d, r_cov,
-                            tol=tol, maxit=maxit,
-                            reorthogonalize=reorthogonalize, bg_t=bg_t)
-    elif solver == "rpcg":
-        rep = rpcg(g_op, b_cov, r_cov, d, tol=tol, maxit=maxit,
-                   reorthogonalize=reorthogonalize)
-    else:
-        raise ValueError(f"unknown dual solver {solver!r}")
+def dual_analysis(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None,
+                  reorthogonalize=False, require_convergence=True):
+    """Observation-space analysis dz = B G^T (G B G^T + R)^-1 d by rpcg;
+    report.x_control holds dz."""
+    rep = rpcg(g_op, b_cov, r_cov, d, tol=tol, maxit=maxit,
+               reorthogonalize=reorthogonalize)
     return _check_converged(rep, require_convergence)
-
-
-def _gain_solve(g_op, b_cov, r_cov, rhs, tol, maxit, name):
-    """(G B G^T + R)^-1 rhs by pcg with B := R^-1 (see krylov)."""
-    rhs = np.asarray(rhs, dtype=float)
-    precond = LinearOperator((rhs.size, rhs.size), r_cov.apply_inv)
-    rep = pcg(_obs_hessian(g_op, b_cov), rhs, precond, tol=tol, maxit=maxit,
-              name=name)
-    return _check_converged(rep, True).x
 
 
 def kalman_gain_apply(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None):
     """K d with K = B G^T (G B G^T + R)^-1."""
-    w = _gain_solve(g_op, b_cov, r_cov, d, tol, maxit, "kalman")
-    return b_cov.apply(g_op.apply_t(w))
+    rep = dual_cg_rhalf(_obs_hessian(g_op, b_cov), d, r_cov, tol=tol,
+                        maxit=maxit, name="kalman")
+    return b_cov.apply(g_op.apply_t(_check_converged(rep, True).x))
 
 
 def kalman_gain_adjoint_apply(g_op, b_cov, r_cov, v, tol=1e-10, maxit=None):
     """K^T v = (G B G^T + R)^-1 G B v, an observation-space vector."""
     rhs = g_op.apply(b_cov.apply(np.asarray(v, dtype=float)))
-    return _gain_solve(g_op, b_cov, r_cov, rhs, tol, maxit, "kalman_adjoint")
+    rep = dual_cg_rhalf(_obs_hessian(g_op, b_cov), rhs, r_cov, tol=tol,
+                        maxit=maxit, name="kalman_adjoint")
+    return _check_converged(rep, True).x
 
 
 @dataclass
@@ -334,10 +322,10 @@ class AssimilationProblem:
         d = d if d is not None else self.background_innovations()
         return primal_analysis(g_op, self.b_cov, self.r_cov, d, **kw)
 
-    def dual_analysis(self, d=None, solver="rbl4dvar", **kw):
+    def dual_analysis(self, d=None, **kw):
         g_op = self.background_operator()
         d = d if d is not None else self.background_innovations()
-        return dual_analysis(g_op, self.b_cov, self.r_cov, d, solver=solver, **kw)
+        return dual_analysis(g_op, self.b_cov, self.r_cov, d, **kw)
 
     def incremental_outer_loop(self, n_outer, n_inner, solver="is4dvar",
                                tol=1e-10, reorthogonalize=False):
@@ -380,7 +368,7 @@ class AssimilationProblem:
             else:
                 d_tilde = d + gop.apply(z_bar) if z_bar.any() else d
                 rep = dual_analysis(gop, self.b_cov, self.r_cov, d_tilde,
-                                    solver=solver, tol=tol, maxit=n_inner,
+                                    tol=tol, maxit=n_inner,
                                     reorthogonalize=reorthogonalize,
                                     require_convergence=False)
                 rows = rep.costs

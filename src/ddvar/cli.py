@@ -35,7 +35,11 @@ def _build_parser():
 
     runp = sub.add_parser("run", help="run one configured experiment")
     runp.add_argument("--config", required=True, help="path to a .cfg file")
-    runp.add_argument("--formulation", default=None, choices=FORMULATIONS)
+    runp.add_argument("--formulation", default=None, choices=FORMULATIONS,
+                      help="is4dvar (primal B-preconditioned CG), "
+                           "rbl4dvar (restricted B-preconditioned CG) or "
+                           "dd4dvar (space-time decomposed); overrides the "
+                           "config")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--out", default=None, help="output directory")
 

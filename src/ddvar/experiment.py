@@ -1,6 +1,11 @@
 """Batch driver: build a twin problem from a config, run one formulation,
 write the result CSVs and a manifest.
 
+The formulations are the paper's two single-rank Krylov routes, is4dvar
+(B-preconditioned CG on the primal system) and rbl4dvar (the restricted
+B-preconditioned CG, carried in observation space), and dd4dvar, the
+space-time decomposed solve.
+
 All CSVs print floats through repr, so identical runs produce byte-identical
 files; timing.csv is the one machine-dependent exception.  It holds one
 `block` row per simulated rank (the compute seconds of that rank's block:

@@ -125,16 +125,15 @@ class PlatformImpact:
 class ImpactReport:
     """Per-observation and per-segment split of the functional change.
 
-    per_obs[l] = d_l * g_l; total_tl is their sum.  z_a is the analysis
-    increment K d and density the control-space impact density z_a * s;
-    g_x / g_f / g_b are its segment-masked copies, so they reassemble
-    density exactly.  ic / fc / bc are the segment sums.  sensitivity is
+    per_obs[l] = d_l * g_l with g = K' s; total_tl is their sum.  z_a is
+    the analysis increment K d and density the control-space impact
+    density z_a * s; g_x / g_f / g_b are its segment-masked copies, so
+    they reassemble density exactly.  ic / fc / bc are the segment sums.  sensitivity is
     the control-space sensitivity s of the functional.  adjoint_solves and
     forward_solves count the gain solves the report ran.
     """
     n_obs: int
     per_obs: np.ndarray
-    g_obs: np.ndarray
     total_tl: float
     total_nl: float
     i_a: float
@@ -226,7 +225,7 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
 
     density = z_a * s
     g_x, g_f, g_b = _segment_split(layout, density)
-    return ImpactReport(n_obs=problem.obs.n_obs, per_obs=per_obs, g_obs=g,
+    return ImpactReport(n_obs=problem.obs.n_obs, per_obs=per_obs,
                         total_tl=total_tl, total_nl=i_a - i_b, i_a=i_a,
                         i_b=i_b, density=density, g_x=g_x, g_f=g_f, g_b=g_b,
                         ic=float(np.sum(g_x)), fc=float(np.sum(g_f)),

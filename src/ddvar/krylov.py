@@ -4,14 +4,15 @@ Three solvers share one reporting contract:
 
 * pcg     B-preconditioned CG on (B^-1 + S) x = b, S SPD, that never
           applies B^-1 (derivation below).  In 4D-Var it runs the primal
-          system, S = G^T R^-1 G, and, through dual_cg_rhalf, the dual
-          system (G B G^T + R) w = d preconditioned by R^-1
+          system, S = G^T R^-1 G (IS4D-Var), and, through dual_cg_rhalf,
+          the Kalman-gain solves on (G B G^T + R) w = d preconditioned by
+          R^-1
+* rpcg    the restricted B-preconditioned CG (RBL4D-Var): the primal
+          B-preconditioned iteration carried entirely in observation space
 * fcg     flexible CG (Notay 2000) on the primal system whose
           preconditioner may change from one iteration to the next (an
           inexact inner solve): every new direction is A-orthogonalized
           against all earlier ones, and no B^-1 is applied
-* rpcg    the restricted B-preconditioned CG: the primal
-          B-preconditioned iteration carried entirely in observation space
 
 All solvers but fcg stop on the preconditioned residual norm relative to
 its initial value, so iteration-count comparisons between them are
@@ -27,10 +28,10 @@ operator applications.  pcg records the quadratic 1/2 x^T A x - b^T x
 unless given another cost callable, which it hands A x, B^-1 x and B r
 beside x.  fcg records the quadratic through its step decrements,
 q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so its record never rises, not
-even by a rounding error.  The dual routes (dual_cg_rhalf, rpcg) record
-rows (Jb, Jo) of the primal cost
-J(B G^T w) = Jb + Jo at the observation-space iterate w, with
-Jb = 1/2 w^T H w and Jo = 1/2 (H w - d)^T R^-1 (H w - d), H = G B G^T.
+even by a rounding error.  rpcg records rows (Jb, Jo) of the primal cost
+J(B G^T chi) = Jb + Jo at the observation-space iterate chi, with
+Jb = 1/2 chi^T H chi and Jo = 1/2 (H chi - d)^T R^-1 (H chi - d),
+H = G B G^T.
 
 pcg derivation sketch (Derber & Rosati, J. Phys. Oceanogr. 1989;
 Gurol et al., QJRMS 2014): B-preconditioned CG on A = B^-1 + S starts
@@ -45,9 +46,7 @@ apply, iterations + 1 B applies per solve in all, and no B^-1 apply.
 With reorthogonalization the residual is reorthogonalized before z = B r
 is formed, which keeps B^-1 p = r + beta q exact.  The dual system is the
 same iteration with B := R^-1 and S := H: R^-1 preconditions, R w is
-carried, and an iteration costs one H apply and one R^-1 apply.  Its cost
-rows need no further apply either: with r = d - A w the recurrence
-residual and z = R^-1 r, H w = A w - R w and R^-1 (H w - d) = -(w + z).
+carried, and an iteration costs one H apply and one R^-1 apply.
 
 rpcg derivation sketch: with x_k = B G^T chi_k, r_k = G^T rho_k and
 p_k = B G^T pi_k, the B-preconditioned CG update collapses onto
@@ -313,30 +312,15 @@ def fcg(h, b, precond, tol=1e-10, maxit=None, name="fcg"):
                        binv_x=binv_x)
 
 
-def _r_inverse(r_cov, n):
-    """R^-1 as the preconditioner of the dual CG: pcg's B := R^-1."""
-    return LinearOperator((n, n), r_cov.apply_inv)
-
-
 def dual_cg_rhalf(gbg_t, d, r_cov, tol=1e-10, maxit=None,
-                  reorthogonalize=False, bg_t=None):
-    """CG on (GBG^T + R) w = d with R^{-1} preconditioning: pcg with
+                  name="dual_cg_rhalf"):
+    """CG on (G B G^T + R) w = d with R^-1 preconditioning: pcg with
     h = G B G^T and B := R^-1, so R w is carried and R never applied.
-
-    Costs record the primal (Jb, Jo) at B G^T w_k.  bg_t, when given, maps
-    the final w to control space (B G^T w) and fills report.x_control.
+    Records pcg's default quadratic; report.x holds w.
     """
     d = np.asarray(d, dtype=float)
-
-    def rows(w, aw, r_w, rinv_r):
-        hw = aw - r_w  # and R^-1 (H w - d) = -(w + R^-1 r)
-        return 0.5 * np.vdot(w, hw), -0.5 * np.vdot(hw - d, w + rinv_r)
-
-    rep = pcg(gbg_t, d, _r_inverse(r_cov, d.size), tol=tol, maxit=maxit,
-              reorthogonalize=reorthogonalize, cost=rows, name="rbl4dvar")
-    if bg_t is not None:
-        rep.x_control = bg_t(rep.x)
-    return rep
+    r_inv = LinearOperator((d.size, d.size), r_cov.apply_inv)
+    return pcg(gbg_t, d, r_inv, tol=tol, maxit=maxit, name=name)
 
 
 def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):

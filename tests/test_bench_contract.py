@@ -16,15 +16,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from ddvar import experiment  # noqa: E402
 from ddvar.config import parse_config  # noqa: E402
 
-from bench import OpRecorder, _setup_once  # noqa: E402
+from bench import SOLVE, OpRecorder, _setup_once  # noqa: E402
 from layers import METRICS, OpSpans, is_missing, reduce_metric  # noqa: E402
-from tracing import Tracer, public_targets  # noqa: E402
+from tracing import Tracer, _resolve, public_targets  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
 def test_every_layer_metric_reads_an_existing_name():
     installed = set(public_targets())
     assert [m.name for m in METRICS if is_missing(m, installed, {})] == []
+
+
+@pytest.mark.parametrize("target", SOLVE)
+def test_every_solve_entry_point_resolves(target):
+    """solve_s is the time spent in these spans: a target that no longer
+    resolves would read 0 instead of failing."""
+    assert _resolve(target) is not None
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ddvar.config import ExperimentConfig, emit_config, parse_config
+from ddvar.config import (FORMULATIONS, ExperimentConfig, emit_config,
+                          parse_config)
 
 MINIMAL = """
 # smallest viable file
@@ -54,6 +55,10 @@ def test_malformed_line_reported():
         parse_config("nx 10\n")
 
 
+def test_formulations_are_the_paper_routes_and_the_dd():
+    assert FORMULATIONS == ("is4dvar", "rbl4dvar", "dd4dvar")
+
+
 def test_unknown_formulation_lists_choices():
     with pytest.raises(ValueError, match="is4dvar"):
         parse_config("nx = 10\nny = 8\nformulation = 3dvar\nseed = 0\n")
@@ -61,9 +66,9 @@ def test_unknown_formulation_lists_choices():
 
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# header\n\nnx = 10  # trailing\nny = 8\n"
-                       "formulation = rpcg\nseed = 1\n")
+                       "formulation = rbl4dvar\nseed = 1\n")
     assert cfg.nx == 10
-    assert cfg.formulation == "rpcg"
+    assert cfg.formulation == "rbl4dvar"
 
 
 def test_round_trip_is_identity():

@@ -213,6 +213,22 @@ def test_dimension_and_parameter_rejection(grid66):
         GaussianCovariance(np.zeros((4, 2)), sigma=1.0, length=1.0, nugget=1e-12)
 
 
+def test_indefinite_kernel_is_rejected_with_its_parameters(monkeypatch):
+    """A kernel matrix that is not positive definite fails the Cholesky
+    factorization in the constructor, and the error names the kernel's
+    parameters.  With the kernel replaced by I - 1 1' (no Gaussian kernel
+    is negative), three points give the matrix an eigenvalue
+    nugget - 2 sigma^2 < 0."""
+    import ddvar.covariance as covariance
+
+    monkeypatch.setattr(covariance, "_gauss",
+                        lambda arg: np.where(arg == 0.0, 0.0, -1.0))
+    with pytest.raises(ValueError, match=r"not positive definite "
+                       r"\(sigma=1\.5, length=2\.0, nugget=0\.001\)"):
+        GaussianCovariance(np.arange(6.0).reshape(3, 2), sigma=1.5,
+                           length=2.0, nugget=1e-3)
+
+
 def test_covariance_r():
     r = CovarianceR([0.5, 2.0, 1.0])
     v = np.array([1.0, 1.0, 3.0])

@@ -127,7 +127,7 @@ def test_same_config_gives_byte_identical_csvs(tmp_path):
 def test_rpcg_matches_primal_cost_column(tmp_path):
     # same twin, two formulations: per-iteration J columns agree
     a = run_experiment(small_cfg(), out_dir=tmp_path / "p")
-    b = run_experiment(small_cfg(formulation="rpcg"),
+    b = run_experiment(small_cfg(formulation="rbl4dvar"),
                        out_dir=tmp_path / "r")
     ja = [float(r[2]) for r in read_rows(a.files["cost_history.csv"])[1]]
     jb = [float(r[2]) for r in read_rows(b.files["cost_history.csv"])[1]]
@@ -315,22 +315,22 @@ def test_cli_truncated_krylov_run_exits_0(tmp_path):
 
 
 def test_cli_rpcg_on_an_exhausted_krylov_space_exits_0(tmp_path):
-    """Three observations: rpcg's third iteration exhausts the Krylov
-    space and its recurrence value r'z rounds to a tiny negative number.
-    That is convergence, not an indefinite G B G^T: the run exits 0 and
-    the increment is rbl4dvar's."""
+    """Three observations: the third iteration of rbl4dvar's rpcg exhausts
+    the Krylov space and its recurrence value r'z rounds to a tiny
+    negative number.  That is convergence, not an indefinite G B G^T: the
+    run exits 0 and the increment is the primal route's."""
     cfg = ExperimentConfig(nx=11, ny=12, n_steps=4, n_t=3, model="linear",
                            boundary="prescribed", n_obs=3, sigma_o=0.3,
                            length_x=1.0, length_f=1.0, length_b=1.0,
-                           formulation="rpcg", seed=17).validate()
+                           formulation="rbl4dvar", seed=17).validate()
     p = write_cfg(tmp_path, cfg)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
     prob = build_problem(cfg)
-    got = prob.dual_analysis(solver="rpcg")
-    ref = prob.dual_analysis(solver="rbl4dvar")
-    assert got.iterations == ref.iterations == 3
-    assert np.linalg.norm(got.x_control - ref.x_control) \
-        <= 1e-8 * np.linalg.norm(ref.x_control)
+    got = prob.dual_analysis()
+    ref = prob.primal_analysis(tol=1e-12)
+    assert got.iterations == 3
+    assert np.linalg.norm(got.x_control - ref.x) \
+        <= 1e-8 * np.linalg.norm(ref.x)
 
 
 def test_impact_files_written_on_request(tmp_path):
@@ -527,23 +527,34 @@ def test_cli_bad_formulation_flag_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("where", ["file", "flag"])
-def test_cli_minres_is_usage_error(tmp_path, capsys, where):
-    """MINRES is no formulation: in a config file validate() rejects it,
-    on the command line the flag's choices do, and both list the names."""
+def assert_formulation_rejected(tmp_path, capsys, where, name):
+    """formulation = name exits 1, lists every accepted name and writes
+    nothing: in a config file validate() rejects it, on the command line
+    the flag's choices do."""
     p = write_cfg(tmp_path, small_cfg())
     if where == "file":
         p.write_text(p.read_text().replace("formulation = is4dvar",
-                                           "formulation = minres"))
+                                           f"formulation = {name}"))
         argv = ["run", "--config", str(p)]
     else:
-        argv = ["run", "--config", str(p), "--formulation", "minres"]
+        argv = ["run", "--config", str(p), "--formulation", name]
     code = main(argv + ["--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "minres" in err
-    assert all(name in err for name in FORMULATIONS)
+    assert name in err
+    assert all(n in err for n in FORMULATIONS)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_cli_minres_is_usage_error(tmp_path, capsys, where):
+    assert_formulation_rejected(tmp_path, capsys, where, "minres")
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_cli_rpcg_is_usage_error(tmp_path, capsys, where):
+    """rpcg is the Krylov solver of rbl4dvar, not a formulation name."""
+    assert_formulation_rejected(tmp_path, capsys, where, "rpcg")
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)

@@ -171,28 +171,21 @@ def test_operator_linearity_probe():
 def test_dual_cg_scalar_case():
     r = CovarianceR([1.0])
     h = LinearOperator((1, 1), lambda w: 2.0 * w)  # GBG^T = 2, R = 1
-    rep = dual_cg_rhalf(h, np.array([3.0]), r, bg_t=lambda w: 2.0 * w)
+    rep = dual_cg_rhalf(h, np.array([3.0]), r)
     assert rep.iterations == 1 and rep.converged
     np.testing.assert_allclose(rep.x, [1.0], rtol=1e-14)
-    np.testing.assert_allclose(rep.x_control, [2.0], rtol=1e-14)
-    # (Jb, Jo) rows: J at w=0 is 0.5 d^T R^-1 d; at the solution
-    # Jb = 0.5 w H w = 1 and Jo = 0.5 (H w - d)^2 = 0.5
-    assert rep.costs.shape == (2, 2)
-    assert rep.costs[0, 0] == 0.0
-    assert rep.costs[0, 1] == pytest.approx(4.5, rel=1e-14)
-    assert rep.costs[-1, 0] == pytest.approx(1.0, rel=1e-13)
-    assert rep.costs[-1, 1] == pytest.approx(0.5, rel=1e-13)
-    assert rep.costs[-1].sum() == pytest.approx(1.5, rel=1e-13)
+    # the quadratic 1/2 w (H + R) w - d w: 0 at w = 0, -1.5 at w = 1
+    np.testing.assert_allclose(rep.costs, [0.0, -1.5], rtol=1e-14)
 
 
 def test_dual_cg_matches_primal_direct():
     b, g, rvar, d = make_instance(24, 9, seed=22)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
     hmat = g @ b @ g.T
-    rep = dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc, tol=1e-12,
-                        bg_t=lambda w: b @ (g.T @ w))
+    rep = dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc, tol=1e-12)
     ref = primal_solution(b, g, rvar, d)
-    assert np.linalg.norm(rep.x_control - ref) / np.linalg.norm(ref) <= 1e-8
+    x = b @ (g.T @ rep.x)
+    assert np.linalg.norm(x - ref) / np.linalg.norm(ref) <= 1e-8
 
 
 def test_rpcg_scalar_case():
@@ -281,13 +274,12 @@ def test_all_solvers_agree_on_one_instance():
     b, g, rvar, d = make_instance(32, 12, seed=28)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
     hmat = g @ b @ g.T
-    bg_t = lambda w: b @ (g.T @ w)
     ref = primal_solution(b, g, rvar, d)
     sols = {
         "pcg": pcg(LinearOperator.from_matrix(g.T @ (g / rvar[:, None])),
                    g.T @ (d / rvar), bc, tol=1e-12).x,
-        "rbl4dvar": dual_cg_rhalf(LinearOperator.from_matrix(hmat), d, rc,
-                                  tol=1e-12, bg_t=bg_t).x_control,
+        "dual_cg_rhalf": b @ (g.T @ dual_cg_rhalf(
+            LinearOperator.from_matrix(hmat), d, rc, tol=1e-12).x),
         "rpcg": rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-12).x_control,
     }
     for name, x in sols.items():
