@@ -281,6 +281,12 @@ def shipped_problem(name):
     return build_problem(cfg), cfg
 
 
+# Outer-loop routes: (solver, reorthogonalize).  The rpcg route is
+# rbl4dvar's Krylov solver with its basis reorthogonalized, which cuts its
+# iterations; rpcg is no solver name of its own.
+ROUTES = {"is4dvar": ("is4dvar", False), "rbl4dvar": ("rbl4dvar", False),
+          "rpcg": ("rbl4dvar", True)}
+
 # (TL sweeps, AD sweeps, inner iterations per outer loop).  Each inner
 # iteration costs one TL and one AD sweep; the rest is the primal
 # right-hand side (one AD), and for rbl4dvar the shifted innovation
@@ -289,13 +295,15 @@ def shipped_problem(name):
 SWEEPS = {
     ("case2", "is4dvar"): (43, 44, [43]),
     ("case2", "rbl4dvar"): (48, 49, [47]),
+    ("case2", "rpcg"): (32, 33, [31]),
     ("case4", "is4dvar"): (92, 94, [43, 49]),
     ("case4", "rbl4dvar"): (97, 98, [47, 47]),
+    ("case4", "rpcg"): (65, 66, [31, 31]),
 }
 
 
-@pytest.mark.parametrize("case,solver", sorted(SWEEPS))
-def test_outer_loop_sweep_counts(case, solver, monkeypatch):
+@pytest.mark.parametrize("case,route", sorted(SWEEPS))
+def test_outer_loop_sweep_counts(case, route, monkeypatch):
     """Exact TL/AD sweep counts: one of each per iteration, plus at most
     two of each per outer loop; one nonlinear run per relinearization,
     none for the first outer loop or after the last.  Every sweep makes
@@ -347,10 +355,12 @@ def test_outer_loop_sweep_counts(case, solver, monkeypatch):
             calls[key] += 1
             return real(v)
         monkeypatch.setattr(p.b_cov, op, counted_cov)
+    solver, reorthogonalize = ROUTES[route]
     res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner, solver=solver,
-                                   tol=cfg.solver_tol)
+                                   tol=cfg.solver_tol,
+                                   reorthogonalize=reorthogonalize)
     its = [rep.iterations for rep in res.reports]
-    assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, solver)]
+    assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, route)]
     assert calls["nl"] == cfg.n_outer - 1
     assert per_sweep["step_tl"] == [cfg.n_steps] * calls["tl"]
     assert per_sweep["step_ad"] == [cfg.n_steps] * calls["ad"]
@@ -381,18 +391,21 @@ def recomputed_history(p, res, solver):
     return rows
 
 
-@pytest.mark.parametrize("solver", ["is4dvar", "rbl4dvar"])
+@pytest.mark.parametrize("route", ["is4dvar", "rbl4dvar", "rpcg"])
 @pytest.mark.parametrize("case", ["case4", "burgers"])
-def test_outer_loop_history_matches_recomputed_cost(case, solver):
+def test_outer_loop_history_matches_recomputed_cost(case, route):
     """Recurrence-carried history rows equal an independent cost() of
     every stored iterate to 1e-10 max(1, |J|)."""
+    solver, reorthogonalize = ROUTES[route]
     if case == "burgers":
         p = make_problem(kind="burgers", seed=14)
-        res = p.incremental_outer_loop(n_outer=2, n_inner=25, solver=solver)
+        res = p.incremental_outer_loop(n_outer=2, n_inner=25, solver=solver,
+                                       reorthogonalize=reorthogonalize)
     else:
         p, cfg = shipped_problem(case)
         res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner,
-                                       solver=solver, tol=cfg.solver_tol)
+                                       solver=solver, tol=cfg.solver_tol,
+                                       reorthogonalize=reorthogonalize)
     ref = recomputed_history(p, res, solver)
     assert len(res.history) == len(ref)
     for row, want in zip(res.history, ref):
@@ -402,14 +415,16 @@ def test_outer_loop_history_matches_recomputed_cost(case, solver):
             assert abs(got - exp) <= scale, (row, want)
 
 
-@pytest.mark.parametrize("solver", ["rbl4dvar"])
-def test_outer_loop_dual_matches_primal(solver):
+@pytest.mark.parametrize("route", ["rbl4dvar", "rpcg"])
+def test_outer_loop_dual_matches_primal(route):
+    solver, reorthogonalize = ROUTES[route]
     p = make_problem(kind="linear", seed=15)
     ref = p.incremental_outer_loop(n_outer=1, n_inner=400, tol=1e-12)
     res = p.incremental_outer_loop(n_outer=1, n_inner=400, tol=1e-12,
-                                   solver=solver)
+                                   solver=solver,
+                                   reorthogonalize=reorthogonalize)
     err = np.linalg.norm(res.delta_z - ref.delta_z) / np.linalg.norm(ref.delta_z)
-    assert err <= 1e-8, f"{solver}: {err}"
+    assert err <= 1e-8, f"{route}: {err}"
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
