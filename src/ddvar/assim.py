@@ -15,10 +15,11 @@ closed-form routes to the minimizer are kept side by side,
 and must agree; acceptance checks hold them to 1e-8 of each other.
 SOLVERS names the two Krylov routes of the paper: is4dvar runs
 B-preconditioned CG on the primal system (krylov.pcg), and rbl4dvar runs
-the same iteration carried in observation space, the restricted
-B-preconditioned CG (krylov.rpcg), whose iterate converges to w.  The
-Kalman-gain applies solve the dual system by R^-1-preconditioned CG
-(krylov.dual_cg_rhalf).
+the same pcg recurrence carried in observation space, the restricted
+B-preconditioned CG (krylov.rpcg: pcg with R^-1 as the operator and
+G B G^T as B), whose iterate converges to w.  The Kalman-gain applies
+solve the dual system by R^-1-preconditioned CG (krylov.dual_cg_rhalf),
+pcg once more.  All three share pcg's stopping and breakdown rules.
 
 The incremental outer loop relinearizes about the accumulated increment,
 recomputes innovations, and minimizes again.  The primal route solves for
@@ -28,9 +29,10 @@ innovation d + G z_accum.  Both report the same total cost, so history
 rows are comparable across solver choices.
 
 History rows (outer, inner, J, Jb, Jo) come from the Krylov recurrences,
-not from extra sweeps or covariance applies: rbl4dvar records
-(Jb, Jo) per iterate, and the primal route runs krylov.pcg, which
-carries A x and B^-1 x by the same axpys as its iterate x.  J is pcg's
+not from extra sweeps or covariance applies: both routes run
+krylov.pcg, which carries A x and B^-1 x by the same axpys as its
+iterate x and hands them to a cost callable at every iterate.  rbl4dvar
+takes its (Jb, Jo) rows from rpcg's callable.  J is pcg's
 quadratic plus the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1 z_accum,
 Jb = 1/2 z_accum^T B^-1 z_accum + x^T B^-1 z_accum + 1/2 x^T B^-1 x takes
 B^-1 z_accum from the right-hand-side shift, and Jo = J - Jb.  A primal
@@ -46,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .control import ControlVector
-from .krylov import LinearOperator, dual_cg_rhalf, pcg, rpcg
+from .krylov import LinearOperator, _obs_hessian, dual_cg_rhalf, pcg, rpcg
 from .model import ModelDivergedError
 from .observations import innovations
 
@@ -178,13 +180,6 @@ def _gauss_newton(g_op, r_cov):
     n = g_op.shape[1]
     return LinearOperator(
         (n, n), lambda v: g_op.apply_t(r_cov.apply_inv(g_op.apply(v))))
-
-
-def _obs_hessian(g_op, b_cov):
-    """H = G B G^T: one AD and one TL sweep per apply."""
-    m = g_op.shape[0]
-    return LinearOperator(
-        (m, m), lambda w: g_op.apply(b_cov.apply(g_op.apply_t(w))))
 
 
 def _check_converged(rep, require):
@@ -321,11 +316,6 @@ class AssimilationProblem:
         g_op = self.background_operator()
         d = d if d is not None else self.background_innovations()
         return primal_analysis(g_op, self.b_cov, self.r_cov, d, **kw)
-
-    def dual_analysis(self, d=None, **kw):
-        g_op = self.background_operator()
-        d = d if d is not None else self.background_innovations()
-        return dual_analysis(g_op, self.b_cov, self.r_cov, d, **kw)
 
     def incremental_outer_loop(self, n_outer, n_inner, solver="is4dvar",
                                tol=1e-10, reorthogonalize=False):

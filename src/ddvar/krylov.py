@@ -1,26 +1,24 @@
 """Matrix-free Krylov solvers for the quadratic inner loop.
 
-Three solvers share one reporting contract:
+Two iteration loops share one reporting contract:
 
 * pcg     B-preconditioned CG on (B^-1 + S) x = b, S SPD, that never
           applies B^-1 (derivation below).  In 4D-Var it runs the primal
-          system, S = G^T R^-1 G (IS4D-Var), and, through dual_cg_rhalf,
-          the Kalman-gain solves on (G B G^T + R) w = d preconditioned by
-          R^-1
-* rpcg    the restricted B-preconditioned CG (RBL4D-Var): the primal
-          B-preconditioned iteration carried entirely in observation space
+          system, S = G^T R^-1 G (IS4D-Var); through rpcg the restricted
+          B-preconditioned CG (RBL4D-Var); and, through dual_cg_rhalf, the
+          Kalman-gain solves on (G B G^T + R) w = d preconditioned by R^-1
 * fcg     flexible CG (Notay 2000) on the primal system whose
           preconditioner may change from one iteration to the next (an
           inexact inner solve): every new direction is A-orthogonalized
           against all earlier ones, and no B^-1 is applied
 
-All solvers but fcg stop on the preconditioned residual norm relative to
-its initial value, so iteration-count comparisons between them are
+pcg stops on the preconditioned residual norm sqrt(r^T B r) relative to
+its initial value, so iteration-count comparisons between its routes are
 meaningful.  A changing preconditioner defines no fixed norm, so fcg stops
-on the Euclidean residual norm relative to its initial value.  pcg's norm
-is sqrt(r^T B r); rpcg's is sqrt(rho^T G B G^T rho), which is
-algebraically the same number as the primal one, so rpcg and primal pcg
-stop at the same iteration in exact arithmetic.
+on the Euclidean residual norm relative to its initial value.  Once the
+Krylov space is exhausted r^T B r is rounding noise and may come out
+negative: pcg reads a value within the convergence threshold,
+r^T B r >= -(tol pre_0)^2, as zero, and raises below it.
 
 Costs: report.costs has one entry per stored iterate, taken from the
 recurrences (A x is updated with the same axpys as x), never from extra
@@ -48,21 +46,19 @@ is formed, which keeps B^-1 p = r + beta q exact.  The dual system is the
 same iteration with B := R^-1 and S := H: R^-1 preconditions, R w is
 carried, and an iteration costs one H apply and one R^-1 apply.
 
-rpcg derivation sketch: with x_k = B G^T chi_k, r_k = G^T rho_k and
-p_k = B G^T pi_k, the B-preconditioned CG update collapses onto
-observation-space vectors with H = G B G^T,
+rpcg is pcg in observation space (Gurol et al., QJRMS 2014).  With
+H = G B G^T the roles are
 
-    alpha = (rho, H rho) / [(pi, H pi) + (H pi, R^-1 H pi)]
-    chi   <- chi + alpha pi
-    rho   <- rho - alpha (pi + R^-1 q),    q = H pi
-    z     <- z - alpha (q + H R^-1 q),     z = H rho
-    pi    <- rho + beta pi,  q <- z + beta q
+    S := R^-1,   B := H (one AD sweep, one B apply, one TL sweep),
+    b := R^-1 d,
 
-so one H application per iteration (on R^-1 q) sustains the whole
-iteration, and H chi follows by the same recurrence as chi.  The cost
-rows need no further apply: rho_0 = R^-1 d and chi_0 = 0, and each step
-moves rho + chi by -alpha R^-1 q = -alpha R^-1 H pi, so the recurrence
-holds R^-1 (H chi - d) = -(rho + chi).
+so pcg solves (H^-1 + R^-1) x = R^-1 d, whose solution is x = H chi with
+(H + R) chi = d, and the B^-1 x it carries is chi itself.  An iteration
+costs one H apply and one R^-1 apply, and the solve one more of each for
+the initial residual plus one AD sweep and one B apply for
+x_control = B G^T chi.  The cost rows need no further apply:
+Jb = 1/2 chi^T (H chi), and b - A x + chi = R^-1 (d - H chi) gives
+Jo = -1/2 (H chi - d)^T (b - A x + chi).
 
 fcg derivation sketch: pcg's bookkeeping without a fixed
 preconditioner.  The preconditioner hands back B^-1 z with every
@@ -227,9 +223,11 @@ def pcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
                 r -= (np.vdot(zj, r) / rzj) * rj
         z = b_cov.apply(r)
         rz_new = np.vdot(r, z)
-        if rz_new < 0:
+        # within the convergence threshold a negative r'Br is rounding
+        # noise of an exhausted Krylov space, and reads as zero
+        if rz_new < -(tol * pre0) ** 2:
             raise SolverBreakdownError("indefinite preconditioner", k)
-        pre = np.sqrt(rz_new)
+        pre = np.sqrt(max(rz_new, 0.0))
         pre_norms.append(pre)
         costs.append(cost(x, ax, binv_x, z))
         iterates.append(x.copy())
@@ -323,8 +321,16 @@ def dual_cg_rhalf(gbg_t, d, r_cov, tol=1e-10, maxit=None,
     return pcg(gbg_t, d, r_inv, tol=tol, maxit=maxit, name=name)
 
 
+def _obs_hessian(g_op, b_cov):
+    """H = G B G^T: one AD and one TL sweep per apply."""
+    m = g_op.shape[0]
+    return LinearOperator(
+        (m, m), lambda w: g_op.apply(b_cov.apply(g_op.apply_t(w))))
+
+
 def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
-    """Restricted B-preconditioned CG, carried in observation space.
+    """Restricted B-preconditioned CG, carried in observation space: pcg
+    with S := R^-1, B := G B G^T and right-hand side R^-1 d.
 
     g_op maps control space to observation space (apply) and back
     (apply_t).  The report's native vectors are the chi iterates with
@@ -333,71 +339,20 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
     """
     g_op = _as_operator(g_op)
     d = np.asarray(d, dtype=float)
-    n = d.size
-    maxit = _default_maxit(n, maxit)
+    m = d.size
+    rinv_d = r_cov.apply_inv(d)
+    chis = []
 
-    def h_apply(v):
-        return g_op.apply(b_cov.apply(g_op.apply_t(v)))
-
-    def rows():
-        # the recurrence holds R^-1 (H chi - d) = -(rho + chi)
+    def rows(h_chi, ax, chi, z):
+        # pcg's iterate is H chi and the B^-1 x it carries is chi
+        chis.append(chi.copy())
         return (0.5 * np.vdot(chi, h_chi),
-                -0.5 * np.vdot(h_chi - d, rho + chi))
+                -0.5 * np.vdot(h_chi - d, rinv_d - ax + chi))
 
-    chi = np.zeros(n)
-    h_chi = np.zeros(n)
-    rho = r_cov.apply_inv(d)
-    z = h_apply(rho)
-    rz = np.vdot(rho, z)
-    if rz < 0:
-        raise SolverBreakdownError("indefinite G B G^T", 0)
-    pre0 = np.sqrt(rz)
-    pre_norms = [pre0]
-    costs = [rows()]
-    iterates = [chi.copy()]
-    if pre0 == 0.0:
-        return SolveReport("rpcg", chi, iterates, pre_norms, costs,
-                           0, True, x_control=np.zeros(g_op.shape[1]))
-
-    pi = rho.copy()
-    q = z.copy()
-    basis = []
-    converged = False
-    k = 0
-    for k in range(1, maxit + 1):
-        rinv_q = r_cov.apply_inv(q)
-        s = h_apply(rinv_q)
-        curv = np.vdot(pi, q) + np.vdot(q, rinv_q)
-        if curv <= 0:
-            raise SolverBreakdownError("nonpositive curvature", k)
-        alpha = rz / curv
-        chi += alpha * pi
-        h_chi += alpha * q
-        rho_prev, z_prev = rho, z
-        rho = rho - alpha * (pi + rinv_q)
-        z = z - alpha * (q + s)
-        if reorthogonalize:
-            basis.append((rho_prev, z_prev, rz))
-            for rj, zj, rzj in basis:
-                c = np.vdot(zj, rho) / rzj
-                rho -= c * rj
-                z -= c * zj
-        rz_new = np.vdot(rho, z)
-        # once the Krylov space is exhausted rz_new is rounding noise and
-        # may come out negative: within the convergence threshold it is zero
-        if rz_new < -(tol * pre0) ** 2:
-            raise SolverBreakdownError("indefinite G B G^T", k)
-        pre = np.sqrt(max(rz_new, 0.0))
-        pre_norms.append(pre)
-        costs.append(rows())
-        iterates.append(chi.copy())
-        if pre <= tol * pre0:
-            converged = True
-            break
-        beta = rz_new / rz
-        pi = rho + beta * pi
-        q = z + beta * q
-        rz = rz_new
-    x_control = b_cov.apply(g_op.apply_t(chi))
-    return SolveReport("rpcg", chi, iterates, pre_norms, costs,
-                       k, converged, x_control=x_control)
+    rep = pcg(LinearOperator((m, m), r_cov.apply_inv), rinv_d,
+              _obs_hessian(g_op, b_cov), tol=tol, maxit=maxit,
+              reorthogonalize=reorthogonalize, cost=rows)
+    chi = rep.binv_x
+    return SolveReport("rpcg", chi, chis, rep.residual_norms, rep.costs,
+                       rep.iterations, rep.converged,
+                       x_control=b_cov.apply(g_op.apply_t(chi)))

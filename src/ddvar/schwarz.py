@@ -833,16 +833,15 @@ class DDSolver:
                 # an apply whose direction fcg discarded has no iterate
                 for m, norms in enumerate(applies[:rep.iterations], start=1)
                 for tid, k in order]
-        # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records
+        # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records, and
+        # Jb = 1/2 z' B^-1 z from the B^-1 z it carries
         costs = rep.costs + 0.5 * float(np.vdot(self.d, rinv_d))
-        z = rep.x
-        misfit = g_op.apply(z) - self.d
-        jb = 0.5 * np.vdot(z, rep.binv_x)
-        jo = 0.5 * np.vdot(misfit, problem.r_cov.apply_inv(misfit))
-        return DDResult(delta_z=z, converged=rep.converged,
+        j = float(costs[-1])
+        jb = 0.5 * np.vdot(rep.x, rep.binv_x)
+        return DDResult(delta_z=rep.x, converged=rep.converged,
                         n_iterations=rep.iterations, residuals=residuals,
                         costs=costs, trace_rows=rows, world=self.world,
-                        cost=CostBreakdown(J=jb + jo, Jb=jb, Jo=jo),
+                        cost=CostBreakdown(J=j, Jb=jb, Jo=j - jb),
                         block_seconds=block_s,
                         capacitance_sizes=[
                             self.blocks[key].local_solve.k for key in sorted(

@@ -111,6 +111,35 @@ def test_pcg_breakdown_on_indefinite():
             ApplyOnlySpd(np.eye(2)))
 
 
+class BandedPreconditioner:
+    """B = I on the first apply; every later apply returns a z with
+    r'z = frac r0'z0, whatever r is."""
+
+    def __init__(self, frac):
+        self.frac = frac
+        self.rz0 = None
+
+    def apply(self, r):
+        if self.rz0 is None:
+            self.rz0 = r @ r
+            return r.copy()
+        return (self.frac * self.rz0 / (r @ r)) * r
+
+
+def test_pcg_negative_r_b_r_band():
+    """One breakdown rule for every pcg route: an r'Br a rounding step
+    below zero (eps^2 of r0'z0, within (tol pre0)^2) is an exhausted
+    Krylov space and stops converged with a zero norm; -0.18 r0'z0 raises."""
+    h, b = np.diag([1.0, 3.0]), np.array([1.0, 1.0])
+    eps = np.finfo(float).eps
+    rep = pcg(h, b, BandedPreconditioner(-eps ** 2), tol=1e-10)
+    assert rep.iterations == 1 and rep.converged
+    assert rep.residual_norms[-1] == 0.0
+    with pytest.raises(SolverBreakdownError,
+                       match="indefinite preconditioner at iteration 1"):
+        pcg(h, b, BandedPreconditioner(-0.18), tol=1e-10)
+
+
 @pytest.mark.parametrize("reorthogonalize", [False, True])
 def test_pcg_matches_dense_solve_without_b_inverse(reorthogonalize):
     """pcg on (B^-1 + S) x = b equals the dense solve; it applies B once
@@ -221,8 +250,8 @@ def test_rpcg_tracks_primal_pcg_exactly():
 @pytest.mark.parametrize("reorthogonalize", [False, True])
 def test_rpcg_rows_from_the_recurrence_match_direct_evaluation(
         reorthogonalize):
-    """The (Jb, Jo) rows rpcg takes from its recurrence, with
-    R^-1 (H chi - d) = -(rho + chi), match the rows evaluated from each
+    """The (Jb, Jo) rows rpcg takes from pcg's recurrence, with
+    R^-1 (d - H chi) = b - A x + chi, match the rows evaluated from each
     stored iterate with a fresh H chi and R^-1 apply to 1e-10 relative."""
     b, g, rvar, d = make_instance(40, 24, seed=27)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
