@@ -136,10 +136,21 @@ def test_rpcg_matches_primal_cost_column(tmp_path):
         assert abs(x - y) <= 1e-8 * max(1.0, abs(x))
 
 
-def test_dd_run_emits_trace_with_schema(tmp_path):
+def test_dd_run_emits_trace_with_schema(tmp_path, monkeypatch):
+    from ddvar.schwarz import DDSolver
+
     cfg = small_cfg(nx=12, ny=10, formulation="dd4dvar", ntile_i=2,
                     ntile_j=1, n_t=1, sigma_o=1.0,
                     length_x=0.5, length_f=0.5, length_b=0.5, n_inner=30)
+    solves = []
+    solve = DDSolver.solve
+
+    def recording_solve(self):
+        out = solve(self)
+        solves.append((self.problem, out))
+        return out
+
+    monkeypatch.setattr(DDSolver, "solve", recording_solve)
     res = run_experiment(cfg, out_dir=tmp_path)
     header, rows = read_rows(res.files["dd_trace.csv"])
     assert header == ["dd_iter", "tile", "window", "rhs_norm", "residual"]
@@ -163,7 +174,17 @@ def test_dd_run_emits_trace_with_schema(tmp_path):
     assert [float(r[2]) for r in srows] == [1.0] + resid
     j = [float(r[3]) for r in srows]
     assert all(b <= a for a, b in zip(j, j[1:]))
-    assert j[-1] == pytest.approx(res.final_cost, rel=1e-10)
+    assert j[-1] == res.final_cost
+    # cost_history.csv: the recurrence's J, Jb and Jo, which agree with
+    # the cost evaluated directly at the solve's increment
+    (problem, dd), = solves
+    direct = problem.cost(dd.delta_z)
+    _, hrows = read_rows(res.files["cost_history.csv"])
+    (row,) = hrows
+    assert [int(c) for c in row[:2]] == [1, n_iter]
+    for got, want in zip([float(c) for c in row[2:]],
+                         (direct.J, direct.Jb, direct.Jo), strict=True):
+        assert got == pytest.approx(want, rel=1e-10)
     # messages.csv: the world's log, one halo strip per tile and iteration
     mheader, mrows = read_rows(res.files["messages.csv"])
     assert mheader == ["step", "sender", "receiver", "tag", "bytes"]
