@@ -44,6 +44,7 @@ sweeps of each kind beyond its inner iterations.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -89,68 +90,66 @@ class CostBreakdown:
 class TangentObsOperator:
     """G: control increments -> observation space, about a fixed trajectory.
 
-    forward runs the tangent-linear sweep (adding the window's constant
-    forcing and boundary increments at each step) into one array of
-    levels and samples it at the observations; adjoint scatters
-    observation weights onto the levels and runs one backward sweep,
-    accumulating into the window segments of one control vector.  Both
-    use one step operator per level, built once from the trajectory, and
-    one model step call per step.
+    tl_states runs the tangent-linear sweep into one array of levels,
+    adding at each step the forcing and boundary increments that
+    ControlVector.step_inputs assigns to it; forward samples those levels
+    at the observations.  adjoint_levels is the exact transpose of
+    tl_states: one backward sweep that adds seeds[l] at level l and
+    accumulates into the window segments of one control vector through
+    the same step_inputs views.  adjoint seeds it with the observation
+    weights scattered onto the levels, and the impact sensitivity seeds
+    it with a functional's weights.  Both sweeps use one step operator per
+    level, built once from the trajectory, and one model step call per
+    step.
     """
 
     def __init__(self, model, traj, windows, obs, layout):
         self.model = model
         self.traj = getattr(traj, "states", traj)
-        self.windows = windows
         self.obs = obs
         self.layout = layout
         if len(self.traj) != windows.n_steps + 1:
             raise ValueError("trajectory does not cover the windows")
         self.steps = [model.linearize(x) for x in self.traj[:-1]]
-        # window of the step onto level l, at index l - 1
-        self.window = [windows.window_of_step(s)
-                       for s in range(1, windows.n_steps + 1)]
 
     @property
     def shape(self):
         return (self.obs.n_obs, self.layout.n_z)
 
-    def _segments(self, v):
-        """Views (x0, [f_k], [b_k]) of the control vector v; the boundary
-        views are None without boundary segments."""
-        n_t = self.layout.n_t
-        b = ([v.b(k) for k in range(n_t)] if self.layout.has_boundary
-             else [None] * n_t)
-        return v.x0, [v.f(k) for k in range(n_t)], b
-
     def tl_states(self, dz_flat):
         """The tangent-linear levels, an array (n_steps + 1, nf, nx, ny)."""
-        x0, f, b = self._segments(ControlVector(self.layout, dz_flat))
+        v = ControlVector(self.layout, dz_flat)
+        forcing, boundary = v.step_inputs()
+        x0 = v.x0
         levels = np.empty((len(self.steps) + 1,) + x0.shape)
         levels[0] = x0
-        for l, (op, k) in enumerate(zip(self.steps, self.window), start=1):
-            levels[l] = self.model.step_tl(op, levels[l - 1], df=f[k],
-                                           db=b[k])
+        for l, (op, df, db) in enumerate(
+                zip(self.steps, forcing, boundary or repeat(None)), start=1):
+            levels[l] = self.model.step_tl(op, levels[l - 1], df=df, db=db)
         return levels
 
     def forward(self, dz_flat):
         return self.obs.sample(self.tl_states(dz_flat))
 
-    def adjoint(self, w):
-        n_steps = len(self.steps)
-        scat = self.obs.scatter(w, n_steps + 1, self.model.n_fields)
+    def adjoint_levels(self, seeds):
+        """The transpose of tl_states applied to seeds, an array shaped like
+        its levels: one backward sweep adding seeds[l] at level l."""
         out = ControlVector(self.layout)
-        x0, f, b = self._segments(out)
-        p = scat[n_steps]
-        for l in range(n_steps, 0, -1):
-            k = self.window[l - 1]
+        forcing, boundary = out.step_inputs()
+        p = seeds[len(self.steps)]
+        for l in range(len(self.steps), 0, -1):
             p, df_star, db_star = self.model.step_ad(self.steps[l - 1], p)
-            f[k] += df_star
+            forcing[l - 1] += df_star
             if db_star is not None:
-                b[k] += db_star
-            p += scat[l - 1]
+                boundary[l - 1] += db_star
+            p += seeds[l - 1]
+        x0 = out.x0
         x0 += p
         return out.data
+
+    def adjoint(self, w):
+        return self.adjoint_levels(self.obs.scatter(
+            w, len(self.steps) + 1, self.model.n_fields))
 
     def as_linear_operator(self):
         return LinearOperator(self.shape, self.forward, self.adjoint)
@@ -274,15 +273,10 @@ class AssimilationProblem:
     def run_with_increment(self, z_flat):
         """Nonlinear run from x_b with the increment's forcing/boundary."""
         v = ControlVector(self.layout, z_flat)
-        n_steps = self.windows.n_steps
-        forcing = [v.f(self.windows.window_of_step(s))
-                   for s in range(1, n_steps + 1)]
-        boundary = None
-        if self.layout.has_boundary:
-            boundary = [v.b(self.windows.window_of_step(s))
-                        for s in range(1, n_steps + 1)]
+        forcing, boundary = v.step_inputs()
         traj = self.model.run_nl(self.x_b + v.x0, forcing=forcing,
-                                 boundary=boundary, n_steps=n_steps)
+                                 boundary=boundary,
+                                 n_steps=self.windows.n_steps)
         return traj.states
 
     def operator_about(self, traj):

@@ -6,20 +6,21 @@ receiver, tag), so delivery order is fully determined by program order.
 "split" groups ranks working on the same tile across windows, and
 "create_inter" groups the tiles of one window; both partition the world.
 
-Tags are any hashable values; the solver uses tuples such as
-("obs", sweep, source tile) or (("halo", sweep, level, channel), side),
-so no two message families can collide.  Because every rank runs in
-program order, a wait() on an empty queue can never be satisfied later:
-it is reported as a deadlock immediately, naming the channel.  The world
-keeps a message log (step, sender, receiver, tag, bytes) for the optional
-messages.csv diagnostic.
+A communicator has two operations: isend enqueues a message and returns
+nothing, and recv dequeues the oldest message on its channel.  Tags are
+any hashable values; the solver uses tuples such as ("obs", sweep, source
+tile) or (("halo", sweep, level, channel), side), so no two message
+families can collide.  Because every rank runs in program order, a recv()
+on an empty queue can never be satisfied later: it is reported as a
+deadlock immediately, naming the channel.  The world keeps a message log
+(step, sender, receiver, tag, bytes) for the optional messages.csv
+diagnostic.
 
 Senders' array payloads are copied at enqueue time, so a receiver always
 sees the values as they were when sent, bit-exactly.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +61,6 @@ class World:
             raise ValueError(f"no rank for tile {tile}, window {window}")
         return tile + self.n_sub * window
 
-    def tile_of(self, rank):
-        return rank % self.n_sub
-
-    def window_of(self, rank):
-        return rank // self.n_sub
-
     def _enqueue(self, key, payload, nbytes):
         q = self._queues.get(key)
         if q is None:
@@ -86,19 +81,6 @@ class World:
             # one empty deque per message sent
             del self._queues[key]
         return payload
-
-
-@dataclass(frozen=True)
-class _RecvHandle:
-    comm: "Communicator"
-    src: int
-    dst: int
-    tag: object
-
-
-@dataclass(frozen=True)
-class _SendHandle:
-    pass
 
 
 class Communicator:
@@ -134,24 +116,10 @@ class Communicator:
         else:
             nbytes = len(repr(payload).encode())
         self.world._enqueue((self._id, src, dst, tag), payload, nbytes)
-        return _SendHandle()
-
-    def irecv(self, dst, src, tag):
-        self._check_member(src, "sending")
-        self._check_member(dst, "receiving")
-        return _RecvHandle(self, src, dst, tag)
-
-    def wait(self, handle):
-        if isinstance(handle, _SendHandle):
-            return None
-        return self._take(handle.src, handle.dst, handle.tag)
 
     def recv(self, dst, src, tag):
         self._check_member(src, "sending")
         self._check_member(dst, "receiving")
-        return self._take(src, dst, tag)
-
-    def _take(self, src, dst, tag):
         payload = self.world._dequeue((self._id, src, dst, tag))
         if payload is None:
             raise DeadlockError(

@@ -10,6 +10,11 @@ over the steps of assimilation window k, and db_k (prescribed-boundary
 models only) perturbs the boundary ring the same way.  Periodic models
 carry no boundary segments.
 
+step_inputs() maps those segments onto the model steps: its entry l-1
+views the forcing (and boundary) segment of the window that owns the step
+onto level l, so the nonlinear run, the tangent-linear sweep and the
+adjoint sweep walk the window by one rule.
+
 Segment order is fixed (initial state, then all forcing windows, then all
 boundary windows) so that a block covariance and the layout always agree
 on offsets.
@@ -47,6 +52,9 @@ class ControlLayout:
         self._slices = {name: slice(int(offs[i]), int(offs[i + 1]))
                         for i, name in enumerate(names)}
         self.n_z = int(offs[-1])
+        # window of the step onto level l, at index l - 1
+        self.step_window = tuple(windows.window_of_step(s)
+                                 for s in range(1, windows.n_steps + 1))
 
     def slice_of(self, name):
         return self._slices[name]
@@ -89,6 +97,23 @@ class ControlVector:
             raise ValueError("layout has no boundary segments")
         n = self.layout.n_fields
         return self.layout.segment(self.data, f"b{k}").reshape(n, -1)
+
+    def step_inputs(self):
+        """(forcing, boundary): per-step views of the window segments, entry
+        l-1 driving the step onto level l; boundary is None without
+        boundary segments.  The views alias the data, so an in-place add
+        to an entry lands in its window's segment."""
+        lay = self.layout
+        # the fixed segment order puts all forcing windows after x0 and all
+        # boundary windows after them, so one reshape views each kind
+        end_f = lay.n_state * (1 + lay.n_t)
+        f = self.data[lay.n_state:end_f].reshape(
+            lay.n_t, lay.n_fields, lay.grid.nx, lay.grid.ny)
+        forcing = [f[k] for k in lay.step_window]
+        if not lay.has_boundary:
+            return forcing, None
+        b = self.data[end_f:].reshape(lay.n_t, lay.n_fields, -1)
+        return forcing, [b[k] for k in lay.step_window]
 
     def copy(self):
         return ControlVector(self.layout, self.data.copy())

@@ -525,12 +525,6 @@ class ControlCovariance:
                 return cov
         raise KeyError(name)
 
-    def segment_slice(self, name):
-        for i, (seg_name, _) in enumerate(self.segments):
-            if seg_name == name:
-                return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-        raise KeyError(name)
-
     @property
     def matrix(self):
         return _block_diag([cov.matrix for _, cov in self.segments])

@@ -78,10 +78,7 @@ def build_problem(cfg):
     else:
         z_truth = b_cov.apply_sqrt(rng.standard_normal(layout.n_z))
         vt = ControlVector(layout, z_truth)
-        forcing = [vt.f(windows.window_of_step(s))
-                   for s in range(1, cfg.n_steps + 1)]
-        bnd = ([vt.b(windows.window_of_step(s))
-                for s in range(1, cfg.n_steps + 1)] if has_boundary else None)
+        forcing, bnd = vt.step_inputs()
         truth_traj = model.run_nl(x_b + vt.x0, forcing=forcing, boundary=bnd)
         levels = tuple(range(1, cfg.n_steps + 1))
         obs = synthesize(truth_traj, grid,
@@ -145,14 +142,10 @@ def _run_krylov(problem, cfg):
                                          tol=cfg.solver_tol)
     solve_s = time.perf_counter() - t0
     history = res.history
-    trace = []
-    row = 0
-    for outer, rep in enumerate(res.reports, start=1):
-        norms = rep.residual_norms
-        for m in range(len(rep.iterates)):
-            j_here = history[row][2]
-            trace.append((cfg.formulation, m, float(norms[m]), j_here))
-            row += 1
+    # one trace row per history row: the residual of that iterate
+    trace = [(cfg.formulation, m,
+              float(res.reports[outer - 1].residual_norms[m]), j)
+             for outer, m, j, _, _ in history]
     return _Solved(history=history, trace=trace,
                    converged=all(rep.converged for rep in res.reports),
                    iterations=[rep.iterations for rep in res.reports],

@@ -119,16 +119,8 @@ class Tile:
         return (self.bi1 - self.bi0, self.bj1 - self.bj0)
 
     @property
-    def owned_shape(self) -> tuple[int, int]:
-        return (self.i1 - self.i0, self.j1 - self.j0)
-
-    @property
     def box_slices(self) -> tuple[slice, slice]:
         return (slice(self.bi0, self.bi1), slice(self.bj0, self.bj1))
-
-    @property
-    def owned_slices(self) -> tuple[slice, slice]:
-        return (slice(self.i0, self.i1), slice(self.j0, self.j1))
 
     def owned_slices_local(self) -> tuple[slice, slice]:
         """Owned interior position inside the box array."""
@@ -187,9 +179,6 @@ class TileLayout:
 
     def tile(self, tid: int) -> Tile:
         return self.tiles[tid]
-
-    def tile_at(self, ti: int, tj: int) -> Tile:
-        return self.tiles[tj * self.ntile_i + ti]
 
 
 def _split_blocks(n: int, parts: int) -> list[tuple[int, int]]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assim import kalman_gain_adjoint_apply, kalman_gain_apply
-from .control import ControlVector
 
 
 class TransportFunctional:
@@ -83,30 +82,21 @@ def evaluate_functional(traj, functional):
 
 def adjoint_sensitivity(tangent, functional):
     """Control-space gradient of the functional along the tangent chain of
-    a TangentObsOperator (its model, windows, layout and step operators).
+    a TangentObsOperator.
 
-    One reverse sweep with the averaging weight injected at every level it
-    touches; equals the sum of per-level adjoint sweeps.
+    The functional's gradient with respect to the levels is h / n_avg on
+    levels 1..n_avg, so the sensitivity is the tangent's one reverse sweep
+    (adjoint_levels) seeded with it; it equals the sum of per-level adjoint
+    sweeps.
     """
-    model, windows, layout = tangent.model, tangent.windows, tangent.layout
     n_avg = functional.n_avg
-    n_steps = windows.n_steps
+    n_steps = len(tangent.steps)
     if n_avg > n_steps:
         raise ValueError(f"functional n_avg {n_avg} exceeds the window's "
                          f"{n_steps} steps")
-    h = functional.weights / n_avg
-    out = ControlVector(layout)
-    p = h.copy() if n_avg == n_steps else np.zeros_like(h)
-    for step in range(n_steps, 0, -1):
-        k = windows.window_of_step(step)
-        p, df_star, db_star = model.step_ad(tangent.steps[step - 1], p)
-        out.f(k)[:] += df_star
-        if layout.has_boundary:
-            out.b(k)[:] += db_star
-        if 1 <= step - 1 <= n_avg:
-            p = p + h
-    out.x0[:] += p
-    return out.data
+    seeds = np.zeros((n_steps + 1,) + functional.weights.shape)
+    seeds[1:n_avg + 1] = functional.weights / n_avg
+    return tangent.adjoint_levels(seeds)
 
 
 @dataclass

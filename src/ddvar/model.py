@@ -251,9 +251,6 @@ class SurrogateModel:
     def state_shape(self) -> tuple:
         return (self.n_fields, self.grid.nx, self.grid.ny)
 
-    def zero_state(self) -> np.ndarray:
-        return np.zeros(self.state_shape)
-
     # -- stencil primitives (periodic wrap; boundary handled by caller) --
 
     # Periodic differences by slicing into one output array.  The operations

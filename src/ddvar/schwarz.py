@@ -246,12 +246,11 @@ class TileGeometry:
             self.ring_ii = self.ring_jj = np.zeros(0, dtype=int)
             self.ring_halo_ii = self.ring_halo_jj = np.zeros(0, dtype=int)
 
-        # node bookkeeping: flat global indices of owned and box nodes
+        # node bookkeeping: flat global indices of the owned nodes
         self.owned_local = (oi, oj)
         self.n_box_nodes = bnx * bny
         nodes = gi[:, None] * grid.ny + gj[None, :]
         self.owned_node_idx = nodes[oi, oj].ravel()
-        self.box_node_idx = nodes.ravel()
 
         # covariances: restricted to the box (x0, f) and the owned ring
         # (b, None without one) for the capacitance matrix, the full

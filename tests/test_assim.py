@@ -96,6 +96,26 @@ def test_g_operator_adjoint_identity(kind, boundary):
 
 
 @pytest.mark.parametrize("kind", ["linear", "burgers"])
+@pytest.mark.parametrize("boundary", ["prescribed", "periodic"])
+def test_adjoint_levels_is_transpose_of_tl_states(kind, boundary):
+    """<seeds, tl_states(dz)> = <adjoint_levels(seeds), dz> with every
+    level (level 0 too) and every field seeded, which adjoint's scattered
+    observation weights never do on a one-field network."""
+    p = make_problem(kind=kind, boundary=boundary, n_t=3, seed=6)
+    tan = p.background_tangent
+    rng = np.random.default_rng(6)
+    shape = (p.windows.n_steps + 1,) + p.model.state_shape
+    for _ in range(3):
+        dz = rng.standard_normal(p.layout.n_z)
+        seeds = rng.standard_normal(shape)
+        kept = seeds.copy()
+        lhs = np.vdot(seeds, tan.tl_states(dz))
+        rhs = np.vdot(tan.adjoint_levels(seeds), dz)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        np.testing.assert_array_equal(seeds, kept)
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
 def test_tangent_obs_operator_window_adjoint_on_every_node(kind):
     """Composed two-window TL/AD pair, observed at every node and level, so
     the identity covers the whole field-0 state space, not a few points."""

@@ -255,8 +255,7 @@ def test_control_covariance_blocks(grid66):
     assert np.linalg.norm(cc.apply_inv(cc.apply(v)) - v) <= 1e-10 * np.linalg.norm(v)
     np.testing.assert_allclose(cc.apply_sqrt(cc.apply_sqrt_t(v)), cc.apply(v),
                                rtol=1e-11, atol=1e-12)
-    sl = cc.segment_slice("f0")
-    assert (sl.start, sl.stop) == (36, 72)
+    assert list(cc.offsets) == [0, 36, 72, 108]
     with pytest.raises(KeyError):
         cc.segment_cov("b0")
     # N_t = 3: the three forcing windows go through bf as one stack

@@ -41,11 +41,12 @@ def test_build_tiles_default_decomposition():
     layout = build_tiles(grid, 2, 4, halo=2)
     assert layout.n_tiles == 8
     for t in layout.tiles:
-        assert t.owned_shape == (20, 8)
+        assert (t.i1 - t.i0, t.j1 - t.j0) == (20, 8)
+    # tile ids run along i first
+    t0, t_mid = layout.tiles[0], layout.tiles[2 * 2 + 1]
+    assert (t0.ti, t0.tj, t_mid.ti, t_mid.tj) == (0, 0, 1, 2)
     # interior tile boxes are extended by the halo on interior sides only
-    t0 = layout.tile_at(0, 0)
     assert (t0.bi0, t0.bi1, t0.bj0, t0.bj1) == (0, 22, 0, 10)
-    t_mid = layout.tile_at(1, 2)
     assert (t_mid.bi0, t_mid.bi1) == (18, 40)
     assert (t_mid.bj0, t_mid.bj1) == (14, 26)
 
@@ -55,7 +56,7 @@ def test_tile_ownership_partition():
     layout = build_tiles(grid, 3, 2, halo=1)
     count = np.zeros((grid.nx, grid.ny), dtype=int)
     for t in layout.tiles:
-        count[t.owned_slices] += 1
+        count[t.i0:t.i1, t.j0:t.j1] += 1
     assert np.all(count == 1)
 
 

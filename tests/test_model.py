@@ -47,7 +47,7 @@ def test_stencils_equal_roll_formulas(shape):
 
 def test_diverged_state_raises():
     model = make_model()
-    x = model.zero_state()
+    x = np.zeros(model.state_shape)
     x[0, 2, 2] = np.nan
     with pytest.raises(ModelDivergedError):
         model.step_nl(x)
@@ -89,7 +89,7 @@ def test_linear_model_boundary_increment_exact():
     db = 0.2 * rng.standard_normal((model.n_fields, model.n_ring))
     y1 = model.step_nl(x, b=b + db)
     y0 = model.step_nl(x, b=b)
-    dy = model.step_tl(model.linearize(x), model.zero_state(), db=db)
+    dy = model.step_tl(model.linearize(x), np.zeros(model.state_shape), db=db)
     assert np.linalg.norm(y1 - y0 - dy) <= 1e-14 * max(1.0, np.linalg.norm(dy))
 
 
@@ -146,7 +146,7 @@ def test_pure_diffusion_tl_matrix_is_symmetric_and_ad_is_transpose():
     model = SurrogateModel(grid, ModelConfig(
         kind="linear", advect=(0.0, 0.0), viscosity=0.2, boundary="periodic"))
     n = grid.n_points
-    lin = model.linearize(model.zero_state())
+    lin = model.linearize(np.zeros(model.state_shape))
     tl = np.zeros((n, n))
     ad = np.zeros((n, n))
     for c in range(n):

@@ -226,7 +226,7 @@ def test_tile_geometry_is_built_once_and_shared_by_the_windows(monkeypatch,
     shared = ("strips", "outer_rel", "own_valid", "live_mask", "rho_keep",
               "corner_cells", "ring_pos", "ring_ii", "ring_jj",
               "ring_halo_ii", "ring_halo_jj", "owned_node_idx",
-              "box_node_idx", "cov_x", "cov_f", "cov_b", "full_cov")
+              "cov_x", "cov_f", "cov_b", "full_cov")
     for t in tiles.tiles:
         first = blocks[(t.id, 0)]
         assert first.cov_b is not None

@@ -38,9 +38,7 @@ def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
     else:
         z_truth = np.zeros(layout.n_z)
     vt = ControlVector(layout, z_truth)
-    forcing = [vt.f(windows.window_of_step(s)) for s in range(1, n_steps + 1)]
-    bnd = ([vt.b(windows.window_of_step(s)) for s in range(1, n_steps + 1)]
-           if has_boundary else None)
+    forcing, bnd = vt.step_inputs()
     truth_traj = model.run_nl(x_b + vt.x0, forcing=forcing, boundary=bnd)
 
     if obs_levels is None:
