@@ -42,10 +42,12 @@ L, which is taken by 2 x 2 triangular blocks (numpy has no triangular
 solve; on the 140-point C5 ring the blocks take about a third of the
 time of a general inverse).  The round trip apply_inv(apply(v))
 holds to 1e-10 relative as for the Kronecker blocks (the ring kernel has
-the same nugget).  The full ring kernel is factorized on construction,
-which is its positive-definiteness check; a restriction is a principal
-block of an SPD matrix, so it factorizes only on the first operation that
-needs the factor (the decomposed solver only applies it).
+the same nugget).  The full ring kernel is checked positive definite on
+construction: by strict diagonal dominance where that holds (short
+lengths, such as L = 0.5 on the C5 ring), otherwise by its Cholesky
+factorization.  A dominant kernel and a restriction (a principal block
+of an SPD matrix) factorize only on the first operation that needs the
+factor (the decomposed solver only applies the restrictions).
 
 At short lengths the kernels tail off below the smallest normal double
 (tiny = np.finfo(float).tiny): at L = 0.5 grid spacings on the 40 x 32
@@ -55,12 +57,12 @@ and its factor is set to zero.  A product through such an entry changes
 a result by less than tiny times the input's 1-norm, far below rounding,
 but arithmetic on subnormals is slow: it made each Kronecker apply
 several times slower.  The kernels evaluate exp only where its result
-does not underflow to zero (argument above -745.2; numpy takes a slow
-path on the others, whose result is 0 either way), so every entry is
-bitwise the one an unmasked exp gives.  A restriction of the Kronecker
-block slices the parent's 1-D kernels, Kx[I, I] and Ky[J, J], which are
-bitwise the kernels of the sub-grid's coordinates: the entries come from
-the same coordinate differences.
+is a normal float (argument above log(tiny), about -708.4; numpy takes a
+slow path on the others, whose result the flush zeroes either way), so
+every entry is bitwise the one an unmasked exp and the flush give.  A
+restriction of the Kronecker block slices the parent's 1-D kernels,
+Kx[I, I] and Ky[J, J], which are bitwise the kernels of the sub-grid's
+coordinates: the entries come from the same coordinate differences.
 
 Control-vector covariances are block diagonal over the control segments
 (initial state, one forcing block per assimilation window, one boundary
@@ -88,8 +90,8 @@ __all__ = [
 
 DEFAULT_NUGGET_FACTOR = 1e-3
 TINY = np.finfo(float).tiny
-# below this argument exp rounds to 0.0 (exp(-745.14) already does)
-EXP_UNDERFLOW = -745.2
+# at or below this argument exp is subnormal or 0.0, which the flushes zero
+LOG_TINY = np.log(TINY)
 
 
 def _flush_subnormals(m):
@@ -175,18 +177,25 @@ class GaussianCovariance:
         self.length = float(length)
         self.nugget = nugget
         self.matrix = _flush_subnormals(matrix)
-        try:
-            self.factor = _flush_subnormals(np.linalg.cholesky(matrix))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "covariance matrix is not positive definite "
-                f"(sigma={self.sigma}, length={self.length}, "
-                f"nugget={self.nugget}): {exc}") from exc
+        # a symmetric matrix whose positive diagonal exceeds each row's
+        # off-diagonal 1-norm is positive definite (Gershgorin); the
+        # margin dwarfs the rounding of the row sums
+        diag = matrix.diagonal()
+        off = np.abs(matrix).sum(axis=1) - diag
+        if np.any(off >= (1.0 - 1e-8) * diag):
+            try:
+                self.factor = _flush_subnormals(np.linalg.cholesky(matrix))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(
+                    "covariance matrix is not positive definite "
+                    f"(sigma={self.sigma}, length={self.length}, "
+                    f"nugget={self.nugget}): {exc}") from exc
 
     @cached_property
     def factor(self):
-        """Lower Cholesky factor, subnormals flushed.  Set by __init__;
-        a restriction builds it on first use."""
+        """Lower Cholesky factor, subnormals flushed.  Set by __init__
+        unless diagonal dominance proved the matrix positive definite; a
+        restriction, and such a matrix, build it on first use."""
         return _flush_subnormals(np.linalg.cholesky(self.matrix))
 
     @property
@@ -235,9 +244,8 @@ class GaussianCovariance:
 
 
 def _gauss(arg):
-    """exp(arg) for arg <= 0, evaluated only where it does not underflow
-    to zero."""
-    return np.exp(arg, out=np.zeros_like(arg), where=arg > EXP_UNDERFLOW)
+    """exp(arg) for arg <= 0, evaluated only where it is a normal float."""
+    return np.exp(arg, out=np.zeros_like(arg), where=arg > LOG_TINY)
 
 
 def _kernel_1d(x, length):

@@ -17,7 +17,9 @@ and its iteration counts per outer loop (DD: the outer flexible-CG
 iterations); for the DD also each rank's capacitance size k_p, the
 number of observations its block carries; with impact = true, the
 Kalman-gain solves the impact report ran (adjoint and forward; its
-sensitivity check solves nothing).  Decomposed runs also write
+sensitivity check solves nothing).  A run whose solve converged in one
+outer loop about the background hands its increment to the report, which
+with one platform then runs no forward solve.  Decomposed runs also write
 dd_trace.csv (one row per outer iteration and block: the 2-norm of the
 block's restriction of B r and the relative global residual) and
 messages.csv (the simulated communicator's message log).
@@ -133,6 +135,9 @@ class _Solved:
     dd_rows: list = None
     messages: list = None     # the simulated world's message log
     capacitance_sizes: list = None  # DD: k_p per simulated rank
+    # the increment K d, when the solve converged in one outer loop about
+    # the background
+    analysis: np.ndarray = None
 
 
 def _run_krylov(problem, cfg):
@@ -146,10 +151,12 @@ def _run_krylov(problem, cfg):
     trace = [(cfg.formulation, m,
               float(res.reports[outer - 1].residual_norms[m]), j)
              for outer, m, j, _, _ in history]
-    return _Solved(history=history, trace=trace,
-                   converged=all(rep.converged for rep in res.reports),
+    converged = all(rep.converged for rep in res.reports)
+    return _Solved(history=history, trace=trace, converged=converged,
                    iterations=[rep.iterations for rep in res.reports],
-                   block_seconds=[solve_s])
+                   block_seconds=[solve_s],
+                   analysis=(res.delta_z if converged and cfg.n_outer == 1
+                             else None))
 
 
 def _run_dd(problem, cfg):
@@ -177,7 +184,8 @@ def _run_dd(problem, cfg):
                    iterations=[res.n_iterations], block_seconds=seconds,
                    setup_s=setup_s, dd_rows=res.trace_rows,
                    messages=messages,
-                   capacitance_sizes=res.capacitance_sizes)
+                   capacitance_sizes=res.capacitance_sizes,
+                   analysis=res.delta_z if res.converged else None)
 
 
 def _tag_text(tag):
@@ -228,7 +236,8 @@ def run_experiment(cfg, out_dir=None):
         n_avg = cfg.impact_n_avg if cfg.impact_n_avg != -1 else cfg.n_steps
         functional = column_section(grid, col, n_avg,
                                     n_fields=problem.model.n_fields)
-        rep = observation_impact(problem, functional)
+        rep = observation_impact(problem, functional,
+                                 analysis=solved.analysis)
         emit("impact.csv", "platform,count,NL,TL,IC,FC,BC", rep.rows())
         chk = observation_sensitivity(rep)
         emit("sensitivity.csv", "actual,linearized,gap",

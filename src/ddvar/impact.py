@@ -13,10 +13,12 @@ the analysis-induced change of I into one contribution per observation.
 Each application of the gain K or its adjoint is an iterative solve, so
 the report runs as few as carry new information: one adjoint solve K' s,
 and one forward solve per platform.  K is linear, so the analysis is the
-sum of the platform increments.  The sensitivity check doubles the
-innovations, which by the same linearity moves the analysis by the
-analysis itself, so it reads both of its sides from the report and
-solves nothing.
+sum of the platform increments.  A run whose converged solve made one
+outer loop about the background has already computed K d: with one
+platform the report takes that increment and runs no forward solve.  The
+sensitivity check doubles the innovations, which by the same linearity
+moves the analysis by the analysis itself, so it reads both of its sides
+from the report and solves nothing.
 """
 
 from dataclasses import dataclass, field
@@ -166,7 +168,8 @@ def _segment_split(layout, density):
     return g_x, g_f, g_b
 
 
-def observation_impact(problem, functional, tol=1e-12, maxit=None):
+def observation_impact(problem, functional, tol=1e-12, maxit=None,
+                       analysis=None):
     """Split the analysis change of the functional across observations.
 
     The observation-space sensitivity is g = K^T s with s the adjoint of
@@ -177,6 +180,10 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
     (K is linear); the nonlinear reference runs the model from it, unless
     there is one platform, whose run is that reference already.  So the
     report runs one adjoint and one forward gain solve per platform.
+
+    `analysis` is an increment K d the caller already holds: the converged
+    solution of one outer loop about the background.  With one platform
+    it is z_p, and the report runs no forward gain solve.
     """
     d = problem.background_innovations()
     g_op = problem.background_operator()
@@ -194,11 +201,16 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
             names.append(name)
     rows = []
     z_a = None
+    forward_solves = 0
     for name in names:
         mask = np.array([p == name for p in problem.obs.platforms])
-        d_p = np.where(mask, d, 0.0)
-        z_p = kalman_gain_apply(g_op, problem.b_cov, problem.r_cov, d_p,
-                                tol=tol, maxit=maxit)
+        if analysis is not None and len(names) == 1:
+            z_p = analysis
+        else:
+            z_p = kalman_gain_apply(g_op, problem.b_cov, problem.r_cov,
+                                    np.where(mask, d, 0.0), tol=tol,
+                                    maxit=maxit)
+            forward_solves += 1
         z_a = z_p if z_a is None else z_a + z_p
         i_p = evaluate_functional(problem.run_with_increment(z_p), functional)
         px, pf, pb = _segment_split(layout, z_p * s)
@@ -220,7 +232,7 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None):
                         i_b=i_b, density=density, g_x=g_x, g_f=g_f, g_b=g_b,
                         ic=float(np.sum(g_x)), fc=float(np.sum(g_f)),
                         bc=float(np.sum(g_b)), sensitivity=s, z_a=z_a,
-                        adjoint_solves=1, forward_solves=len(names),
+                        adjoint_solves=1, forward_solves=forward_solves,
                         platform_rows=rows)
 
 

@@ -10,22 +10,28 @@ in space, forward Euler in time, collocated grid):
              du/dt + u du/dx + v du/dy = nu lap(u) + fu
              dv/dt + u dv/dx + v dv/dy = nu lap(v) + fv
 
-Boundary treatment is either ``periodic`` (wrap-around stencils) or
-``prescribed`` (the stencil update is computed everywhere, then the
-physical boundary ring is overwritten with supplied values; the interior
-update next to the ring reads the ring values of the previous level, so
-the overwrite acts as a Dirichlet condition one step delayed).
+Boundary treatment is either ``periodic`` (wrap-around differences) or
+``prescribed`` (the update is computed everywhere, then the physical
+boundary ring is overwritten with supplied values; the interior update
+next to the ring reads the ring values of the previous level, so the
+overwrite acts as a Dirichlet condition one step delayed).
 
-The nonlinear step runs the stencils.  The tangent-linear and adjoint steps
-share one object per linearization state, a `StepOperator` from
-`linearize`: the Jacobian of the stencil update.  Every term of it acts
-along one grid axis at a time or pointwise, so on a field X (nx, ny) it
-is two small dense products plus pointwise products,
+The discretization is written once, as axis matrices the model builds on
+construction.  Every term acts along one grid axis at a time or
+pointwise, so on a field X (nx, ny) a step is two small dense products
+plus pointwise products.  The nonlinear step is
 
-    linear:   M X = ax X + X ay'
+    linear:   N(X) = ax X + X ay'
               ax = I + dt (nu Lx - cx Dx),   ay = dt (nu Ly - cy Dy)
+    burgers:  N(X) = ax X + X ay' - dt u o (Dx X) - dt v o (X Dy')
+              ax = I + dt nu Lx,   ay = dt nu Ly,   (u, v) = X,
+
+plus dt f and the ring write.  The tangent-linear and adjoint steps share
+one object per linearization state, a `StepOperator` from `linearize`,
+the Jacobian of N on the same matrices:
+
+    linear:   M X = N(X)
     burgers:  M X = ax X + X ay' - dt u o (Dx X) - dt v o (X Dy') - dt C X
-              ax = I + dt nu Lx,   ay = dt nu Ly,
               C (du, dv) = (ux du + uy dv, vx du + vy dv),
 
 where Dx, Dy are the periodic centered-difference matrices of the axes
@@ -51,7 +57,9 @@ thread) a linear 40 x 32 apply takes 7-12 us where the
 compressed-sparse-row matvec it replaced took 10-16 us, the two break
 even near 64 x 64, and at 128 x 128 the separable apply takes 250-270 us
 against 95-110 us.  The shipped configs and the decomposition boxes
-stay at or below 40 x 32.
+stay at or below 40 x 32.  A nonlinear step costs a tangent-linear
+step without the burgers coupling term: a 6-step nonlinear run on
+40 x 32 takes about 160 us (linear) and 390 us (burgers).
 """
 
 from __future__ import annotations
@@ -116,20 +124,18 @@ class StepOperator:
     """One model step's linear map M about a fixed state.
 
     `apply` and `apply_t` map a stack (..., n_fields, nx, ny) to M X and
-    M' X.  ax, ay act along the two grid axes; the burgers operator also
-    carries the advection matrices dx, dy, the velocity factors
-    a = -dt u, b = -dt v (nx, ny) and the gradient coupling
-    c = -dt C (n_fields, n_fields, nx, ny).
+    M' X.  ax, ay act along the two grid axes (ay_t is ay' stored
+    contiguous); the burgers operator also carries the advection matrices
+    dx, dy (dy_t likewise), the velocity factors a = -dt u, b = -dt v
+    (nx, ny) and the gradient coupling c = -dt C (n_fields, n_fields, nx,
+    ny).  The axis matrices are the model's, shared by all its operators.
     """
 
-    def __init__(self, ax, ay, advection=None):
-        # the products from the right take contiguous matrices: through a
-        # transposed view the matmul of a stack runs up to 2x slower
-        self.ax, self.ay, self.ay_t = ax, ay, np.ascontiguousarray(ay.T)
+    def __init__(self, ax, ay, ay_t, advection=None):
+        self.ax, self.ay, self.ay_t = ax, ay, ay_t
         self.pointwise = advection is not None
         if self.pointwise:
-            self.dx, self.dy, self.a, self.b, self.c = advection
-            self.dy_t = np.ascontiguousarray(self.dy.T)
+            self.dx, self.dy, self.dy_t, self.a, self.b, self.c = advection
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = self.ax @ x
@@ -162,49 +168,6 @@ def _axis_differences(n: int, h: float) -> tuple:
     return (up - down) / (2.0 * h), (up - 2.0 * eye + down) / (h * h)
 
 
-class _Shifts:
-    """Index tuples along one of the two grid axes (-2 or -1) of an array
-    of any rank, for the periodic stencils."""
-
-    def __init__(self, axis: int):
-        rest = (slice(None),) * (-1 - axis)
-
-        def at(a, b):
-            return (Ellipsis, slice(a, b)) + rest
-
-        self.up, self.down, self.mid = at(2, None), at(None, -2), at(1, -1)
-        self.head, self.tail = at(None, -1), at(1, None)
-        self.first, self.second = at(None, 1), at(1, 2)
-        self.penult, self.last = at(-2, -1), at(-1, None)
-
-
-_SHIFTS = {-2: _Shifts(-2), -1: _Shifts(-1)}
-
-
-def _central(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """(f[i+1] - f[i-1]) / h along axis, periodic wrap."""
-    s = _SHIFTS[axis]
-    out = np.empty_like(f)
-    np.subtract(f[s.up], f[s.down], out=out[s.mid])
-    np.subtract(f[s.second], f[s.last], out=out[s.first])
-    np.subtract(f[s.first], f[s.penult], out=out[s.last])
-    out /= h
-    return out
-
-
-def _second(f: np.ndarray, two_f: np.ndarray, axis: int,
-            h2: float) -> np.ndarray:
-    """(f[i+1] - 2 f[i] + f[i-1]) / h2 along axis, periodic wrap."""
-    s = _SHIFTS[axis]
-    out = np.empty_like(f)
-    np.subtract(f[s.tail], two_f[s.head], out=out[s.head])
-    np.subtract(f[s.first], two_f[s.last], out=out[s.last])
-    out[s.tail] += f[s.head]
-    out[s.first] += f[s.last]
-    out /= h2
-    return out
-
-
 class SurrogateModel:
     """Nonlinear / tangent-linear / adjoint stepping on one grid."""
 
@@ -217,7 +180,22 @@ class SurrogateModel:
         # flat indices of the ring in a contiguous (n_fields, nx, ny) state
         self._ring = (np.arange(self.n_fields)[:, None] * grid.n_points
                       + ii * grid.ny + jj)
-        self._linear_step = None
+        # the state-independent axis matrices of M = I + dt (-A + nu L),
+        # built once; the products from the right take contiguous
+        # transposes: through a transposed view the matmul of a stack runs
+        # up to 2x slower
+        dt, nu = grid.dt, config.viscosity
+        dx, lx = _axis_differences(grid.nx, grid.dx)
+        dy, ly = _axis_differences(grid.ny, grid.dy)
+        ax = np.eye(grid.nx) + dt * nu * lx
+        ay = dt * nu * ly
+        if config.kind == "linear":
+            ax -= dt * config.advect[0] * dx
+            ay -= dt * config.advect[1] * dy
+        self._axes = (ax, ay, np.ascontiguousarray(ay.T))
+        self._diffs = (dx, dy, np.ascontiguousarray(dy.T))
+        # the linear model's step operator; the burgers model's axis part
+        self._axis_step = StepOperator(*self._axes)
 
     # -- setup ---------------------------------------------------------
 
@@ -251,94 +229,62 @@ class SurrogateModel:
     def state_shape(self) -> tuple:
         return (self.n_fields, self.grid.nx, self.grid.ny)
 
-    # -- stencil primitives (periodic wrap; boundary handled by caller) --
+    # -- linearization -------------------------------------------------
 
-    # Periodic differences by slicing into one output array.  The operations
-    # and their order are those of (roll(f, -1) - roll(f, 1)) / h and
-    # (roll(f, -1) - 2 f + roll(f, 1)) / h^2, so the results equal those
-    # formulas bit for bit.
+    def linearize(self, state: np.ndarray) -> StepOperator:
+        """The step operator of step_tl/step_ad about `state`.
 
-    def _ddx(self, f: np.ndarray) -> np.ndarray:
-        return _central(f, -2, 2.0 * self.grid.dx)
+        The linear model's operator does not depend on the state: every
+        call returns the one built with the model.
+        """
+        if self.config.kind == "linear":
+            return self._axis_step
+        return self._assemble(state)
 
-    def _ddy(self, f: np.ndarray) -> np.ndarray:
-        return _central(f, -1, 2.0 * self.grid.dy)
-
-    def _lap(self, f: np.ndarray) -> np.ndarray:
-        two_f = 2.0 * f
-        out = _second(f, two_f, -2, self.grid.dx**2)
-        out += _second(f, two_f, -1, self.grid.dy**2)
-        return out
-
-    def _advection_nl(self, x: np.ndarray) -> np.ndarray:
-        c = self.config
-        if c.kind == "linear":
-            return c.advect[0] * self._ddx(x) + c.advect[1] * self._ddy(x)
-        u, v = x[0], x[1]
-        adv_u = u * self._ddx(u) + v * self._ddy(u)
-        adv_v = u * self._ddx(v) + v * self._ddy(v)
-        return np.stack([adv_u, adv_v])
+    def _assemble(self, state: np.ndarray) -> StepOperator:
+        """The burgers step operator about `state`: the model's axis
+        matrices plus the pointwise factors, the coupling's gradients
+        (ux, uy; vx, vy) taken with the same difference matrices."""
+        dt = self.grid.dt
+        dx, _, dy_t = self._diffs
+        coupling = np.stack([dx @ state, state @ dy_t], axis=1)
+        return StepOperator(*self._axes, self._diffs + (
+            -dt * state[0], -dt * state[1], -dt * coupling))
 
     # -- single steps --------------------------------------------------
 
     def step_nl(self, x: np.ndarray, f: np.ndarray | None = None,
                 b: np.ndarray | None = None) -> np.ndarray:
         """One nonlinear step.  `f` is a full forcing field, `b` the ring
-        values imposed after the update (prescribed boundaries only)."""
-        g, c = self.grid, self.config
-        tend = -self._advection_nl(x) + c.viscosity * self._lap(x)
-        if f is not None:
-            tend = tend + f
-        out = x + g.dt * tend
-        if c.boundary == "prescribed":
-            np.put(out, self._ring, 0.0 if b is None else b)
+        values imposed after the update (prescribed boundaries only).
+
+        The linear model's step is its tangent-linear step of x; the
+        burgers model's takes the axis part and subtracts
+        dt (u o (Dx x) + v o (x Dy')) with the forcing."""
+        if self.config.kind == "burgers":
+            dx, _, dy_t = self._diffs
+            adv = x[0] * (dx @ x) + x[1] * (x @ dy_t)
+            f = -adv if f is None else f - adv
+        out = self._step(self._axis_step, x, f, b)
         if not np.all(np.isfinite(out)):
             raise ModelDivergedError("nonlinear step produced non-finite values")
         return out
-
-    # -- linearization -------------------------------------------------
-
-    def linearize(self, state: np.ndarray) -> StepOperator:
-        """The step operator of step_tl/step_ad about `state`.
-
-        The linear model's operator does not depend on the state: it is
-        assembled on the first call and shared by every later one.
-        """
-        if self.config.kind == "linear":
-            if self._linear_step is None:
-                self._linear_step = self._assemble(None)
-            return self._linear_step
-        return self._assemble(state)
-
-    def _assemble(self, state: np.ndarray | None) -> StepOperator:
-        """The separable M = I + dt (-A + nu L): axis matrices, plus the
-        burgers model's pointwise factors about `state`."""
-        g, c = self.grid, self.config
-        dt, nu = g.dt, c.viscosity
-        dx, lx = _axis_differences(g.nx, g.dx)
-        dy, ly = _axis_differences(g.ny, g.dy)
-        ax = np.eye(g.nx) + dt * nu * lx
-        ay = dt * nu * ly
-        if c.kind == "linear":
-            ax -= dt * c.advect[0] * dx
-            ay -= dt * c.advect[1] * dy
-            return StepOperator(ax, ay)
-        u, v = state[0], state[1]
-        coupling = np.array([[self._ddx(w), self._ddy(w)] for w in (u, v)])
-        return StepOperator(ax, ay, (dx, dy, -dt * u, -dt * v,
-                                     -dt * coupling))
-
-    # -- single steps --------------------------------------------------
 
     def step_tl(self, op: StepOperator, dx: np.ndarray,
                 df: np.ndarray | None = None,
                 db: np.ndarray | None = None) -> np.ndarray:
         """Tangent-linear step with the step operator `op`."""
-        out = op.apply(dx)
-        if df is not None:
-            out += self.grid.dt * df
+        return self._step(op, dx, df, db)
+
+    def _step(self, op, x, f, b):
+        """op x + dt f, then the ring write: the update both step_nl and
+        step_tl make (a private method, so that a profile of step_tl
+        counts tangent-linear steps only)."""
+        out = op.apply(x)
+        if f is not None:
+            out += self.grid.dt * f
         if self.config.boundary == "prescribed":
-            out.reshape(-1)[self._ring] = 0.0 if db is None else db
+            out.reshape(-1)[self._ring] = 0.0 if b is None else b
         return out
 
     def step_ad(self, op: StepOperator, p: np.ndarray):

@@ -313,11 +313,11 @@ ROUTES = {"is4dvar": ("is4dvar", False), "rbl4dvar": ("rbl4dvar", False),
 # d + G z_bar (one TL, outer loops after the first), the initial H r
 # (one TL, one AD) and the final B G^T chi (one AD).
 SWEEPS = {
-    ("case2", "is4dvar"): (43, 44, [43]),
+    ("case2", "is4dvar"): (42, 43, [42]),
     ("case2", "rbl4dvar"): (44, 45, [43]),
     ("case2", "rpcg"): (32, 33, [31]),
-    ("case4", "is4dvar"): (92, 94, [43, 49]),
-    ("case4", "rbl4dvar"): (88, 89, [43, 42]),
+    ("case4", "is4dvar"): (91, 93, [42, 49]),
+    ("case4", "rbl4dvar"): (89, 90, [43, 43]),
     ("case4", "rpcg"): (65, 66, [31, 31]),
 }
 

@@ -186,6 +186,40 @@ def test_short_length_kernels_hold_no_subnormals():
         assert _rel(cov.apply_inv(w), np.linalg.solve(dense, w.T).T) <= 1e-14
 
 
+def _flushed(a):
+    a = a.copy()
+    a[np.abs(a) < np.finfo(float).tiny] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("length,dominant", [(0.3, True), (0.5, True),
+                                             (2.0, False)])
+def test_kernels_equal_flushed_exp_and_dominance_defers_the_factor(
+        length, dominant):
+    """The ring kernel, its factor and the 1-D kernels are, bit for bit,
+    an unmasked exp with the subnormals flushed.  The ring is factorized
+    on construction unless strict diagonal dominance proves it positive
+    definite (short lengths)."""
+    grid = Grid(nx=40, ny=32, dt=0.1, n_steps=1)
+    sigma = 0.8
+    pts = ring_coords(grid)
+    ring = GaussianCovariance(pts, sigma, length)
+    want = sigma**2 * _raw_kernel(pts, length)
+    want[np.diag_indices_from(want)] += 1e-3 * sigma**2
+    want = _flushed(want)
+    off = np.abs(want).sum(axis=1) - want.diagonal()
+    assert np.all(off < want.diagonal()) == dominant
+    assert ("factor" not in vars(ring)) == dominant
+    assert np.array_equal(ring.matrix, want)
+    assert np.array_equal(ring.factor, _flushed(np.linalg.cholesky(want)))
+    for n, h in ((grid.nx, grid.dx), (grid.ny, grid.dy)):
+        x = np.arange(n) * h
+        kron = KroneckerCovariance(x, x, sigma, length)
+        want = _flushed(_raw_kernel(x[:, None], length))
+        assert np.array_equal(kron.kx, want)
+        assert np.array_equal(kron.ky, want)
+
+
 @pytest.mark.parametrize("length", [0.5, 2.0])
 def test_ring_apply_inv_round_trip(length):
     """The ring's apply_inv, through the inverse of its Cholesky factor,

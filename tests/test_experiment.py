@@ -16,6 +16,12 @@ from ddvar.experiment import build_problem, run_experiment
 from util import count_gain_solves
 
 
+# a decomposed run that converges: 2 x 1 tiles, one window
+DD_SMALL = dict(nx=12, ny=10, formulation="dd4dvar", ntile_i=2, ntile_j=1,
+                n_t=1, sigma_o=1.0, length_x=0.5, length_f=0.5, length_b=0.5,
+                n_inner=30)
+
+
 def small_cfg(**over):
     base = dict(nx=10, ny=8, n_steps=4, n_t=1, model="linear",
                 boundary="prescribed", n_obs=10, sigma_o=0.2,
@@ -114,15 +120,23 @@ def test_manifest_lists_every_file_with_hashes(tmp_path):
 
 
 def test_same_config_gives_byte_identical_csvs(tmp_path):
-    a = run_experiment(small_cfg(impact=True), out_dir=tmp_path / "a")
-    b = run_experiment(small_cfg(impact=True), out_dir=tmp_path / "b")
-    compared = 0
-    for name in a.files:
-        if not name.endswith(".csv") or name == "timing.csv":
-            continue
-        assert a.files[name].read_bytes() == b.files[name].read_bytes(), name
-        compared += 1
-    assert compared >= 4  # cost history, trace, impact, sensitivity
+    """Every CSV but timing.csv, for a Krylov run and a decomposed run,
+    both with the impact report (the decomposed one reusing its
+    analysis)."""
+    csvs = ["cost_history.csv", "impact.csv", "sensitivity.csv",
+            "solver_trace.csv"]
+    for name, cfg, names in (
+            ("krylov", small_cfg(impact=True), csvs),
+            ("dd", small_cfg(impact=True, **DD_SMALL),
+             sorted(csvs + ["dd_trace.csv", "messages.csv"]))):
+        a = run_experiment(cfg, out_dir=tmp_path / name / "a")
+        b = run_experiment(cfg, out_dir=tmp_path / name / "b")
+        compared = sorted(f for f in a.files
+                          if f.endswith(".csv") and f != "timing.csv")
+        assert compared == names
+        for f in compared:
+            assert a.files[f].read_bytes() == b.files[f].read_bytes(), \
+                (name, f)
 
 
 def test_rpcg_matches_primal_cost_column(tmp_path):
@@ -139,9 +153,7 @@ def test_rpcg_matches_primal_cost_column(tmp_path):
 def test_dd_run_emits_trace_with_schema(tmp_path, monkeypatch):
     from ddvar.schwarz import DDSolver
 
-    cfg = small_cfg(nx=12, ny=10, formulation="dd4dvar", ntile_i=2,
-                    ntile_j=1, n_t=1, sigma_o=1.0,
-                    length_x=0.5, length_f=0.5, length_b=0.5, n_inner=30)
+    cfg = small_cfg(**DD_SMALL)
     solves = []
     solve = DDSolver.solve
 
@@ -368,10 +380,11 @@ def test_impact_files_written_on_request(tmp_path):
 
 
 def test_impact_run_shares_the_reports_gain_solves(tmp_path, monkeypatch):
-    """One platform: K' s and that platform's K d (the analysis), which
-    the sensitivity check reads without a solve of its own; manifest.json
-    records them.  The nonlinear runs are the background's and the
-    analysis's."""
+    """One platform and a converged solve of one outer loop: K' s is the
+    report's one gain solve, since the solve's increment is K d (the
+    analysis), which the sensitivity check also reads without a solve of
+    its own; manifest.json records them.  The nonlinear runs are the
+    background's and the analysis's."""
     from ddvar.assim import AssimilationProblem
 
     calls = count_gain_solves(monkeypatch)
@@ -385,12 +398,44 @@ def test_impact_run_shares_the_reports_gain_solves(tmp_path, monkeypatch):
     monkeypatch.setattr(AssimilationProblem, "run_with_increment",
                         counted_run)
     run_experiment(small_cfg(impact=True), out_dir=tmp_path)
-    assert calls == {"adjoint": 1, "forward": 1, "nl": 2}
+    assert calls == {"adjoint": 1, "forward": 0, "nl": 2}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["impact_gain_solves"] == {"adjoint": 1, "forward": 1}
+    assert manifest["impact_gain_solves"] == {"adjoint": 1, "forward": 0}
     run_experiment(small_cfg(), out_dir=tmp_path / "plain")
     manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
     assert "impact_gain_solves" not in manifest
+
+
+@pytest.mark.parametrize("over,forward", [({}, 0), (DD_SMALL, 0),
+                                          ({"n_outer": 2}, 1)],
+                         ids=["is4dvar", "dd4dvar", "n_outer2"])
+def test_impact_reuses_a_converged_single_loop_analysis(tmp_path,
+                                                        monkeypatch, over,
+                                                        forward):
+    """A converged one-loop solve (is4dvar or dd4dvar) hands its increment
+    to the report, which then solves only K' s; a second outer loop
+    moves the increment off K d, so that run solves K d itself.  Either
+    way impact.csv holds the solving path's values to 1e-8."""
+    from ddvar.impact import column_section, observation_impact
+
+    calls = count_gain_solves(monkeypatch)
+    cfg = small_cfg(impact=True, **over)
+    res = run_experiment(cfg, out_dir=tmp_path)
+    assert res.converged
+    assert calls == {"adjoint": 1, "forward": forward}
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["impact_gain_solves"] == {"adjoint": 1,
+                                              "forward": forward}
+
+    prob = build_problem(cfg)
+    functional = column_section(prob.model.grid, cfg.nx // 2, cfg.n_steps,
+                                n_fields=prob.model.n_fields)
+    want = observation_impact(prob, functional).rows()
+    _, rows = read_rows(res.files["impact.csv"])
+    assert [(r[0], int(r[1])) for r in rows] == [w[:2] for w in want]
+    for row, ref in zip(rows, want):
+        for got, exp in zip(map(float, row[2:]), ref[2:]):
+            assert abs(got - exp) <= 1e-8 * abs(exp)
 
 
 def test_impact_run_assembles_each_background_step_once(tmp_path,

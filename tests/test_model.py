@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ddvar.grid import Grid
-from ddvar.model import ModelConfig, ModelDivergedError, SurrogateModel
+from ddvar.grid import Grid, boundary_ring_indices
+from ddvar.model import (ModelConfig, ModelDivergedError, SurrogateModel,
+                         _axis_differences)
 
 
 def make_model(kind="linear", boundary="prescribed", nx=12, ny=10, dt=0.2,
@@ -29,20 +30,61 @@ def test_stability_guard_rejects_bad_dt():
         SurrogateModel(grid, ModelConfig(viscosity=0.05, advect=(0.8, 0.0)))
 
 
-@pytest.mark.parametrize("shape", [(12, 10), (2, 12, 10)])
-def test_stencils_equal_roll_formulas(shape):
-    """The slice stencils reproduce the np.roll formulas bit for bit."""
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+@pytest.mark.parametrize("boundary", ["periodic", "prescribed"])
+def test_discretization_equals_roll_formulas(kind, boundary):
+    """The axis matrices are the np.roll centered differences, and step_nl
+    is the update built from them with forcing and ring values; the
+    linear model's step_nl is its TL step of the state, bit for bit."""
     grid = Grid(nx=12, ny=10, dx=0.7, dy=1.3, dt=0.1, n_steps=1)
-    model = SurrogateModel(grid, ModelConfig(kind="burgers", viscosity=0.1))
-    f = np.random.default_rng(3).standard_normal(shape)
+    nu, (cx, cy) = 0.1, (0.8, -0.5)
+    model = SurrogateModel(grid, ModelConfig(
+        kind=kind, advect=(cx, cy), viscosity=nu, boundary=boundary))
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(model.state_shape)
+    f = 0.1 * rng.standard_normal(model.state_shape)
+    b = rng.standard_normal((model.n_fields, model.n_ring))
     dx, dy = grid.dx, grid.dy
-    ddx = (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * dx)
-    ddy = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dy)
-    lap = ((np.roll(f, -1, axis=-2) - 2.0 * f + np.roll(f, 1, axis=-2)) / dx**2
-           + (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / dy**2)
-    assert np.array_equal(model._ddx(f), ddx)
-    assert np.array_equal(model._ddy(f), ddy)
-    assert np.array_equal(model._lap(f), lap)
+
+    def ddx(w):
+        return (np.roll(w, -1, axis=-2) - np.roll(w, 1, axis=-2)) / (2 * dx)
+
+    def ddy(w):
+        return (np.roll(w, -1, axis=-1) - np.roll(w, 1, axis=-1)) / (2 * dy)
+
+    def lap(w):
+        return ((np.roll(w, -1, axis=-2) - 2 * w + np.roll(w, 1, axis=-2))
+                / dx**2
+                + (np.roll(w, -1, axis=-1) - 2 * w + np.roll(w, 1, axis=-1))
+                / dy**2)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    for n, h in ((grid.nx, dx), (grid.ny, dy)):
+        d1, d2 = _axis_differences(n, h)
+        eye = np.eye(n)
+        assert close(d1, (np.roll(eye, -1, axis=0)
+                          - np.roll(eye, 1, axis=0)) / (2 * h))
+        assert close(d2, (np.roll(eye, -1, axis=0) - 2 * eye
+                          + np.roll(eye, 1, axis=0)) / h**2)
+    assert close(_axis_differences(grid.nx, dx)[0] @ x, ddx(x))
+    assert close(x @ _axis_differences(grid.ny, dy)[0].T, ddy(x))
+
+    if kind == "linear":
+        adv = cx * ddx(x) + cy * ddy(x)
+    else:
+        adv = x[0] * ddx(x) + x[1] * ddy(x)
+    want = x + grid.dt * (-adv + nu * lap(x) + f)
+    if boundary == "prescribed":
+        ii, jj = boundary_ring_indices(grid.nx, grid.ny)
+        want[:, ii, jj] = b
+    else:
+        b = None
+    got = model.step_nl(x, f=f, b=b)
+    assert close(got, want)
+    if kind == "linear":
+        assert np.array_equal(got, model.step_tl(model.linearize(x), x, f, b))
 
 
 def test_diverged_state_raises():

@@ -567,8 +567,9 @@ def test_blocks_with_equal_box_shapes_share_one_box_model():
 
 @pytest.mark.parametrize("kind", ["linear", "burgers"])
 def test_dd_solve_assembles_each_step_operator_once(kind, monkeypatch):
-    """Linear: one operator per box model.  Burgers: one per (block,
-    level), reused by every local solve."""
+    """Linear: one operator per box model, built with it, so the solve
+    assembles none.  Burgers: one per (block, level), reused by every
+    local solve."""
     from ddvar.model import SurrogateModel
 
     prob, tiles, solver = dd_setup(kind=kind, ti=2, tj=2, n_t=2, n_bar=2)
@@ -584,7 +585,9 @@ def test_dd_solve_assembles_each_step_operator_once(kind, monkeypatch):
     boxes = [m for m in built if m is not prob.model]
     models = {id(p.box_model) for p in solver.blocks.values()}
     if kind == "linear":
-        assert len(boxes) == len(models)
+        assert boxes == []
+        assert len({id(op) for p in solver.blocks.values()
+                    for op in p.lin_ops}) == len(models)
     else:
         assert len(boxes) == sum(p.n_levels - 1
                                  for p in solver.blocks.values())
