@@ -18,6 +18,11 @@ diagnostic.
 
 Senders' array payloads are copied at enqueue time, so a receiver always
 sees the values as they were when sent, bit-exactly.
+
+halo_exchange skips the queues: a strip reads owned cells and writes halo
+cells, so copy order cannot matter, and each strip moves with one copy
+and logs the row its isend would.  isend, recv and the queues stay: the
+benchmark's layer table names them, and tile-by-tile sweeps will use them.
 """
 
 from collections import deque
@@ -67,8 +72,11 @@ class World:
             self._queues[key] = deque((payload,))
         else:
             q.append(payload)
-        self._step += 1
         comm_id, src, dst, tag = key
+        self._record(src, dst, tag, nbytes)
+
+    def _record(self, src, dst, tag, nbytes):
+        self._step += 1
         self.log.append((self._step, src, dst, tag, nbytes))
 
     def _dequeue(self, key):
@@ -150,21 +158,22 @@ def halo_exchange(comm, layout, fields, window=0, tag="halo"):
 
     fields maps tile id -> array of shape (..., box_nx, box_ny).  Only halo
     strips are written; owned interiors are never touched.  Each strip
-    travels with the tag (tag, side).  Exchange order is the layout's
-    plan (side order, then tile id), so the message log is deterministic.
+    is copied straight into its halo and logged with the tag (tag, side),
+    as an isend of it would be.  Exchange order is the layout's plan (side
+    order, then tile id), so the message log is deterministic.
     """
+    # rank of tile t in this window: base + t
+    base = comm.world.rank_of(0, window)
     for tid, tile in enumerate(layout.tiles):
         want = (fields[tid].shape[-2], fields[tid].shape[-1])
         if want != tile.box_shape:
             raise ValueError(f"tile {tid}: field shape {want} does not match "
                              f"box {tile.box_shape}")
-    # rank of tile t in this window: base + t
-    base = comm.world.rank_of(0, window)
-    # one tag object per side, shared by every message and log row
+        comm._check_member(base + tid, "exchanging")
+    # one tag object per side, shared by every log row
     tags = {side: (tag, side) for side in SIDES}
+    record = comm.world._record
     for t in layout.exchange:
-        comm.isend(base + t.neighbor, base + t.tile, tags[t.side],
-                   fields[t.neighbor][t.src])
-    for t in layout.exchange:
-        fields[t.tile][t.dst] = comm.recv(base + t.tile, base + t.neighbor,
-                                          tags[t.side])
+        strip = fields[t.neighbor][t.src]
+        fields[t.tile][t.dst] = strip
+        record(base + t.neighbor, base + t.tile, tags[t.side], strip.nbytes)

@@ -136,18 +136,10 @@ class ExperimentConfig:
             if self.ntile_j > self.ny:
                 bad("ntile_j", f"cannot exceed ny={self.ny}")
             try:
-                tiles = build_tiles(Grid(nx=self.nx, ny=self.ny),
-                                    self.ntile_i, self.ntile_j,
-                                    self.halo).tiles
+                build_tiles(Grid(nx=self.nx, ny=self.ny), self.ntile_i,
+                            self.ntile_j, self.halo)
             except ValueError as exc:
                 bad("halo", str(exc))
-            # every tile box carries its own box model, which needs a grid
-            # of at least 4x4 nodes
-            bnx, bny = (min(t.box_shape[a] for t in tiles) for a in (0, 1))
-            if min(bnx, bny) < 4:
-                bad("ntile_i" if bnx < 4 else "ntile_j",
-                    f"tile boxes (owned nodes plus halo) must span at least "
-                    f"4 nodes per axis, the narrowest is {bnx}x{bny}")
         if self.impact_col != -1 and not 0 <= self.impact_col < self.nx:
             bad("impact_col", f"must be -1 or inside [0, {self.nx})")
         if self.impact_n_avg != -1 and not 1 <= self.impact_n_avg <= self.n_steps:

@@ -50,6 +50,9 @@ order of a few additions.  Both maps take a stack (..., n_fields, nx, ny)
 of states.  No automatic or finite-difference differentiation is
 involved anywhere.
 
+StepOperator.restrict is the principal block of M on a box of the grid,
+with no inflow across the box edges: the step of one decomposition tile.
+
 The two products cost about 2 (nx + ny) flops per node, against 10 for
 a five-point sparse matvec, but run through BLAS in two calls with no
 sparse-format dispatch.  On one core of a 2-core x86 VM (one BLAS
@@ -128,7 +131,8 @@ class StepOperator:
     contiguous); the burgers operator also carries the advection matrices
     dx, dy (dy_t likewise), the velocity factors a = -dt u, b = -dt v
     (nx, ny) and the gradient coupling c = -dt C (n_fields, n_fields, nx,
-    ny).  The axis matrices are the model's, shared by all its operators.
+    ny).  The axis matrices are the model's, shared by all its operators;
+    a restriction (`restrict`) holds its own copies of their box blocks.
     """
 
     def __init__(self, ax, ay, ay_t, advection=None):
@@ -156,6 +160,23 @@ class StepOperator:
             # out[s] += sum_r c[r, s] p[r]
             out += np.sum(self.c * p[..., :, None, :, :], axis=-4)
         return out
+
+    def restrict(self, rows: slice, cols: slice) -> StepOperator:
+        """The principal block of M on the box rows x cols: it maps a box
+        field, zero outside the box, to the box cells of its image, so
+        nothing flows in across the box edges (a periodic wrap survives
+        only along an axis the box spans whole)."""
+        def block(m, s):
+            return np.ascontiguousarray(m[s, s])
+
+        ay = block(self.ay, cols)
+        advection = None
+        if self.pointwise:
+            dy = block(self.dy, cols)
+            advection = (block(self.dx, rows), dy, dy.T.copy()) + tuple(
+                np.ascontiguousarray(f[..., rows, cols])
+                for f in (self.a, self.b, self.c))
+        return StepOperator(block(self.ax, rows), ay, ay.T.copy(), advection)
 
 
 def _axis_differences(n: int, h: float) -> tuple:

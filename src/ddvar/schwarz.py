@@ -38,10 +38,10 @@ then its owned ring values).  Each apply, per window,
      whose locally evolved values are meaningful, and its ring values)
      and solves in the space of its k_p observations, the ones whose
      bilinear stencil lies inside its box.  X_p (k_p x n_local) maps the
-     local control through the truncated (zero-inflow) local propagator
-     to those samples, R_pp is their error variance and B_p the
-     covariance restricted to the box.  The block's first apply builds
-     X_p, inverts the k_p x k_p matrix C_p and keeps only C_p^-1 X_p on
+     local control through the zero-inflow local propagator, the
+     window's background tangent steps restricted to the box, to those
+     samples; R_pp is their error variance and B_p the covariance
+     restricted to the box.  The block's first apply builds X_p, inverts the k_p x k_p matrix C_p and keeps only C_p^-1 X_p on
      the kept columns and X_p' on the owned ones (LocalSolve); every
      later solve is two small dense products,
   3. scatters X_p' y_p on its owned entries into the flat vector E
@@ -56,25 +56,24 @@ box, is seen exactly by the Hessian and approximately by the blocks.
 Two local sweeps remain, which the solve does not run: local_tl_step and
 local_ad_step describe one block's part of the global sweeps with frozen
 neighbor traces (halo strips overwritten from the trace after every step
-plus the theta seam correction, box corners zeroed).  They stay, with
-LocalProblem.owned_prec_apply, because the benchmark's layer table
+plus the theta seam correction, box corners zeroed) with the same
+restricted steps.  They stay, with LocalProblem.owned_prec_apply, because the benchmark's layer table
 (perfbench/layers.py) names them; tests check them against the global
 sweeps and B^-1.
 """
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .assim import CostBreakdown, _gauss_newton
 from .comm import World, create_inter, halo_exchange
-from .grid import SIDES, Grid, boundary_ring_indices, restrict, ring_size
+from .grid import SIDES, boundary_ring_indices, ring_size
 # pcg stays importable from here: perfbench's self-test patches schwarz.pcg
 from .krylov import fcg, pcg  # noqa: F401
-from .model import SurrogateModel
 from .observations import innovations
 
 __all__ = [
@@ -206,21 +205,6 @@ class TileGeometry:
             self.outer_rel[side] = outer
             self.own_valid[side] = valid
 
-        # box-edge lines on sides without a neighbor sit on the physical
-        # boundary; the periodic box stencil wraps them onto the opposite
-        # edge, so their adjoint values need a zero-inflow recomputation
-        # (the full model wraps them onto chopped ring lines instead)
-        self.phys_lines = []
-        if prescribed:
-            if tile.neighbors.get("west") is None:
-                self.phys_lines.append((slice(0, 1), slice(None)))
-            if tile.neighbors.get("east") is None:
-                self.phys_lines.append((slice(bnx - 1, bnx), slice(None)))
-            if tile.neighbors.get("south") is None:
-                self.phys_lines.append((slice(None), slice(0, 1)))
-            if tile.neighbors.get("north") is None:
-                self.phys_lines.append((slice(None), slice(bny - 1, bny)))
-
         # cells whose gradient components the block solve may trust: owned
         # cells plus meaningful strip cells
         keep = owned
@@ -268,6 +252,15 @@ class TileGeometry:
         self.obs_owned = tile.contains_point(obs.x, obs.y, grid)
         self.obs_in_box = ((obs.i0 >= tile.bi0) & (obs.i0 + 1 < tile.bi1)
                            & (obs.j0 >= tile.bj0) & (obs.j0 + 1 < tile.bj1))
+        self._restricted = {}
+
+    def restricted(self, op):
+        """The step operator op restricted to the box (StepOperator.restrict),
+        built on first use and shared by the tile's window blocks."""
+        box = self._restricted.get(op)
+        if box is None:
+            box = self._restricted[op] = op.restrict(*self.tile.box_slices)
+        return box
 
     @cached_property
     def control_cells(self):
@@ -286,9 +279,10 @@ class TileGeometry:
 class LocalProblem:
     """Everything one (tile, window) block needs for its observation-space
     solve and its local sweeps: its tile's shared geometry, and the
-    window's levels, control segments and observations."""
+    window's levels, control segments, observations and background
+    tangent steps."""
 
-    def __init__(self, geometry, window, box_model, windows, layout_ctl,
+    def __init__(self, geometry, window, steps, windows, layout_ctl,
                  obs, window_obs, weights):
         # the tile's geometry and restricted covariances: the same
         # objects, not copies, in every window's block of the tile
@@ -298,8 +292,7 @@ class LocalProblem:
         self.windows = windows
         self.layout_ctl = layout_ctl
         self.alpha, self.gamma = weights
-        self.lin_states = None  # set once the linearization is known
-        self.box_model = box_model
+        self.steps = steps
         tile = self.tile
 
         self.n_levels = windows.sizes[window]
@@ -342,9 +335,10 @@ class LocalProblem:
 
     @cached_property
     def lin_ops(self):
-        """Box-model step operators about the linearization, one per step
-        of the window; assembled on the block's first use."""
-        return [self.box_model.linearize(x) for x in self.lin_states[:-1]]
+        """The window's step operators (steps, the problem's background
+        tangent steps) restricted to the box; built on the block's first
+        use."""
+        return [self.geometry.restricted(op) for op in self.steps]
 
     @cached_property
     def local_solve(self):
@@ -361,7 +355,7 @@ class LocalProblem:
         field, row-major, then the owned ring values of b.  keep_cols
         indexes in u_p the inputs the block's solve reads: the owned and
         meaningful strip cells (rho_keep) and the ring values; the other
-        box cells carry either wrapped stencil output or a neighbor's
+        box cells carry either truncated stencil output or a neighbor's
         territory.  own_cols indexes the owned cells and ring values,
         and own_idx the same entries in the global control vector.  The
         cell lists are the tile's (TileGeometry.control_cells); only the
@@ -462,7 +456,7 @@ class GaussNewtonTerm:
         if p.has_x0:
             x[:, :n] = (adj * p.rho_keep).reshape(k, n)
             ofs = n
-        x[:, ofs:ofs + n] = (acc * (keep * p.box_model.grid.dt)).reshape(k, n)
+        x[:, ofs:ofs + n] = (acc * (keep * p.grid.dt)).reshape(k, n)
         x[:, ofs + n:] = acc[..., p.ring_ii, p.ring_jj].reshape(
             k, nf * p.ring_ii.size)
         self.x = x
@@ -554,7 +548,7 @@ def local_tl_step(p, dx_start, df, db, lin_ops, trace):
     the theta seam correction is added.  Returns (states, own_strips)
     where own_strips[l][side] holds the locally evolved strip values (the
     "own" halo data of the theta correction).  lin_ops[l] is the
-    box-model step operator of the step from window level l
+    restricted step operator of the step from window level l
     (LocalProblem.lin_ops).  The block solve does not run sweeps: its
     zero-inflow correction propagator is read at the observation samples
     once per block (GaussNewtonTerm).
@@ -565,7 +559,10 @@ def local_tl_step(p, dx_start, df, db, lin_ops, trace):
     own_strips = [own0]
     d_prev = _strip_diff_field(p, own0, trace.tl_halo, 0)
     for step in range(1, p.n_levels):
-        raw = p.box_model.step_tl(lin_ops[step - 1], states[-1], df=df)
+        op = lin_ops[step - 1]
+        raw = op.apply(states[-1])
+        if df is not None:
+            raw += p.grid.dt * df
         if p.prescribed:
             p._apply_ring(raw, db)
         own = {side: _own_strip(p, side, raw, trace.tl_halo[side][step])
@@ -573,7 +570,7 @@ def local_tl_step(p, dx_start, df, db, lin_ops, trace):
         own_strips.append(own)
         theta = None
         if p.gamma != 0.0 and d_prev is not None:
-            theta = p.box_model.step_tl(lin_ops[step - 1], d_prev)
+            theta = op.apply(d_prev)
         for side, sl in p.strips.items():
             raw[:, sl[0], sl[1]] = trace.tl_halo[side][step]
             if theta is not None:
@@ -617,7 +614,7 @@ def local_ad_step(p, forcings, lin_ops, trace, terminal=None):
                 diff[:, sl[0], sl[1]] = np.where(
                     p.own_valid[side],
                     s_pre[side] - trace.ad_halo[side][step], 0.0)
-            feed, _, _ = p.box_model.step_ad(lin_ops[step - 1], diff)
+            feed = lin_ops[step - 1].apply_t(diff)
             q_next = p.zero_box()
             for side, sl in p.strips.items():
                 vals = feed[:, sl[0], sl[1]]
@@ -630,20 +627,8 @@ def local_ad_step(p, forcings, lin_ops, trace, terminal=None):
         if p.prescribed:
             p._apply_ring(pad, None)
         raw_bar = pad if q is None else pad + p.gamma * q
-        prev, dfs, _ = p.box_model.step_ad(lin_ops[step - 1], raw_bar)
-        if p.phys_lines and p.strips:
-            # physical-edge outputs must not see the trace values sitting
-            # on the opposite box edge through the periodic wrap
-            nb = raw_bar.copy()
-            nb[:, 0, :] = 0.0
-            nb[:, -1, :] = 0.0
-            nb[:, :, 0] = 0.0
-            nb[:, :, -1] = 0.0
-            prev2, _, _ = p.box_model.step_ad(lin_ops[step - 1], nb)
-            for li, lj in p.phys_lines:
-                prev[:, li, lj] = prev2[:, li, lj]
-        df_star += dfs
-        pad = prev
+        df_star += p.grid.dt * raw_bar
+        pad = lin_ops[step - 1].apply_t(raw_bar)
         if forcings[step - 1] is not None:
             pad = pad + forcings[step - 1]
         q = q_next
@@ -653,31 +638,28 @@ def local_ad_step(p, forcings, lin_ops, trace, terminal=None):
     return pad, df_star, db_star, stored
 
 
-def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
-                         obs, b_cov, config):
-    """All (tile, window) blocks, with restricted covariances attached.
+def build_local_problems(problem, layout_tiles, config):
+    """All (tile, window) blocks of the problem, with restricted covariances
+    attached.
 
     Each tile's geometry (TileGeometry) is built once and shared by its
     windows' blocks, and each window's observations are found once and
-    handed to its blocks.  Blocks whose boxes have the same shape share
-    one periodic box model, and with it the linear model's step operator.
+    handed to its blocks.  As in the paper's DD-4DVar, a block's local
+    model is a restriction of the global one: it steps with its window's
+    operators of problem.background_tangent restricted to its box
+    (StepOperator.restrict, as restrict_grid is for B), once per tile and
+    distinct operator, on first use.
     """
+    model, grid, windows = problem.model, problem.layout.grid, problem.windows
+    layout_ctl, obs, b_cov = problem.layout, problem.obs, problem.b_cov
+    steps = problem.background_tangent.steps
     weights = (config.alpha, config.gamma)
     covs = (b_cov.segment_cov("x0"), b_cov.segment_cov("f0"),
             b_cov.segment_cov("b0") if layout_ctl.has_boundary else None)
     ring = (boundary_ring_indices(grid.nx, grid.ny)
             if model.config.boundary == "prescribed" else None)
-    box_models = {}
-    tiles = []
-    for tile in layout_tiles.tiles:
-        shape = tile.box_shape
-        if shape not in box_models:
-            box_grid = Grid(nx=shape[0], ny=shape[1], dx=grid.dx,
-                            dy=grid.dy, dt=grid.dt, n_steps=1)
-            box_models[shape] = SurrogateModel(
-                box_grid, replace(model.config, boundary="periodic"))
-        tiles.append((TileGeometry(tile, model, grid, ring, covs, obs),
-                      box_models[shape]))
+    tiles = [TileGeometry(tile, model, grid, ring, covs, obs)
+             for tile in layout_tiles.tiles]
     # the window of every observation: levels shared by two windows go to
     # the earlier one
     obs_window = np.searchsorted([windows.end(k) for k in range(windows.n_t)],
@@ -685,10 +667,11 @@ def build_local_problems(model, grid, windows, layout_ctl, layout_tiles,
     blocks = {}
     for k in range(windows.n_t):
         window_obs = obs_window == k
-        for geometry, box_model in tiles:
+        window_steps = steps[windows.starts[k]:windows.end(k)]
+        for geometry in tiles:
             blocks[(geometry.tile.id, k)] = LocalProblem(
-                geometry, k, box_model, windows, layout_ctl, obs, window_obs,
-                weights)
+                geometry, k, window_steps, windows, layout_ctl, obs,
+                window_obs, weights)
     owned_total = sum(p.own_obs_idx.size for p in blocks.values())
     if owned_total != obs.n_obs:
         raise RuntimeError(f"observation ownership does not partition the "
@@ -732,23 +715,11 @@ class DDSolver:
                              "prescribed-boundary models only, or use a "
                              "single tile")
         self.windows = problem.windows
-        grid = problem.layout.grid
         self.world = World(layout_tiles.n_tiles, self.windows.n_t)
         self.inter = [create_inter(self.world, k)
                       for k in range(self.windows.n_t)]
-        self.blocks = build_local_problems(
-            model, grid, self.windows, problem.layout, layout_tiles,
-            problem.obs, problem.b_cov, config)
+        self.blocks = build_local_problems(problem, layout_tiles, config)
         self.d = innovations(problem.background_traj, problem.obs)
-        self._link_background()
-
-    def _link_background(self):
-        """Every block linearizes about the global background trajectory
-        restricted to its box."""
-        bg = self.problem.background_traj
-        for (tid, k), p in self.blocks.items():
-            tile = self.layout.tile(tid)
-            p.lin_states = [restrict(bg[l], tile) for l in p.levels]
 
     @cached_property
     def _window_buffers(self):

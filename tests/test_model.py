@@ -4,6 +4,7 @@ import pytest
 from ddvar.grid import Grid, boundary_ring_indices
 from ddvar.model import (ModelConfig, ModelDivergedError, SurrogateModel,
                          _axis_differences)
+from util import box_model
 
 
 def make_model(kind="linear", boundary="prescribed", nx=12, ny=10, dt=0.2,
@@ -296,3 +297,47 @@ def test_step_operator_stacks_and_transposes(kind, boundary, nx, ny):
     assert np.abs(cols["m"]).max() > 0.5
     assert np.max(np.abs(cols["m_t"] - cols["m"].T)) <= 1e-14
     assert np.max(np.abs(cols["ad"] - cols["tl"].T)) <= 1e-14
+
+
+OPERATOR_ARRAYS = {"linear": ("ax", "ay", "ay_t"),
+                   "burgers": ("ax", "ay", "ay_t", "dx", "dy", "dy_t",
+                               "a", "b", "c")}
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+def test_whole_grid_restriction_has_the_operators_own_matrices(kind):
+    model = make_model(kind=kind, advect=(0.6, -0.4))
+    rng = np.random.default_rng(10)
+    op = model.linearize(random_state(model, rng, scale=0.5))
+    whole = op.restrict(slice(0, model.grid.nx), slice(0, model.grid.ny))
+    assert whole.pointwise == op.pointwise
+    for name in OPERATOR_ARRAYS[kind]:
+        assert np.array_equal(getattr(whole, name), getattr(op, name)), name
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+@pytest.mark.parametrize("rows,cols", [(slice(2, 8), slice(3, 9)),
+                                       (slice(0, 5), slice(5, 10)),
+                                       (slice(0, 12), slice(1, 5))])
+def test_restriction_matches_a_periodic_box_model_on_zero_edge_inputs(
+        kind, rows, cols):
+    """On a box stack whose box-edge cells are zero, the restricted
+    operator's apply and apply_t equal, bit for bit, those of a periodic
+    model on the box linearized about the restricted state; the two
+    differ only in what the box edges read across the box boundary."""
+    model = make_model(kind=kind, advect=(0.6, -0.4))
+    rng = np.random.default_rng(11)
+    state = random_state(model, rng, scale=0.5)
+    op = model.linearize(state).restrict(rows, cols)
+    ref = box_model(model, rows, cols).linearize(state[:, rows, cols])
+    x = rng.standard_normal((3, model.n_fields) + ref.ax.shape[:1]
+                            + ref.ay.shape[:1])
+    for edge in (0, -1):
+        x[..., edge, :] = 0.0
+        x[..., :, edge] = 0.0
+    assert np.array_equal(op.apply(x), ref.apply(x))
+    assert np.array_equal(op.apply_t(x), ref.apply_t(x))
+    # on the edges the box model reads across the box boundary, the
+    # restriction does not
+    y = rng.standard_normal(x.shape[1:])
+    assert not np.array_equal(op.apply(y), ref.apply(y))

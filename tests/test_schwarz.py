@@ -25,45 +25,51 @@ from util import (
 )
 
 
-def dd_setup(nx=16, ny=12, ti=2, tj=2, n_t=2, n_steps=6, seed=5, n_obs=18,
-             halo=2, kind="linear", sigma_o=1.0, length=0.5, **cfg_kw):
+def dd_problem(nx=16, ny=12, ti=2, tj=2, n_t=2, n_steps=6, seed=5,
+               n_obs=18, halo=2, kind="linear", sigma_o=1.0, length=0.5):
     prob = make_problem(kind, "prescribed", nx=nx, ny=ny, n_steps=n_steps,
                         n_t=n_t, seed=seed, n_obs=n_obs, sigma_o=sigma_o,
                         length_x=length, length_f=length, length_b=length)
-    tiles = build_tiles(prob.model.grid, ti, tj, halo)
-    cfg = DDConfig(**cfg_kw)
-    return prob, tiles, DDSolver(prob, tiles, cfg)
+    return prob, build_tiles(prob.model.grid, ti, tj, halo)
 
 
-# -- local model runs -----------------------------------------------------
+def dd_setup(n_bar=50, tau_dd=1e-10, **kw):
+    prob, tiles = dd_problem(**kw)
+    return prob, tiles, DDSolver(prob, tiles, DDConfig(n_bar=n_bar,
+                                                       tau_dd=tau_dd))
 
 
-def test_local_model_solve_matches_global_restriction():
-    """Every block linearizes about the restriction of the global
-    background, and the box model fed with traces from the global run
-    reproduces that restriction on every live cell, so the set-up may
-    take the restriction without running the box model."""
-    from ddvar.grid import restrict
+# -- set-up work ------------------------------------------------------------
+
+
+def test_dd_run_builds_no_model_and_restricts_no_field(monkeypatch):
+    """The blocks step with the problem's background tangent restricted to
+    their boxes: a DD set-up and solve build no SurrogateModel and make no
+    grid.restrict call, for either model kind."""
+    import ddvar.grid as grid
+    import ddvar.schwarz as schwarz
+    from ddvar.model import SurrogateModel
+
+    calls = Counter()
+    init, restrict = SurrogateModel.__init__, grid.restrict
+
+    def counted_init(self, *args):
+        calls["model"] += 1
+        init(self, *args)
+
+    def counted_restrict(*args):
+        calls["restrict"] += 1
+        return restrict(*args)
 
     for kind in ("linear", "burgers"):
-        prob, tiles, solver = dd_setup(kind=kind, n_t=2)
-        bg = prob.background_traj
-        for key, p in solver.blocks.items():
-            lin = [restrict(bg[l], p.tile) for l in p.levels]
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(p.lin_states, lin, strict=True))
-            # step the box model from the restricted start; after every
-            # step the owned ring takes the (zero) boundary values, the
-            # halo strips the global run's values, and corners are zeroed
-            state = lin[0]
-            for l in range(1, p.n_levels):
-                state = p.box_model.step_nl(state)
-                p._apply_ring(state, None)
-                for sl in p.strips.values():
-                    state[:, sl[0], sl[1]] = lin[l][:, sl[0], sl[1]]
-                p._zero_corners(state)
-                gap = np.abs(state - lin[l])[:, p.live_mask]
-                assert gap.max() <= 1e-13
+        prob, tiles = dd_problem(kind=kind)
+        with monkeypatch.context() as m:
+            m.setattr(SurrogateModel, "__init__", counted_init)
+            m.setattr(grid, "restrict", counted_restrict)
+            m.setattr(schwarz, "restrict", counted_restrict, raising=False)
+            res = DDSolver(prob, tiles, DDConfig()).solve()
+        assert res.converged
+        assert calls == {}
 
 
 # -- local TL/AD pair -----------------------------------------------------
@@ -218,9 +224,7 @@ def test_tile_geometry_is_built_once_and_shared_by_the_windows(monkeypatch,
         "ring", schwarz.boundary_ring_indices))
     monkeypatch.setattr(schwarz.TileGeometry, "__init__", counting(
         "tile", schwarz.TileGeometry.__init__))
-    blocks = schwarz.build_local_problems(
-        prob.model, grid, prob.windows, prob.layout, tiles, prob.obs,
-        prob.b_cov, DDConfig())
+    blocks = schwarz.build_local_problems(prob, tiles, DDConfig())
     assert calls == {"ring": 1, "tile": 8}
     assert len(blocks) == 8 * n_t
     shared = ("strips", "outer_rel", "own_valid", "live_mask", "rho_keep",
@@ -555,44 +559,52 @@ def test_dd_trace_rows_schema_and_determinism():
         assert r1 == r2
 
 
-def test_blocks_with_equal_box_shapes_share_one_box_model():
-    prob, tiles, solver = dd_setup(ti=2, tj=2, n_t=2)
-    by_shape = {}
-    for p in solver.blocks.values():
-        assert p.box_model is by_shape.setdefault(p.tile.box_shape,
-                                                  p.box_model)
-    assert len({id(p.box_model) for p in solver.blocks.values()}) \
-        == len(by_shape) < len(solver.blocks)
-
-
 @pytest.mark.parametrize("kind", ["linear", "burgers"])
 def test_dd_solve_assembles_each_step_operator_once(kind, monkeypatch):
-    """Linear: one operator per box model, built with it, so the solve
-    assembles none.  Burgers: one per (block, level), reused by every
-    local solve."""
-    from ddvar.model import SurrogateModel
+    """The problem's background tangent assembles each step operator once
+    (the linear model's one operator is built with the model), and the
+    blocks restrict each distinct operator once per tile: linear, one
+    restricted operator per tile, held by every step of its window
+    blocks; burgers, one per tile and step, whichever window holds it."""
+    from ddvar.model import StepOperator, SurrogateModel
 
-    prob, tiles, solver = dd_setup(kind=kind, ti=2, tj=2, n_t=2, n_bar=2)
-    built = []
-    assemble = SurrogateModel._assemble
+    prob, tiles = dd_problem(kind=kind)
+    built, restricted = [], []
+    assemble, restrict = SurrogateModel._assemble, StepOperator.restrict
 
     def counted(self, state):
         built.append(self)
         return assemble(self, state)
 
+    def counted_restrict(self, rows, cols):
+        restricted.append(self)
+        return restrict(self, rows, cols)
+
     monkeypatch.setattr(SurrogateModel, "_assemble", counted)
+    monkeypatch.setattr(StepOperator, "restrict", counted_restrict)
+    solver = DDSolver(prob, tiles, DDConfig(n_bar=2))
     solver.solve()
-    boxes = [m for m in built if m is not prob.model]
-    models = {id(p.box_model) for p in solver.blocks.values()}
-    if kind == "linear":
-        assert boxes == []
-        assert len({id(op) for p in solver.blocks.values()
-                    for op in p.lin_ops}) == len(models)
-    else:
-        assert len(boxes) == sum(p.n_levels - 1
-                                 for p in solver.blocks.values())
-    for p in solver.blocks.values():
+    n_steps, n_tiles = prob.windows.n_steps, tiles.n_tiles
+    steps = prob.background_tangent.steps
+    assert len(steps) == n_steps
+    assert all(m is prob.model for m in built)
+    by_tile = {}
+    for (tid, k), p in solver.blocks.items():
         assert len(p.lin_ops) == p.n_levels - 1
+        by_tile.setdefault(tid, []).extend(p.lin_ops)
+    if kind == "linear":
+        assert built == []
+        assert len({id(op) for op in steps}) == 1
+        assert len(restricted) == n_tiles
+        for ops in by_tile.values():
+            assert len({id(op) for op in ops}) == 1
+    else:
+        assert len(built) == n_steps
+        assert len(restricted) == n_tiles * n_steps
+        assert Counter(id(op) for op in restricted) \
+            == dict.fromkeys(map(id, steps), n_tiles)
+        for ops in by_tile.values():
+            assert len(ops) == len({id(op) for op in ops}) == n_steps
 
 
 def test_dd_not_converged_is_flagged_not_raised():

@@ -1,5 +1,7 @@
 """Shared builders for desk-scale assimilation test problems."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from ddvar import impact
@@ -53,6 +55,17 @@ def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
 
 
 # -- references for one DD block's local operator ---------------------------
+
+
+def box_model(model, rows, cols):
+    """A periodic model on the box rows x cols (slices) of model's grid,
+    with its spacings, time step and parameters: the reference for
+    StepOperator.restrict, whose operators agree with it wherever the box
+    edges carry zeros."""
+    g = model.grid
+    grid = Grid(nx=rows.stop - rows.start, ny=cols.stop - cols.start,
+                dx=g.dx, dy=g.dy, dt=g.dt, n_steps=1)
+    return SurrogateModel(grid, replace(model.config, boundary="periodic"))
 
 
 def zero_trace(p):
