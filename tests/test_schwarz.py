@@ -559,6 +559,25 @@ def test_dd_trace_rows_schema_and_determinism():
         assert r1 == r2
 
 
+def test_blocks_with_equal_box_shapes_share_one_box_model():
+    """The box model of a block is its window's step operators restricted
+    to its box.  On the linear model (one constant-coefficient operator)
+    blocks with equal box shapes step with equal box operators, and the
+    window blocks of one tile hold one and the same object, so there are
+    fewer box operators than blocks."""
+    prob, tiles, solver = dd_setup(ti=2, tj=2, n_t=2)
+    by_shape, by_tile = {}, {}
+    for (tid, k), p in solver.blocks.items():
+        op = p.lin_ops[0]
+        assert all(o is op for o in p.lin_ops)
+        assert op is by_tile.setdefault(tid, op)
+        first = by_shape.setdefault(p.tile.box_shape, op)
+        assert np.array_equal(op.ax, first.ax)
+        assert np.array_equal(op.ay, first.ay)
+    assert len({id(p.lin_ops[0]) for p in solver.blocks.values()}) \
+        == len(by_tile) == tiles.n_tiles < len(solver.blocks)
+
+
 @pytest.mark.parametrize("kind", ["linear", "burgers"])
 def test_dd_solve_assembles_each_step_operator_once(kind, monkeypatch):
     """The problem's background tangent assembles each step operator once
