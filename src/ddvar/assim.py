@@ -256,9 +256,12 @@ class AssimilationProblem:
     """Model, covariances and observations bound into one 4D-Var problem."""
 
     def __init__(self, model, windows, layout, b_cov, r_cov, obs, x_b):
-        if b_cov.n != layout.n_z:
-            raise ValueError(f"control covariance order {b_cov.n} does not "
-                             f"match layout n_z {layout.n_z}")
+        theirs = b_cov.layout
+        if (theirs.names, theirs.sizes) != (layout.names, layout.sizes):
+            raise ValueError(
+                f"control covariance segments {theirs.names} of sizes "
+                f"{theirs.sizes} do not match the layout's {layout.names} "
+                f"of sizes {layout.sizes}")
         if r_cov.n != obs.n_obs:
             raise ValueError("observation covariance order does not match set")
         self.model = model

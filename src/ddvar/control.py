@@ -15,9 +15,9 @@ views the forcing (and boundary) segment of the window that owns the step
 onto level l, so the nonlinear run, the tangent-linear sweep and the
 adjoint sweep walk the window by one rule.
 
-Segment order is fixed (initial state, then all forcing windows, then all
-boundary windows) so that a block covariance and the layout always agree
-on offsets.
+Segment order is fixed: the initial state, then all forcing windows,
+then all boundary windows.  The block covariance
+(covariance.ControlCovariance) takes its offsets from the layout.
 """
 
 import numpy as np
@@ -52,6 +52,12 @@ class ControlLayout:
         self._slices = {name: slice(int(offs[i]), int(offs[i + 1]))
                         for i, name in enumerate(names)}
         self.n_z = int(offs[-1])
+        # the span of each kind of segment: x0, every forcing window and
+        # every boundary window (empty without boundary segments)
+        end_f = self.n_state * (1 + windows.n_t)
+        self.spans = {"x0": slice(0, self.n_state),
+                      "f": slice(self.n_state, end_f),
+                      "b": slice(end_f, self.n_z)}
         # window of the step onto level l, at index l - 1
         self.step_window = tuple(windows.window_of_step(s)
                                  for s in range(1, windows.n_steps + 1))
@@ -104,16 +110,11 @@ class ControlVector:
         boundary segments.  The views alias the data, so an in-place add
         to an entry lands in its window's segment."""
         lay = self.layout
-        # the fixed segment order puts all forcing windows after x0 and all
-        # boundary windows after them, so one reshape views each kind
-        end_f = lay.n_state * (1 + lay.n_t)
-        f = self.data[lay.n_state:end_f].reshape(
+        # each kind's windows are one span, so one reshape views them
+        f = self.data[lay.spans["f"]].reshape(
             lay.n_t, lay.n_fields, lay.grid.nx, lay.grid.ny)
         forcing = [f[k] for k in lay.step_window]
         if not lay.has_boundary:
             return forcing, None
-        b = self.data[end_f:].reshape(lay.n_t, lay.n_fields, -1)
+        b = self.data[lay.spans["b"]].reshape(lay.n_t, lay.n_fields, -1)
         return forcing, [b[k] for k in lay.step_window]
-
-    def copy(self):
-        return ControlVector(self.layout, self.data.copy())

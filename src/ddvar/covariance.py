@@ -20,19 +20,22 @@ nugget is diagonal in the joint eigenbasis, so every operation works on an
     B^-1 V     = Ux [(Ux' V Uy) / s] Uy'
     B^1/2 V    = Ux [(Ux' V Uy) * sqrt(s)] Uy'    (symmetric root)
 
-with s_ij = sigma^2 lx_i ly_j + eps.  A rectangular sub-grid (a product of
-row and column sets) restricts to the exact principal block
-sigma^2 Kx[I,I] (x) Ky[J,J] + eps I, which is all the domain-decomposed
-solver asks for; no dense nx*ny x nx*ny matrix is ever formed outside the
-test-only `matrix` property (Saatci 2011; Gilboa, Saatci & Cunningham,
-IEEE TPAMI 2015).  Multi-field states use the same spatial block per field
-with no cross-field correlation.
+with s_ij = sigma^2 lx_i ly_j + eps.  restrict_grid(I, J), a rectangular
+sub-grid (a product of row and column sets), gives the exact principal
+block sigma^2 Kx[I,I] (x) Ky[J,J] + eps I, which is all the
+domain-decomposed solver asks for; no dense nx*ny x nx*ny matrix is ever
+formed outside the `matrix` property, which tests and oracles read
+(Saatci 2011; Gilboa, Saatci & Cunningham, IEEE TPAMI 2015).  Multi-field
+states use the same spatial block per field with no cross-field
+correlation.
 
-The nugget eps defaults to 1e-3 * sigma^2.  A Gaussian kernel on a regular
-grid is notoriously ill conditioned once L spans a few spacings; with the
-default the condition number stays near 1e3/eps_rel, which keeps the
-inverse round trip (apply_inv after apply) at 1e-10 relative, the accuracy
-the rest of the code assumes from B.
+The nugget eps defaults to 1e-3 * sigma^2 and may not fall below
+1e-10 * sigma^2: both are relative, so a run does not depend on the scale
+of sigma.  A Gaussian kernel on a regular grid is notoriously ill
+conditioned once L spans a few spacings; with the default the condition
+number stays near 1e3/eps_rel, which keeps the inverse round trip
+(apply_inv after apply) at 1e-10 relative, the accuracy the rest of the
+code assumes from B.
 
 The boundary ring of the prescribed-boundary model is not a product set,
 so its covariance stays a dense Gaussian kernel over the ring points,
@@ -64,26 +67,26 @@ restriction of the Kronecker block slices the parent's 1-D kernels,
 Kx[I, I] and Ky[J, J], which are bitwise the kernels of the sub-grid's
 coordinates: the entries come from the same coordinate differences.
 
-Control-vector covariances are block diagonal over the control segments
-(initial state, one forcing block per assimilation window, one boundary
-block per window), with the window blocks sharing one covariance object,
-which applies all of its windows as one stacked call.
+The control covariance (ControlCovariance) is block diagonal over the
+segments of a control.ControlLayout, which alone fixes their order and
+offsets: the initial state, one forcing segment per assimilation window
+and one boundary segment per window, as ROMS models B (Moore et al.,
+Prog. Oceanogr. 2011).  It keeps one spatial block per kind of segment,
+x0 and f on the grid and b on the ring, and applies each kind's windows
+and fields as one stacked call of its block.
 """
 
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
-from .grid import boundary_ring_indices
+from .grid import boundary_ring_indices, ring_size
 
 __all__ = [
     "GaussianCovariance",
     "KroneckerCovariance",
-    "CovarianceB",
     "CovarianceR",
     "ControlCovariance",
-    "build_b",
     "build_control_covariance",
     "ring_coords",
 ]
@@ -108,8 +111,9 @@ def _checked_nugget(sigma, length, nugget):
         raise ValueError(f"length must be positive, got {length}")
     if nugget is None:
         nugget = DEFAULT_NUGGET_FACTOR * sigma**2
-    if nugget < 1e-10:
-        raise ValueError(f"nugget must be >= 1e-10, got {nugget}")
+    if nugget < 1e-10 * sigma**2:
+        raise ValueError(f"nugget must be >= 1e-10 sigma^2 = "
+                         f"{1e-10 * sigma**2}, got {nugget}")
     return float(nugget)
 
 
@@ -227,9 +231,6 @@ class GaussianCovariance:
         """Map a unit-variance draw w to a B-distributed vector, L @ w."""
         return self._check(w) @ self.factor.T
 
-    def apply_sqrt_t(self, v):
-        return self._check(v) @ self.factor
-
     def restrict(self, idx):
         """Principal submatrix over index set idx; its factor is built on
         first use."""
@@ -338,25 +339,6 @@ class KroneckerCovariance:
         """Map a unit-variance draw w to a B-distributed vector, B^1/2 w."""
         return self._eig_scale(w, self._sqrt_spectrum)
 
-    apply_sqrt_t = apply_sqrt
-
-    def restrict(self, idx):
-        """Principal block over a rectangular sub-grid.
-
-        idx must be the row-major flat indices of a product of row and
-        column sets; the block is sigma^2 Kx[I,I] (x) Ky[J,J] + eps I.
-        """
-        idx = _check_index_set(idx, self.n)
-        # the distinct rows and columns in increasing order; np.unique
-        # would do, but it imports numpy.ma (about 1.2 MB resident) for
-        # this one call of a decomposed run
-        rows = np.flatnonzero(np.bincount(idx // self.ny, minlength=self.nx))
-        cols = np.flatnonzero(np.bincount(idx % self.ny, minlength=self.ny))
-        if not np.array_equal(idx, (rows[:, None] * self.ny + cols).ravel()):
-            raise ValueError("restriction of a Kronecker covariance needs "
-                             "a rectangular sub-grid in row-major order")
-        return self.restrict_grid(rows, cols)
-
     def restrict_grid(self, rows, cols):
         """Principal block over the sub-grid rows x cols (increasing
         index arrays), sliced from this block's kernels."""
@@ -371,87 +353,29 @@ class KroneckerCovariance:
         return sub
 
 
-class CovarianceB:
-    """State covariance: one spatial block repeated over n_fields.
-
-    The applies take one state vector (n,) or a stack of them (..., n).
-    """
-
-    def __init__(self, block, n_fields):
-        if n_fields < 1:
-            raise ValueError("n_fields must be >= 1")
-        self.block = block
-        self.n_fields = int(n_fields)
-
-    @property
-    def n(self):
-        return self.n_fields * self.block.n
-
-    @property
-    def matrix(self):
-        return _block_diag([self.block.matrix] * self.n_fields)
-
-    def _map(self, v, op):
-        v = np.asarray(v, dtype=float)
-        if v.ndim < 1 or v.shape[-1] != self.n:
-            raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
-        fields = v.reshape(v.shape[:-1] + (self.n_fields, self.block.n))
-        return getattr(self.block, op)(fields).reshape(v.shape)
-
-    def apply(self, v):
-        return self._map(v, "apply")
-
-    def apply_inv(self, v):
-        return self._map(v, "apply_inv")
-
-    def apply_sqrt(self, w):
-        return self._map(w, "apply_sqrt")
-
-    def apply_sqrt_t(self, v):
-        return self._map(v, "apply_sqrt_t")
-
-    def restrict(self, idx):
-        """Restrict to a node index set, applied identically per field."""
-        return CovarianceB(self.block.restrict(idx), self.n_fields)
-
-    def restrict_grid(self, rows, cols):
-        """Restrict a Kronecker block to the sub-grid rows x cols."""
-        return CovarianceB(self.block.restrict_grid(rows, cols), self.n_fields)
-
-
-def build_b(grid, n_fields, sigma, length, nugget=None):
-    """Background covariance over the grid nodes, block diagonal by field."""
-    block = KroneckerCovariance(np.arange(grid.nx) * grid.dx,
-                                np.arange(grid.ny) * grid.dy,
-                                sigma, length, nugget)
-    return CovarianceB(block, n_fields)
-
-
 def ring_coords(grid):
     """(n_ring, 2) coordinates of the boundary ring, canonical order."""
     ii, jj = boundary_ring_indices(grid.nx, grid.ny)
     return np.stack([ii * grid.dx, jj * grid.dy], axis=1)
 
 
-def build_control_covariance(grid, windows, n_fields, has_boundary,
-                             sigma_x, length_x, sigma_f, length_f,
+def build_control_covariance(layout, sigma_x, length_x, sigma_f, length_f,
                              sigma_b=None, length_b=None, nugget=None):
-    """Block covariance over the control segments.
+    """Block covariance over the control segments of layout.
 
     All forcing windows share one block, likewise the boundary windows, so
     the cost of construction does not grow with n_t.
     """
-    bx = build_b(grid, n_fields, sigma_x, length_x, nugget)
-    bf = build_b(grid, n_fields, sigma_f, length_f, nugget)
-    segments = [("x0", bx)]
-    segments += [(f"f{k}", bf) for k in range(windows.n_t)]
-    if has_boundary:
+    grid = layout.grid
+    x, y = np.arange(grid.nx) * grid.dx, np.arange(grid.ny) * grid.dy
+    ring = None
+    if layout.has_boundary:
         if sigma_b is None or length_b is None:
             raise ValueError("boundary segments need sigma_b and length_b")
-        bb = CovarianceB(GaussianCovariance(ring_coords(grid), sigma_b,
-                                            length_b, nugget), n_fields)
-        segments += [(f"b{k}", bb) for k in range(windows.n_t)]
-    return ControlCovariance(segments)
+        ring = GaussianCovariance(ring_coords(grid), sigma_b, length_b, nugget)
+    return ControlCovariance(
+        layout, KroneckerCovariance(x, y, sigma_x, length_x, nugget),
+        KroneckerCovariance(x, y, sigma_f, length_f, nugget), ring)
 
 
 class CovarianceR:
@@ -469,10 +393,6 @@ class CovarianceR:
     def n(self):
         return self.variances.size
 
-    @property
-    def matrix(self):
-        return np.diag(self.variances)
-
     def _check(self, v):
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
@@ -485,69 +405,62 @@ class CovarianceR:
     def apply_inv(self, v):
         return self._check(v) / self.variances
 
-    def apply_sqrt(self, w):
-        return self._check(w) * np.sqrt(self.variances)
-
-    def restrict(self, idx):
-        return CovarianceR(self.variances[np.asarray(idx, dtype=int)])
-
 
 class ControlCovariance:
-    """Block-diagonal covariance over named control segments.
+    """Block-diagonal covariance over the control segments of a layout
+    (control.ControlLayout), which fixes their order and offsets.
 
-    segments is an ordered list of (name, cov) pairs; covariance objects may
-    be shared between segments (forcing windows all point at one block).
-    The apply routines walk runs of consecutive segments that share one
-    covariance object and apply each run as one stacked call.
+    blocks holds one spatial block per kind of segment: "x0" and "f"
+    (KroneckerCovariance over the grid nodes) and "b" (GaussianCovariance
+    over the boundary ring, None without boundary segments).  A kind's
+    windows and fields go through its block as one stacked call, shaped
+    (n_t, n_fields, n), or (n_fields, n) for x0 and for one window.
     """
 
-    def __init__(self, segments):
-        if not segments:
-            raise ValueError("at least one segment required")
-        self.segments = list(segments)
-        names = [name for name, _ in self.segments]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate segment names in {names}")
-        self.sizes = [cov.n for _, cov in self.segments]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        # (cov, start, count) of each run of consecutive segments sharing
-        # one covariance object
-        self._runs = []
-        start = 0
-        for _, run in groupby((cov for _, cov in self.segments), key=id):
-            run = list(run)
-            self._runs.append((run[0], start, len(run)))
-            start += run[0].n * len(run)
+    def __init__(self, layout, x0, f, b=None):
+        if layout.has_boundary and b is None:
+            raise ValueError("boundary segments need a ring block")
+        if b is not None and not layout.has_boundary:
+            raise ValueError("a ring block needs boundary segments")
+        n_grid = layout.grid.n_points
+        n_ring = ring_size(layout.grid.nx, layout.grid.ny)
+        for kind, block, n in (("x0", x0, n_grid), ("f", f, n_grid),
+                               ("b", b, n_ring)):
+            if block is not None and block.n != n:
+                raise ValueError(f"the {kind} block has order {block.n}, "
+                                 f"its segments have {n} points per field")
+        self.layout = layout
+        self.blocks = {"x0": x0, "f": f, "b": b}
+        # (span, block, shape) of each kind: its span of the flat vector,
+        # its block and the shape of the stack the block applies
+        self._stacks = []
+        for kind, block in self.blocks.items():
+            if block is not None:
+                shape = (layout.n_fields, block.n)
+                if kind != "x0" and layout.n_t > 1:
+                    shape = (layout.n_t,) + shape
+                self._stacks.append((layout.spans[kind], block, shape))
 
     @property
     def n(self):
-        return int(self.offsets[-1])
-
-    @property
-    def names(self):
-        return [name for name, _ in self.segments]
-
-    def segment_cov(self, name):
-        for seg_name, cov in self.segments:
-            if seg_name == name:
-                return cov
-        raise KeyError(name)
+        return self.layout.n_z
 
     @property
     def matrix(self):
-        return _block_diag([cov.matrix for _, cov in self.segments])
+        """The dense matrix, built on demand; for tests and oracles only."""
+        mats = []
+        for span, block, _ in self._stacks:
+            # one copy per field and window
+            mats += [block.matrix] * ((span.stop - span.start) // block.n)
+        return _block_diag(mats)
 
     def _map(self, v, op):
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
         out = np.empty_like(v)
-        for cov, start, count in self._runs:
-            stop = start + count * cov.n
-            seg = v[start:stop]
-            if count > 1:
-                seg = seg.reshape(count, cov.n)
-            out[start:stop] = getattr(cov, op)(seg).ravel()
+        for span, block, shape in self._stacks:
+            out[span] = getattr(block, op)(v[span].reshape(shape)).ravel()
         return out
 
     def apply(self, v):
@@ -558,6 +471,3 @@ class ControlCovariance:
 
     def apply_sqrt(self, w):
         return self._map(w, "apply_sqrt")
-
-    def apply_sqrt_t(self, v):
-        return self._map(v, "apply_sqrt_t")

@@ -61,18 +61,18 @@ def build_problem(cfg):
                                              viscosity=cfg.viscosity,
                                              boundary=cfg.boundary))
     windows = build_time_windows(cfg.n_steps, cfg.n_t)
-    has_boundary = cfg.boundary == "prescribed"
-    layout = ControlLayout(grid, windows, model.n_fields, has_boundary)
-    b_cov = build_control_covariance(grid, windows, model.n_fields,
-                                     has_boundary, cfg.sigma_x, cfg.length_x,
+    layout = ControlLayout(grid, windows, model.n_fields,
+                           cfg.boundary == "prescribed")
+    b_cov = build_control_covariance(layout, cfg.sigma_x, cfg.length_x,
                                      cfg.sigma_f, cfg.length_f, cfg.sigma_b,
                                      cfg.length_b)
     rng = np.random.default_rng(cfg.seed)
     # x_b is the x0 segment of B^1/2 of a whole-control draw: the x0
     # block's root of that segment of the draw
     draw = rng.standard_normal(layout.n_z)
-    x_b = b_cov.segment_cov("x0").apply_sqrt(
-        draw[layout.slice_of("x0")]).reshape(model.n_fields, grid.nx, grid.ny)
+    x0 = draw[layout.slice_of("x0")].reshape(model.n_fields, -1)
+    x_b = b_cov.blocks["x0"].apply_sqrt(x0).reshape(model.n_fields, grid.nx,
+                                                    grid.ny)
 
     z_truth = None
     if cfg.obs_file:

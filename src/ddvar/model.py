@@ -107,10 +107,6 @@ class ModelConfig:
     def n_fields(self) -> int:
         return len(FIELDS[self.kind])
 
-    @property
-    def field_names(self) -> tuple:
-        return FIELDS[self.kind]
-
 
 @dataclass
 class Trajectory:
@@ -241,10 +237,6 @@ class SurrogateModel:
     @property
     def n_fields(self) -> int:
         return self.config.n_fields
-
-    @property
-    def field_names(self) -> tuple:
-        return self.config.field_names
 
     @property
     def state_shape(self) -> tuple:

@@ -146,10 +146,11 @@ class TileGeometry:
     restricted to the box, and which observations the tile owns and its
     box carries.  build_local_problems builds one per tile, and the tile's
     N_t window blocks share its arrays.  ring is the boundary ring's
-    (ii, jj) (None for periodic models) and covs the x0, f and b segment
-    covariances (b None without boundary segments)."""
+    (ii, jj) (None for periodic models) and full_cov the spatial blocks of
+    the control covariance (ControlCovariance.blocks: x0 and f over the
+    grid, b over the ring, None without boundary segments)."""
 
-    def __init__(self, tile, model, grid, ring, covs, obs):
+    def __init__(self, tile, model, grid, ring, full_cov, obs):
         self.tile = tile
         self.grid = grid
         self.n_fields = model.n_fields
@@ -236,15 +237,15 @@ class TileGeometry:
         nodes = gi[:, None] * grid.ny + gj[None, :]
         self.owned_node_idx = nodes[oi, oj].ravel()
 
-        # covariances: restricted to the box (x0, f) and the owned ring
-        # (b, None without one) for the capacitance matrix, the full
-        # segment ones for the owned block of the precision
-        bx, bf, bb = covs
-        self.cov_x = bx.restrict_grid(gi, gj)
-        self.cov_f = bf.restrict_grid(gi, gj)
+        # covariances: the spatial blocks restricted to the box (x0, f)
+        # and the owned ring (b, None without one) for the capacitance
+        # matrix, the full blocks for the owned block of the precision
+        bb = full_cov["b"]
+        self.cov_x = full_cov["x0"].restrict_grid(gi, gj)
+        self.cov_f = full_cov["f"].restrict_grid(gi, gj)
         self.cov_b = (bb.restrict(self.ring_pos)
                       if bb is not None and self.ring_pos.size else None)
-        self.full_cov = {"x0": bx, "f": bf, "b": bb}
+        self.full_cov = full_cov
 
         # masks over the observation set: the observations the tile owns,
         # and those whose bilinear stencil lies inside the box, which the
@@ -325,13 +326,13 @@ class LocalProblem:
 
     def owned_prec_apply(self, seg, v):
         """Owned principal block of the segment precision applied to v, by
-        zero-padding into the whole segment and applying its full B^-1."""
+        zero-padding every field into the whole grid (or ring) and
+        applying the spatial block's full B^-1."""
         cov = self.full_cov[seg]
         idx = self.ring_pos if seg == "b" else self.owned_node_idx
-        full = np.zeros((self.n_fields, cov.block.n))
+        full = np.zeros((self.n_fields, cov.n))
         full[:, idx] = v.reshape(self.n_fields, -1)
-        out = cov.apply_inv(full.ravel()).reshape(self.n_fields, -1)
-        return out[:, idx].ravel()
+        return cov.apply_inv(full)[:, idx].ravel()
 
     @cached_property
     def lin_ops(self):
@@ -466,9 +467,10 @@ class GaussNewtonTerm:
 class LocalSolve:
     """One block's observation-space solve, factorized once.
 
-    With X the block's sample rows (GaussNewtonTerm), B_p the covariance
-    restricted to the box (Kronecker blocks for x0 and f, the owned ring
-    block for b) and R_pp the samples' error variances,
+    With X the block's sample rows (GaussNewtonTerm), B_p the control
+    covariance's spatial blocks restricted to the box (x0 and f) and to
+    the owned ring (b), each applied to every field, and R_pp the
+    samples' error variances,
 
         C = R_pp + X B_p X' / alpha    (k x k, inverted once),
 
@@ -509,7 +511,7 @@ class LocalSolve:
         for cov, n in zip(self.covs, self.seg_sizes):
             if cov is not None:
                 seg = v[..., ofs:ofs + n]
-                out[..., ofs:ofs + n] = cov.block.apply(
+                out[..., ofs:ofs + n] = cov.apply(
                     seg.reshape(seg.shape[:-1] + (self.n_fields, -1))
                 ).reshape(seg.shape)
             ofs += n
@@ -639,8 +641,8 @@ def local_ad_step(p, forcings, lin_ops, trace, terminal=None):
 
 
 def build_local_problems(problem, layout_tiles, config):
-    """All (tile, window) blocks of the problem, with restricted covariances
-    attached.
+    """All (tile, window) blocks of the problem, with the spatial blocks of
+    the control covariance (b_cov.blocks) restricted to each tile's box.
 
     Each tile's geometry (TileGeometry) is built once and shared by its
     windows' blocks, and each window's observations are found once and
@@ -654,11 +656,9 @@ def build_local_problems(problem, layout_tiles, config):
     layout_ctl, obs, b_cov = problem.layout, problem.obs, problem.b_cov
     steps = problem.background_tangent.steps
     weights = (config.alpha, config.gamma)
-    covs = (b_cov.segment_cov("x0"), b_cov.segment_cov("f0"),
-            b_cov.segment_cov("b0") if layout_ctl.has_boundary else None)
     ring = (boundary_ring_indices(grid.nx, grid.ny)
             if model.config.boundary == "prescribed" else None)
-    tiles = [TileGeometry(tile, model, grid, ring, covs, obs)
+    tiles = [TileGeometry(tile, model, grid, ring, b_cov.blocks, obs)
              for tile in layout_tiles.tiles]
     # the window of every observation: levels shared by two windows go to
     # the earlier one

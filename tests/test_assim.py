@@ -5,6 +5,7 @@ import pytest
 
 from ddvar.assim import (
     AnalysisNotConverged,
+    AssimilationProblem,
     CostBreakdown,
     TangentObsOperator,
     cost,
@@ -469,3 +470,20 @@ def test_analysis_not_converged_raises():
     p = make_problem(seed=18)
     with pytest.raises(AnalysisNotConverged):
         p.primal_analysis(tol=1e-14, maxit=1)
+
+
+def test_problem_rejects_a_covariance_of_another_layout():
+    """The control covariance must have the problem's segments, not only
+    its order: a periodic burgers layout with one window and a periodic
+    linear layout with three both have n_z = 4 nx ny."""
+    from ddvar.control import ControlLayout
+    from ddvar.covariance import build_control_covariance
+    from ddvar.grid import build_time_windows
+
+    p = make_problem(kind="burgers", boundary="periodic", n_t=1)
+    other = ControlLayout(p.layout.grid, build_time_windows(6, 3), 1, False)
+    b_cov = build_control_covariance(other, 0.5, 2.0, 0.05, 2.0)
+    assert b_cov.n == p.layout.n_z
+    with pytest.raises(ValueError, match="segments"):
+        AssimilationProblem(p.model, p.windows, p.layout, b_cov, p.r_cov,
+                            p.obs, p.x_b)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.spatial
 
+from ddvar.control import ControlLayout
 from ddvar.covariance import (
     ControlCovariance,
     CovarianceR,
     GaussianCovariance,
     KroneckerCovariance,
-    build_b,
     build_control_covariance,
     ring_coords,
 )
@@ -19,6 +19,19 @@ def grid66():
     return Grid(nx=6, ny=6, dt=0.1, n_steps=1)
 
 
+def grid_block(grid, sigma, length, nugget=None):
+    """The Kronecker block over the grid's nodes."""
+    return KroneckerCovariance(np.arange(grid.nx) * grid.dx,
+                               np.arange(grid.ny) * grid.dy,
+                               sigma, length, nugget)
+
+
+def layout_of(grid, n_t, n_fields=1, has_boundary=False):
+    """Control layout of n_t windows over three steps."""
+    return ControlLayout(grid, build_time_windows(3, n_t), n_fields,
+                         has_boundary)
+
+
 def test_two_points_at_distance_l():
     pts = np.array([[0.0, 0.0], [3.0, 0.0]])
     cov = GaussianCovariance(pts, sigma=2.0, length=3.0, nugget=1e-6)
@@ -27,8 +40,8 @@ def test_two_points_at_distance_l():
 
 
 def test_vanishing_length_gives_diagonal(grid66):
-    b = build_b(grid66, 1, sigma=1.5, length=1e-8, nugget=1e-8)
-    np.testing.assert_allclose(b.block.matrix, (1.5**2 + 1e-8) * np.eye(36),
+    b = grid_block(grid66, sigma=1.5, length=1e-8, nugget=1e-8)
+    np.testing.assert_allclose(b.matrix, (1.5**2 + 1e-8) * np.eye(36),
                                rtol=0, atol=1e-15)
     v = np.arange(36.0)
     np.testing.assert_allclose(b.apply_inv(v), v / (1.5**2 + 1e-8), rtol=1e-12)
@@ -36,10 +49,10 @@ def test_vanishing_length_gives_diagonal(grid66):
 
 def test_symmetry_and_factor_reassembly(grid66):
     rng = np.random.default_rng(9)
-    b = build_b(grid66, 1, sigma=1.0, length=2.0).block
+    b = grid_block(grid66, sigma=1.0, length=2.0)
     assert np.max(np.abs(b.matrix - b.matrix.T)) <= 1e-14
     w = rng.standard_normal(b.n)
-    np.testing.assert_allclose(b.apply_sqrt(b.apply_sqrt_t(w)), b.apply(w),
+    np.testing.assert_allclose(b.apply_sqrt(b.apply_sqrt(w)), b.apply(w),
                                rtol=0, atol=1e-12)
     dense = GaussianCovariance(grid66.node_coords(), sigma=1.0, length=2.0)
     np.testing.assert_allclose(dense.factor @ dense.factor.T, dense.matrix,
@@ -49,25 +62,25 @@ def test_symmetry_and_factor_reassembly(grid66):
 
 def test_apply_round_trip_and_sqrt(grid66):
     rng = np.random.default_rng(10)
-    b = build_b(grid66, 2, sigma=1.0, length=2.0)
-    v = rng.standard_normal(b.n)
+    b = grid_block(grid66, sigma=1.0, length=2.0)
+    v = rng.standard_normal((2, b.n))  # two fields
     back = b.apply_inv(b.apply(v))
     assert np.linalg.norm(back - v) / np.linalg.norm(v) <= 1e-10
-    w = rng.standard_normal(b.n)
-    np.testing.assert_allclose(b.apply_sqrt(b.apply_sqrt_t(w)), b.apply(w),
+    w = rng.standard_normal((2, b.n))
+    np.testing.assert_allclose(b.apply_sqrt(b.apply_sqrt(w)), b.apply(w),
                                rtol=1e-11, atol=1e-12)
     assert np.vdot(v, b.apply(v)) > 0
-    assert np.all(b.apply(np.zeros(b.n)) == 0.0)
+    assert np.all(b.apply(np.zeros((2, b.n))) == 0.0)
 
 
 def test_apply_matches_dense_matvec(grid66):
     rng = np.random.default_rng(11)
-    b = build_b(grid66, 2, sigma=0.7, length=1.5)
+    b = grid_block(grid66, sigma=0.7, length=1.5)
     v = rng.standard_normal(b.n)
     np.testing.assert_allclose(b.apply(v), b.matrix @ v, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(b.apply_inv(v), np.linalg.solve(b.matrix, v),
                                rtol=1e-9, atol=1e-10)
-    # a stack of three states, as the control covariance passes the
+    # a stack of three fields, as the control covariance passes the
     # forcing windows at N_t = 3
     vs = rng.standard_normal((3, b.n))
     np.testing.assert_allclose(b.apply(vs), vs @ b.matrix, rtol=1e-13,
@@ -83,37 +96,29 @@ def rect(rows, cols, ny):
 
 
 def test_restrict_principal_submatrix(grid66):
-    b = build_b(grid66, 1, sigma=1.2, length=2.5).block
-    for idx in (rect([1, 2, 3], [2, 3, 4, 5], 6), rect([0, 2, 5], [1, 4], 6)):
-        sub = b.restrict(idx)
+    b = grid_block(grid66, sigma=1.2, length=2.5)
+    for rows, cols in (([1, 2, 3], [2, 3, 4, 5]), ([0, 2, 5], [1, 4])):
+        idx = rect(rows, cols, 6)
+        sub = b.restrict_grid(np.array(rows), np.array(cols))
         np.testing.assert_array_equal(sub.matrix, b.matrix[np.ix_(idx, idx)])
         assert np.all(sub.spectrum > 0)
-    full = b.restrict(np.arange(36))
+    full = b.restrict_grid(np.arange(6), np.arange(6))
     np.testing.assert_array_equal(full.matrix, b.matrix)
-    single = b.restrict(np.array([7]))
+    single = b.restrict_grid(np.array([1]), np.array([1]))
     assert single.matrix.shape == (1, 1)
     assert single.matrix[0, 0] == b.matrix[7, 7]
 
 
 def test_restrict_field_blocked(grid66):
-    b = build_b(grid66, 2, sigma=1.0, length=2.0)
+    """A restricted block applies to every field of a stack alike."""
+    b = grid_block(grid66, sigma=1.0, length=2.0)
     idx = rect([1, 2], [3, 4], 6)
-    sub = b.restrict(idx)
-    assert sub.n == 8
-    np.testing.assert_array_equal(sub.block.matrix,
-                                  b.block.matrix[np.ix_(idx, idx)])
-
-
-def test_restrict_rejects_non_rectangular_index_sets(grid66):
-    b = build_b(grid66, 2, sigma=1.0, length=2.0)
-    for idx in ([0, 5, 17],                      # scattered nodes
-                [7, 8, 13],                      # an L-shape
-                rect([1, 2], [3, 4], 6)[::-1],   # a rectangle out of order
-                [8, 8, 9]):                      # a repeated node
-        with pytest.raises(ValueError, match="rectangular"):
-            b.restrict(idx)
-    with pytest.raises(ValueError, match="out of range"):
-        b.restrict([35, 36])
+    sub = b.restrict_grid(np.array([1, 2]), np.array([3, 4]))
+    assert sub.n == 4
+    v = np.random.default_rng(12).standard_normal((2, sub.n))
+    np.testing.assert_allclose(sub.apply(v),
+                               v @ b.matrix[np.ix_(idx, idx)],
+                               rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 5), (10, 8)])
@@ -122,7 +127,7 @@ def test_kronecker_matches_dense_kernel(nx, ny):
     rng = np.random.default_rng(nx * ny)
     grid = Grid(nx=nx, ny=ny, dt=0.1, n_steps=1, dx=0.8, dy=1.1)
     sigma, length = 0.7, 1.5
-    b = build_b(grid, 1, sigma=sigma, length=length).block
+    b = grid_block(grid, sigma=sigma, length=length)
     pts = grid.node_coords()
     d2 = scipy.spatial.distance.cdist(pts, pts, "sqeuclidean")
     dense = sigma**2 * np.exp(-d2 / (2.0 * length**2)) \
@@ -137,7 +142,8 @@ def test_kronecker_matches_dense_kernel(nx, ny):
     idx = rect(range(1, nx - 1), range(2, ny), ny)
     sub = dense[np.ix_(idx, idx)]
     w = rng.standard_normal(idx.size)
-    assert rel(b.restrict(idx).apply_inv(w), np.linalg.solve(sub, w)) <= 1e-12
+    assert rel(b.restrict_grid(np.arange(1, nx - 1), np.arange(2, ny))
+               .apply_inv(w), np.linalg.solve(sub, w)) <= 1e-12
 
 
 def _subnormals(a):
@@ -236,9 +242,12 @@ def test_ring_apply_inv_round_trip(length):
 
 
 def test_dimension_and_parameter_rejection(grid66):
-    b = build_b(grid66, 1, sigma=1.0, length=2.0)
+    b = grid_block(grid66, sigma=1.0, length=2.0)
     with pytest.raises(ValueError):
         b.apply(np.zeros(35))
+    ring = GaussianCovariance(ring_coords(grid66), sigma=1.0, length=2.0)
+    with pytest.raises(ValueError, match="out of range"):
+        ring.restrict([0, ring.n])
     with pytest.raises(ValueError):
         GaussianCovariance(np.zeros((4, 2)), sigma=-1.0, length=1.0)
     with pytest.raises(ValueError):
@@ -268,32 +277,30 @@ def test_covariance_r():
     v = np.array([1.0, 1.0, 3.0])
     np.testing.assert_array_equal(r.apply(v), [0.5, 2.0, 3.0])
     np.testing.assert_array_equal(r.apply_inv(r.apply(v)), v)
-    np.testing.assert_allclose(r.apply_sqrt(r.apply_sqrt(v)), r.apply(v), rtol=1e-15)
     with pytest.raises(ValueError):
         CovarianceR([1.0, 0.0])
-    sub = r.restrict([2, 0])
-    np.testing.assert_array_equal(sub.variances, [1.0, 0.5])
+    with pytest.raises(ValueError):
+        r.apply(np.ones(2))
 
 
 def test_control_covariance_blocks(grid66):
     rng = np.random.default_rng(13)
-    bx = build_b(grid66, 1, sigma=1.0, length=2.0)
-    bf = build_b(grid66, 1, sigma=0.2, length=1.0)
-    cc = ControlCovariance([("x0", bx), ("f0", bf), ("f1", bf)])
+    bx = grid_block(grid66, sigma=1.0, length=2.0)
+    bf = grid_block(grid66, sigma=0.2, length=1.0)
+    cc = ControlCovariance(layout_of(grid66, 2), bx, bf)
     assert cc.n == 3 * 36
-    assert cc.names == ["x0", "f0", "f1"]
-    assert cc.segment_cov("f1") is bf
+    assert cc.blocks == {"x0": bx, "f": bf, "b": None}
     v = rng.standard_normal(cc.n)
     dense = cc.matrix
     np.testing.assert_allclose(cc.apply(v), dense @ v, rtol=1e-13, atol=1e-13)
     assert np.linalg.norm(cc.apply_inv(cc.apply(v)) - v) <= 1e-10 * np.linalg.norm(v)
-    np.testing.assert_allclose(cc.apply_sqrt(cc.apply_sqrt_t(v)), cc.apply(v),
+    # both blocks take their symmetric root
+    np.testing.assert_allclose(cc.apply_sqrt(cc.apply_sqrt(v)), cc.apply(v),
                                rtol=1e-11, atol=1e-12)
-    assert list(cc.offsets) == [0, 36, 72, 108]
-    with pytest.raises(KeyError):
-        cc.segment_cov("b0")
+    np.testing.assert_array_equal(dense[36:72, 36:72], bf.matrix)
+    np.testing.assert_array_equal(dense[:36, 36:], 0.0)
     # N_t = 3: the three forcing windows go through bf as one stack
-    cc = ControlCovariance([("x0", bx)] + [(f"f{k}", bf) for k in range(3)])
+    cc = ControlCovariance(layout_of(grid66, 3), bx, bf)
     v = rng.standard_normal(cc.n)
     dense = cc.matrix
     np.testing.assert_allclose(cc.apply(v), dense @ v, rtol=1e-13, atol=1e-13)
@@ -304,34 +311,73 @@ def test_control_covariance_blocks(grid66):
 
 @pytest.mark.parametrize("n_t", [1, 2, 3])
 def test_control_covariance_applies_each_shared_block_once(n_t, monkeypatch):
-    """Consecutive windows sharing a covariance are one stacked apply:
+    """Each kind's windows and fields are one stacked apply of its block:
     x0, the forcing windows and the boundary windows make three applies
     at any N_t, and the result matches the dense block-diagonal matrix."""
     grid = Grid(nx=7, ny=5, dt=0.1, n_steps=3)
-    windows = build_time_windows(3, n_t)
-    cc = build_control_covariance(grid, windows, 2, True, 0.5, 1.5, 0.2,
-                                  1.0, sigma_b=0.3, length_b=2.0)
-    assert len(cc.names) == 1 + 2 * n_t
+    cc = build_control_covariance(layout_of(grid, n_t, 2, True), 0.5, 1.5,
+                                  0.2, 1.0, sigma_b=0.3, length_b=2.0)
+    assert isinstance(cc.blocks["b"], GaussianCovariance)
     rng = np.random.default_rng(15)
     v = rng.standard_normal(cc.n)
     dense = cc.matrix
     calls = []
     for op in ("apply", "apply_inv"):
-        for cov in {id(c): c for _, c in cc.segments}.values():
-            real = getattr(cov, op)
+        for block in cc.blocks.values():
+            real = getattr(block, op)
 
             def counted(u, real=real):
                 calls.append(u.shape)
                 return real(u)
-            monkeypatch.setattr(cov, op, counted)
+            monkeypatch.setattr(block, op, counted)
     np.testing.assert_allclose(cc.apply(v), dense @ v, rtol=1e-13,
                                atol=1e-13)
     np.testing.assert_allclose(cc.apply_inv(v), np.linalg.solve(dense, v),
                                rtol=1e-9, atol=1e-10)
-    n_state, n_ring = 2 * 35, 2 * 20
-    runs = [(n_state,)] + [(m,) if n_t == 1 else (n_t, m)
-                           for m in (n_state, n_ring)]
+    windows = () if n_t == 1 else (n_t,)
+    runs = [(2, 35), windows + (2, 35), windows + (2, 20)]
     assert calls == runs * 2
+
+
+@pytest.mark.parametrize("case", ["ring_without_boundary",
+                                  "boundary_without_ring", "x0_size",
+                                  "f_size", "ring_size"])
+def test_control_covariance_rejects_blocks_that_do_not_fit_the_layout(
+        case, grid66):
+    """A ring block goes with boundary segments and only with them, x0
+    and f blocks cover the grid and the ring block covers the ring."""
+    other = Grid(nx=6, ny=5, dt=0.1, n_steps=1)
+    blocks = {"x0": grid_block(grid66, 1.0, 2.0),
+              "f": grid_block(grid66, 0.2, 1.0),
+              "b": GaussianCovariance(ring_coords(grid66), 0.3, 2.0)}
+    has_boundary = case != "ring_without_boundary"
+    match = {"ring_without_boundary": "ring block needs boundary",
+             "boundary_without_ring": "boundary segments need a ring",
+             "x0_size": "x0 block has order 30, its segments have 36",
+             "f_size": "f block has order 30, its segments have 36",
+             "ring_size": "b block has order 18, its segments have 20"}[case]
+    if case == "boundary_without_ring":
+        blocks["b"] = None
+    elif case == "ring_size":
+        blocks["b"] = GaussianCovariance(ring_coords(other), 0.3, 2.0)
+    elif case != "ring_without_boundary":
+        blocks[case.split("_")[0]] = grid_block(other, 1.0, 2.0)
+    with pytest.raises(ValueError, match=match):
+        ControlCovariance(layout_of(grid66, 2, 1, has_boundary), **blocks)
+
+
+def test_nugget_floor_is_relative_to_sigma():
+    """The default nugget, 1e-3 sigma^2, passes the floor at any sigma; an
+    explicit nugget below 1e-10 sigma^2 is rejected."""
+    pts = np.arange(6.0).reshape(3, 2)
+    for sigma in (1e-4, 1.0, 1e4):
+        cov = GaussianCovariance(pts, sigma=sigma, length=2.0)
+        assert cov.nugget == 1e-3 * sigma**2
+        KroneckerCovariance(np.arange(3.0), np.arange(2.0), sigma, 2.0)
+    GaussianCovariance(pts, sigma=1e-4, length=2.0, nugget=1e-16)
+    for sigma, nugget in ((1.0, 1e-12), (1e-4, 1e-19), (1e4, 1e-3)):
+        with pytest.raises(ValueError, match="nugget must be >= 1e-10"):
+            GaussianCovariance(pts, sigma=sigma, length=2.0, nugget=nugget)
 
 
 def test_ring_kernel_distances_equal_cdist():
@@ -396,19 +442,18 @@ def test_restrictions_slice_the_parent_kernels_bitwise(length):
     from ddvar.grid import build_tiles
 
     grid = Grid(nx=40, ny=32, dt=0.1, n_steps=1)
-    b = build_b(grid, 1, sigma=0.8, length=length).block
+    b = grid_block(grid, sigma=0.8, length=length)
     for x, k in ((b.x, b.kx), (b.y, b.ky)):
         d = x[:, None] - x[None, :]
         assert np.array_equal(
             k, _flush_subnormals(np.exp(-d**2 / (2.0 * length**2))))
     for t in build_tiles(grid, 2, 4, 2).tiles:
         rows, cols = np.arange(t.bi0, t.bi1), np.arange(t.bj0, t.bj1)
-        for sub in (b.restrict(rect(rows, cols, grid.ny)),
-                    b.restrict_grid(rows, cols)):
-            assert np.array_equal(sub.x, b.x[rows])
-            assert np.array_equal(sub.y, b.y[cols])
-            assert np.array_equal(sub.kx, _kernel_1d(b.x[rows], length))
-            assert np.array_equal(sub.ky, _kernel_1d(b.y[cols], length))
+        sub = b.restrict_grid(rows, cols)
+        assert np.array_equal(sub.x, b.x[rows])
+        assert np.array_equal(sub.y, b.y[cols])
+        assert np.array_equal(sub.kx, _kernel_1d(b.x[rows], length))
+        assert np.array_equal(sub.ky, _kernel_1d(b.y[cols], length))
 
     pts = ring_coords(grid)
     ring = GaussianCovariance(pts, sigma=0.8, length=length)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from ddvar.assim import dual_analysis
 from ddvar.cli import main
 from ddvar.config import (FORMULATIONS, ExperimentConfig, emit_config,
                           parse_config)
-from ddvar.experiment import build_problem, run_experiment
+from ddvar.experiment import (_run_dd, _run_krylov, build_problem,
+                              run_experiment)
 
 from util import count_gain_solves
 
@@ -667,3 +670,43 @@ def test_run_failure_maps_to_exit_2(tmp_path, capsys, monkeypatch):
     code = main(["run", "--config", str(p)])
     assert code == 2
     assert "model diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,formulation", [("case2", "is4dvar"),
+                                              ("case2", "rbl4dvar"),
+                                              ("dd", "dd4dvar")])
+def test_runs_are_exactly_invariant_to_a_power_of_two_scale(name,
+                                                            formulation):
+    """Scaling sigma_x, sigma_f, sigma_b and sigma_o by c = 2^-14 or 2^14
+    scales the draws, the innovations and the increments by c exactly, so
+    no stopping rule or floor may see the scale: the run takes the same
+    iterations to the same J, bit for bit, with c times the increment."""
+    text = (resources.files("ddvar") / "configs" / f"{name}.cfg").read_text()
+    base = parse_config(text)
+    run = _run_dd if formulation == "dd4dvar" else _run_krylov
+
+    def solve(c):
+        cfg = replace(base, formulation=formulation, **{
+            key: getattr(base, key) * c
+            for key in ("sigma_x", "sigma_f", "sigma_b", "sigma_o")})
+        return run(build_problem(cfg.validate()), cfg)
+
+    ref = solve(1.0)
+    assert ref.converged
+    for c in (2.0**-14, 2.0**14):
+        got = solve(c)
+        assert got.iterations == ref.iterations
+        assert got.history[-1][2] == ref.history[-1][2]
+        assert np.array_equal(got.analysis, c * ref.analysis)
+
+
+@pytest.mark.parametrize("formulation", ["is4dvar", "dd4dvar"])
+@pytest.mark.parametrize("key", ["sigma_x", "sigma_f", "sigma_b"])
+def test_cli_small_prior_sigma_runs(tmp_path, capsys, key, formulation):
+    """A prior standard deviation of 1e-4 passes validate() and runs: the
+    default nugget, 1e-3 sigma^2, meets the relative floor."""
+    over = DD_SMALL if formulation == "dd4dvar" else {}
+    cfg = small_cfg(**{**over, key: 1e-4})
+    assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out",
+                 str(tmp_path / "o")]) == 0
+    assert "final J" in capsys.readouterr().out

@@ -137,8 +137,9 @@ def test_local_ad_zero_input_zero_output():
 @pytest.mark.parametrize("kind", ["linear", "burgers"])
 def test_owned_jb_matches_padded_precision(kind):
     """The owned principal block of each segment's B^-1, applied by
-    zero-padding into the whole segment (owned_prec_apply), equals the
-    same block of the dense inverse, on every block and segment."""
+    zero-padding every field into the whole grid or ring
+    (owned_prec_apply), equals the same block of the spatial block's
+    dense inverse, field by field, on every block and segment."""
     prob, tiles, solver = dd_setup(kind=kind, ti=2, tj=2, n_t=2)
     rng = np.random.default_rng(23)
     dense = {}
@@ -152,11 +153,9 @@ def test_owned_jb_matches_padded_precision(kind):
             if seg not in dense:
                 dense[seg] = np.linalg.inv(cov.matrix)
             idx = p.ring_pos if seg == "b" else p.owned_node_idx
-            rows = (np.arange(p.n_fields)[:, None] * cov.block.n
-                    + idx[None, :]).ravel()
-            v = rng.standard_normal(rows.size)
-            want = dense[seg][np.ix_(rows, rows)] @ v
-            got = p.owned_prec_apply(seg, v)
+            v = rng.standard_normal((p.n_fields, idx.size))
+            want = (dense[seg][np.ix_(idx, idx)] @ v.T).T.ravel()
+            got = p.owned_prec_apply(seg, v.ravel())
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
             checked[seg] += 1
     assert checked == {"x0": 4, "f": 8, "b": 8}
@@ -711,7 +710,7 @@ def test_dd_solve_work_counts(monkeypatch):
     # Hessian applies nor the final cost apply B^-1, and the ring
     # block's precision is never built
     assert calls["B^-1"] == 0
-    assert "precision" not in vars(prob.b_cov.segment_cov("b0").block)
+    assert "precision" not in vars(prob.b_cov.blocks["b"])
     assert calls["factorized"] == len(solver.blocks) == 8
     # plus the right-hand side's adjoint; the final cost comes from fcg's
     # recurrence and runs no sweep

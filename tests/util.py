@@ -26,11 +26,10 @@ def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
                                              viscosity=viscosity,
                                              boundary=boundary))
     windows = build_time_windows(n_steps, n_t)
-    has_boundary = boundary == "prescribed"
-    layout = ControlLayout(grid, windows, model.n_fields, has_boundary)
-    b_cov = build_control_covariance(grid, windows, model.n_fields,
-                                     has_boundary, sigma_x, length_x,
-                                     sigma_f, length_f, sigma_b, length_b)
+    layout = ControlLayout(grid, windows, model.n_fields,
+                           boundary == "prescribed")
+    b_cov = build_control_covariance(layout, sigma_x, length_x, sigma_f,
+                                     length_f, sigma_b, length_b)
     rng = np.random.default_rng(seed)
     x_b = ControlVector(layout,
                         b_cov.apply_sqrt(rng.standard_normal(layout.n_z))).x0.copy()
@@ -141,7 +140,7 @@ def _segment_map(p, s, method, scale=1.0):
     for name, v in parts.items():
         if covs[name] is not None:
             outp[name][:] = scale * getattr(covs[name], method)(
-                v.ravel()).reshape(v.shape)
+                v.reshape(p.n_fields, -1)).reshape(v.shape)
     return out
 
 
