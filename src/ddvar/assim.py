@@ -35,11 +35,12 @@ iterate x and hands them to a cost callable at every iterate.  rbl4dvar
 takes its (Jb, Jo) rows from rpcg's callable.  J is pcg's
 quadratic plus the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1 z_accum,
 Jb = 1/2 z_accum^T B^-1 z_accum + x^T B^-1 z_accum + 1/2 x^T B^-1 x takes
-B^-1 z_accum from the right-hand-side shift, and Jo = J - Jb.  A primal
-outer loop therefore costs one TL and one AD sweep and one B apply per
-inner iteration, plus one AD sweep and one B apply, and applies B^-1 once
-(the shift) when z_accum is nonzero; any outer loop costs at most two
-sweeps of each kind beyond its inner iterations.
+B^-1 z_accum from the right-hand-side shift, and Jo = J - Jb.  The shift
+is the sum of the B^-1 x that pcg carried in the earlier outer loops, so
+no route applies B^-1.  A primal outer loop therefore costs one TL and
+one AD sweep and one B apply per inner iteration, plus one AD sweep and
+one B apply; any outer loop costs at most two sweeps of each kind beyond
+its inner iterations.
 """
 
 from dataclasses import dataclass
@@ -322,6 +323,7 @@ class AssimilationProblem:
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}, pick from {SOLVERS}")
         z_bar = np.zeros(self.layout.n_z)
+        binv_bar = np.zeros(self.layout.n_z)  # B^-1 z_bar, from pcg
         history = []
         reports = []
         for outer in range(1, n_outer + 1):
@@ -340,8 +342,7 @@ class AssimilationProblem:
             d = innovations(traj, self.obs)
             if solver == "is4dvar":
                 # the background term about z_bar shifts the right-hand side
-                shift = (-self.b_cov.apply_inv(z_bar) if z_bar.any()
-                         else np.zeros_like(z_bar))
+                shift = -binv_bar if z_bar.any() else np.zeros_like(z_bar)
                 rinv_d = self.r_cov.apply_inv(d)
                 rhs = gop.apply_t(rinv_d) + shift
                 jo0 = 0.5 * np.vdot(d, rinv_d)
@@ -352,6 +353,7 @@ class AssimilationProblem:
                           name="is4dvar")
                 rows = rep.costs
                 z_new = z_bar + rep.x
+                binv_bar = binv_bar + rep.binv_x
             else:
                 d_tilde = d + gop.apply(z_bar) if z_bar.any() else d
                 rep = dual_analysis(gop, self.b_cov, self.r_cov, d_tilde,

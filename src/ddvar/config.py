@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 
 from .assim import SOLVERS
 from .grid import Grid, build_tiles
+from .model import check_stability
 
 FORMULATIONS = SOLVERS + ("dd4dvar",)
 
@@ -86,6 +87,12 @@ class ExperimentConfig:
             bad("boundary", f"unknown boundary {self.boundary!r}")
         if self.viscosity < 0:
             bad("viscosity", "must be >= 0")
+        grid = Grid(nx=self.nx, ny=self.ny, dt=self.dt)
+        try:
+            check_stability(grid, self.viscosity,
+                            (self.advect_u, self.advect_v))
+        except ValueError as exc:
+            bad("dt", str(exc))
         for name in ("sigma_x", "length_x", "sigma_f", "length_f", "sigma_b",
                      "length_b", "sigma_o"):
             if getattr(self, name) <= 0:
@@ -136,14 +143,15 @@ class ExperimentConfig:
             if self.ntile_j > self.ny:
                 bad("ntile_j", f"cannot exceed ny={self.ny}")
             try:
-                build_tiles(Grid(nx=self.nx, ny=self.ny), self.ntile_i,
-                            self.ntile_j, self.halo)
+                build_tiles(grid, self.ntile_i, self.ntile_j, self.halo)
             except ValueError as exc:
                 bad("halo", str(exc))
         if self.impact_col != -1 and not 0 <= self.impact_col < self.nx:
             bad("impact_col", f"must be -1 or inside [0, {self.nx})")
         if self.impact_n_avg != -1 and not 1 <= self.impact_n_avg <= self.n_steps:
             bad("impact_n_avg", f"must be -1 or inside [1, {self.n_steps}]")
+        if self.seed < 0:
+            bad("seed", "must be >= 0")
         return self
 
 

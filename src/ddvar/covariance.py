@@ -41,11 +41,11 @@ The boundary ring of the prescribed-boundary model is not a product set,
 so its covariance stays a dense Gaussian kernel over the ring points,
 factorized by Cholesky, B = L L'.  apply_inv is one product with the
 precision B^-1 = L^-T L^-1, built on the first call from the inverse of
-L, which is taken by 2 x 2 triangular blocks (numpy has no triangular
-solve; on the 140-point C5 ring the blocks take about a third of the
-time of a general inverse).  The round trip apply_inv(apply(v))
-holds to 1e-10 relative as for the Kronecker blocks (the ring kernel has
-the same nugget).  The full ring kernel is checked positive definite on
+L.  No run applies it: the Krylov solvers carry B^-1 of their iterates,
+so only the oracles (assim.cost and assim.gradient) and the decomposed
+solver's owned_prec_apply build the precision.  The round trip
+apply_inv(apply(v)) holds to 1e-10 relative as for the Kronecker blocks
+(the ring kernel has the same nugget).  The full ring kernel is checked positive definite on
 construction: by strict diagonal dominance where that holds (short
 lengths, such as L = 0.5 on the C5 ring), otherwise by its Cholesky
 factorization.  A dominant kernel and a restriction (a principal block
@@ -128,27 +128,6 @@ def _block_diag(mats):
     return out
 
 
-def _tril_inv(m):
-    """Inverse of the lower-triangular m by 2 x 2 blocks,
-
-        [A 0; C D]^-1 = [A^-1 0; -D^-1 C A^-1 D^-1],
-
-    down to leaves of at most 36 rows, inverted by LU (numpy has no
-    triangular solve).  The products run on the triangular blocks only,
-    about a third of the work of one LU inverse of m."""
-    n = m.shape[0]
-    if n <= 36:
-        return np.tril(np.linalg.inv(m))
-    h = n // 2
-    a = _tril_inv(m[:h, :h])
-    d = _tril_inv(m[h:, h:])
-    out = np.zeros_like(m)
-    out[:h, :h] = a
-    out[h:, h:] = d
-    out[h:, :h] = -(d @ (m[h:, :h] @ a))
-    return out
-
-
 def _check_index_set(idx, n):
     idx = np.asarray(idx, dtype=int)
     if idx.ndim != 1:
@@ -224,7 +203,7 @@ class GaussianCovariance:
     def precision(self):
         """The dense inverse B^-1 = L^-T L^-1 from the inverse of the
         Cholesky factor L, subnormals flushed; built on first use."""
-        factor_inv = _tril_inv(self.factor)
+        factor_inv = np.linalg.inv(self.factor)
         return _flush_subnormals(factor_inv.T @ factor_inv)
 
     def apply_sqrt(self, w):

@@ -185,13 +185,36 @@ def _axis_differences(n: int, h: float) -> tuple:
     return (up - down) / (2.0 * h), (up - 2.0 * eye + down) / (h * h)
 
 
+def check_stability(grid: Grid, viscosity: float, advect: tuple) -> None:
+    """Raise ValueError unless grid.dt keeps the explicit step stable: the
+    diffusive bound dt <= min(dx, dy)^2 / (4 nu) and the advective CFL
+    max|c| dt / min(dx, dy) <= 0.5.  The model checks itself on
+    construction, and ExperimentConfig.validate checks a config with the
+    same bounds."""
+    hmin = min(grid.dx, grid.dy)
+    if viscosity > 0:
+        dt_max = hmin * hmin / (4.0 * viscosity)
+        if grid.dt > dt_max:
+            raise ValueError(
+                f"dt={grid.dt} violates the diffusive bound dt <= "
+                f"min(dx,dy)^2/(4 nu) = {dt_max:.6g}"
+            )
+    speed = max(abs(advect[0]), abs(advect[1]))
+    if speed > 0:
+        cfl = speed * grid.dt / hmin
+        if cfl > 0.5:
+            raise ValueError(
+                f"advective CFL {cfl:.3f} exceeds 0.5; reduce dt or velocity"
+            )
+
+
 class SurrogateModel:
     """Nonlinear / tangent-linear / adjoint stepping on one grid."""
 
     def __init__(self, grid: Grid, config: ModelConfig):
         self.grid = grid
         self.config = config
-        self._check_stability()
+        check_stability(grid, config.viscosity, config.advect)
         ii, jj = boundary_ring_indices(grid.nx, grid.ny)
         self.n_ring = ii.size
         # flat indices of the ring in a contiguous (n_fields, nx, ny) state

@@ -23,10 +23,11 @@ which does not degrade at long correlation lengths.  Window-0 blocks own
 their tile's initial-state nodes, and every block owns its tile's forcing
 nodes and physical-boundary ring nodes for its window.  The set-up follows
 the space-time split: each tile's spatial geometry (TileGeometry: halo
-strips, cell masks, ring cells, node indices and the covariances
-restricted to the box) is built once and shared, array for array, by the
-tile's N_t window blocks, and each window's observations are found once;
-a block adds only its window's levels, control segments and the
+strips, one mask per cell class, D of the propagator among them, ring
+cells, node indices and the covariances restricted to the box) is built
+once and shared, array for array, by the tile's N_t window blocks, and
+each window's observations are found once; a block adds only its
+window's levels, control segments (LocalProblem.parts) and the
 observations its box carries.  A window's blocks share one flat buffer
 that holds each block's local control u_p (its box, x0 and f stacked,
 then its owned ring values).  Each apply, per window,
@@ -34,16 +35,17 @@ then its owned ring values).  Each apply, per window,
   1. one gather fills the owned cells and ring values of every block from
      u, and one halo_exchange on the window's inter communicator fills
      the halo strips of the boxes,
-  2. every block gathers its kept inputs (owned cells, the strip cells
-     whose locally evolved values are meaningful, and its ring values)
-     and solves in the space of its k_p observations, the ones whose
-     bilinear stencil lies inside its box.  X_p (k_p x n_local) maps the
-     local control through the zero-inflow local propagator, the
-     window's background tangent steps restricted to the box, to those
-     samples; R_pp is their error variance and B_p the covariance
-     restricted to the box.  The block's first apply builds X_p, inverts the k_p x k_p matrix C_p and keeps only C_p^-1 X_p on
-     the kept columns and X_p' on the owned ones (LocalSolve); every
-     later solve is two small dense products,
+  2. every block gathers its kept inputs (the rho_keep cells: owned
+     cells and the trusted strip cells, and its ring values) and solves
+     in the space of its k_p observations, the ones whose bilinear
+     stencil lies inside its box.  X_p (k_p x n_local) maps the local
+     control through the zero-inflow local propagator, the window's
+     background tangent steps restricted to the box, to those samples;
+     R_pp is their error variance and B_p the covariance restricted to
+     the box.  The block's first apply builds X_p (gauss_newton_rows),
+     inverts the k_p x k_p matrix C_p and keeps only C_p^-1 X_p on the
+     kept columns and X_p' on the owned ones (LocalSolve); every later
+     solve is two small dense products,
   3. scatters X_p' y_p on its owned entries into the flat vector E
      assembles (the owned entries of the blocks are disjoint).
 
@@ -74,18 +76,17 @@ from .comm import World, create_inter, halo_exchange
 from .grid import SIDES, boundary_ring_indices, ring_size
 # pcg stays importable from here: perfbench's self-test patches schwarz.pcg
 from .krylov import fcg, pcg  # noqa: F401
-from .observations import innovations
 
 __all__ = [
     "DDConfig",
     "DDResult",
     "DDSolver",
-    "GaussNewtonTerm",
     "LocalProblem",
     "LocalSolve",
     "NeighborTrace",
     "TileGeometry",
     "build_local_problems",
+    "gauss_newton_rows",
     "local_ad_step",
     "local_tl_step",
 ]
@@ -148,7 +149,22 @@ class TileGeometry:
     N_t window blocks share its arrays.  ring is the boundary ring's
     (ii, jj) (None for periodic models) and full_cov the spatial blocks of
     the control covariance (ControlCovariance.blocks: x0 and f over the
-    grid, b over the ring, None without boundary segments)."""
+    grid, b over the ring, None without boundary segments).
+
+    Every cell class of the box is one boolean mask, from the tile's
+    owned rows (in_i) and columns (in_j), the box edge and, on prescribed
+    boundaries, the physical ring:
+
+    - owned = in_i & in_j, live = in_i | in_j (the owned interior and the
+      halo strips); the other cells are corners, kept at zero;
+    - strip edge: the live cells off the owned rows on the first or last
+      box row, or off the owned columns on the first or last box column;
+    - trusted: off the ring, not a corner nor next to one (the stencil
+      reads its zeroed input), and not a strip edge;
+    - rho_keep = owned | (live & trusted), the inputs the solve trusts;
+    - d_mask = live & ~ring & ~strip edge, D of gauss_newton_rows;
+    - ring_halo = ring & ~owned, the ring cells of neighbor territory.
+    """
 
     def __init__(self, tile, model, grid, ring, full_cov, obs):
         self.tile = tile
@@ -156,65 +172,38 @@ class TileGeometry:
         self.n_fields = model.n_fields
         self.prescribed = prescribed = model.config.boundary == "prescribed"
         bnx, bny = tile.box_shape
-
-        # halo strips (local slices) and the box cells they and the owned
-        # interior cover; the rest are corner cells, kept at zero
         self.strips = {side: tile.halo_slices_local(side) for side in SIDES
                        if tile.neighbors.get(side) is not None}
-        oi, oj = tile.owned_slices_local()
-        owned = np.zeros(tile.box_shape, dtype=bool)
-        owned[oi, oj] = True
-        live = owned.copy()
-        for sl in self.strips.values():
-            live[sl] = True
-        self.live_mask = live
-        self.corner_cells = np.nonzero(~live)
 
-        # box cells where a locally evolved value is meaningful: off the
-        # physical ring, and not next to a corner cell, whose zeroed input
-        # the stencil reads
         gi = np.arange(tile.bi0, tile.bi1)
         gj = np.arange(tile.bj0, tile.bj1)
-        meaningful = np.ones(tile.box_shape, dtype=bool)
+        in_i = ((gi >= tile.i0) & (gi < tile.i1))[:, None]
+        in_j = ((gj >= tile.j0) & (gj < tile.j1))[None, :]
+        owned = in_i & in_j
+        self.live_mask = live = in_i | in_j
+        on_ring = np.zeros(tile.box_shape, dtype=bool)
         if prescribed:
-            meaningful[(gi == 0) | (gi == grid.nx - 1)] = False
-            meaningful[:, (gj == 0) | (gj == grid.ny - 1)] = False
-        if self.corner_cells[0].size:
-            near = ~live
-            meaningful[1:, :] &= ~near[:-1, :]
-            meaningful[:-1, :] &= ~near[1:, :]
-            meaningful[:, 1:] &= ~near[:, :-1]
-            meaningful[:, :-1] &= ~near[:, 1:]
+            on_ring |= ((gi == 0) | (gi == grid.nx - 1))[:, None]
+            on_ring |= ((gj == 0) | (gj == grid.ny - 1))[None, :]
+        rows = np.arange(bnx)[:, None]
+        cols = np.arange(bny)[None, :]
+        strip_edge = live & ((((rows == 0) | (rows == bnx - 1)) & ~in_i)
+                             | (((cols == 0) | (cols == bny - 1)) & ~in_j))
+        corner = ~live
+        near = corner.copy()
+        near[1:, :] |= corner[:-1, :]
+        near[:-1, :] |= corner[1:, :]
+        near[:, 1:] |= corner[:, :-1]
+        near[:, :-1] |= corner[:, 1:]
+        trusted = ~(on_ring | near | strip_edge)
+        self.rho_keep = owned | (live & trusted)
+        self.d_mask = live & ~(on_ring | strip_edge)
+        self.ring_halo = on_ring & ~owned
+        # the trusted cells of each strip, read by the local sweeps
+        self.own_valid = {side: trusted[sl] for side, sl in self.strips.items()}
 
-        # per strip: its box-edge line, and its meaningful cells off that
-        # line (own_valid)
-        self.outer_rel = {}
-        self.own_valid = {}
-        for side, sl in self.strips.items():
-            ilen = sl[0].stop - sl[0].start
-            jlen = sl[1].stop - sl[1].start
-            if side == "west":
-                outer = (slice(0, 1), slice(None))
-            elif side == "east":
-                outer = (slice(ilen - 1, ilen), slice(None))
-            elif side == "south":
-                outer = (slice(None), slice(0, 1))
-            else:
-                outer = (slice(None), slice(jlen - 1, jlen))
-            valid = meaningful[sl].copy()
-            valid[outer] = False
-            self.outer_rel[side] = outer
-            self.own_valid[side] = valid
-
-        # cells whose gradient components the block solve may trust: owned
-        # cells plus meaningful strip cells
-        keep = owned
-        for side, sl in self.strips.items():
-            keep[sl] |= self.own_valid[side]
-        self.rho_keep = keep
-
-        # physical-ring cells of the box: owned ones carry the block's
-        # boundary increments, the rest are neighbor territory
+        # the owned ring cells, in b order: they carry the block's boundary
+        # increments
         if prescribed:
             ii, jj = ring
             own = ((ii >= tile.i0) & (ii < tile.i1)
@@ -222,17 +211,12 @@ class TileGeometry:
             self.ring_pos = np.flatnonzero(own)
             self.ring_ii = ii[own] - tile.bi0
             self.ring_jj = jj[own] - tile.bj0
-            inbox = ((ii >= tile.bi0) & (ii < tile.bi1)
-                     & (jj >= tile.bj0) & (jj < tile.bj1) & ~own)
-            self.ring_halo_ii = ii[inbox] - tile.bi0
-            self.ring_halo_jj = jj[inbox] - tile.bj0
         else:
             self.ring_pos = np.zeros(0, dtype=int)
             self.ring_ii = self.ring_jj = np.zeros(0, dtype=int)
-            self.ring_halo_ii = self.ring_halo_jj = np.zeros(0, dtype=int)
 
         # node bookkeeping: flat global indices of the owned nodes
-        self.owned_local = (oi, oj)
+        self.owned_local = oi, oj = tile.owned_slices_local()
         self.n_box_nodes = bnx * bny
         nodes = gi[:, None] * grid.ny + gj[None, :]
         self.owned_node_idx = nodes[oi, oj].ravel()
@@ -311,18 +295,18 @@ class LocalProblem:
                                      tile.box_shape, self.levels[0])
         self.q_var = obs.variances[self.q_obs_idx]
 
-        # control segments of the block: x0 (window 0) and f live on the
-        # whole box, so the propagator reads the halo strips of u; only the
-        # owned part of a correction is ever assembled
+        # the segments of u_p, (x0), f, (b), as (restricted covariance,
+        # size): x0 (window 0) and f live on the whole box, so the
+        # propagator reads the halo strips of u, and b holds the owned ring
+        # values (cov_b None when the block owns none); only the owned part
+        # of a correction is ever assembled
         self.has_x0 = window == 0
-        sizes = []
-        if self.has_x0:
-            sizes.append(self.n_fields * self.n_box_nodes)
-        sizes.append(self.n_fields * self.n_box_nodes)
+        n_box = self.n_fields * self.n_box_nodes
+        self.parts = [(self.cov_x, n_box)] if self.has_x0 else []
+        self.parts.append((self.cov_f, n_box))
         if layout_ctl.has_boundary:
-            sizes.append(self.n_fields * self.ring_pos.size)
-        self.seg_sizes = sizes
-        self.n_local = int(sum(sizes))
+            self.parts.append((self.cov_b, self.n_fields * self.ring_pos.size))
+        self.n_local = sum(n for _, n in self.parts)
 
     def owned_prec_apply(self, seg, v):
         """Owned principal block of the segment precision applied to v, by
@@ -392,16 +376,14 @@ class LocalProblem:
                 0.0 if b_own is None else b_own
 
     def _zero_ring_halo(self, state):
-        if self.ring_halo_ii.size:
-            state[:, self.ring_halo_ii, self.ring_halo_jj] = 0.0
+        state[:, self.ring_halo] = 0.0
 
     def _zero_corners(self, state):
-        if self.corner_cells[0].size:
-            state[:, self.corner_cells[0], self.corner_cells[1]] = 0.0
+        state[:, ~self.live_mask] = 0.0
 
 
-class GaussNewtonTerm:
-    """The rows X of the Gauss-Newton term X' R_pp^-1 X of one block.
+def gauss_newton_rows(p):
+    """The rows X of the Gauss-Newton term X' R_pp^-1 X of the block p.
 
     X (dense, k x n_local) maps the local control u_p (x0, f, b) through the
     zero-inflow correction propagator
@@ -409,68 +391,58 @@ class GaussNewtonTerm:
         x_0 = P x0,    x_l = D (M_l x_{l-1} + dt f) + R b
 
     to the block's k observation samples (q_stencil, the observations
-    whose bilinear stencil lies inside the box); R_pp = diag(q_var).  P
-    zeroes the box cells outside rho_keep, M_l is the step operator onto
-    level l, D the 0/1 mask that zeroes owned ring cells, strip lines on
-    the box edge, ring cells in the halo and box corners, and R injects b
-    into the owned ring cells.  All k rows come from one reverse sweep of the sample seeds
-    through the transposed masked step operators: one apply_t per level
-    on the (k, nf, bnx, bny) stack of seeds.
+    whose bilinear stencil lies inside the box).  P zeroes the box cells
+    outside rho_keep, M_l is the step operator onto level l, D the tile's
+    d_mask, which zeroes ring cells, strip lines on the box edge and box
+    corners, and R injects b into the owned ring cells.  All k rows come
+    from one reverse sweep of the sample seeds through the transposed
+    masked step operators: one apply_t per level on the (k, nf, bnx, bny)
+    stack of seeds.
     """
+    nf = p.n_fields
+    bnx, bny = p.tile.box_shape
+    n = nf * bnx * bny
+    st = p.q_stencil
+    k = st.nodes.shape[1]
 
-    def __init__(self, p):
-        nf = p.n_fields
-        bnx, bny = p.tile.box_shape
-        n = nf * bnx * bny
-        st = p.q_stencil
-        k = st.nodes.shape[1]
+    # the samples' bilinear weights on field 0 of every level, one
+    # (nf, bnx, bny) seed per sample; every stencil lies inside the box, so
+    # no two weights share a slot
+    level, cell = np.divmod(st.nodes, bnx * bny)
+    seeds = np.zeros((p.n_levels, k, n))
+    seeds[level, np.arange(k), cell] = st.weights
+    seeds = seeds.reshape(p.n_levels, k, nf, bnx, bny)
 
-        # D as a 0/1 factor on the box cells
-        keep = p.live_mask.astype(float)
-        keep[p.ring_ii, p.ring_jj] = 0.0
-        keep[p.ring_halo_ii, p.ring_halo_jj] = 0.0
-        for side, sl in p.strips.items():
-            keep[sl][p.outer_rel[side]] = 0.0
+    # acc sums the adjoint states of levels n_levels-1 .. 1: the f rows are
+    # D acc (dt f enters every step through D), the b rows acc on the
+    # owned ring cells
+    acc = np.zeros((k, nf, bnx, bny))
+    adj = seeds[-1]
+    for l in range(p.n_levels - 1, 0, -1):
+        acc += adj
+        adj *= p.d_mask
+        adj = p.lin_ops[l - 1].apply_t(adj)
+        adj += seeds[l - 1]
 
-        # the samples' bilinear weights on field 0 of every level, one
-        # (nf, bnx, bny) seed per sample; every stencil lies inside the
-        # box, so no two weights share a slot
-        level, cell = np.divmod(st.nodes, bnx * bny)
-        seeds = np.zeros((p.n_levels, k, n))
-        seeds[level, np.arange(k), cell] = st.weights
-        seeds = seeds.reshape(p.n_levels, k, nf, bnx, bny)
-
-        # acc sums the adjoint states of levels n_levels-1 .. 1: the f
-        # rows are D acc (dt f enters every step through D), the b rows
-        # acc on the owned ring cells
-        acc = np.zeros((k, nf, bnx, bny))
-        adj = seeds[-1]
-        for l in range(p.n_levels - 1, 0, -1):
-            acc += adj
-            adj *= keep
-            adj = p.lin_ops[l - 1].apply_t(adj)
-            adj += seeds[l - 1]
-
-        # the rows, laid out as u_p: (x0), f, (b)
-        x = np.empty((k, p.n_local))
-        ofs = 0
-        if p.has_x0:
-            x[:, :n] = (adj * p.rho_keep).reshape(k, n)
-            ofs = n
-        x[:, ofs:ofs + n] = (acc * (keep * p.grid.dt)).reshape(k, n)
-        x[:, ofs + n:] = acc[..., p.ring_ii, p.ring_jj].reshape(
-            k, nf * p.ring_ii.size)
-        self.x = x
-        self.q_var = p.q_var
+    # the rows, laid out as u_p: (x0), f, (b)
+    x = np.empty((k, p.n_local))
+    ofs = 0
+    if p.has_x0:
+        x[:, :n] = (adj * p.rho_keep).reshape(k, n)
+        ofs = n
+    x[:, ofs:ofs + n] = (acc * (p.d_mask * p.grid.dt)).reshape(k, n)
+    x[:, ofs + n:] = acc[..., p.ring_ii, p.ring_jj].reshape(
+        k, nf * p.ring_ii.size)
+    return x
 
 
 class LocalSolve:
     """One block's observation-space solve, factorized once.
 
-    With X the block's sample rows (GaussNewtonTerm), B_p the control
+    With X the block's sample rows (gauss_newton_rows), B_p the control
     covariance's spatial blocks restricted to the box (x0 and f) and to
-    the owned ring (b), each applied to every field, and R_pp the
-    samples' error variances,
+    the owned ring (b), each applied to every field (LocalProblem.parts),
+    and R_pp the samples' error variances,
 
         C = R_pp + X B_p X' / alpha    (k x k, inverted once),
 
@@ -479,26 +451,24 @@ class LocalSolve:
     the local operator alpha B_p^-1 + X' R_pp^-1 X applied to r; the
     preconditioner uses the global B in place of B_p outside C.
 
-    The solve keeps only what its apply reads: cx = C^-1 X on the columns
-    LocalProblem.control_maps keeps (the others carry zeros in u_p) and
-    xt = X' on the owned columns, the only ones assembled.  k = 0 (a
+    X is built once per block, from the tile's D and rho_keep masks, which
+    are built once per tile.  The solve keeps only what its apply reads:
+    cx = C^-1 X on the columns LocalProblem.control_maps keeps (the
+    rho_keep cells and the ring values; the others carry zeros in u_p)
+    and xt = X' on the owned columns, the only ones assembled.  k = 0 (a
     block without observations) keeps neither, and its correction is 0.
     """
 
     def __init__(self, p):
-        self.covs = ([p.cov_x] if p.has_x0 else []) + [p.cov_f]
-        if p.layout_ctl.has_boundary:
-            self.covs.append(p.cov_b)  # None when the block owns no ring
-        self.seg_sizes = p.seg_sizes
+        self.parts = p.parts
         self.n_fields = p.n_fields
         self.keep_cols, own_cols, self.own_idx = p.control_maps
-        gn = GaussNewtonTerm(p)
-        x = gn.x
+        x = gauss_newton_rows(p)
         self.k = x.shape[0]
         self.cx = self.xt = None
         if self.k:
             cap = x @ self.prior(x).T / p.alpha
-            cap[np.diag_indices(self.k)] += gn.q_var
+            cap[np.diag_indices(self.k)] += p.q_var
             # a k x k inverse and one product: several times faster than
             # np.linalg.solve with the n_keep right-hand sides
             self.cx = np.linalg.inv(cap) @ x[:, self.keep_cols]
@@ -508,7 +478,7 @@ class LocalSolve:
         """B_p applied to v (n_local,), or to every row of v (m, n_local)."""
         out = v.copy()
         ofs = 0
-        for cov, n in zip(self.covs, self.seg_sizes):
+        for cov, n in self.parts:
             if cov is not None:
                 seg = v[..., ofs:ofs + n]
                 out[..., ofs:ofs + n] = cov.apply(
@@ -553,7 +523,7 @@ def local_tl_step(p, dx_start, df, db, lin_ops, trace):
     restricted step operator of the step from window level l
     (LocalProblem.lin_ops).  The block solve does not run sweeps: its
     zero-inflow correction propagator is read at the observation samples
-    once per block (GaussNewtonTerm).
+    once per block (gauss_newton_rows).
     """
     states = [np.array(dx_start, dtype=float)]
     own0 = {side: _own_strip(p, side, states[0], trace.tl_halo[side][0])
@@ -719,7 +689,7 @@ class DDSolver:
         self.inter = [create_inter(self.world, k)
                       for k in range(self.windows.n_t)]
         self.blocks = build_local_problems(problem, layout_tiles, config)
-        self.d = innovations(problem.background_traj, problem.obs)
+        self.d = problem.background_innovations()
 
     @cached_property
     def _window_buffers(self):

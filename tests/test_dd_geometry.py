@@ -4,9 +4,10 @@ Random tile counts, halo widths, window splits, observation error levels,
 correlation lengths and observing networks with points on tile seams and
 junctions: ownership must partition the observations, every network must
 be accepted and its decomposed solve must reach the global B-PCG
-analysis, and every block's observation rows X must equal the ones built
-by plain loops from the tile geometry, with its factorized solve applying
-X' C^-1 X of those rows.
+analysis, every cell mask of a tile must equal the one decided cell by
+cell from the tile's owned ranges, and every block's observation rows X
+must equal the ones built by plain loops from those cells, with its
+factorized solve applying X' C^-1 X of those rows.
 """
 
 import numpy as np
@@ -17,9 +18,9 @@ from ddvar.assim import AssimilationProblem
 from ddvar.covariance import CovarianceR
 from ddvar.grid import Grid, boundary_ring_indices, build_tiles
 from ddvar.observations import ObservationSet
-from ddvar.schwarz import (DDConfig, DDSolver, GaussNewtonTerm,
-                           build_local_problems)
-from util import make_problem, project_live, reference_cov, split_local
+from ddvar.schwarz import (DDConfig, DDSolver, build_local_problems,
+                           gauss_newton_rows)
+from util import make_problem, reference_cov, split_local
 
 
 @st.composite
@@ -86,33 +87,71 @@ def build_case(geo, pts, sigma_o=1.0, length=0.5):
 
 
 def reference_cells(p, grid):
-    """Box cells whose step output the correction propagator keeps, and
-    the owned ring cells in b order, decided cell by cell from the tile."""
+    """The cell classes of block p's box, decided cell by cell from the
+    tile: rho_keep (owned cells, and live cells off the ring, not on a
+    strip's box-edge line and with no corner cell beside them), D (the
+    live cells whose step output the correction propagator keeps), the
+    ring halo (ring cells the tile does not own), and the owned ring
+    cells in b order."""
     t = p.tile
     bnx, bny = t.box_shape
+
+    def in_i(i):
+        return t.i0 <= i + t.bi0 < t.i1
+
+    def in_j(j):
+        return t.j0 <= j + t.bj0 < t.j1
+
+    def corner(i, j):
+        return (0 <= i < bnx and 0 <= j < bny
+                and not in_i(i) and not in_j(j))
+
+    rho_keep = np.zeros(t.box_shape, dtype=bool)
     keep = np.zeros(t.box_shape, dtype=bool)
+    ring_halo = np.zeros(t.box_shape, dtype=bool)
     for i in range(bnx):
         for j in range(bny):
             gi, gj = i + t.bi0, j + t.bj0
-            in_i = t.i0 <= gi < t.i1
-            in_j = t.j0 <= gj < t.j1
-            on_ring = gi in (0, grid.nx - 1) or gj in (0, grid.ny - 1)
-            on_edge = ((i in (0, bnx - 1) and not in_i)
-                       or (j in (0, bny - 1) and not in_j))
-            keep[i, j] = (in_i or in_j) and not on_ring and not on_edge
+            owned = in_i(i) and in_j(j)
+            live = in_i(i) or in_j(j)
+            on_ring = p.prescribed and (gi in (0, grid.nx - 1)
+                                        or gj in (0, grid.ny - 1))
+            on_edge = ((i in (0, bnx - 1) and not in_i(i))
+                       or (j in (0, bny - 1) and not in_j(j)))
+            near = any(corner(i + di, j + dj) for di, dj in
+                       ((1, 0), (-1, 0), (0, 1), (0, -1)))
+            keep[i, j] = live and not on_ring and not on_edge
+            rho_keep[i, j] = owned or (keep[i, j] and not near)
+            ring_halo[i, j] = on_ring and not owned
     ring = []
-    for gi, gj in zip(*boundary_ring_indices(grid.nx, grid.ny)):
-        if t.i0 <= gi < t.i1 and t.j0 <= gj < t.j1:
-            ring.append((gi - t.bi0, gj - t.bj0))
-    return keep, tuple(np.array(ring, dtype=int).reshape(-1, 2).T)
+    if p.prescribed:
+        for gi, gj in zip(*boundary_ring_indices(grid.nx, grid.ny)):
+            if t.i0 <= gi < t.i1 and t.j0 <= gj < t.j1:
+                ring.append((gi - t.bi0, gj - t.bj0))
+    ring = tuple(np.array(ring, dtype=int).reshape(-1, 2).T)
+    return rho_keep, keep, ring_halo, ring
 
 
-def reference_readout(p, s, keep, ring):
+def assert_cells_match_reference(p, grid):
+    """Every cell mask of the block's tile equals the cell-by-cell
+    reference; each strip's own_valid is rho_keep on the strip."""
+    rho_keep, keep, ring_halo, ring = reference_cells(p, grid)
+    assert np.array_equal(p.rho_keep, rho_keep)
+    assert np.array_equal(p.d_mask, keep)
+    assert np.array_equal(p.ring_halo, ring_halo)
+    assert np.array_equal(p.ring_ii, ring[0])
+    assert np.array_equal(p.ring_jj, ring[1])
+    assert set(p.own_valid) == set(p.strips)
+    for side, sl in p.strips.items():
+        assert np.array_equal(p.own_valid[side], rho_keep[sl])
+
+
+def reference_readout(p, s, rho_keep, keep, ring):
     """Zero-inflow correction sweep of the local control s, read at the
     block's observation samples: every step applies the global step
     operator to the state padded with zeros outside the box."""
     parts = split_local(p, s)
-    state = (project_live(p, parts["x0"].copy()) if p.has_x0
+    state = (np.where(rho_keep, parts["x0"], 0.0) if p.has_x0
              else p.zero_box())
     states = [state]
     bi, bj = p.tile.box_slices
@@ -149,6 +188,8 @@ def test_ownership_partitions_and_every_network_reaches_the_analysis(data):
         assert len(mine) == 1
         owners.append(mine[0])
     blocks = build_local_problems(prob, tiles, DDConfig())
+    for p in blocks.values():
+        assert_cells_match_reference(p, grid)
     owned = sorted(int(n) for p in blocks.values() for n in p.own_obs_idx)
     assert owned == list(range(obs.n_obs))
     for p in blocks.values():
@@ -178,13 +219,14 @@ def test_assembled_local_operator_matches_plain_loop_reference(data):
     rng = np.random.default_rng(len(pts))
     for key in sorted(solver.blocks):
         p = solver.blocks[key]
-        keep, ring = reference_cells(p, grid)
-        cols = [reference_readout(p, e, keep, ring)
+        assert_cells_match_reference(p, grid)
+        rho_keep, keep, _, ring = reference_cells(p, grid)
+        cols = [reference_readout(p, e, rho_keep, keep, ring)
                 for e in np.eye(p.n_local)]
         x_ref = np.array(cols).reshape(p.n_local, -1).T
         ls = p.local_solve
         assert ls.k == p.q_obs_idx.size == x_ref.shape[0]
-        x = GaussNewtonTerm(p).x
+        x = gauss_newton_rows(p)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * max(
             np.linalg.norm(x_ref), 1.0)
         if not ls.k:

@@ -578,6 +578,42 @@ def test_cli_grid_below_four_points_is_usage_error(tmp_path, capsys, field):
     assert f"config field {field}" in capsys.readouterr().err
 
 
+# field, value and message of a config that validate() rejects where the
+# run would stop with exit 2: the model's stability bounds, which it
+# checks on construction, and the seed numpy's generator takes
+UNRUNNABLE = {
+    "dt": ("dt", "5.0",
+           "config field dt: dt=5.0 violates the diffusive bound"),
+    "advect_u": ("advect_u", "3.0",
+                 "config field dt: advective CFL 0.600 exceeds 0.5"),
+    "seed": ("seed", "-1", "config field seed: must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_cli_config_the_run_cannot_take_is_usage_error(tmp_path, capsys,
+                                                       case):
+    """dt = 5, advect_u = 3 at dt = 0.2 and seed = -1 exit 1 naming the
+    field, and write nothing."""
+    field, value, message = UNRUNNABLE[case]
+    p = tmp_path / "exp.cfg"
+    p.write_text(re.sub(rf"^{field} = .*$", f"{field} = {value}",
+                        emit_config(small_cfg()), flags=re.M))
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_seed_flag_is_usage_error(tmp_path, capsys):
+    p = write_cfg(tmp_path, small_cfg())
+    code = main(["run", "--config", str(p), "--seed", "-1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "config field seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_dd_with_outer_loops_is_usage_error(tmp_path, capsys):
     # the DD never relinearizes, so a second outer loop would be ignored
     p = write_cfg(tmp_path, small_cfg(n_outer=2))

@@ -9,8 +9,8 @@ from ddvar.krylov import LinearOperator, pcg
 from ddvar.schwarz import (
     DDConfig,
     DDSolver,
-    GaussNewtonTerm,
     LocalSolve,
+    gauss_newton_rows,
     local_ad_step,
     local_tl_step,
 )
@@ -226,9 +226,8 @@ def test_tile_geometry_is_built_once_and_shared_by_the_windows(monkeypatch,
     blocks = schwarz.build_local_problems(prob, tiles, DDConfig())
     assert calls == {"ring": 1, "tile": 8}
     assert len(blocks) == 8 * n_t
-    shared = ("strips", "outer_rel", "own_valid", "live_mask", "rho_keep",
-              "corner_cells", "ring_pos", "ring_ii", "ring_jj",
-              "ring_halo_ii", "ring_halo_jj", "owned_node_idx",
+    shared = ("strips", "own_valid", "live_mask", "rho_keep", "d_mask",
+              "ring_halo", "ring_pos", "ring_ii", "ring_jj", "owned_node_idx",
               "cov_x", "cov_f", "cov_b", "full_cov")
     for t in tiles.tiles:
         first = blocks[(t.id, 0)]
@@ -352,7 +351,7 @@ def _check_restricted_residual(prob, tiles, solver, calls, real_apply):
         if key not in seen:
             continue
         assert np.array_equal(seen[key], gathered)
-        x = GaussNewtonTerm(p).x
+        x = gauss_newton_rows(p)
         cap = x @ p.local_solve.prior(x).T / p.alpha + np.diag(p.q_var)
         dense = x.T @ np.linalg.solve(cap, x @ want)
         got = real_apply(p.local_solve, gathered)
@@ -391,7 +390,7 @@ def test_local_solve_matches_pcg_on_the_local_operator():
     for solver in solvers:
         for key in sorted(solver.blocks):
             p = solver.blocks[key]
-            x = GaussNewtonTerm(p).x
+            x = gauss_newton_rows(p)
             a_p = LinearOperator(
                 (p.n_local,) * 2, lambda v, p=p, x=x: reference_prior(p, v)
                 + x.T @ reference_weight(p, x @ v))
