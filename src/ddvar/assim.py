@@ -342,7 +342,7 @@ class AssimilationProblem:
             d = innovations(traj, self.obs)
             if solver == "is4dvar":
                 # the background term about z_bar shifts the right-hand side
-                shift = -binv_bar if z_bar.any() else np.zeros_like(z_bar)
+                shift = -binv_bar
                 rinv_d = self.r_cov.apply_inv(d)
                 rhs = gop.apply_t(rinv_d) + shift
                 jo0 = 0.5 * np.vdot(d, rinv_d)

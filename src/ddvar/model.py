@@ -237,26 +237,6 @@ class SurrogateModel:
         # the linear model's step operator; the burgers model's axis part
         self._axis_step = StepOperator(*self._axes)
 
-    # -- setup ---------------------------------------------------------
-
-    def _check_stability(self) -> None:
-        g, c = self.grid, self.config
-        hmin = min(g.dx, g.dy)
-        if c.viscosity > 0:
-            dt_max = hmin * hmin / (4.0 * c.viscosity)
-            if g.dt > dt_max:
-                raise ValueError(
-                    f"dt={g.dt} violates the diffusive bound dt <= "
-                    f"min(dx,dy)^2/(4 nu) = {dt_max:.6g}"
-                )
-        speed = max(abs(c.advect[0]), abs(c.advect[1]))
-        if speed > 0:
-            cfl = speed * g.dt / hmin
-            if cfl > 0.5:
-                raise ValueError(
-                    f"advective CFL {cfl:.3f} exceeds 0.5; reduce dt or velocity"
-                )
-
     @property
     def n_fields(self) -> int:
         return self.config.n_fields

@@ -180,7 +180,7 @@ class TileGeometry:
         in_i = ((gi >= tile.i0) & (gi < tile.i1))[:, None]
         in_j = ((gj >= tile.j0) & (gj < tile.j1))[None, :]
         owned = in_i & in_j
-        self.live_mask = live = in_i | in_j
+        live = in_i | in_j
         on_ring = np.zeros(tile.box_shape, dtype=bool)
         if prescribed:
             on_ring |= ((gi == 0) | (gi == grid.nx - 1))[:, None]
@@ -189,7 +189,7 @@ class TileGeometry:
         cols = np.arange(bny)[None, :]
         strip_edge = live & ((((rows == 0) | (rows == bnx - 1)) & ~in_i)
                              | (((cols == 0) | (cols == bny - 1)) & ~in_j))
-        corner = ~live
+        self.corner = corner = ~live
         near = corner.copy()
         near[1:, :] |= corner[:-1, :]
         near[:-1, :] |= corner[1:, :]
@@ -379,7 +379,7 @@ class LocalProblem:
         state[:, self.ring_halo] = 0.0
 
     def _zero_corners(self, state):
-        state[:, ~self.live_mask] = 0.0
+        state[:, self.corner] = 0.0
 
 
 def gauss_newton_rows(p):

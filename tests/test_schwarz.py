@@ -226,7 +226,7 @@ def test_tile_geometry_is_built_once_and_shared_by_the_windows(monkeypatch,
     blocks = schwarz.build_local_problems(prob, tiles, DDConfig())
     assert calls == {"ring": 1, "tile": 8}
     assert len(blocks) == 8 * n_t
-    shared = ("strips", "own_valid", "live_mask", "rho_keep", "d_mask",
+    shared = ("strips", "own_valid", "corner", "rho_keep", "d_mask",
               "ring_halo", "ring_pos", "ring_ii", "ring_jj", "owned_node_idx",
               "cov_x", "cov_f", "cov_b", "full_cov")
     for t in tiles.tiles:
