@@ -9,10 +9,13 @@ space-time decomposed solve.
 All CSVs print floats through repr, so identical runs produce byte-identical
 files; timing.csv is the one machine-dependent exception.  It holds one
 `block` row per simulated rank (the compute seconds of that rank's block:
-the restriction of B r to its box, the factorization of its
-observation-space solve and those solves for the DD, the whole solve for
-the single-rank Krylov runs) and `setup`, `solve`, `impact` and `total`
-rows with rank -1.  manifest.json records whether the solve converged
+for the DD the restriction of B r to its box and its observation-space
+solves, plus its share of building them: each tile's build is charged to
+its ranks in proportion to their k_p, equally when the tile has no
+observations, and the batched inverses and the products C_p^-1 X_p to
+all ranks the same way, so the rows sum to at most the solve phase; the
+whole solve for the single-rank Krylov runs) and `setup`, `solve`,
+`impact` and `total` rows with rank -1.  manifest.json records whether the solve converged
 and its iteration counts per outer loop (DD: the outer flexible-CG
 iterations); for the DD also each rank's capacitance size k_p, the
 number of observations its block carries; with impact = true, the

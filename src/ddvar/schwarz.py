@@ -27,10 +27,10 @@ strips, one mask per cell class, D of the propagator among them, ring
 cells, node indices and the covariances restricted to the box) is built
 once and shared, array for array, by the tile's N_t window blocks, and
 each window's observations are found once; a block adds only its
-window's levels, control segments (LocalProblem.parts) and the
-observations its box carries.  A window's blocks share one flat buffer
-that holds each block's local control u_p (its box, x0 and f stacked,
-then its owned ring values).  Each apply, per window,
+window's levels, control segments and the observations its box
+carries.  A window's blocks share one flat buffer that holds each
+block's local control u_p (its box, x0 and f stacked, then its owned
+ring values).  Each apply, per window,
 
   1. one gather fills the owned cells and ring values of every block from
      u, and one halo_exchange on the window's inter communicator fills
@@ -42,10 +42,15 @@ then its owned ring values).  Each apply, per window,
      control through the zero-inflow local propagator, the window's
      background tangent steps restricted to the box, to those samples;
      R_pp is their error variance and B_p the covariance restricted to
-     the box.  The block's first apply builds X_p (gauss_newton_rows),
-     inverts the k_p x k_p matrix C_p and keeps only C_p^-1 X_p on the
-     kept columns and X_p' on the owned ones (LocalSolve); every later
-     solve is two small dense products,
+     the box.  The first apply builds every block's solve in one pass
+     (build_local_solves), tile by tile: the rows X_p of the tile's
+     window blocks from reverse sweeps of their stacked seeds, one sweep
+     for the blocks that share their step operators (gauss_newton_rows),
+     B_p X_p' by one apply per covariance part to the stacked rows, each
+     C_p, and the column maps of every window at once; then one batched
+     inverse per size k_p of the k_p x k_p matrices C_p.  A block keeps
+     only C_p^-1 X_p on the kept columns and X_p' on the owned ones
+     (LocalSolve); every later solve is two small dense products,
   3. scatters X_p' y_p on its owned entries into the flat vector E
      assembles (the owned entries of the blocks are disjoint).
 
@@ -66,6 +71,7 @@ sweeps and B^-1.
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,6 +92,7 @@ __all__ = [
     "NeighborTrace",
     "TileGeometry",
     "build_local_problems",
+    "build_local_solves",
     "gauss_newton_rows",
     "local_ad_step",
     "local_tl_step",
@@ -247,19 +254,6 @@ class TileGeometry:
             box = self._restricted[op] = op.restrict(*self.tile.box_slices)
         return box
 
-    @cached_property
-    def control_cells(self):
-        """(keep, owned, ring): the flat box cells of rho_keep and of the
-        owned interior, and the offsets of the owned ring values, field
-        by field, in a boundary segment.  Built for the first block of
-        the tile that needs them (LocalProblem.control_maps)."""
-        cells = np.arange(self.n_box_nodes).reshape(self.tile.box_shape)
-        n_ring = ring_size(self.grid.nx, self.grid.ny)
-        ring = (np.arange(self.n_fields)[:, None] * n_ring
-                + self.ring_pos).ravel()
-        return (np.flatnonzero(self.rho_keep), cells[self.owned_local].ravel(),
-                ring)
-
 
 class LocalProblem:
     """Everything one (tile, window) block needs for its observation-space
@@ -295,18 +289,15 @@ class LocalProblem:
                                      tile.box_shape, self.levels[0])
         self.q_var = obs.variances[self.q_obs_idx]
 
-        # the segments of u_p, (x0), f, (b), as (restricted covariance,
-        # size): x0 (window 0) and f live on the whole box, so the
-        # propagator reads the halo strips of u, and b holds the owned ring
-        # values (cov_b None when the block owns none); only the owned part
-        # of a correction is ever assembled
+        # u_p is (x0), f, (b): x0 (window 0) and f live on the whole box,
+        # so the propagator reads the halo strips of u, and b holds the
+        # owned ring values; only the owned part of a correction is ever
+        # assembled
         self.has_x0 = window == 0
-        n_box = self.n_fields * self.n_box_nodes
-        self.parts = [(self.cov_x, n_box)] if self.has_x0 else []
-        self.parts.append((self.cov_f, n_box))
-        if layout_ctl.has_boundary:
-            self.parts.append((self.cov_b, self.n_fields * self.ring_pos.size))
-        self.n_local = sum(n for _, n in self.parts)
+        self.n_ring_vals = (self.n_fields * self.ring_pos.size
+                            if layout_ctl.has_boundary else 0)
+        self.n_local = (self.n_fields * self.n_box_nodes * (1 + self.has_x0)
+                        + self.n_ring_vals)
 
     def owned_prec_apply(self, seg, v):
         """Owned principal block of the segment precision applied to v, by
@@ -325,46 +316,6 @@ class LocalProblem:
         use."""
         return [self.geometry.restricted(op) for op in self.steps]
 
-    @cached_property
-    def local_solve(self):
-        """The factorized observation-space solve (LocalSolve); built on
-        the block's first preconditioner apply."""
-        return LocalSolve(self)
-
-    @cached_property
-    def control_maps(self):
-        """(keep_cols, own_cols, own_idx), built on the block's first
-        preconditioner apply.
-
-        The local control u_p is the box of every x0 (window 0) and f
-        field, row-major, then the owned ring values of b.  keep_cols
-        indexes in u_p the inputs the block's solve reads: the owned and
-        meaningful strip cells (rho_keep) and the ring values; the other
-        box cells carry either truncated stencil output or a neighbor's
-        territory.  own_cols indexes the owned cells and ring values,
-        and own_idx the same entries in the global control vector.  The
-        cell lists are the tile's (TileGeometry.control_cells); only the
-        segment offsets are the block's.
-        """
-        nf, ncell = self.n_fields, self.n_box_nodes
-        ctl = self.layout_ctl
-        keep_cells, owned_cells, ring_ofs = self.geometry.control_cells
-        segs = (["x0"] if self.has_x0 else []) + [f"f{self.window}"]
-        # offset in u_p and in the global vector of every box channel
-        # (segment, field)
-        local = np.arange(len(segs) * nf)[:, None] * ncell
-        start = np.array([ctl.slice_of(seg).start + f * self.grid.n_points
-                          for seg in segs for f in range(nf)])[:, None]
-        keep = [(local + keep_cells).ravel()]
-        own_cols = [(local + owned_cells).ravel()]
-        own_idx = [(start + self.owned_node_idx).ravel()]
-        if ctl.has_boundary:
-            ring = local.size * ncell + np.arange(ring_ofs.size)
-            keep.append(ring)
-            own_cols.append(ring)
-            own_idx.append(ctl.slice_of(f"b{self.window}").start + ring_ofs)
-        return tuple(np.concatenate(m) for m in (keep, own_cols, own_idx))
-
     def zero_box(self):
         return np.zeros((self.n_fields,) + self.tile.box_shape)
 
@@ -382,57 +333,87 @@ class LocalProblem:
         state[:, self.corner] = 0.0
 
 
-def gauss_newton_rows(p):
-    """The rows X of the Gauss-Newton term X' R_pp^-1 X of the block p.
+def gauss_newton_rows(blocks):
+    """The rows X_p of the Gauss-Newton terms X_p' R_pp^-1 X_p of blocks,
+    a group of blocks of one tile in window order (a lone block is a
+    group of one).
 
-    X (dense, k x n_local) maps the local control u_p (x0, f, b) through the
-    zero-inflow correction propagator
+    X_p (dense, k_p x n_local) maps the block's local control u_p (x0, f,
+    b) through the zero-inflow correction propagator
 
         x_0 = P x0,    x_l = D (M_l x_{l-1} + dt f) + R b
 
-    to the block's k observation samples (q_stencil, the observations
-    whose bilinear stencil lies inside the box).  P zeroes the box cells
-    outside rho_keep, M_l is the step operator onto level l, D the tile's
-    d_mask, which zeroes ring cells, strip lines on the box edge and box
-    corners, and R injects b into the owned ring cells.  All k rows come
-    from one reverse sweep of the sample seeds through the transposed
-    masked step operators: one apply_t per level on the (k, nf, bnx, bny)
-    stack of seeds.
+    to its k_p observation samples (q_stencil, the observations whose
+    bilinear stencil lies inside the box).  P zeroes the box cells outside
+    rho_keep, M_l is the step operator onto level l, D the tile's d_mask,
+    which zeroes ring cells, strip lines on the box edge and box corners,
+    and R injects b into the owned ring cells.
+
+    The rows come from reverse sweeps of the sample seeds through the
+    transposed masked step operators, one apply_t per level on a stack of
+    (nf, bnx, bny) seeds.  Blocks whose window steps all use one operator
+    (the linear model's) share one sweep over their stacked seeds; on a
+    model with an operator per step (burgers) each block sweeps alone.  A
+    sweep starts at the highest observation level of its rows and carries
+    only the rows whose level it has reached.
+
+    Returns the rows stacked block after block, shape (sum k_p, width),
+    laid out as the widest block's u_p: the x0 columns when a block has
+    them, then f and b.  Block p's X_p is its rows' last n_local columns;
+    the x0 columns of the other rows are zero.
     """
-    nf = p.n_fields
-    bnx, bny = p.tile.box_shape
-    n = nf * bnx * bny
-    st = p.q_stencil
-    k = st.nodes.shape[1]
-
-    # the samples' bilinear weights on field 0 of every level, one
-    # (nf, bnx, bny) seed per sample; every stencil lies inside the box, so
-    # no two weights share a slot
-    level, cell = np.divmod(st.nodes, bnx * bny)
-    seeds = np.zeros((p.n_levels, k, n))
-    seeds[level, np.arange(k), cell] = st.weights
-    seeds = seeds.reshape(p.n_levels, k, nf, bnx, bny)
-
-    # acc sums the adjoint states of levels n_levels-1 .. 1: the f rows are
-    # D acc (dt f enters every step through D), the b rows acc on the
-    # owned ring cells
-    acc = np.zeros((k, nf, bnx, bny))
-    adj = seeds[-1]
-    for l in range(p.n_levels - 1, 0, -1):
-        acc += adj
-        adj *= p.d_mask
-        adj = p.lin_ops[l - 1].apply_t(adj)
-        adj += seeds[l - 1]
-
-    # the rows, laid out as u_p: (x0), f, (b)
-    x = np.empty((k, p.n_local))
-    ofs = 0
-    if p.has_x0:
-        x[:, :n] = (adj * p.rho_keep).reshape(k, n)
-        ofs = n
-    x[:, ofs:ofs + n] = (acc * (p.d_mask * p.grid.dt)).reshape(k, n)
-    x[:, ofs + n:] = acc[..., p.ring_ii, p.ring_jj].reshape(
-        k, nf * p.ring_ii.size)
+    p = blocks[0]
+    nf, ncell = p.n_fields, p.n_box_nodes
+    box = (nf,) + p.tile.box_shape
+    n = nf * ncell
+    width = max(b.n_local for b in blocks)
+    x = np.zeros((sum(b.q_obs_idx.size for b in blocks), width))
+    f0 = width - n - p.n_ring_vals
+    op = p.lin_ops[0] if p.lin_ops else None
+    if all(o is op for b in blocks for o in b.lin_ops):
+        groups = [blocks]
+    else:
+        groups = [[b] for b in blocks]
+    r0 = 0
+    for group in groups:
+        m = sum(b.q_obs_idx.size for b in group)
+        rows = slice(r0, r0 + m)
+        r0 += m
+        if not m:
+            continue
+        ops = max((b.lin_ops for b in group), key=len)
+        # one seed per sample, its bilinear weights on field 0 of its
+        # level (every stencil lies inside the box, so no two weights
+        # share a slot), stacked by level, highest first: the rows a step
+        # carries lead the stack, and row back[i] holds sample i
+        level, cell = np.divmod(np.concatenate(
+            [b.q_stencil.nodes for b in group], axis=1), ncell)
+        back = np.argsort(np.argsort(-level[0], kind="stable"))
+        adj = np.zeros((m, n))
+        adj[back, cell] = np.concatenate(
+            [b.q_stencil.weights for b in group], axis=1)
+        adj = adj.reshape((m,) + box)
+        levels = sorted(level[0].tolist(), reverse=True)
+        # acc sums the adjoint states of the levels above 0: the f rows are
+        # D acc (dt f enters every step through D), the b rows acc on the
+        # owned ring cells
+        acc = np.zeros_like(adj)
+        carried = 0
+        for lvl in range(levels[0], 0, -1):
+            while carried < m and levels[carried] >= lvl:
+                carried += 1
+            live = adj[:carried]
+            acc[:carried] += live
+            live *= p.d_mask
+            adj[:carried] = ops[lvl - 1].apply_t(live)
+        acc = acc[back]
+        x[rows, f0:f0 + n] = (acc * (p.d_mask * p.grid.dt)).reshape(m, n)
+        x[rows, f0 + n:] = acc[..., p.ring_ii, p.ring_jj].reshape(
+            m, p.n_ring_vals)
+        if group[0].has_x0:
+            k = group[0].q_obs_idx.size
+            x[rows.start:rows.start + k, :n] = (
+                adj[back[:k]] * p.rho_keep).reshape(k, n)
     return x
 
 
@@ -441,8 +422,8 @@ class LocalSolve:
 
     With X the block's sample rows (gauss_newton_rows), B_p the control
     covariance's spatial blocks restricted to the box (x0 and f) and to
-    the owned ring (b), each applied to every field (LocalProblem.parts),
-    and R_pp the samples' error variances,
+    the owned ring (b), each applied to every field, and R_pp the
+    samples' error variances,
 
         C = R_pp + X B_p X' / alpha    (k x k, inverted once),
 
@@ -451,46 +432,173 @@ class LocalSolve:
     the local operator alpha B_p^-1 + X' R_pp^-1 X applied to r; the
     preconditioner uses the global B in place of B_p outside C.
 
-    X is built once per block, from the tile's D and rho_keep masks, which
-    are built once per tile.  The solve keeps only what its apply reads:
-    cx = C^-1 X on the columns LocalProblem.control_maps keeps (the
-    rho_keep cells and the ring values; the others carry zeros in u_p)
-    and xt = X' on the owned columns, the only ones assembled.  k = 0 (a
-    block without observations) keeps neither, and its correction is 0.
+    build_local_solves builds every block's solve, tile by tile, from the
+    tile's D and rho_keep masks.  A solve keeps only what its apply reads:
+    cx = C^-1 X on the keep_cols columns of u_p (the rho_keep cells and
+    the ring values; the others carry zeros in u_p) and xt = X' on the
+    owned columns own_cols, the only ones assembled, which sit at own_idx
+    in the global control vector.  k = 0 (a block without observations)
+    keeps neither, and its correction is 0.
     """
 
-    def __init__(self, p):
-        self.parts = p.parts
-        self.n_fields = p.n_fields
-        self.keep_cols, own_cols, self.own_idx = p.control_maps
-        x = gauss_newton_rows(p)
-        self.k = x.shape[0]
-        self.cx = self.xt = None
-        if self.k:
-            cap = x @ self.prior(x).T / p.alpha
-            cap[np.diag_indices(self.k)] += p.q_var
-            # a k x k inverse and one product: several times faster than
-            # np.linalg.solve with the n_keep right-hand sides
-            self.cx = np.linalg.inv(cap) @ x[:, self.keep_cols]
-            self.xt = np.ascontiguousarray(x[:, own_cols].T)
-
-    def prior(self, v):
-        """B_p applied to v (n_local,), or to every row of v (m, n_local)."""
-        out = v.copy()
-        ofs = 0
-        for cov, n in self.parts:
-            if cov is not None:
-                seg = v[..., ofs:ofs + n]
-                out[..., ofs:ofs + n] = cov.apply(
-                    seg.reshape(seg.shape[:-1] + (self.n_fields, -1))
-                ).reshape(seg.shape)
-            ofs += n
-        return out
+    def __init__(self, k, maps, cx=None, xt=None):
+        self.k = k
+        self.keep_cols, self.own_cols, self.own_idx = maps
+        self.cx, self.xt = cx, xt
 
     def apply(self, v):
         """The owned entries of X' C^-1 X u_p, given the kept entries v
         of u_p; the block must have observations (k > 0)."""
         return self.xt @ (self.cx @ v)
+
+
+def _control_maps(blocks):
+    """(keep_cols, own_cols, own_idx) of each of blocks, blocks of one
+    tile, from the tile's cells: every window at once.
+
+    The local control u_p is the box of every x0 (window 0) and f field,
+    row-major, then the owned ring values of b.  keep_cols indexes in u_p
+    the inputs the block's solve reads: the owned and trusted strip cells
+    (rho_keep) and the ring values; the other box cells carry either
+    truncated stencil output or a neighbor's territory.  own_cols indexes
+    the owned cells and ring values, and own_idx the same entries in the
+    global control vector.  The columns depend only on whether the block
+    has x0; own_idx differs by window in its segment offsets.
+    """
+    p = blocks[0]
+    nf, ncell, ctl = p.n_fields, p.n_box_nodes, p.layout_ctl
+    n = nf * ncell
+    bny = p.tile.box_shape[1]
+    oi, oj = p.owned_local
+    keep_cells = np.flatnonzero(p.rho_keep)
+    owned_cells = (np.arange(oi.start * bny, oi.stop * bny, bny)[:, None]
+                   + np.arange(oj.start, oj.stop)).ravel()
+    # the columns of a u_p with x0 (its box channels, then the ring
+    # values); without x0, the same entries past the x0 channels, n
+    # columns earlier
+    channels = np.arange(0, 2 * n, ncell)[:, None]
+    ring = np.arange(2 * n, 2 * n + p.n_ring_vals)
+    keep = np.concatenate(((channels + keep_cells).ravel(), ring))
+    own = np.concatenate(((channels + owned_cells).ravel(), ring))
+    cols = {True: (keep, own),
+            False: (keep[nf * keep_cells.size:] - n,
+                    own[nf * owned_cells.size:] - n)}
+    # the owned nodes, field by field, then the owned ring values, as
+    # offsets into a window's f and b segments
+    fields = np.arange(nf)[:, None]
+    n_own = nf * p.owned_node_idx.size
+    offsets = np.concatenate((
+        (fields * ctl.grid.n_points + p.owned_node_idx).ravel(),
+        (fields * ring_size(ctl.grid.nx, ctl.grid.ny) + p.ring_pos).ravel()))
+    maps = []
+    for b in blocks:
+        f = ctl.slice_of(f"f{b.window}").start
+        idx = offsets + f
+        if ctl.has_boundary:
+            idx[n_own:] += ctl.slice_of(f"b{b.window}").start - f
+        if b.has_x0:
+            idx = np.concatenate((offsets[:n_own] + ctl.slice_of("x0").start,
+                                  idx))
+        maps.append(cols[b.has_x0] + (idx,))
+    return maps
+
+
+def _tile_factors(members, alpha, slots):
+    """One tile's part of build_local_solves.  members are the tile's
+    (key, block) pairs in window order; each block's capacitance matrix
+    C_p = R_pp + X_p B_p X_p' / alpha is written into the next slot of
+    slots[k_p].  Returns (key, k_p, maps, X_p on keep_cols, X_p' on
+    own_cols) per block."""
+    blocks = [p for _, p in members]
+    p = blocks[0]
+    maps = _control_maps(blocks)
+    x = gauss_newton_rows(blocks)
+    width = x.shape[1]
+    n = p.n_fields * p.n_box_nodes
+    f0 = width - n - p.n_ring_vals
+    first = [0]
+    for b in blocks:
+        first.append(first[-1] + b.q_obs_idx.size)
+    # in window order, only the first block can have x0
+    x0_rows = slice(0, first[1] if p.has_x0 else 0)
+    # B_p on the stacked rows, one apply per covariance part: x0 on the
+    # window-0 rows, f and b on every row
+    bx = np.zeros_like(x)
+    for cov, rows, cols in ((p.cov_x, x0_rows, slice(0, n)),
+                            (p.cov_f, slice(None), slice(f0, f0 + n)),
+                            (p.cov_b, slice(None), slice(f0 + n, width))):
+        seg = x[rows, cols]
+        if cov is not None and seg.size:
+            bx[rows, cols] = cov.apply(
+                seg.reshape(seg.shape[0], p.n_fields, -1)).reshape(seg.shape)
+    # the first block is the widest, and its columns hold every other
+    # block's as their tail; C_p^-1 multiplies the column-major copy
+    # fancy indexing makes of the kept columns
+    keep, own = x[:, maps[0][0]], np.take(x, maps[0][1], axis=1)
+    out = []
+    for (key, b), m, r0, r1 in zip(members, maps, first, first[1:]):
+        k = r1 - r0
+        if k:
+            c0 = width - b.n_local
+            cap = next(slots[k])
+            np.matmul(x[r0:r1, c0:], bx[r0:r1, c0:].T, out=cap)
+            cap /= alpha
+            diag = cap.reshape(-1)[::k + 1]
+            diag += b.q_var
+            out.append((key, k, m, keep[r0:r1, keep.shape[1] - m[0].size:],
+                        np.ascontiguousarray(
+                            own[r0:r1, own.shape[1] - m[1].size:].T)))
+        else:
+            out.append((key, 0, m, None, None))
+    return out
+
+
+def build_local_solves(blocks, alpha, seconds=None):
+    """Every block's LocalSolve, built tile by tile in one pass.
+
+    blocks maps keys to LocalProblems (a lone block is a map of one).  Per
+    tile: the rows of its blocks (gauss_newton_rows), one apply per
+    covariance part of its restricted covariances to the stacked rows,
+    its blocks' capacitance matrices and their column maps, every window
+    at once.  Then one batched inverse per capacitance size k_p: every
+    block's C_p goes into the stack of its size, and LAPACK inverts each
+    matrix of a stack as it would alone.
+
+    With seconds (key -> float) given, the build time is charged to the
+    blocks: each tile's share in proportion to its blocks' k_p, equally
+    when the tile has no rows, and the batched inverses and the products
+    C_p^-1 X_p to every block the same way.
+    """
+    clock = time.perf_counter
+    tiles = {}
+    for key, p in blocks.items():
+        tiles.setdefault(p.geometry, []).append((key, p))
+    sizes = Counter(p.q_obs_idx.size for p in blocks.values())
+    stacks = {k: np.empty((count, k, k)) for k, count in sizes.items() if k}
+    slots = {k: iter(stack) for k, stack in stacks.items()}
+    spent, factors = {}, []
+    for geometry, members in tiles.items():
+        t0 = clock()
+        members.sort(key=lambda kp: kp[1].window)
+        factors += _tile_factors(members, alpha, slots)
+        spent[geometry] = clock() - t0
+
+    t0 = clock()
+    # a k x k inverse and one product: several times faster than
+    # np.linalg.solve with the n_keep right-hand sides
+    inverses = {k: iter(np.linalg.inv(stack)) for k, stack in stacks.items()}
+    solves = {key: LocalSolve(k, maps, next(inverses[k]) @ keep, xt) if k
+              else LocalSolve(0, maps)
+              for key, k, maps, keep, xt in factors}
+    spent[None] = clock() - t0
+    if seconds is not None:
+        for share, members in [(spent[g], m) for g, m in tiles.items()] + [
+                (spent[None], list(blocks.items()))]:
+            rows = sum(p.q_obs_idx.size for _, p in members)
+            for key, p in members:
+                seconds[key] += share * (p.q_obs_idx.size / rows if rows
+                                         else 1.0 / len(members))
+    return solves
 
 
 def _own_strip(p, side, raw, trace_vals):
@@ -659,8 +767,9 @@ class DDResult:
     trace_rows: list           # (dd_iter, tile, window, rhs_norm, residual)
     world: World
     cost: CostBreakdown = None
-    # compute seconds each (tile, window) block spent restricting B r,
-    # factorizing its observation-space solve and applying it
+    # compute seconds each (tile, window) block spent restricting B r and
+    # applying its observation-space solve, plus its share of building the
+    # solves (build_local_solves)
     block_seconds: dict = field(default_factory=dict)
     # k_p, the size of each block's capacitance matrix (its observation
     # count), in rank order
@@ -690,29 +799,30 @@ class DDSolver:
                       for k in range(self.windows.n_t)]
         self.blocks = build_local_problems(problem, layout_tiles, config)
         self.d = problem.background_innovations()
+        # key -> LocalSolve, built on the first preconditioner apply
+        self.local_solves = None
 
     @cached_property
     def _window_buffers(self):
         """Per window: the flat buffer of its blocks' local controls u_p,
         the box views halo_exchange fills, the (buffer, u) index pair of
-        the owned entries, and (key, block, u_p view) in tile order.
-        Built on the first preconditioner apply."""
+        the owned entries, and (key, solve, u_p view) in tile order.
+        Built on the first preconditioner apply, after the solves."""
         out = []
         for k in range(self.windows.n_t):
-            blocks = [((t.id, k), self.blocks[(t.id, k)])
-                      for t in self.layout.tiles]
-            offsets = np.cumsum([0] + [p.n_local for _, p in blocks])
+            keys = [(t.id, k) for t in self.layout.tiles]
+            blocks = [self.blocks[key] for key in keys]
+            offsets = np.cumsum([0] + [p.n_local for p in blocks])
             buf = np.zeros(offsets[-1])
             boxes, dst, src, views = {}, [], [], []
-            for (key, p), ofs in zip(blocks, offsets):
+            for key, p, ofs in zip(keys, blocks, offsets):
+                solve = self.local_solves[key]
                 view = buf[ofs:ofs + p.n_local]
-                n_box = p.n_local - p.n_fields * p.ring_pos.size
-                boxes[key[0]] = view[:n_box].reshape(
+                boxes[key[0]] = view[:p.n_local - p.n_ring_vals].reshape(
                     (-1,) + p.tile.box_shape)
-                _, own_cols, own_idx = p.control_maps
-                dst.append(ofs + own_cols)
-                src.append(own_idx)
-                views.append((key, p, view))
+                dst.append(ofs + solve.own_cols)
+                src.append(solve.own_idx)
+                views.append((key, solve, view))
             out.append((buf, boxes, np.concatenate(dst), np.concatenate(src),
                         views))
         return out
@@ -732,14 +842,16 @@ class DDSolver:
         e = np.zeros_like(r)
         norms = {}
         clock = time.perf_counter
+        if self.local_solves is None:
+            self.local_solves = build_local_solves(self.blocks, alpha,
+                                                   block_s)
         for k, (buf, boxes, dst, src, views) in enumerate(
                 self._window_buffers):
             buf[dst] = u[src]
             halo_exchange(self.inter[k], self.layout, boxes, window=k,
                           tag=("ras", n))
-            for key, p, view in views:
+            for key, solve, view in views:
                 t0 = clock()
-                solve = p.local_solve
                 v = view[solve.keep_cols]
                 norms[key] = math.sqrt(v @ v)
                 if solve.k:
@@ -784,5 +896,5 @@ class DDSolver:
                         cost=CostBreakdown(J=j, Jb=jb, Jo=j - jb),
                         block_seconds=block_s,
                         capacitance_sizes=[
-                            self.blocks[key].local_solve.k for key in sorted(
+                            self.blocks[key].q_obs_idx.size for key in sorted(
                                 order, key=lambda b: self.world.rank_of(*b))])

@@ -19,7 +19,7 @@ from ddvar.covariance import CovarianceR
 from ddvar.grid import Grid, boundary_ring_indices, build_tiles
 from ddvar.observations import ObservationSet
 from ddvar.schwarz import (DDConfig, DDSolver, build_local_problems,
-                           gauss_newton_rows)
+                           build_local_solves, gauss_newton_rows)
 from util import make_problem, reference_cov, split_local
 
 
@@ -216,6 +216,7 @@ def test_assembled_local_operator_matches_plain_loop_reference(data):
     prob, tiles = build_case(geo, pts)
     grid = prob.model.grid
     solver = DDSolver(prob, tiles, DDConfig())
+    solves = build_local_solves(solver.blocks, solver.config.alpha)
     rng = np.random.default_rng(len(pts))
     for key in sorted(solver.blocks):
         p = solver.blocks[key]
@@ -224,16 +225,16 @@ def test_assembled_local_operator_matches_plain_loop_reference(data):
         cols = [reference_readout(p, e, rho_keep, keep, ring)
                 for e in np.eye(p.n_local)]
         x_ref = np.array(cols).reshape(p.n_local, -1).T
-        ls = p.local_solve
+        ls = solves[key]
         assert ls.k == p.q_obs_idx.size == x_ref.shape[0]
-        x = gauss_newton_rows(p)
+        x = gauss_newton_rows([p])
         assert np.linalg.norm(x - x_ref) <= 1e-12 * max(
             np.linalg.norm(x_ref), 1.0)
         if not ls.k:
             continue
         # on the kept entries of u_p the solve returns the owned entries
         # of X' C^-1 X u_p, C = R_pp + X B_p X' / alpha
-        keep_cols, own_cols, _ = p.control_maps
+        keep_cols, own_cols = ls.keep_cols, ls.own_cols
         u = np.zeros(p.n_local)
         u[keep_cols] = rng.standard_normal(keep_cols.size)
         b_x = np.array([reference_cov(p, row) for row in x_ref])

@@ -10,6 +10,7 @@ from ddvar.schwarz import (
     DDConfig,
     DDSolver,
     LocalSolve,
+    build_local_solves,
     gauss_newton_rows,
     local_ad_step,
     local_tl_step,
@@ -17,6 +18,7 @@ from ddvar.schwarz import (
 from util import (
     local_control,
     make_problem,
+    reference_cov,
     reference_prior,
     reference_weight,
     restrict_control,
@@ -327,16 +329,18 @@ def _check_restricted_residual(prob, tiles, solver, calls, real_apply):
     calls.clear()
     r = np.random.default_rng(12).standard_normal(prob.layout.n_z)
     z, binv_z, norms = _precond_apply(solver, r)
-    with_obs = [key for key, p in solver.blocks.items() if p.local_solve.k]
+    solves = solver.local_solves
+    with_obs = [key for key, ls in solves.items() if ls.k]
     assert with_obs and len(calls) == len(with_obs)
-    seen = {key: v for key, p in solver.blocks.items()
-            for solve, v in calls if solve is p.local_solve}
+    seen = {key: v for key, ls in solves.items()
+            for solve, v in calls if solve is ls}
     assert set(seen) == set(with_obs)
     u = prob.b_cov.apply(r)
     index = np.arange(prob.layout.n_z, dtype=float)
     e = np.zeros(prob.layout.n_z)
     for key, p in solver.blocks.items():
-        keep_cols, own_cols, own_idx = p.control_maps
+        ls = solves[key]
+        keep_cols, own_cols, own_idx = ls.keep_cols, ls.own_cols, ls.own_idx
         want = local_control(prob, u, p)
         gathered = want[keep_cols]
         assert not np.delete(want, keep_cols).any()
@@ -351,10 +355,10 @@ def _check_restricted_residual(prob, tiles, solver, calls, real_apply):
         if key not in seen:
             continue
         assert np.array_equal(seen[key], gathered)
-        x = gauss_newton_rows(p)
-        cap = x @ p.local_solve.prior(x).T / p.alpha + np.diag(p.q_var)
+        x = gauss_newton_rows([p])
+        cap = x @ _prior_rows(p, x).T / p.alpha + np.diag(p.q_var)
         dense = x.T @ np.linalg.solve(cap, x @ want)
-        got = real_apply(p.local_solve, gathered)
+        got = real_apply(ls, gathered)
         assert np.linalg.norm(got - dense[own_cols]) \
             <= 1e-12 * np.linalg.norm(dense)
         e[own_idx] = got
@@ -362,6 +366,12 @@ def _check_restricted_residual(prob, tiles, solver, calls, real_apply):
     s = (r - e / alpha) / alpha
     assert np.linalg.norm(binv_z - s) <= 1e-12 * np.linalg.norm(s)
     assert np.array_equal(z, prob.b_cov.apply(binv_z))
+
+
+def _prior_rows(p, x):
+    """B_p applied to every row of x (k x n_local), through the
+    restricted covariances' own applies."""
+    return np.array([reference_cov(p, row) for row in x]).reshape(x.shape)
 
 
 def _c5_solver(n_t, sigma_o=1.0):
@@ -388,24 +398,26 @@ def test_local_solve_matches_pcg_on_the_local_operator():
     rng = np.random.default_rng(31)
     ranks, rings = [], []
     for solver in solvers:
+        solves = build_local_solves(solver.blocks, solver.config.alpha)
         for key in sorted(solver.blocks):
             p = solver.blocks[key]
-            x = gauss_newton_rows(p)
+            x = gauss_newton_rows([p])
             a_p = LinearOperator(
                 (p.n_local,) * 2, lambda v, p=p, x=x: reference_prior(p, v)
                 + x.T @ reference_weight(p, x @ v))
-            ls = p.local_solve
-            b_p = LinearOperator((p.n_local,) * 2, ls.prior)
+            ls = solves[key]
+            b_p = LinearOperator((p.n_local,) * 2,
+                                 lambda v, p=p: reference_cov(p, v))
             rhs = rng.standard_normal(p.n_local)
 
             def correction(u):
                 if not ls.k:
                     return np.zeros_like(u)
-                cap = x @ ls.prior(x).T / p.alpha + np.diag(p.q_var)
+                cap = x @ _prior_rows(p, x).T / p.alpha + np.diag(p.q_var)
                 return x.T @ np.linalg.solve(cap, x @ u)
 
             if ls.k:
-                keep_cols, own_cols, _ = p.control_maps
+                keep_cols, own_cols = ls.keep_cols, ls.own_cols
                 u = np.zeros(p.n_local)
                 u[keep_cols] = rhs[keep_cols]
                 want = correction(u)[own_cols]
@@ -421,8 +433,8 @@ def test_local_solve_matches_pcg_on_the_local_operator():
             assert ref.converged
             assert np.linalg.norm(a_p.apply(ref.x) - rhs) \
                 <= 1e-12 * np.linalg.norm(rhs)
-            u = ls.prior(rhs)
-            got = (u - ls.prior(correction(u)) / p.alpha) / p.alpha
+            u = reference_cov(p, rhs)
+            got = (u - reference_cov(p, correction(u)) / p.alpha) / p.alpha
             assert np.linalg.norm(got - ref.x) <= 1e-10 * np.linalg.norm(
                 ref.x)
             ranks.append(ls.k)
@@ -431,23 +443,24 @@ def test_local_solve_matches_pcg_on_the_local_operator():
 
 
 def test_each_block_is_factorized_once_per_solve(monkeypatch):
-    """The first preconditioner apply factorizes every block, later
-    applies reuse the factors, no inner Krylov solve runs, and each
-    block's capacitance size is its observation count."""
+    """The first preconditioner apply factorizes every block in one
+    build_local_solves call, later applies reuse the factors, no inner
+    Krylov solve runs, and each block's capacitance size is its
+    observation count."""
     import ddvar.krylov as krylov
     import ddvar.schwarz as schwarz
 
     built = []
-    init = LocalSolve.__init__
+    build = schwarz.build_local_solves
 
-    def counted(self, p):
-        built.append((p.tile.id, p.window))
-        init(self, p)
+    def counted(blocks, alpha, seconds=None):
+        built.append(sorted(blocks))
+        return build(blocks, alpha, seconds)
 
     def no_pcg(*args, **kw):
         raise AssertionError("the preconditioner ran pcg")
 
-    monkeypatch.setattr(LocalSolve, "__init__", counted)
+    monkeypatch.setattr(schwarz, "build_local_solves", counted)
     monkeypatch.setattr(krylov, "pcg", no_pcg)
     monkeypatch.setattr(schwarz, "pcg", no_pcg)
     sizes = []
@@ -455,16 +468,141 @@ def test_each_block_is_factorized_once_per_solve(monkeypatch):
     for kw in ({}, dict(nx=12, ny=12, ti=3, tj=3, halo=1, n_obs=6)):
         built.clear()
         prob, tiles, solver = dd_setup(**kw)
-        assert built == []
+        assert built == [] and solver.local_solves is None
         res = solver.solve()
         assert res.converged and res.n_iterations > 1
-        assert sorted(built) == sorted(solver.blocks)
+        assert built == [sorted(solver.blocks)]
         assert len(res.capacitance_sizes) == len(solver.blocks)
         for (tid, k), p in solver.blocks.items():
             assert res.capacitance_sizes[tid + tiles.n_tiles * k] \
-                == p.local_solve.k == p.q_obs_idx.size
+                == solver.local_solves[(tid, k)].k == p.q_obs_idx.size
         sizes += res.capacitance_sizes
     assert min(sizes) == 0 < max(sizes)
+
+
+def test_zero_residual_solve_factorizes_no_block(monkeypatch):
+    """With zero innovations the initial residual is zero and fcg stops
+    before any preconditioner apply: the solve converges at iteration 0,
+    reports every block's capacitance size from its observation count,
+    and builds no block solve."""
+    def no_build(*args, **kw):
+        raise AssertionError("a block solve was built")
+
+    monkeypatch.setattr(LocalSolve, "__init__", no_build)
+    prob, tiles, solver = dd_setup()
+    solver.d = np.zeros_like(solver.d)
+    res = solver.solve()
+    assert res.converged and res.n_iterations == 0
+    assert res.capacitance_sizes == [3, 4, 4, 2, 5, 5, 4, 4]
+    assert solver.local_solves is None
+    assert not np.any(res.delta_z)
+
+
+def _layout(name, kind, n_t):
+    if name == "periodic-1x1":
+        prob = make_problem(kind, "periodic", nx=12, ny=10, n_steps=4,
+                            n_t=n_t, seed=5, n_obs=10)
+        tiles = build_tiles(prob.model.grid, 1, 1, 2)
+        return prob, tiles, DDSolver(prob, tiles, DDConfig())
+    kw = {} if name == "2x2" else dict(nx=12, ny=12, ti=3, tj=3, halo=1,
+                                       n_obs=6)
+    return dd_setup(kind=kind, n_t=n_t, **kw)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+def test_tile_build_equals_lone_block_build(kind, n_t):
+    """Built with its tile (stacked reverse sweep, one prior apply per
+    part, batched inverses, every window's maps at once) each block gets
+    bit for bit the solve it gets built as a group of one: cx, xt,
+    keep_cols, own_cols and own_idx.  Layouts: the 2x2 problem, the
+    3x3 halo-1 network (blocks with k_p = 0 and a block that owns no
+    ring cells) and a periodic single tile."""
+    for name in ("2x2", "3x3-halo1", "periodic-1x1"):
+        prob, tiles, solver = _layout(name, kind, n_t)
+        alpha = solver.config.alpha
+        tiled = build_local_solves(solver.blocks, alpha)
+        assert set(tiled) == set(solver.blocks)
+        ranks, rings = [], []
+        for key, p in solver.blocks.items():
+            lone = build_local_solves({key: p}, alpha)[key]
+            got = tiled[key]
+            assert got.k == lone.k == p.q_obs_idx.size
+            for attr in ("keep_cols", "own_cols", "own_idx"):
+                assert np.array_equal(getattr(got, attr), getattr(lone, attr))
+            if lone.k:
+                assert np.array_equal(got.cx, lone.cx)
+                assert np.array_equal(got.xt, lone.xt)
+            else:
+                assert got.cx is got.xt is lone.cx is lone.xt is None
+            ranks.append(lone.k)
+            rings.append(p.ring_pos.size)
+        if name == "3x3-halo1":
+            assert min(ranks) == 0 and min(rings) == 0
+
+
+@pytest.mark.parametrize("kind", ["linear", "burgers"])
+def test_block_build_work_counts(kind, monkeypatch):
+    """Exact work of the block build on the 2x2-tile, two-window problem.
+    The first preconditioner apply builds the rows of each tile once, in
+    sweeps that start at the highest observation level of their rows: on
+    the linear model one reverse sweep of the tile's stacked seeds, each
+    tile has rows at level 3, so 4 x 3 = 12 apply_t; on burgers, whose
+    steps each have their own operator, one sweep per block, and blocks
+    (0, 0) and (3, 0) have rows up to level 2 only, so 6 x 3 + 2 x 2 =
+    22.  It applies each tile's restricted covariances once per part
+    (x0, f, b) and inverts the capacitance matrices in one batched call
+    per size k_p, each matrix once; a whole solve builds nothing more."""
+    from ddvar.covariance import GaussianCovariance, KroneckerCovariance
+    from ddvar.model import StepOperator
+
+    prob, tiles, solver = dd_setup(kind=kind)
+    calls = Counter()
+    stacks = []
+
+    def counting(obj, name, key):
+        orig = getattr(obj, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return orig(*args)
+        monkeypatch.setattr(obj, name, counted)
+
+    counting(StepOperator, "apply_t", "apply_t")
+    counting(KroneckerCovariance, "apply", "box prior")
+    counting(GaussianCovariance, "apply", "ring prior")
+    inv = np.linalg.inv
+
+    def batched_inv(a):
+        stacks.append(a.shape)
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", batched_inv)
+    r = np.random.default_rng(3).standard_normal(prob.layout.n_z)
+    _precond_apply(solver, r)
+    first = calls.copy()
+    calls.clear()
+    # a later apply builds nothing: its counts are the two global B
+    # applies alone
+    _precond_apply(solver, r, 2)
+    build = first - calls
+    sizes = Counter(p.q_obs_idx.size for p in solver.blocks.values())
+    assert sorted(sizes.elements()) == [2, 3, 4, 4, 4, 4, 5, 5]
+    assert calls["apply_t"] == 0
+    assert build == {"apply_t": 12 if kind == "linear" else 22,
+                     # per tile: x0 on the window-0 rows, f on every row
+                     "box prior": 2 * tiles.n_tiles,
+                     # per tile: b on every row
+                     "ring prior": tiles.n_tiles}
+    assert sorted(stacks, key=lambda shape: shape[1]) == [
+        (n, k, k) for k, n in sorted(sizes.items())]
+    # a whole solve builds nothing more: its apply_t are the Hessian's
+    # adjoint sweeps, one per iteration plus the right-hand side's
+    stacks.clear()
+    calls.clear()
+    res = solver.solve()
+    assert res.converged
+    assert calls["apply_t"] == (res.n_iterations + 1) * prob.windows.n_steps
+    assert stacks == []
 
 
 def test_local_tl_matches_global_tl_at_fixed_point():
