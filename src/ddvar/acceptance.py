@@ -165,13 +165,14 @@ def c4_solver_agreement():
                 for z in (rep_r.x_control, z_gain))
 
     rep_p = primal_analysis(g_op, prob.b_cov, prob.r_cov, d, tol=1e-12)
-    j_p = [assim_cost(z, d, prob.b_cov, prob.r_cov, g_op).J
-           for z in rep_p.iterates]
-    bg_t = lambda v: prob.b_cov.apply(g_op.apply_t(v))
-    j_r = [assim_cost(bg_t(chi), d, prob.b_cov, prob.r_cov, g_op).J
-           for chi in rep_r.iterates]
     worst_j = 0.0
-    for a, b in zip(j_p, j_r):
+    for k in range(min(rep_p.iterations, rep_r.iterations) + 1):
+        # a route's k-th iterate: its solve truncated at maxit = k
+        kw = dict(tol=1e-12, maxit=k, require_convergence=False)
+        z_p = primal_analysis(g_op, prob.b_cov, prob.r_cov, d, **kw).x
+        z_r = dual_analysis(g_op, prob.b_cov, prob.r_cov, d, **kw).x_control
+        a, b = (assim_cost(z, d, prob.b_cov, prob.r_cov, g_op).J
+                for z in (z_p, z_r))
         worst_j = max(worst_j, abs(a - b) / max(1.0, abs(a)))
     ok = worst <= 1e-8 and worst_j <= 1e-8
     dt = time.perf_counter() - t0

@@ -41,7 +41,7 @@ The boundary ring of the prescribed-boundary model is not a product set,
 so its covariance stays a dense Gaussian kernel over the ring points,
 factorized by Cholesky, B = L L'.  apply_inv is one product with the
 precision B^-1 = L^-T L^-1, built on the first call from the inverse of
-L.  No run applies it: the Krylov solvers carry B^-1 of their iterates,
+L.  No run applies it: the Krylov solvers carry B^-1 of their iterate,
 so only the oracles (assim.cost and assim.gradient) and the decomposed
 solver's owned_prec_apply build the precision.  The round trip
 apply_inv(apply(v)) holds to 1e-10 relative as for the Kronecker blocks

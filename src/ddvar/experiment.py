@@ -181,7 +181,9 @@ def _run_dd(problem, cfg):
     seconds = [0.0] * res.world.n_ranks
     for (tid, k), sec in res.block_seconds.items():
         seconds[res.world.rank_of(tid, k)] = sec
-    messages = [(step, src, dst, _tag_text(tag), nbytes)
+    # each exchange logs one tag per side: convert each distinct tag once
+    texts = {tag: _tag_text(tag) for tag in {row[3] for row in res.world.log}}
+    messages = [(step, src, dst, texts[tag], nbytes)
                 for step, src, dst, tag, nbytes in res.world.log]
     return _Solved(history=history, trace=trace, converged=res.converged,
                    iterations=[res.n_iterations], block_seconds=seconds,

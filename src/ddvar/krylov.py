@@ -20,11 +20,14 @@ Krylov space is exhausted r^T B r is rounding noise and may come out
 negative: pcg reads a value within the convergence threshold,
 r^T B r >= -(tol pre_0)^2, as zero, and raises below it.
 
-Costs: report.costs has one entry per stored iterate, taken from the
-recurrences (A x is updated with the same axpys as x), never from extra
-operator applications.  pcg records the quadratic 1/2 x^T A x - b^T x
-unless given another cost callable, which it hands A x, B^-1 x and B r
-beside x.  fcg records the quadratic through its step decrements,
+Reports: a SolveReport holds the solution and one cost row and one
+residual norm per iterate, the initial one included; no solver keeps its
+iterates.  Costs come from the recurrences (A x is updated with the same
+axpys as x), never from extra operator applications.  pcg records the
+quadratic 1/2 x^T A x - b^T x unless given another cost callable, which
+it hands A x, B^-1 x and B r beside x: that callable is how a caller sees
+each iterate.  A solve truncated at maxit = k ends bitwise on the k-th
+iterate (fcg: given the same preconditioner).  fcg records the quadratic through its step decrements,
 q_k = q_{k-1} - (p^T r)^2 / (2 p^T A p), so its record never rises, not
 even by a rounding error.  rpcg records rows (Jb, Jo) of the primal cost
 J(B G^T chi) = Jb + Jo at the observation-space iterate chi, with
@@ -139,9 +142,11 @@ def _as_operator(a):
 
 @dataclass
 class SolveReport:
+    """The solution, and one cost row and one residual norm per iterate
+    (iterations + 1 of each); x_control is rpcg's B G^T chi."""
+
     solver: str
     x: np.ndarray
-    iterates: list
     residual_norms: np.ndarray
     costs: np.ndarray
     iterations: int
@@ -152,14 +157,11 @@ class SolveReport:
     def __post_init__(self):
         self.residual_norms = np.asarray(self.residual_norms, dtype=float)
         self.costs = np.asarray(self.costs, dtype=float)
-        if len(self.iterates) != self.iterations + 1:
-            raise ValueError("iterate history length must be iterations+1")
+        if not (len(self.costs) == len(self.residual_norms)
+                == self.iterations + 1):
+            raise ValueError("want one cost row and one norm per iterate")
         if not np.all(np.isfinite(self.residual_norms)):
             raise ValueError("non-finite residual norms in solve report")
-
-
-def _default_maxit(n, maxit):
-    return 10 * n if maxit is None else int(maxit)
 
 
 def _quadratic(b):
@@ -174,14 +176,14 @@ def pcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
 
     h is the SPD operator S of the derivation above; b_cov needs only
     apply.  Stops on sqrt(r^T B r) relative drop.  cost, when given, is
-    called as cost(x, A x, B^-1 x, B r) at every stored iterate; the
+    called as cost(x, A x, B^-1 x, B r) at every iterate; the
     default records the quadratic 1/2 x^T A x - b^T x.  report.binv_x
     holds B^-1 x.
     """
     h = _as_operator(h)
     b = np.asarray(b, dtype=float)
     n = b.size
-    maxit = _default_maxit(n, maxit)
+    maxit = 10 * n if maxit is None else int(maxit)
     if cost is None:
         cost = _quadratic(b)
 
@@ -196,9 +198,8 @@ def pcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
     pre0 = np.sqrt(rz)
     pre_norms = [pre0]
     costs = [cost(x, ax, binv_x, z)]
-    iterates = [x.copy()]
     if pre0 == 0.0:
-        return SolveReport(name, x, iterates, pre_norms, costs, 0, True,
+        return SolveReport(name, x, pre_norms, costs, 0, True,
                            binv_x=binv_x)
 
     p = z.copy()
@@ -230,7 +231,6 @@ def pcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
         pre = np.sqrt(max(rz_new, 0.0))
         pre_norms.append(pre)
         costs.append(cost(x, ax, binv_x, z))
-        iterates.append(x.copy())
         if pre <= tol * pre0:
             converged = True
             break
@@ -238,7 +238,7 @@ def pcg(h, b, b_cov, tol=1e-10, maxit=None, reorthogonalize=False,
         p = z + beta * p
         q = r + beta * q
         rz = rz_new
-    return SolveReport(name, x, iterates, pre_norms, costs, k, converged,
+    return SolveReport(name, x, pre_norms, costs, k, converged,
                        binv_x=binv_x)
 
 
@@ -263,7 +263,7 @@ def fcg(h, b, precond, tol=1e-10, maxit=None, name="fcg"):
     h = _as_operator(h)
     b = np.asarray(b, dtype=float)
     n = b.size
-    maxit = _default_maxit(n, maxit)
+    maxit = 10 * n if maxit is None else int(maxit)
 
     x = np.zeros(n)
     binv_x = np.zeros(n)
@@ -271,9 +271,8 @@ def fcg(h, b, precond, tol=1e-10, maxit=None, name="fcg"):
     res0 = np.linalg.norm(r)
     norms = [res0]
     costs = [0.0]
-    iterates = [x.copy()]
     if res0 == 0.0:
-        return SolveReport(name, x, iterates, norms, costs, 0, True,
+        return SolveReport(name, x, norms, costs, 0, True,
                            binv_x=binv_x)
 
     dirs = []
@@ -302,11 +301,10 @@ def fcg(h, b, precond, tol=1e-10, maxit=None, name="fcg"):
         res = np.linalg.norm(r)
         norms.append(res)
         costs.append(costs[-1] - 0.5 * pr * pr / pap)
-        iterates.append(x.copy())
         if res <= tol * res0:
             converged = True
             break
-    return SolveReport(name, x, iterates, norms, costs, k, converged,
+    return SolveReport(name, x, norms, costs, k, converged,
                        binv_x=binv_x)
 
 
@@ -333,19 +331,16 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
     with S := R^-1, B := G B G^T and right-hand side R^-1 d.
 
     g_op maps control space to observation space (apply) and back
-    (apply_t).  The report's native vectors are the chi iterates with
-    x_k = B G^T chi_k; report.x_control holds the final control-space
-    solution.
+    (apply_t).  The report is pcg's relabelled: x holds chi and
+    x_control the control-space solution B G^T chi.
     """
     g_op = _as_operator(g_op)
     d = np.asarray(d, dtype=float)
     m = d.size
     rinv_d = r_cov.apply_inv(d)
-    chis = []
 
     def rows(h_chi, ax, chi, z):
         # pcg's iterate is H chi and the B^-1 x it carries is chi
-        chis.append(chi.copy())
         return (0.5 * np.vdot(chi, h_chi),
                 -0.5 * np.vdot(h_chi - d, rinv_d - ax + chi))
 
@@ -353,6 +348,6 @@ def rpcg(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None, reorthogonalize=False):
               _obs_hessian(g_op, b_cov), tol=tol, maxit=maxit,
               reorthogonalize=reorthogonalize, cost=rows)
     chi = rep.binv_x
-    return SolveReport("rpcg", chi, chis, rep.residual_norms, rep.costs,
+    return SolveReport("rpcg", chi, rep.residual_norms, rep.costs,
                        rep.iterations, rep.converged,
                        x_control=b_cov.apply(g_op.apply_t(chi)))

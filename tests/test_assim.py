@@ -21,7 +21,7 @@ from ddvar.experiment import build_problem
 from ddvar.krylov import LinearOperator
 from ddvar.model import SurrogateModel
 from ddvar.observations import ObservationSet, innovations
-from util import make_problem
+from util import make_problem, record_pcg_iterates
 
 
 class ScalarSpd:
@@ -392,19 +392,21 @@ def test_outer_loop_sweep_counts(case, route, monkeypatch):
     assert calls["ad"] <= sum(its) + 2 * len(its)
 
 
-def recomputed_history(p, res, solver):
-    """History rows from a fresh cost() of every stored iterate."""
+def recomputed_history(p, res, solver, solves):
+    """History rows from a fresh cost() of every iterate, as pcg's cost
+    hook saw them (solves, from record_pcg_iterates)."""
+    assert len(solves) == len(res.reports)
     z_bar = np.zeros(p.layout.n_z)
     rows = []
-    for outer, rep in enumerate(res.reports, start=1):
+    for outer, (rep, seen) in enumerate(zip(res.reports, solves), start=1):
         traj = p.run_with_increment(z_bar)
         gop = p.operator_about(traj)
         d_tilde = innovations(traj, p.obs) + gop.apply(z_bar)
         if solver == "is4dvar":
-            totals = [z_bar + it for it in rep.iterates]
+            totals = [z_bar + x for x, _ in seen]
             z_bar = z_bar + rep.x
         else:
-            totals = [p.b_cov.apply(gop.apply_t(it)) for it in rep.iterates]
+            totals = [p.b_cov.apply(gop.apply_t(chi)) for _, chi in seen]
             z_bar = rep.x_control
         for m, z in enumerate(totals):
             cb = cost(z, d_tilde, p.b_cov, p.r_cov, gop)
@@ -414,10 +416,12 @@ def recomputed_history(p, res, solver):
 
 @pytest.mark.parametrize("route", ["is4dvar", "rbl4dvar", "rpcg"])
 @pytest.mark.parametrize("case", ["case4", "burgers"])
-def test_outer_loop_history_matches_recomputed_cost(case, route):
+def test_outer_loop_history_matches_recomputed_cost(case, route,
+                                                   monkeypatch):
     """Recurrence-carried history rows equal an independent cost() of
-    every stored iterate to 1e-10 max(1, |J|)."""
+    every iterate to 1e-10 max(1, |J|)."""
     solver, reorthogonalize = ROUTES[route]
+    solves = record_pcg_iterates(monkeypatch)
     if case == "burgers":
         p = make_problem(kind="burgers", seed=14)
         res = p.incremental_outer_loop(n_outer=2, n_inner=25, solver=solver,
@@ -427,7 +431,7 @@ def test_outer_loop_history_matches_recomputed_cost(case, route):
         res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner,
                                        solver=solver, tol=cfg.solver_tol,
                                        reorthogonalize=reorthogonalize)
-    ref = recomputed_history(p, res, solver)
+    ref = recomputed_history(p, res, solver, solves)
     assert len(res.history) == len(ref)
     for row, want in zip(res.history, ref):
         assert row[:2] == want[:2]

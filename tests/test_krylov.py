@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from ddvar.krylov import (
     pcg,
     rpcg,
 )
+from util import record_pcg_iterates
 
 
 class DenseSpd:
@@ -93,7 +97,7 @@ def test_pcg_matches_direct_solve():
     assert rep.converged
     # quadratic cost history nonincreasing (1e-12 slack)
     assert np.all(np.diff(rep.costs) <= 1e-12 * max(1.0, abs(rep.costs[0])))
-    assert len(rep.iterates) == rep.iterations + 1
+    assert len(rep.costs) == len(rep.residual_norms) == rep.iterations + 1
 
 
 def test_pcg_zero_rhs():
@@ -249,17 +253,21 @@ def test_rpcg_tracks_primal_pcg_exactly():
 
 @pytest.mark.parametrize("reorthogonalize", [False, True])
 def test_rpcg_rows_from_the_recurrence_match_direct_evaluation(
-        reorthogonalize):
+        reorthogonalize, monkeypatch):
     """The (Jb, Jo) rows rpcg takes from pcg's recurrence, with
     R^-1 (d - H chi) = b - A x + chi, match the rows evaluated from each
-    stored iterate with a fresh H chi and R^-1 apply to 1e-10 relative."""
+    iterate chi, seen through pcg's cost hook, with a fresh H chi and
+    R^-1 apply to 1e-10 relative."""
     b, g, rvar, d = make_instance(40, 24, seed=27)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
+    solves = record_pcg_iterates(monkeypatch)
     rep = rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-12,
                reorthogonalize=reorthogonalize)
     assert rep.iterations > 10
+    [seen] = solves
+    assert len(seen) == len(rep.costs)
     h = g @ b @ g.T
-    for chi, row in zip(rep.iterates, rep.costs):
+    for (_, chi), row in zip(seen, rep.costs):
         misfit = h @ chi - d
         want = np.array([0.5 * chi @ h @ chi, 0.5 * misfit @ (misfit / rvar)])
         assert np.all(np.abs(row - want) <= 1e-10 * np.abs(want))
@@ -321,23 +329,101 @@ def test_fcg_cost_record_is_the_quadratic_and_never_rises():
     equals 1/2 x'Ax - b'x at every iterate and never rises, also under a
     changing preconditioner and through the rounding-level steps at the
     end; the B^-1 x it carries is B^-1 of its solution, and it never
-    applies B^-1."""
+    applies B^-1.  The k-th iterate is the solve truncated at maxit = k,
+    with the preconditioner's scale sequence restarted."""
     rng = np.random.default_rng(17)
     b_mat = random_spd(30, rng, spread=3.0)
     g = rng.standard_normal((12, 30))
     s_mat = g.T @ g
     a = np.linalg.inv(b_mat) + s_mat
     b = rng.standard_normal(30)
-    scales = iter(rng.uniform(0.5, 2.0, 200))
+    scale_seq = rng.uniform(0.5, 2.0, 200)
 
-    def precond(r):
-        c = next(scales)
-        return c * (b_mat @ r), c * r
+    def solve(maxit):
+        scales = iter(scale_seq)
 
-    rep = fcg(s_mat, b, precond, tol=1e-15, maxit=60)
-    for x, j in zip(rep.iterates, rep.costs):
+        def precond(r):
+            c = next(scales)
+            return c * (b_mat @ r), c * r
+        return fcg(s_mat, b, precond, tol=1e-15, maxit=maxit)
+
+    rep = solve(60)
+    for k, j in enumerate(rep.costs):
+        x = solve(k).x
         q = 0.5 * x @ a @ x - b @ x
         assert abs(j - q) <= 1e-12 * abs(rep.costs[-1])
     assert all(j1 <= j0 for j0, j1 in zip(rep.costs, rep.costs[1:]))
     np.testing.assert_allclose(rep.x, np.linalg.solve(a, b), rtol=1e-10)
     np.testing.assert_allclose(b_mat @ rep.binv_x, rep.x, rtol=1e-10)
+
+
+def test_fcg_stalled_direction_ends_with_a_row_per_iterate():
+    """A preconditioner that hands back the same vector twice leaves a
+    zero direction after A-orthogonalization: fcg ends unconverged at
+    p'Ap = 0, after one iteration, with two cost rows and two norms."""
+    rng = np.random.default_rng(32)
+    b_mat = random_spd(12, rng)
+    v = rng.standard_normal(12)
+    rep = fcg(np.eye(12), rng.standard_normal(12),
+              lambda r: (b_mat @ v, v.copy()))
+    assert rep.iterations == 1 and not rep.converged
+    assert len(rep.costs) == len(rep.residual_norms) == 2
+
+
+@pytest.mark.parametrize("route", ["pcg", "fcg", "rpcg", "gain"])
+def test_report_without_a_row_per_iterate_is_rejected(route):
+    """Every route reports iterations + 1 cost rows and residual norms;
+    a report one row short, or one iteration long, is rejected."""
+    b, g, rvar, d = make_instance(20, 8, seed=30)
+    bc, rc = DenseSpd(b), CovarianceR(rvar)
+    s_mat = g.T @ (g / rvar[:, None])
+    rhs = g.T @ (d / rvar)
+    solve = {
+        "pcg": lambda: pcg(s_mat, rhs, bc, tol=1e-12),
+        "fcg": lambda: fcg(s_mat, rhs, lambda r: (b @ r, r), tol=1e-12),
+        "rpcg": lambda: rpcg(LinearOperator.from_matrix(g), bc, rc, d,
+                             tol=1e-12),
+        "gain": lambda: dual_cg_rhalf(LinearOperator.from_matrix(g @ b @ g.T),
+                                      d, rc, tol=1e-12),
+    }[route]
+    rep = solve()
+    assert rep.converged and rep.iterations > 1
+    assert len(rep.costs) == len(rep.residual_norms) == rep.iterations + 1
+    for bad in ({"costs": rep.costs[:-1]},
+                {"residual_norms": rep.residual_norms[:-1]},
+                {"iterations": rep.iterations + 1}):
+        with pytest.raises(ValueError, match="one cost row"):
+            dataclasses.replace(rep, **bad)
+
+
+def _diagonal(v):
+    return LinearOperator((v.size, v.size), lambda u: v * u, lambda u: v * u)
+
+
+@pytest.mark.parametrize("route", ["pcg", "rpcg"])
+def test_solve_memory_does_not_grow_with_the_iterations(route):
+    """A 60-iteration solve on 2,000 unknowns (rpcg: 2,000 observations)
+    peaks below 16 vectors of that length under tracemalloc, a bound that
+    does not grow with the iteration count: no report keeps an iterate
+    history."""
+    n, its = 2000, 60
+    rng = np.random.default_rng(33)
+    spread = CovarianceR(np.geomspace(1e-2, 1e4, n))
+    ones = CovarianceR(np.ones(n))
+    rhs = rng.standard_normal(n)
+    if route == "pcg":
+        def solve():
+            return pcg(_diagonal(spread.variances), rhs, ones, tol=1e-14,
+                       maxit=its)
+    else:
+        def solve():
+            return rpcg(_diagonal(np.ones(n)), spread, ones, rhs, tol=1e-14,
+                        maxit=its)
+    tracemalloc.start()
+    try:
+        rep = solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == its and not rep.converged
+    assert peak < 16 * n * 8, peak / (n * 8)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ddvar import impact
+from ddvar import assim, impact, krylov
 from ddvar.assim import AssimilationProblem
 from ddvar.control import ControlLayout, ControlVector
 from ddvar.covariance import CovarianceR, build_control_covariance
@@ -165,3 +165,28 @@ def count_gain_solves(monkeypatch):
             return _fn(*args, **kw)
         monkeypatch.setattr(impact, name, counted)
     return calls
+
+
+# -- iterates, seen through pcg's cost hook ----------------------------------
+
+
+def record_pcg_iterates(monkeypatch):
+    """Wrap pcg where is4dvar (assim) and rpcg (krylov) call it with a
+    cost callable, so that every call of that callable also records the
+    iterate x and the B^-1 x pcg carries.  The returned list gains one
+    list of (x, B^-1 x) pairs per solve; under rpcg, B^-1 x is the
+    observation-space iterate chi."""
+    solves = []
+    real = krylov.pcg
+
+    def recording_pcg(h, b, b_cov, *, cost, **kw):
+        seen = []
+        solves.append(seen)
+
+        def hook(x, ax, binv_x, z):
+            seen.append((x.copy(), binv_x.copy()))
+            return cost(x, ax, binv_x, z)
+        return real(h, b, b_cov, cost=hook, **kw)
+    monkeypatch.setattr(krylov, "pcg", recording_pcg)
+    monkeypatch.setattr(assim, "pcg", recording_pcg)
+    return solves
