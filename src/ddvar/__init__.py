@@ -9,7 +9,7 @@ from ddvar.assim import (
     primal_analysis,
 )
 from ddvar.config import ExperimentConfig, emit_config, parse_config
-from ddvar.control import ControlLayout, ControlVector
+from ddvar.control import ControlLayout
 from ddvar.covariance import CovarianceR, build_control_covariance
 from ddvar.experiment import build_problem, run_experiment
 from ddvar.grid import (
@@ -36,7 +36,6 @@ from ddvar.schwarz import DDConfig, DDResult
 __all__ = [
     "AssimilationProblem",
     "ControlLayout",
-    "ControlVector",
     "CovarianceR",
     "DDConfig",
     "DDResult",

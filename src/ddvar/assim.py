@@ -49,7 +49,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .control import ControlVector
 from .krylov import LinearOperator, _obs_hessian, dual_cg_rhalf, pcg, rpcg
 from .model import ModelDivergedError
 from .observations import innovations
@@ -93,11 +92,11 @@ class TangentObsOperator:
 
     tl_states runs the tangent-linear sweep into one array of levels,
     adding at each step the forcing and boundary increments that
-    ControlVector.step_inputs assigns to it; forward samples those levels
-    at the observations.  adjoint_levels is the exact transpose of
+    ControlLayout.views assigns to it; forward samples those levels at
+    the observations.  adjoint_levels is the exact transpose of
     tl_states: one backward sweep that adds seeds[l] at level l and
     accumulates into the window segments of one control vector through
-    the same step_inputs views.  adjoint seeds it with the observation
+    the same views.  adjoint seeds it with the observation
     weights scattered onto the levels, and the impact sensitivity seeds
     it with a functional's weights.  Both sweeps use one step operator per
     level, built once from the trajectory, and one model step call per
@@ -119,9 +118,7 @@ class TangentObsOperator:
 
     def tl_states(self, dz_flat):
         """The tangent-linear levels, an array (n_steps + 1, nf, nx, ny)."""
-        v = ControlVector(self.layout, dz_flat)
-        forcing, boundary = v.step_inputs()
-        x0 = v.x0
+        x0, forcing, boundary = self.layout.views(dz_flat)
         levels = np.empty((len(self.steps) + 1,) + x0.shape)
         levels[0] = x0
         for l, (op, df, db) in enumerate(
@@ -135,8 +132,8 @@ class TangentObsOperator:
     def adjoint_levels(self, seeds):
         """The transpose of tl_states applied to seeds, an array shaped like
         its levels: one backward sweep adding seeds[l] at level l."""
-        out = ControlVector(self.layout)
-        forcing, boundary = out.step_inputs()
+        out = np.zeros(self.layout.n_z)
+        x0, forcing, boundary = self.layout.views(out)
         p = seeds[len(self.steps)]
         for l in range(len(self.steps), 0, -1):
             p, df_star, db_star = self.model.step_ad(self.steps[l - 1], p)
@@ -144,9 +141,8 @@ class TangentObsOperator:
             if db_star is not None:
                 boundary[l - 1] += db_star
             p += seeds[l - 1]
-        x0 = out.x0
         x0 += p
-        return out.data
+        return out
 
     def adjoint(self, w):
         return self.adjoint_levels(self.obs.scatter(
@@ -226,18 +222,18 @@ def dual_analysis(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None,
     return _check_converged(rep, require_convergence)
 
 
-def kalman_gain_apply(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None):
+def kalman_gain_apply(g_op, b_cov, r_cov, d, tol=1e-10):
     """K d with K = B G^T (G B G^T + R)^-1."""
     rep = dual_cg_rhalf(_obs_hessian(g_op, b_cov), d, r_cov, tol=tol,
-                        maxit=maxit, name="kalman")
+                        name="kalman")
     return b_cov.apply(g_op.apply_t(_check_converged(rep, True).x))
 
 
-def kalman_gain_adjoint_apply(g_op, b_cov, r_cov, v, tol=1e-10, maxit=None):
+def kalman_gain_adjoint_apply(g_op, b_cov, r_cov, v, tol=1e-10):
     """K^T v = (G B G^T + R)^-1 G B v, an observation-space vector."""
     rhs = g_op.apply(b_cov.apply(np.asarray(v, dtype=float)))
     rep = dual_cg_rhalf(_obs_hessian(g_op, b_cov), rhs, r_cov, tol=tol,
-                        maxit=maxit, name="kalman_adjoint")
+                        name="kalman_adjoint")
     return _check_converged(rep, True).x
 
 
@@ -276,9 +272,8 @@ class AssimilationProblem:
 
     def run_with_increment(self, z_flat):
         """Nonlinear run from x_b with the increment's forcing/boundary."""
-        v = ControlVector(self.layout, z_flat)
-        forcing, boundary = v.step_inputs()
-        traj = self.model.run_nl(self.x_b + v.x0, forcing=forcing,
+        x0, forcing, boundary = self.layout.views(z_flat)
+        traj = self.model.run_nl(self.x_b + x0, forcing=forcing,
                                  boundary=boundary,
                                  n_steps=self.windows.n_steps)
         return traj.states

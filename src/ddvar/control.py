@@ -10,10 +10,13 @@ over the steps of assimilation window k, and db_k (prescribed-boundary
 models only) perturbs the boundary ring the same way.  Periodic models
 carry no boundary segments.
 
-step_inputs() maps those segments onto the model steps: its entry l-1
-views the forcing (and boundary) segment of the window that owns the step
-onto level l, so the nonlinear run, the tangent-linear sweep and the
-adjoint sweep walk the window by one rule.
+ControlLayout is the one owner of this format.  views() hands out the x0
+field and maps the window segments onto the model steps: its forcing
+(and boundary) entry l-1 views the segment of the window that owns the
+step onto level l, so the nonlinear run, the tangent-linear sweep and the
+adjoint sweep walk the window by one rule.  indices() gives the flat
+indices of chosen nodes (or ring positions) of one segment; spans holds
+the range of each kind of segment.
 
 Segment order is fixed: the initial state, then all forcing windows,
 then all boundary windows.  The block covariance
@@ -24,7 +27,7 @@ import numpy as np
 
 from .grid import ring_size
 
-__all__ = ["ControlLayout", "ControlVector"]
+__all__ = ["ControlLayout"]
 
 
 class ControlLayout:
@@ -59,62 +62,41 @@ class ControlLayout:
                       "f": slice(self.n_state, end_f),
                       "b": slice(end_f, self.n_z)}
         # window of the step onto level l, at index l - 1
-        self.step_window = tuple(windows.window_of_step(s)
-                                 for s in range(1, windows.n_steps + 1))
+        self.step_window = tuple(windows.window_of_level(
+            np.arange(1, windows.n_steps + 1)).tolist())
 
     def slice_of(self, name):
         return self._slices[name]
-
-    def segment(self, flat, name):
-        return flat[self._slices[name]]
 
     @property
     def n_t(self):
         return self.windows.n_t
 
-
-class ControlVector:
-    """Flat control vector with shaped views on each segment."""
-
-    def __init__(self, layout, data=None):
-        if data is None:
-            data = np.zeros(layout.n_z)
-        data = np.asarray(data, dtype=float)
-        if data.shape != (layout.n_z,):
-            raise ValueError(f"expected flat vector of length {layout.n_z}, "
-                             f"got shape {data.shape}")
-        self.layout = layout
-        self.data = data
-
-    def _field_view(self, name):
-        g = self.layout.grid
-        return self.layout.segment(self.data, name).reshape(
-            self.layout.n_fields, g.nx, g.ny)
-
-    @property
-    def x0(self):
-        return self._field_view("x0")
-
-    def f(self, k):
-        return self._field_view(f"f{k}")
-
-    def b(self, k):
-        if not self.layout.has_boundary:
-            raise ValueError("layout has no boundary segments")
-        n = self.layout.n_fields
-        return self.layout.segment(self.data, f"b{k}").reshape(n, -1)
-
-    def step_inputs(self):
-        """(forcing, boundary): per-step views of the window segments, entry
-        l-1 driving the step onto level l; boundary is None without
-        boundary segments.  The views alias the data, so an in-place add
-        to an entry lands in its window's segment."""
-        lay = self.layout
+    def views(self, flat):
+        """(x0, forcing, boundary) views of the flat control vector flat:
+        x0 shaped (n_fields, nx, ny), and per-step views of the window
+        segments, entry l-1 driving the step onto level l; boundary is
+        None without boundary segments.  The views alias flat, so an
+        in-place add to an entry lands in its window's segment."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != (self.n_z,):
+            raise ValueError(f"expected flat vector of length {self.n_z}, "
+                             f"got shape {flat.shape}")
+        shape = (self.n_fields, self.grid.nx, self.grid.ny)
+        x0 = flat[self.spans["x0"]].reshape(shape)
         # each kind's windows are one span, so one reshape views them
-        f = self.data[lay.spans["f"]].reshape(
-            lay.n_t, lay.n_fields, lay.grid.nx, lay.grid.ny)
-        forcing = [f[k] for k in lay.step_window]
-        if not lay.has_boundary:
-            return forcing, None
-        b = self.data[lay.spans["b"]].reshape(lay.n_t, lay.n_fields, -1)
-        return forcing, [b[k] for k in lay.step_window]
+        f = flat[self.spans["f"]].reshape((self.n_t,) + shape)
+        forcing = [f[k] for k in self.step_window]
+        if not self.has_boundary:
+            return x0, forcing, None
+        b = flat[self.spans["b"]].reshape(self.n_t, self.n_fields, -1)
+        return x0, forcing, [b[k] for k in self.step_window]
+
+    def indices(self, name, points):
+        """Flat indices of segment name's entries at points, every field:
+        field-major, at flat grid nodes for x0 and f segments and at ring
+        positions for b segments."""
+        sl = self._slices[name]
+        per_field = (sl.stop - sl.start) // self.n_fields
+        fields = np.arange(sl.start, sl.stop, per_field)[:, None]
+        return (fields + np.asarray(points)).ravel()

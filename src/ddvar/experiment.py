@@ -38,7 +38,7 @@ import numpy as np
 
 from .assim import AssimilationProblem
 from .config import emit_config
-from .control import ControlLayout, ControlVector
+from .control import ControlLayout
 from .covariance import CovarianceR, build_control_covariance
 from .grid import Grid, build_tiles, build_time_windows
 from .impact import (column_section, observation_impact,
@@ -82,9 +82,8 @@ def build_problem(cfg):
         obs = read_observations(cfg.obs_file, grid)
     else:
         z_truth = b_cov.apply_sqrt(rng.standard_normal(layout.n_z))
-        vt = ControlVector(layout, z_truth)
-        forcing, bnd = vt.step_inputs()
-        truth_traj = model.run_nl(x_b + vt.x0, forcing=forcing, boundary=bnd)
+        dx0, forcing, bnd = layout.views(z_truth)
+        truth_traj = model.run_nl(x_b + dx0, forcing=forcing, boundary=bnd)
         levels = tuple(range(1, cfg.n_steps + 1))
         obs = synthesize(truth_traj, grid,
                          [PlatformSpec("gridded", cfg.n_obs, cfg.sigma_o,

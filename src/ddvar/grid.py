@@ -294,20 +294,20 @@ class TimeWindows:
         """Window owning the step from level step-1 to level step (1-based)."""
         if not 1 <= step <= self.n_steps:
             raise ValueError(f"step {step} outside 1..{self.n_steps}")
-        for k in range(self.n_t):
-            if step <= self.end(k):
-                return k
-        raise AssertionError("unreachable")
+        return self.window_of_level(step)
 
-    def window_of_level(self, level: int) -> int:
-        """Window that an observation at `level` is assigned to.
+    def window_of_level(self, level):
+        """Window that an observation at `level` is assigned to; for an
+        array of levels, an array of windows.
 
         Levels shared by two windows go to the earlier one; level 0 goes
         to window 0.
         """
-        if level == 0:
-            return 0
-        return self.window_of_step(level)
+        levels = np.asarray(level)
+        if levels.size and (levels.min() < 0 or levels.max() > self.n_steps):
+            raise ValueError(f"level outside 0..{self.n_steps}")
+        k = np.searchsorted(np.add(self.starts, self.sizes) - 1, levels)
+        return int(k) if k.ndim == 0 else k
 
 
 def build_time_windows(n_steps: int, n_t: int) -> TimeWindows:

@@ -27,6 +27,9 @@ import numpy as np
 
 from .assim import kalman_gain_adjoint_apply, kalman_gain_apply
 
+# relative residual tolerance of the report's gain solves
+GAIN_TOL = 1e-12
+
 
 class TransportFunctional:
     """Averaged linear functional of a trajectory.
@@ -153,23 +156,17 @@ class ImpactReport:
 
 
 def _segment_split(layout, density):
-    g_x = np.zeros_like(density)
-    g_f = np.zeros_like(density)
-    g_b = np.zeros_like(density)
-    sl = layout.slice_of("x0")
-    g_x[sl] = density[sl]
-    for k in range(layout.n_t):
-        sl = layout.slice_of(f"f{k}")
-        g_f[sl] = density[sl]
-    if layout.has_boundary:
-        for k in range(layout.n_t):
-            sl = layout.slice_of(f"b{k}")
-            g_b[sl] = density[sl]
-    return g_x, g_f, g_b
+    """(g_x, g_f, g_b): density kept on the x0, forcing and boundary spans
+    of the layout, zero elsewhere."""
+    parts = []
+    for kind in ("x0", "f", "b"):
+        g = np.zeros_like(density)
+        g[layout.spans[kind]] = density[layout.spans[kind]]
+        parts.append(g)
+    return tuple(parts)
 
 
-def observation_impact(problem, functional, tol=1e-12, maxit=None,
-                       analysis=None):
+def observation_impact(problem, functional, analysis=None):
     """Split the analysis change of the functional across observations.
 
     The observation-space sensitivity is g = K^T s with s the adjoint of
@@ -190,7 +187,7 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None,
     layout = problem.layout
     s = adjoint_sensitivity(problem.background_tangent, functional)
     g = kalman_gain_adjoint_apply(g_op, problem.b_cov, problem.r_cov, s,
-                                  tol=tol, maxit=maxit)
+                                  tol=GAIN_TOL)
     per_obs = d * g
     total_tl = float(np.sum(per_obs))
     i_b = evaluate_functional(problem.background_traj, functional)
@@ -208,8 +205,7 @@ def observation_impact(problem, functional, tol=1e-12, maxit=None,
             z_p = analysis
         else:
             z_p = kalman_gain_apply(g_op, problem.b_cov, problem.r_cov,
-                                    np.where(mask, d, 0.0), tol=tol,
-                                    maxit=maxit)
+                                    np.where(mask, d, 0.0), tol=GAIN_TOL)
             forward_solves += 1
         z_a = z_p if z_a is None else z_a + z_p
         i_p = evaluate_functional(problem.run_with_increment(z_p), functional)

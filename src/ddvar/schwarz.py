@@ -79,7 +79,7 @@ import numpy as np
 
 from .assim import CostBreakdown, _gauss_newton
 from .comm import World, create_inter, halo_exchange
-from .grid import SIDES, boundary_ring_indices, ring_size
+from .grid import SIDES, boundary_ring_indices
 # pcg stays importable from here: perfbench's self-test patches schwarz.pcg
 from .krylov import fcg, pcg  # noqa: F401
 
@@ -462,8 +462,8 @@ def _control_maps(blocks):
     (rho_keep) and the ring values; the other box cells carry either
     truncated stencil output or a neighbor's territory.  own_cols indexes
     the owned cells and ring values, and own_idx the same entries in the
-    global control vector.  The columns depend only on whether the block
-    has x0; own_idx differs by window in its segment offsets.
+    global control vector (ControlLayout.indices of the block's
+    segments).  The columns depend only on whether the block has x0.
     """
     p = blocks[0]
     nf, ncell, ctl = p.n_fields, p.n_box_nodes, p.layout_ctl
@@ -483,22 +483,15 @@ def _control_maps(blocks):
     cols = {True: (keep, own),
             False: (keep[nf * keep_cells.size:] - n,
                     own[nf * owned_cells.size:] - n)}
-    # the owned nodes, field by field, then the owned ring values, as
-    # offsets into a window's f and b segments
-    fields = np.arange(nf)[:, None]
-    n_own = nf * p.owned_node_idx.size
-    offsets = np.concatenate((
-        (fields * ctl.grid.n_points + p.owned_node_idx).ravel(),
-        (fields * ring_size(ctl.grid.nx, ctl.grid.ny) + p.ring_pos).ravel()))
+    # own_idx: the owned nodes of the x0 and f segments, then the owned
+    # ring values of the b segment, each field by field
     maps = []
     for b in blocks:
-        f = ctl.slice_of(f"f{b.window}").start
-        idx = offsets + f
+        segs = [("x0", p.owned_node_idx)] if b.has_x0 else []
+        segs.append((f"f{b.window}", p.owned_node_idx))
         if ctl.has_boundary:
-            idx[n_own:] += ctl.slice_of(f"b{b.window}").start - f
-        if b.has_x0:
-            idx = np.concatenate((offsets[:n_own] + ctl.slice_of("x0").start,
-                                  idx))
+            segs.append((f"b{b.window}", p.ring_pos))
+        idx = np.concatenate([ctl.indices(name, pts) for name, pts in segs])
         maps.append(cols[b.has_x0] + (idx,))
     return maps
 
@@ -738,10 +731,7 @@ def build_local_problems(problem, layout_tiles, config):
             if model.config.boundary == "prescribed" else None)
     tiles = [TileGeometry(tile, model, grid, ring, b_cov.blocks, obs)
              for tile in layout_tiles.tiles]
-    # the window of every observation: levels shared by two windows go to
-    # the earlier one
-    obs_window = np.searchsorted([windows.end(k) for k in range(windows.n_t)],
-                                 obs.levels)
+    obs_window = windows.window_of_level(obs.levels)
     blocks = {}
     for k in range(windows.n_t):
         window_obs = obs_window == k

@@ -5,7 +5,8 @@ correlation lengths and observing networks with points on tile seams and
 junctions: ownership must partition the observations, every network must
 be accepted and its decomposed solve must reach the global B-PCG
 analysis, every cell mask of a tile must equal the one decided cell by
-cell from the tile's owned ranges, and every block's observation rows X
+cell from the tile's owned ranges, the blocks' owned control entries
+must partition the control vector, and every block's observation rows X
 must equal the ones built by plain loops from those cells, with its
 factorized solve applying X' C^-1 X of those rows.
 """
@@ -204,6 +205,19 @@ def test_ownership_partitions_and_every_network_reaches_the_analysis(data):
     assert res.converged
     ref = prob.primal_analysis(tol=1e-12).x
     assert np.linalg.norm(res.delta_z - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(data=st.data())
+def test_owned_control_indices_partition_the_control_vector(data):
+    geo = data.draw(decompositions())
+    prob, tiles = build_case(geo, data.draw(networks(geo)))
+    solves = build_local_solves(build_local_problems(prob, tiles, DDConfig()),
+                                DDConfig().alpha)
+    owned = np.sort(np.concatenate([ls.own_idx for ls in solves.values()]))
+    np.testing.assert_array_equal(owned, np.arange(prob.layout.n_z))
 
 
 @settings(max_examples=8, deadline=None,

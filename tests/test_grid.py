@@ -144,3 +144,18 @@ def test_window_step_and_level_assignment():
     assert w.window_of_level(9) == 2
     with pytest.raises(ValueError):
         build_time_windows(4, 5)
+
+
+def test_window_of_level_takes_an_array_of_levels():
+    w = build_time_windows(9, 3)
+    levels = np.array([[0, 1, 3, 4], [6, 7, 9, 5]])
+    got = w.window_of_level(levels)
+    assert got.shape == levels.shape
+    assert got.tolist() == [[w.window_of_level(int(l)) for l in row]
+                            for row in levels] == [[0, 0, 0, 1], [1, 2, 2, 1]]
+    for bad in (-1, 10, np.array([2, 10])):
+        with pytest.raises(ValueError):
+            w.window_of_level(bad)
+    for step in (0, 10):
+        with pytest.raises(ValueError):
+            w.window_of_step(step)

@@ -10,7 +10,6 @@ import pytest
 
 from ddvar.assim import (TangentObsOperator, kalman_gain_adjoint_apply,
                          kalman_gain_apply)
-from ddvar.control import ControlVector
 from ddvar.grid import Grid
 from ddvar.impact import (
     TransportFunctional,
@@ -126,9 +125,9 @@ def test_adjoint_sensitivity_identity_step():
     h = rng.standard_normal((1, 6, 5))
     F = TransportFunctional(h, n_avg=1)
     s = adjoint_sensitivity(prob.background_tangent, F)
-    v = ControlVector(prob.layout, s)
-    assert np.max(np.abs(v.x0 - h)) <= 1e-15
-    assert np.max(np.abs(v.f(0) - prob.model.grid.dt * h)) <= 1e-15
+    x0, forcing, _ = prob.layout.views(s)
+    assert np.max(np.abs(x0 - h)) <= 1e-15
+    assert np.max(np.abs(forcing[0] - prob.model.grid.dt * h)) <= 1e-15
 
 
 def test_adjoint_sensitivity_accumulated_equals_per_level_sum():
@@ -142,19 +141,20 @@ def test_adjoint_sensitivity_accumulated_equals_per_level_sum():
     s = adjoint_sensitivity(prob.background_tangent, F)
 
     # oracle: one full reverse sweep per averaging level, then sum
-    total = np.zeros(prob.layout.n_z)
+    lay = prob.layout
+    total = np.zeros(lay.n_z)
     for lev in range(1, n_avg + 1):
-        out = ControlVector(prob.layout)
+        out = np.zeros(lay.n_z)
         p = h / n_avg
         for step in range(lev, 0, -1):
             k = prob.windows.window_of_step(step)
             p, df, db = prob.model.step_ad(
                 prob.model.linearize(traj[step - 1]), p)
-            out.f(k)[:] += df
-            if prob.layout.has_boundary:
-                out.b(k)[:] += db
-        out.x0[:] += p
-        total += out.data
+            out[lay.slice_of(f"f{k}")] += df.ravel()
+            if lay.has_boundary:
+                out[lay.slice_of(f"b{k}")] += db.ravel()
+        out[lay.slice_of("x0")] += p.ravel()
+        total += out
     scale = max(1.0, float(np.max(np.abs(total))))
     assert np.max(np.abs(s - total)) <= 1e-12 * scale
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from ddvar import assim, impact, krylov
 from ddvar.assim import AssimilationProblem
-from ddvar.control import ControlLayout, ControlVector
+from ddvar.control import ControlLayout
 from ddvar.covariance import CovarianceR, build_control_covariance
 from ddvar.grid import Grid, build_time_windows
 from ddvar.model import ModelConfig, SurrogateModel
@@ -31,16 +31,15 @@ def make_problem(kind="linear", boundary="prescribed", nx=10, ny=8, dt=0.2,
     b_cov = build_control_covariance(layout, sigma_x, length_x, sigma_f,
                                      length_f, sigma_b, length_b)
     rng = np.random.default_rng(seed)
-    x_b = ControlVector(layout,
-                        b_cov.apply_sqrt(rng.standard_normal(layout.n_z))).x0.copy()
+    x_b = layout.views(
+        b_cov.apply_sqrt(rng.standard_normal(layout.n_z)))[0].copy()
 
     if truth_from_prior:
         z_truth = b_cov.apply_sqrt(rng.standard_normal(layout.n_z))
     else:
         z_truth = np.zeros(layout.n_z)
-    vt = ControlVector(layout, z_truth)
-    forcing, bnd = vt.step_inputs()
-    truth_traj = model.run_nl(x_b + vt.x0, forcing=forcing, boundary=bnd)
+    dx0, forcing, bnd = layout.views(z_truth)
+    truth_traj = model.run_nl(x_b + dx0, forcing=forcing, boundary=bnd)
 
     if obs_levels is None:
         obs_levels = tuple(range(1, n_steps + 1))
@@ -82,13 +81,15 @@ def zero_trace(p):
 def restrict_control(problem, z, p):
     """Block p's part of the control z: box "f" (and window-0 "x0")
     fields, and owned-ring "b" values on prescribed boundaries."""
-    v = ControlVector(problem.layout, z)
+    x0, forcing, boundary = problem.layout.views(z)
+    # the window's first step views its f and b segments
+    first = problem.windows.starts[p.window]
     bi, bj = p.tile.box_slices
-    ctl = {"f": v.f(p.window)[:, bi, bj].copy()}
+    ctl = {"f": forcing[first][:, bi, bj].copy()}
     if p.has_x0:
-        ctl["x0"] = v.x0[:, bi, bj].copy()
-    if problem.layout.has_boundary:
-        ctl["b"] = v.b(p.window)[:, p.ring_pos].copy()
+        ctl["x0"] = x0[:, bi, bj].copy()
+    if boundary is not None:
+        ctl["b"] = boundary[first][:, p.ring_pos].copy()
     return ctl
 
 
