@@ -30,10 +30,11 @@ rows are comparable across solver choices.
 
 History rows (outer, inner, J, Jb, Jo) come from the Krylov recurrences,
 not from extra sweeps or covariance applies: both routes run
-krylov.pcg, which carries A x and B^-1 x by the same axpys as its
-iterate x and hands them to a cost callable at every iterate.  rbl4dvar
-takes its (Jb, Jo) rows from rpcg's callable.  J is pcg's
-quadratic plus the constant 1/2 d^T R^-1 d + 1/2 z_accum^T B^-1 z_accum,
+krylov.pcg, which carries the residual r = b - A x and B^-1 x by the same
+axpys as its iterate x and hands them to a cost callable at every
+iterate.  rbl4dvar takes its (Jb, Jo) rows from rpcg's callable.  J is
+pcg's quadratic -1/2 x^T (b + r) plus the constant
+1/2 d^T R^-1 d + 1/2 z_accum^T B^-1 z_accum,
 Jb = 1/2 z_accum^T B^-1 z_accum + x^T B^-1 z_accum + 1/2 x^T B^-1 x takes
 B^-1 z_accum from the right-hand-side shift, and Jo = J - Jb.  The shift
 is the sum of the B^-1 x that pcg carried in the earlier outer loops, so
@@ -187,11 +188,11 @@ def _check_converged(rep, require):
 
 
 def primal_analysis(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None,
-                    reorthogonalize=False, require_convergence=True):
+                    require_convergence=True):
     """Solve (B^-1 + G^T R^-1 G) dz = G^T R^-1 d by pcg (no B^-1 apply)."""
     rhs = g_op.apply_t(r_cov.apply_inv(np.asarray(d, dtype=float)))
     rep = pcg(_gauss_newton(g_op, r_cov), rhs, b_cov, tol=tol, maxit=maxit,
-              reorthogonalize=reorthogonalize, name="is4dvar")
+              name="is4dvar")
     return _check_converged(rep, require_convergence)
 
 
@@ -199,26 +200,25 @@ def _primal_rows(rhs, jo0, z_bar, shift):
     """pcg cost callable for the rows (Jb, Jo) of J(z_bar + x).
 
     With shift = -B^-1 z_bar, jo0 = 1/2 d^T R^-1 d and pcg's quadratic
-    q(x) = 1/2 x^T A x - rhs^T x,
+    q(x) = 1/2 x^T A x - rhs^T x = -1/2 x^T (rhs + r), r = rhs - A x,
 
         J  = q + jo0 + 1/2 z_bar^T B^-1 z_bar
         Jb = 1/2 z_bar^T B^-1 z_bar - x^T shift + 1/2 x^T B^-1 x
     """
     jb0 = -0.5 * np.vdot(z_bar, shift)
 
-    def row(x, ax, binv_x, z):
+    def row(x, r, binv_x):
         jb = jb0 - np.vdot(x, shift) + 0.5 * np.vdot(x, binv_x)
-        q = 0.5 * np.vdot(x, ax) - np.vdot(rhs, x)
+        q = -0.5 * np.vdot(x, rhs + r)
         return jb, q + jo0 + jb0 - jb
     return row
 
 
 def dual_analysis(g_op, b_cov, r_cov, d, tol=1e-10, maxit=None,
-                  reorthogonalize=False, require_convergence=True):
+                  require_convergence=True):
     """Observation-space analysis dz = B G^T (G B G^T + R)^-1 d by rpcg;
     report.x_control holds dz."""
-    rep = rpcg(g_op, b_cov, r_cov, d, tol=tol, maxit=maxit,
-               reorthogonalize=reorthogonalize)
+    rep = rpcg(g_op, b_cov, r_cov, d, tol=tol, maxit=maxit)
     return _check_converged(rep, require_convergence)
 
 
@@ -311,7 +311,7 @@ class AssimilationProblem:
         return primal_analysis(g_op, self.b_cov, self.r_cov, d, **kw)
 
     def incremental_outer_loop(self, n_outer, n_inner, solver="is4dvar",
-                               tol=1e-10, reorthogonalize=False):
+                               tol=1e-10):
         """Relinearize, re-innovate, minimize; repeat n_outer times."""
         if n_outer < 1 or n_inner < 1:
             raise ValueError("n_outer and n_inner must be >= 1")
@@ -343,7 +343,6 @@ class AssimilationProblem:
                 jo0 = 0.5 * np.vdot(d, rinv_d)
                 rep = pcg(_gauss_newton(gop, self.r_cov), rhs, self.b_cov,
                           tol=tol, maxit=n_inner,
-                          reorthogonalize=reorthogonalize,
                           cost=_primal_rows(rhs, jo0, z_bar, shift),
                           name="is4dvar")
                 rows = rep.costs
@@ -353,7 +352,6 @@ class AssimilationProblem:
                 d_tilde = d + gop.apply(z_bar) if z_bar.any() else d
                 rep = dual_analysis(gop, self.b_cov, self.r_cov, d_tilde,
                                     tol=tol, maxit=n_inner,
-                                    reorthogonalize=reorthogonalize,
                                     require_convergence=False)
                 rows = rep.costs
                 z_new = rep.x_control

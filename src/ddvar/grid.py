@@ -290,12 +290,6 @@ class TimeWindows:
         """Last time level of window k."""
         return self.starts[k] + self.sizes[k] - 1
 
-    def window_of_step(self, step: int) -> int:
-        """Window owning the step from level step-1 to level step (1-based)."""
-        if not 1 <= step <= self.n_steps:
-            raise ValueError(f"step {step} outside 1..{self.n_steps}")
-        return self.window_of_level(step)
-
     def window_of_level(self, level):
         """Window that an observation at `level` is assigned to; for an
         array of levels, an array of windows.

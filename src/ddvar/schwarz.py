@@ -1,7 +1,7 @@
 """Space-time domain-decomposed incremental assimilation.
 
-DDSolver.solve minimizes the global quadratic by flexible CG (krylov.fcg)
-on the primal system
+DDSolver.solve minimizes the global quadratic by flexible CG (krylov.pcg
+at depth None) on the primal system
 
     (B^-1 + G' R^-1 G) z = G' R^-1 d,
 
@@ -17,7 +17,7 @@ restricted additive Schwarz (Cai & Sarkis, SIAM J. Sci. Comput. 1999):
     y_p = C_p^-1 X_p u_p,    u = B r,    C_p = R_pp + X_p B_p X_p' / alpha.
 
 B is one global covariance apply, so M needs two of them, and B^-1 M r
-is s itself: fcg carries B^-1 of its directions from it and never
+is s itself: pcg carries B^-1 of its directions from it and never
 applies B^-1.  With no observations M = B / alpha, B-preconditioned CG,
 which does not degrade at long correlation lengths.  Window-0 blocks own
 their tile's initial-state nodes, and every block owns its tile's forcing
@@ -80,8 +80,7 @@ import numpy as np
 from .assim import CostBreakdown, _gauss_newton
 from .comm import World, create_inter, halo_exchange
 from .grid import SIDES, boundary_ring_indices
-# pcg stays importable from here: perfbench's self-test patches schwarz.pcg
-from .krylov import fcg, pcg  # noqa: F401
+from .krylov import pcg
 
 __all__ = [
     "DDConfig",
@@ -866,16 +865,16 @@ class DDSolver:
             applies.append(norms)
             return z, binv_z
 
-        rep = fcg(_gauss_newton(g_op, problem.r_cov), rhs, precond,
+        rep = pcg(_gauss_newton(g_op, problem.r_cov), rhs, precond,
                   tol=self.config.tau_dd, maxit=self.config.n_bar,
-                  name="dd4dvar")
+                  depth=None, name="dd4dvar")
         res0 = rep.residual_norms[0]
         residuals = rep.residual_norms / res0 if res0 else rep.residual_norms
         rows = [(m, tid, k, norms[(tid, k)], float(residuals[m]))
-                # an apply whose direction fcg discarded has no iterate
+                # an apply whose direction pcg discarded has no iterate
                 for m, norms in enumerate(applies[:rep.iterations], start=1)
                 for tid, k in order]
-        # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic fcg records, and
+        # J(z) = q(z) + 1/2 d' R^-1 d, q the quadratic pcg records, and
         # Jb = 1/2 z' B^-1 z from the B^-1 z it carries
         costs = rep.costs + 0.5 * float(np.vdot(self.d, rinv_d))
         j = float(costs[-1])

@@ -302,29 +302,21 @@ def shipped_problem(name):
     return build_problem(cfg), cfg
 
 
-# Outer-loop routes: (solver, reorthogonalize).  The rpcg route is
-# rbl4dvar's Krylov solver with its basis reorthogonalized, which cuts its
-# iterations; rpcg is no solver name of its own.
-ROUTES = {"is4dvar": ("is4dvar", False), "rbl4dvar": ("rbl4dvar", False),
-          "rpcg": ("rbl4dvar", True)}
-
 # (TL sweeps, AD sweeps, inner iterations per outer loop).  Each inner
 # iteration costs one TL and one AD sweep; the rest is the primal
 # right-hand side (one AD), and for rbl4dvar the shifted innovation
 # d + G z_bar (one TL, outer loops after the first), the initial H r
 # (one TL, one AD) and the final B G^T chi (one AD).
 SWEEPS = {
-    ("case2", "is4dvar"): (42, 43, [42]),
-    ("case2", "rbl4dvar"): (44, 45, [43]),
-    ("case2", "rpcg"): (32, 33, [31]),
-    ("case4", "is4dvar"): (91, 93, [42, 49]),
-    ("case4", "rbl4dvar"): (89, 90, [43, 43]),
-    ("case4", "rpcg"): (65, 66, [31, 31]),
+    ("case2", "is4dvar"): (43, 44, [43]),
+    ("case2", "rbl4dvar"): (43, 44, [42]),
+    ("case4", "is4dvar"): (92, 94, [43, 49]),
+    ("case4", "rbl4dvar"): (88, 89, [42, 43]),
 }
 
 
-@pytest.mark.parametrize("case,route", sorted(SWEEPS))
-def test_outer_loop_sweep_counts(case, route, monkeypatch):
+@pytest.mark.parametrize("case,solver", sorted(SWEEPS))
+def test_outer_loop_sweep_counts(case, solver, monkeypatch):
     """Exact TL/AD sweep counts: one of each per iteration, plus at most
     two of each per outer loop; one nonlinear run per relinearization,
     none for the first outer loop or after the last.  Every sweep makes
@@ -376,12 +368,10 @@ def test_outer_loop_sweep_counts(case, route, monkeypatch):
             calls[key] += 1
             return real(v)
         monkeypatch.setattr(p.b_cov, op, counted_cov)
-    solver, reorthogonalize = ROUTES[route]
     res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner, solver=solver,
-                                   tol=cfg.solver_tol,
-                                   reorthogonalize=reorthogonalize)
+                                   tol=cfg.solver_tol)
     its = [rep.iterations for rep in res.reports]
-    assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, route)]
+    assert (calls["tl"], calls["ad"], its) == SWEEPS[(case, solver)]
     assert calls["nl"] == cfg.n_outer - 1
     assert per_sweep["step_tl"] == [cfg.n_steps] * calls["tl"]
     assert per_sweep["step_ad"] == [cfg.n_steps] * calls["ad"]
@@ -414,23 +404,20 @@ def recomputed_history(p, res, solver, solves):
     return rows
 
 
-@pytest.mark.parametrize("route", ["is4dvar", "rbl4dvar", "rpcg"])
+@pytest.mark.parametrize("solver", ["is4dvar", "rbl4dvar"])
 @pytest.mark.parametrize("case", ["case4", "burgers"])
-def test_outer_loop_history_matches_recomputed_cost(case, route,
+def test_outer_loop_history_matches_recomputed_cost(case, solver,
                                                    monkeypatch):
     """Recurrence-carried history rows equal an independent cost() of
     every iterate to 1e-10 max(1, |J|)."""
-    solver, reorthogonalize = ROUTES[route]
     solves = record_pcg_iterates(monkeypatch)
     if case == "burgers":
         p = make_problem(kind="burgers", seed=14)
-        res = p.incremental_outer_loop(n_outer=2, n_inner=25, solver=solver,
-                                       reorthogonalize=reorthogonalize)
+        res = p.incremental_outer_loop(n_outer=2, n_inner=25, solver=solver)
     else:
         p, cfg = shipped_problem(case)
         res = p.incremental_outer_loop(cfg.n_outer, cfg.n_inner,
-                                       solver=solver, tol=cfg.solver_tol,
-                                       reorthogonalize=reorthogonalize)
+                                       solver=solver, tol=cfg.solver_tol)
     ref = recomputed_history(p, res, solver, solves)
     assert len(res.history) == len(ref)
     for row, want in zip(res.history, ref):
@@ -440,14 +427,12 @@ def test_outer_loop_history_matches_recomputed_cost(case, route,
             assert abs(got - exp) <= scale, (row, want)
 
 
-@pytest.mark.parametrize("route", ["rbl4dvar", "rpcg"])
+@pytest.mark.parametrize("route", ["rbl4dvar"])
 def test_outer_loop_dual_matches_primal(route):
-    solver, reorthogonalize = ROUTES[route]
     p = make_problem(kind="linear", seed=15)
     ref = p.incremental_outer_loop(n_outer=1, n_inner=400, tol=1e-12)
     res = p.incremental_outer_loop(n_outer=1, n_inner=400, tol=1e-12,
-                                   solver=solver,
-                                   reorthogonalize=reorthogonalize)
+                                   solver=route)
     err = np.linalg.norm(res.delta_z - ref.delta_z) / np.linalg.norm(ref.delta_z)
     assert err <= 1e-8, f"{route}: {err}"
 

@@ -24,7 +24,7 @@ def test_step_inputs_alias_the_window_of_each_step(n_steps, n_t):
     _, forcing, boundary = layout.views(data)
     assert len(forcing) == len(boundary) == n_steps
     for step in range(1, n_steps + 1):
-        k = windows.window_of_step(step)
+        k = windows.window_of_level(step)
         assert layout.step_window[step - 1] == k
         np.testing.assert_array_equal(forcing[step - 1].reshape(2, -1),
                                       segment(layout, data, f"f{k}"))
@@ -33,7 +33,7 @@ def test_step_inputs_alias_the_window_of_each_step(n_steps, n_t):
     # an in-place add through a step's views lands in its window's segments
     data[:] = 0.0
     for step in range(1, n_steps + 1):
-        k = windows.window_of_step(step)
+        k = windows.window_of_level(step)
         before = data.copy()
         forcing[step - 1] += 1.0
         boundary[step - 1] += 2.0
@@ -51,7 +51,7 @@ def test_step_inputs_without_boundary_segments():
     _, forcing, boundary = layout.views(data)
     assert boundary is None
     assert [np.shares_memory(f, data[layout.slice_of(
-        f"f{windows.window_of_step(s)}")])
+        f"f{windows.window_of_level(s)}")])
             for s, f in enumerate(forcing, start=1)] == [True] * 6
 
 

@@ -135,8 +135,9 @@ def test_time_windows_share_endpoints():
 
 def test_window_step_and_level_assignment():
     w = build_time_windows(9, 3)
-    # steps 1..3 -> window 0, 4..6 -> window 1, 7..9 -> window 2
-    assert [w.window_of_step(s) for s in range(1, 10)] == [0] * 3 + [1] * 3 + [2] * 3
+    # the step ending at level s: steps 1..3 -> window 0, 4..6 -> window 1,
+    # 7..9 -> window 2
+    assert [w.window_of_level(s) for s in range(1, 10)] == [0] * 3 + [1] * 3 + [2] * 3
     # shared levels go to the earlier window; level 0 to window 0
     assert w.window_of_level(0) == 0
     assert w.window_of_level(3) == 0
@@ -156,6 +157,3 @@ def test_window_of_level_takes_an_array_of_levels():
     for bad in (-1, 10, np.array([2, 10])):
         with pytest.raises(ValueError):
             w.window_of_level(bad)
-    for step in (0, 10):
-        with pytest.raises(ValueError):
-            w.window_of_step(step)

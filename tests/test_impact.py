@@ -147,7 +147,7 @@ def test_adjoint_sensitivity_accumulated_equals_per_level_sum():
         out = np.zeros(lay.n_z)
         p = h / n_avg
         for step in range(lev, 0, -1):
-            k = prob.windows.window_of_step(step)
+            k = prob.windows.window_of_level(step)
             p, df, db = prob.model.step_ad(
                 prob.model.linearize(traj[step - 1]), p)
             out[lay.slice_of(f"f{k}")] += df.ravel()

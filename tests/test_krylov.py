@@ -9,7 +9,6 @@ from ddvar.krylov import (
     LinearOperator,
     SolverBreakdownError,
     dual_cg_rhalf,
-    fcg,
     pcg,
     rpcg,
 )
@@ -144,50 +143,53 @@ def test_pcg_negative_r_b_r_band():
         pcg(h, b, BandedPreconditioner(-0.18), tol=1e-10)
 
 
-@pytest.mark.parametrize("reorthogonalize", [False, True])
-def test_pcg_matches_dense_solve_without_b_inverse(reorthogonalize):
-    """pcg on (B^-1 + S) x = b equals the dense solve; it applies B once
-    per iteration plus once, and never B^-1.  Its carried A x, B^-1 x and
-    B r are the true products, and its norms are sqrt(r^T B r) of the true
-    residuals."""
+@pytest.mark.parametrize("depth", [1, None])
+def test_pcg_matches_dense_solve_without_b_inverse(depth):
+    """pcg on (B^-1 + S) x = b equals the dense solve at either depth; it
+    applies B once per iteration, plus once for the initial residual at
+    depth 1, and never B^-1.  The r and B^-1 x its cost callable sees are
+    the true b - A x and B^-1 x, its norms are sqrt(r^T B r) (depth 1) or
+    ||r|| (depth None) of the true residuals, and its default record is
+    the quadratic 1/2 x^T A x - b^T x and never rises."""
     rng = np.random.default_rng(29)
     b_mat = random_spd(24, rng, spread=2.0)
     g = rng.standard_normal((9, 24))
     s_mat = g.T @ g
+    a = np.linalg.inv(b_mat) + s_mat
     rhs = rng.standard_normal(24)
     b_cov = ApplyOnlySpd(b_mat)
     seen = []
 
-    def cost(x, ax, binv_x, z):
-        seen.append((x.copy(), ax.copy(), binv_x.copy(), z.copy()))
-        return 0.5 * np.vdot(x, ax) - np.vdot(rhs, x)
+    def cost(x, r, binv_x):
+        seen.append((x.copy(), r.copy(), binv_x.copy()))
+        return 0.5 * x @ a @ x - rhs @ x
 
     rep = pcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
-              reorthogonalize=reorthogonalize, cost=cost)
-    a = np.linalg.inv(b_mat) + s_mat
+              depth=depth, cost=cost)
     ref = np.linalg.solve(a, rhs)
     assert rep.converged
     assert np.linalg.norm(rep.x - ref) <= 1e-9 * np.linalg.norm(ref)
-    assert b_cov.applies == rep.iterations + 1
+    assert b_cov.applies == rep.iterations + (depth == 1)
     np.testing.assert_array_equal(rep.binv_x, seen[-1][2])
     true_norms = []
-    for x, ax, binv_x, z in seen:
+    for x, r, binv_x in seen:
         assert np.linalg.norm(binv_x - np.linalg.solve(b_mat, x)) \
             <= 1e-9 * np.linalg.norm(np.linalg.solve(b_mat, ref))
-        assert np.linalg.norm(ax - a @ x) <= 1e-9 * np.linalg.norm(a @ ref)
-        r = rhs - a @ x
-        assert np.linalg.norm(z - b_mat @ r) \
-            <= 1e-9 * np.linalg.norm(b_mat @ rhs)
-        true_norms.append(np.sqrt(np.vdot(r, b_mat @ r)))
-    # the preconditioned residual norms agree above the rounding floor
+        true_r = rhs - a @ x
+        assert np.linalg.norm(r - true_r) <= 1e-9 * np.linalg.norm(rhs)
+        true_norms.append(np.sqrt(true_r @ b_mat @ true_r) if depth == 1
+                          else np.linalg.norm(true_r))
+    # the residual norms agree above the rounding floor
     true_norms = np.array(true_norms)
     above = true_norms > 1e-8 * true_norms[0]
     np.testing.assert_allclose(rep.residual_norms[above], true_norms[above],
                                rtol=1e-6)
-    # the default record is the quadratic
+    # the default record is the quadratic, to rounding, and never rises
     default = pcg(LinearOperator.from_matrix(s_mat), rhs, b_cov, tol=1e-12,
-                  reorthogonalize=reorthogonalize)
-    np.testing.assert_array_equal(default.costs, rep.costs)
+                  depth=depth)
+    np.testing.assert_allclose(default.costs, rep.costs, rtol=0,
+                               atol=1e-12 * abs(rep.costs[-1]))
+    assert np.all(np.diff(default.costs) <= 0)
 
 
 def test_operator_linearity_probe():
@@ -251,18 +253,16 @@ def test_rpcg_tracks_primal_pcg_exactly():
     assert np.linalg.norm(rep_r.x_control - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("reorthogonalize", [False, True])
 def test_rpcg_rows_from_the_recurrence_match_direct_evaluation(
-        reorthogonalize, monkeypatch):
+        monkeypatch):
     """The (Jb, Jo) rows rpcg takes from pcg's recurrence, with
-    R^-1 (d - H chi) = b - A x + chi, match the rows evaluated from each
+    R^-1 (d - H chi) = r + chi, match the rows evaluated from each
     iterate chi, seen through pcg's cost hook, with a fresh H chi and
     R^-1 apply to 1e-10 relative."""
     b, g, rvar, d = make_instance(40, 24, seed=27)
     bc, rc = DenseSpd(b), CovarianceR(rvar)
     solves = record_pcg_iterates(monkeypatch)
-    rep = rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-12,
-               reorthogonalize=reorthogonalize)
+    rep = rpcg(LinearOperator.from_matrix(g), bc, rc, d, tol=1e-12)
     assert rep.iterations > 10
     [seen] = solves
     assert len(seen) == len(rep.costs)
@@ -298,11 +298,14 @@ def test_rpcg_breakdown_on_indefinite_g_b_gt():
 
 
 def test_reorthogonalization_still_correct():
+    """A full-depth solve with a fixed preconditioner, every direction
+    A-orthogonalized against all earlier ones, solves a spread-out SPD
+    system."""
     rng = np.random.default_rng(27)
     a = random_spd(40, rng, spread=3.0)
     b = rng.standard_normal(40)
-    rep = pcg(a - np.eye(40), b, identity_cov(40), tol=1e-12,
-              reorthogonalize=True)
+    rep = pcg(a - np.eye(40), b, identity_cov(40), tol=1e-12, depth=None)
+    assert rep.converged
     ref = np.linalg.solve(a, b)
     assert np.linalg.norm(rep.x - ref) / np.linalg.norm(ref) <= 1e-9
 
@@ -324,13 +327,15 @@ def test_all_solvers_agree_on_one_instance():
         assert err <= 1e-8, f"{name}: {err}"
 
 
-def test_fcg_cost_record_is_the_quadratic_and_never_rises():
-    """fcg on (B^-1 + S) x = b: its J comes from its step decrements and
-    equals 1/2 x'Ax - b'x at every iterate and never rises, also under a
-    changing preconditioner and through the rounding-level steps at the
-    end; the B^-1 x it carries is B^-1 of its solution, and it never
-    applies B^-1.  The k-th iterate is the solve truncated at maxit = k,
-    with the preconditioner's scale sequence restarted."""
+@pytest.mark.parametrize("depth", [1, None])
+def test_pcg_cost_record_is_the_quadratic_and_never_rises(depth):
+    """pcg on (B^-1 + S) x = b at either depth: its J comes from its step
+    decrements and equals 1/2 x'Ax - b'x at every iterate and never rises,
+    also under a preconditioner rescaled at every call and through the
+    rounding-level steps at the end; the B^-1 x it carries is B^-1 of its
+    solution, and it never applies B^-1.  The k-th iterate is the solve
+    truncated at maxit = k, with the preconditioner's scale sequence
+    restarted."""
     rng = np.random.default_rng(17)
     b_mat = random_spd(30, rng, spread=3.0)
     g = rng.standard_normal((12, 30))
@@ -345,7 +350,7 @@ def test_fcg_cost_record_is_the_quadratic_and_never_rises():
         def precond(r):
             c = next(scales)
             return c * (b_mat @ r), c * r
-        return fcg(s_mat, b, precond, tol=1e-15, maxit=maxit)
+        return pcg(s_mat, b, precond, tol=1e-15, maxit=maxit, depth=depth)
 
     rep = solve(60)
     for k, j in enumerate(rep.costs):
@@ -359,13 +364,14 @@ def test_fcg_cost_record_is_the_quadratic_and_never_rises():
 
 def test_fcg_stalled_direction_ends_with_a_row_per_iterate():
     """A preconditioner that hands back the same vector twice leaves a
-    zero direction after A-orthogonalization: fcg ends unconverged at
-    p'Ap = 0, after one iteration, with two cost rows and two norms."""
+    zero direction after A-orthogonalization: flexible CG (depth None)
+    ends unconverged at p'Ap = 0, after one iteration, with two cost rows
+    and two norms."""
     rng = np.random.default_rng(32)
     b_mat = random_spd(12, rng)
     v = rng.standard_normal(12)
-    rep = fcg(np.eye(12), rng.standard_normal(12),
-              lambda r: (b_mat @ v, v.copy()))
+    rep = pcg(np.eye(12), rng.standard_normal(12),
+              lambda r: (b_mat @ v, v.copy()), depth=None)
     assert rep.iterations == 1 and not rep.converged
     assert len(rep.costs) == len(rep.residual_norms) == 2
 
@@ -380,7 +386,8 @@ def test_report_without_a_row_per_iterate_is_rejected(route):
     rhs = g.T @ (d / rvar)
     solve = {
         "pcg": lambda: pcg(s_mat, rhs, bc, tol=1e-12),
-        "fcg": lambda: fcg(s_mat, rhs, lambda r: (b @ r, r), tol=1e-12),
+        "fcg": lambda: pcg(s_mat, rhs, lambda r: (b @ r, r), tol=1e-12,
+                           depth=None),
         "rpcg": lambda: rpcg(LinearOperator.from_matrix(g), bc, rc, d,
                              tol=1e-12),
         "gain": lambda: dual_cg_rhalf(LinearOperator.from_matrix(g @ b @ g.T),

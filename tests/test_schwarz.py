@@ -444,33 +444,47 @@ def test_local_solve_matches_pcg_on_the_local_operator():
 
 def test_each_block_is_factorized_once_per_solve(monkeypatch):
     """The first preconditioner apply factorizes every block in one
-    build_local_solves call, later applies reuse the factors, no inner
-    Krylov solve runs, and each block's capacitance size is its
-    observation count."""
+    build_local_solves call, later applies reuse the factors, the solve
+    runs pcg once and the preconditioner never runs an inner Krylov
+    solve, and each block's capacitance size is its observation count."""
     import ddvar.krylov as krylov
     import ddvar.schwarz as schwarz
 
     built = []
     build = schwarz.build_local_solves
+    precond = schwarz.DDSolver._precond
+    pcg_calls = {"solve": 0, "precond": 0}
+    in_precond = []
 
     def counted(blocks, alpha, seconds=None):
         built.append(sorted(blocks))
         return build(blocks, alpha, seconds)
 
-    def no_pcg(*args, **kw):
-        raise AssertionError("the preconditioner ran pcg")
+    def counted_pcg(*args, **kw):
+        pcg_calls["precond" if in_precond else "solve"] += 1
+        return pcg(*args, **kw)
+
+    def marked_precond(self, *args):
+        in_precond.append(True)
+        try:
+            return precond(self, *args)
+        finally:
+            in_precond.pop()
 
     monkeypatch.setattr(schwarz, "build_local_solves", counted)
-    monkeypatch.setattr(krylov, "pcg", no_pcg)
-    monkeypatch.setattr(schwarz, "pcg", no_pcg)
+    monkeypatch.setattr(krylov, "pcg", counted_pcg)
+    monkeypatch.setattr(schwarz, "pcg", counted_pcg)
+    monkeypatch.setattr(schwarz.DDSolver, "_precond", marked_precond)
     sizes = []
     # the 3x3-tile network leaves some blocks without observations
-    for kw in ({}, dict(nx=12, ny=12, ti=3, tj=3, halo=1, n_obs=6)):
+    for solves, kw in enumerate(
+            ({}, dict(nx=12, ny=12, ti=3, tj=3, halo=1, n_obs=6)), start=1):
         built.clear()
         prob, tiles, solver = dd_setup(**kw)
         assert built == [] and solver.local_solves is None
         res = solver.solve()
         assert res.converged and res.n_iterations > 1
+        assert pcg_calls == {"solve": solves, "precond": 0}
         assert built == [sorted(solver.blocks)]
         assert len(res.capacitance_sizes) == len(solver.blocks)
         for (tid, k), p in solver.blocks.items():
@@ -481,7 +495,7 @@ def test_each_block_is_factorized_once_per_solve(monkeypatch):
 
 
 def test_zero_residual_solve_factorizes_no_block(monkeypatch):
-    """With zero innovations the initial residual is zero and fcg stops
+    """With zero innovations the initial residual is zero and pcg stops
     before any preconditioner apply: the solve converges at iteration 0,
     reports every block's capacitance size from its observation count,
     and builds no block solve."""
@@ -656,7 +670,7 @@ def test_dd_matches_global_analysis_2x2():
     j = res.costs
     assert all(j[k + 1] <= j[k] for k in range(len(j) - 1))
     assert res.residuals[0] == 1.0 and res.residuals[-1] <= 1e-10
-    # the reported J, Jb and Jo come from fcg's recurrence; evaluated
+    # the reported J, Jb and Jo come from pcg's recurrence; evaluated
     # directly at the assembled increment they agree
     direct = prob.cost(res.delta_z)
     assert res.final_cost == j[-1]
@@ -843,13 +857,13 @@ def test_dd_solve_work_counts(monkeypatch):
     assert res.converged and n == 6
     assert calls["applies"] == n
     assert calls["B in precond"] == calls["B"] == 2 * n
-    # fcg carries B^-1 of its directions and iterate, so neither the
+    # pcg carries B^-1 of its directions and iterate, so neither the
     # Hessian applies nor the final cost apply B^-1, and the ring
     # block's precision is never built
     assert calls["B^-1"] == 0
     assert "precision" not in vars(prob.b_cov.blocks["b"])
     assert calls["factorized"] == len(solver.blocks) == 8
-    # plus the right-hand side's adjoint; the final cost comes from fcg's
+    # plus the right-hand side's adjoint; the final cost comes from pcg's
     # recurrence and runs no sweep
     assert (calls["tl"], calls["ad"]) == (n, n + 1)
     # the blocks linearize about the problem's background run: no NL run

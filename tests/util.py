@@ -180,14 +180,14 @@ def record_pcg_iterates(monkeypatch):
     solves = []
     real = krylov.pcg
 
-    def recording_pcg(h, b, b_cov, *, cost, **kw):
+    def recording_pcg(h, b, precond, *, cost, **kw):
         seen = []
         solves.append(seen)
 
-        def hook(x, ax, binv_x, z):
+        def hook(x, r, binv_x):
             seen.append((x.copy(), binv_x.copy()))
-            return cost(x, ax, binv_x, z)
-        return real(h, b, b_cov, cost=hook, **kw)
+            return cost(x, r, binv_x)
+        return real(h, b, precond, cost=hook, **kw)
     monkeypatch.setattr(krylov, "pcg", recording_pcg)
     monkeypatch.setattr(assim, "pcg", recording_pcg)
     return solves
